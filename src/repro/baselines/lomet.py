@@ -245,13 +245,10 @@ class LometSystem:
         for smp_page_id in geometry.smp_page_ids():
             smp_page = self.pool.fix(smp_page_id)
             try:
-                base = (smp_page_id - geometry.smp_start) * geometry.entries_per_page
-                limit = min(geometry.entries_per_page,
-                            geometry.n_data_pages - base)
-                for index in range(limit):
-                    allocated, _ = geometry.read_entry(smp_page, index)
-                    if not allocated:
-                        return geometry.data_start + base + index
+                first_page_id, limit = geometry.coverage(smp_page_id)
+                index = geometry.first_free(smp_page, limit)
+                if index is not None:
+                    return first_page_id + index
             finally:
                 self.pool.unfix(smp_page_id)
         return None

@@ -124,6 +124,7 @@ GLOBAL_LOG_LOCK_MESSAGES = "net.messages.global_log_lock"
 NET_MAX_LSN_BROADCAST = "net.messages.max_lsn_broadcast"
 LOG_BYTES_ARCHIVED = "log.bytes_archived"
 LOG_ARCHIVE_SCANS = "log.archive_scans"
+LOG_BYTES_SCANNED = "log.bytes_scanned"
 LOCK_ESCALATIONS = "lock.escalations"
 BUFFER_BATCH_FLUSHES = "buffer.batch_flushes"
 FAULTS_INJECTED = "faults.injected"

@@ -190,6 +190,8 @@ class CsClient:
             self.tracer.emit(ev.TXN_ROLLBACK, system=self.client_id,
                              txn=txn.txn_id, savepoint=to_savepoint)
         records = self.log.records_of_txn(txn.txn_id)
+        # Safe to key by LSN alone: one live transaction's retained
+        # records, all stamped by this client since it last came up.
         by_lsn = {record.lsn: record for record in records}
         stop_at = 0
         if to_savepoint is not None:
@@ -385,12 +387,10 @@ class CsClient:
         geometry = self.server.space_map
         for smp_page_id in geometry.smp_page_ids():
             smp_entry = self._require_cached(smp_page_id, for_update=False)
-            base = (smp_page_id - geometry.smp_start) * geometry.entries_per_page
-            limit = min(geometry.entries_per_page,
-                        geometry.n_data_pages - base)
-            for index in range(limit):
-                if not SpaceMap.read_allocated(smp_entry.page, index):
-                    return geometry.data_start + base + index
+            first_page_id, limit = geometry.coverage(smp_page_id)
+            index = SpaceMap.first_free(smp_entry.page, limit)
+            if index is not None:
+                return first_page_id + index
         return None
 
     # ------------------------------------------------------------------

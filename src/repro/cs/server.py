@@ -14,8 +14,18 @@ to the start of the batch that contains it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Hashable,
+    List,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.buffer.buffer_pool import BufferPool
 from repro.common.config import NULL_LSN, PAGE_SIZE
@@ -57,8 +67,7 @@ _COMMITTED = 1
 _ACTIVE = 0
 
 
-@dataclass
-class _Batch:
+class _Batch(NamedTuple):
     """One shipped batch of client log records in the server log."""
 
     first_lsn: Lsn
@@ -139,8 +148,13 @@ class CsServer:
         self._writer: Dict[int, int] = {}
         self._readers: Dict[int, Set[int]] = {}
         self._clients: Dict[int, "CsClient"] = {}
-        # RecLSN -> RecAddr machinery.
+        # RecLSN -> RecAddr machinery: per client, the batches in
+        # arrival order and where each LSN-sorted run of them starts.
+        # A client's LSNs only increase, so its batches are sorted and
+        # disjoint — until it crashes and restarts its LSNs low, which
+        # opens the next run.
         self._batches: Dict[int, List[_Batch]] = {}
+        self._run_starts: Dict[int, List[int]] = {}
         # Global transaction table, maintained from appended records.
         self._txn_table: Dict[int, Tuple[Lsn, int]] = {}
         # Per-client latest checkpoint: (server log offset, data).
@@ -274,13 +288,16 @@ class CsServer:
             self.injector.fire(fp.CS_SHIP, system=client.client_id,
                                nbytes=len(data))
         records = [rec for _, rec in LogRecord.parse_stream(data)]
-        addr = self.log.append_raw(data)
+        # A client's LSNs increase, so the batch's last is its highest.
+        first_lsn, last_lsn = records[0].lsn, records[-1].lsn
+        addr = self.log.append_parsed(data, last_lsn)
         self.network.message(client.client_id, SERVER_ID, "log_ship",
                              nbytes=len(data))
-        self._batches.setdefault(client.client_id, []).append(
-            _Batch(first_lsn=records[0].lsn, last_lsn=records[-1].lsn,
-                   offset=addr.offset)
-        )
+        batches = self._batches.setdefault(client.client_id, [])
+        if not batches or first_lsn <= batches[-1].last_lsn:
+            self._run_starts.setdefault(client.client_id, []).append(
+                len(batches))
+        batches.append(_Batch(first_lsn, last_lsn, addr.offset))
         for record in records:
             self._track_txn(record)
         if self.tracer.enabled:
@@ -306,11 +323,19 @@ class CsServer:
         """RecLSN -> RecAddr: offset of the batch containing ``rec_lsn``.
 
         Conservative: the batch start bounds the record's address from
-        below, which is all a redo starting point needs.
+        below, which is all a redo starting point needs.  The earliest
+        shipped batch that spans ``rec_lsn`` wins, found by bisecting
+        each run (one per client incarnation) in arrival order.
         """
-        for batch in self._batches.get(client_id, []):
-            if batch.first_lsn <= rec_lsn <= batch.last_lsn:
-                return batch.offset
+        batches = self._batches.get(client_id, [])
+        starts = self._run_starts.get(client_id, [])
+        # Sorts before every batch that starts above rec_lsn and after
+        # all others (real records never carry NULL_LSN).
+        probe = _Batch(rec_lsn + 1, NULL_LSN, 0)
+        for lo, hi in zip(starts, starts[1:] + [len(batches)]):
+            at = bisect_left(batches, probe, lo, hi) - 1
+            if at >= lo and rec_lsn <= batches[at].last_lsn:
+                return batches[at].offset
         return 0
 
     def receive_dirty_page(self, client: "CsClient", page: Page,
@@ -474,7 +499,9 @@ class CsServer:
         scan_start = min(
             [addr for _, addr in dpt.values()] + [start]
         ) if dpt else start
-        index: Dict[Lsn, LogRecord] = {}
+        # Keyed by (txn, LSN): a recovered client restarts its LSNs
+        # low, so two of its transactions may reuse an LSN.
+        index: Dict[Tuple[int, Lsn], LogRecord] = {}
         for addr, record in self.log.scan(from_offset=scan_start):
             mine = (record.system_id == client_id or
                     (record.txn_id and
@@ -492,7 +519,7 @@ class CsServer:
                 else:
                     state = txn_table.get(record.txn_id, (0, _ACTIVE))[1]
                     txn_table[record.txn_id] = (record.lsn, state)
-                index[record.lsn] = record
+                index[record.txn_id, record.lsn] = record
             if record.is_page_oriented():
                 dpt.setdefault(record.page_id, (record.lsn, addr.offset))
         losers = {
@@ -503,10 +530,10 @@ class CsServer:
         # Loser chains can reach back before the analysis scan start
         # (records logged before the client's checkpoint): index every
         # loser record over the whole log so undo can follow them.
-        if losers:
+        if losers and scan_start:
             for _, record in self.log.scan():
                 if record.txn_id in losers:
-                    index[record.lsn] = record
+                    index[record.txn_id, record.lsn] = record
         return dpt, losers, index
 
     def _client_redo(self, dpt: Dict[int, Tuple[Lsn, int]],
@@ -549,14 +576,14 @@ class CsServer:
                 self.pool.unfix(record.page_id)
 
     def _client_undo(self, losers: Dict[int, Lsn],
-                     index: Dict[Lsn, LogRecord],
+                     index: Dict[Tuple[int, Lsn], LogRecord],
                      summary: ClientRecoverySummary) -> None:
         next_undo = dict(losers)
         last_lsn = dict(losers)
         while next_undo:
             txn_id = max(next_undo, key=lambda t: next_undo[t])
             lsn = next_undo[txn_id]
-            record = index.get(lsn)
+            record = index.get((txn_id, lsn))
             if record is None or lsn == NULL_LSN:
                 self._end_txn(txn_id, last_lsn[txn_id])
                 del next_undo[txn_id]
@@ -592,7 +619,7 @@ class CsServer:
                     apply_payload(page, record.slot, record.undo, clr.lsn)
                     self.pool.note_update(record.page_id, clr.lsn,
                                           addr.offset, self.log.end_offset)
-                    index[clr.lsn] = clr
+                    index[txn_id, clr.lsn] = clr
                     last_lsn[txn_id] = clr.lsn
                     summary.clrs_written += 1
                     if self.tracer.enabled:
@@ -653,6 +680,7 @@ class CsServer:
         self._writer.clear()
         self._readers.clear()
         self._batches.clear()
+        self._run_starts.clear()
         self._txn_table.clear()
         self._client_checkpoints.clear()
         for client_id in sorted(self._clients):

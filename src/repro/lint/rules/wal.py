@@ -66,7 +66,7 @@ _APPLY_HELPERS = frozenset(
     {"apply_op", "apply_redo", "apply_undo", "apply_payload", "stamp_page_lsn"}
 )
 
-_APPENDS = frozenset({"append", "append_raw"})
+_APPENDS = frozenset({"append", "append_raw", "append_parsed"})
 
 
 def _receiver_name(call: ast.Call) -> Optional[str]:

@@ -335,26 +335,31 @@ def _undo_pass(instance, losers: Dict[int, Lsn],
     if not losers:
         return
     log = instance.log
-    pool = instance.pool
-    # Index every record of a loser transaction by LSN (LSNs are unique
-    # within one local log because the USN rule is strictly increasing).
-    # The archive-truncation rule keeps every active transaction's
-    # records on the active log, so the scan starts there.
-    index: Dict[Lsn, Tuple[int, LogRecord]] = {}
-    for addr, record in log.scan(from_offset=log.archived_offset):
-        if record.txn_id in losers:
-            index[record.lsn] = (addr.offset, record)
+    # Index the losers' records in the analysed window (checkpoint ->
+    # end of log), keyed by (txn, LSN): the USN rule makes LSNs unique
+    # per page, not per log — in the CS server log two clients' records
+    # for different pages may carry the same LSN (Sections 1.5, 3.1).
+    # A loser already active at the checkpoint has older records; the
+    # index widens once, to the whole active log, when a chain first
+    # leaves the window.  The archive-truncation rule keeps every
+    # active transaction's records on the active log.
+    window_start = max(log.archived_offset, log.master_record_offset or 0)
+    index = _index_losers(log, losers, window_start)
+    widened = window_start == log.archived_offset
     next_undo: Dict[int, Lsn] = dict(losers)
     last_lsn: Dict[int, Lsn] = dict(losers)
     while next_undo:
         txn_id = max(next_undo, key=lambda t: next_undo[t])
         lsn = next_undo[txn_id]
-        entry = index.get(lsn)
-        if entry is None or lsn == NULL_LSN:
+        record = index.get((txn_id, lsn))
+        if record is None and lsn != NULL_LSN and not widened:
+            index = _index_losers(log, losers, log.archived_offset)
+            widened = True
+            record = index.get((txn_id, lsn))
+        if record is None or lsn == NULL_LSN:
             _finish_loser(instance, txn_id, last_lsn[txn_id])
             del next_undo[txn_id]
             continue
-        _, record = entry
         if record.kind == RecordKind.CLR:
             follow = record.undo_next_lsn
         elif record.is_undoable():
@@ -371,6 +376,16 @@ def _undo_pass(instance, losers: Dict[int, Lsn],
             del next_undo[txn_id]
         else:
             next_undo[txn_id] = follow
+
+
+def _index_losers(log, losers: Dict[int, Lsn],
+                  start: int) -> Dict[Tuple[int, Lsn], LogRecord]:
+    """The losers' records from offset ``start`` on, by ``(txn_id, lsn)``."""
+    index: Dict[Tuple[int, Lsn], LogRecord] = {}
+    for _, record in log.scan(from_offset=start):
+        if record.txn_id in losers:
+            index[record.txn_id, record.lsn] = record
+    return index
 
 
 def _compensate(instance, txn_id: int, record: LogRecord,

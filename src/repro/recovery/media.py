@@ -58,6 +58,9 @@ def recover_page_from_media(
             # scan must cover the full logs.
             page = Page()
             page.format(page_id, PageType.FREE)
+        # No LSN-keyed index here or below: LSNs are only ever compared
+        # with the page_LSN of the record's own page, where they are
+        # unique and increasing across all logs.
         for _, record in merge_local_logs(logs, stats=stats,
                                           from_offsets=from_offsets):
             if record.page_id != page_id:

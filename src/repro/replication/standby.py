@@ -4,7 +4,7 @@ A :class:`StandbyComplex` owns its own disk (same geometry as the
 primary, space maps formatted by the same volume-initialisation step)
 and one **replica log** per primary instance.  Every shipped record is
 appended verbatim to its source's replica log
-(:meth:`~repro.wal.log_manager.LogManager.append_raw`, the Section 3.1
+(:meth:`~repro.wal.log_manager.LogManager.append_parsed`, the Section 3.1
 "append them, as they are" discipline), forced, and — for
 page-oriented records — replayed through the standard redo test
 ``record.LSN > page_LSN`` (Section 3.2.1) straight against the
@@ -164,11 +164,17 @@ class StandbyComplex:
         applied = 0
         touched: List[LogManager] = []
         for source_id, data in items:
-            for _, record in LogRecord.parse_stream(data):
+            for offset, record in LogRecord.parse_stream(data):
+                # Safe to screen by LSN alone: one source's local log
+                # is strictly increasing in LSN (the USN rule).
                 if record.lsn <= self._last_lsn.get(source_id, 0):
                     continue  # duplicate re-ship
                 log = self._replica_log(source_id)
-                log.append_raw(record.to_bytes())
+                # Verbatim, and parsed only here: the shipped bytes of
+                # this record go into the replica log as they are.
+                log.append_parsed(
+                    data[offset:offset + record.serialized_size()],
+                    record.lsn)
                 if not touched or touched[-1] is not log:
                     touched.append(log)
                 self._last_lsn[source_id] = int(record.lsn)
@@ -237,6 +243,8 @@ class StandbyComplex:
                 pool = BufferPool(self.disk, log, tracer=self.tracer,
                                   injector=self.injector)
                 site = _RecoverySite(sid, log, pool, self.tracer)
+                # Undo resolves loser records by (txn, LSN), and a
+                # replica log holds one source's records only.
                 restart_recovery(site)
                 pool.flush_all()
             seed = self.applied_max_lsn

@@ -745,12 +745,10 @@ class DbmsInstance:
         for smp_page_id in geometry.smp_page_ids():
             smp_page = self._access(smp_page_id, for_update=False)
             try:
-                base = (smp_page_id - geometry.smp_start) * geometry.entries_per_page
-                limit = min(geometry.entries_per_page,
-                            geometry.n_data_pages - base)
-                for index in range(limit):
-                    if not SpaceMap.read_allocated(smp_page, index):
-                        return geometry.data_start + base + index
+                first_page_id, limit = geometry.coverage(smp_page_id)
+                index = SpaceMap.first_free(smp_page, limit)
+                if index is not None:
+                    return first_page_id + index
             finally:
                 self.pool.unfix(smp_page_id)
         return None

@@ -24,7 +24,7 @@ state of their own beyond the geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 from repro.common.config import PAGE_DATA_SIZE
 from repro.common.lsn import Lsn
@@ -92,6 +92,22 @@ class _Geometry:
     def smp_page_ids(self) -> range:
         return range(self.smp_start, self.smp_start + self.n_smp_pages)
 
+    def coverage(self, smp_page_id: int) -> Tuple[int, int]:
+        """``(first data page id, entries in use)`` of one SMP page —
+        the last SMP page is usually only partly used."""
+        base = (smp_page_id - self.smp_start) * self.entries_per_page
+        return (self.data_start + base,
+                min(self.entries_per_page, self.n_data_pages - base))
+
+
+def _first_non_ff(smp_page: Page, nbytes: int) -> Optional[int]:
+    """Offset of the first payload byte below ``nbytes`` that is not
+    0xFF (None when all are) — one C-level scan, which is what lets a
+    free-entry search skip the allocated prefix without a Python loop."""
+    raw = smp_page.read_payload(0, nbytes)
+    offset = nbytes - len(raw.lstrip(b"\xff"))
+    return offset if offset < nbytes else None
+
 
 class SpaceMap(_Geometry):
     """DB2-style one-bit-per-page space map (the paper's layout)."""
@@ -108,6 +124,17 @@ class SpaceMap(_Geometry):
         """Is the covered data page currently allocated?"""
         byte = smp_page.read_payload(index // 8, 1)[0]
         return bool(byte & (1 << (index % 8)))
+
+    @staticmethod
+    def first_free(smp_page: Page, limit: int) -> Optional[int]:
+        """Lowest index below ``limit`` whose page is deallocated."""
+        offset = _first_non_ff(smp_page, (limit + 7) // 8)
+        if offset is None:
+            return None
+        byte = smp_page.read_payload(offset, 1)[0]
+        # Lowest clear bit of ``byte``: the only bit set in ~byte & (byte + 1).
+        index = offset * 8 + (~byte & (byte + 1)).bit_length() - 1
+        return index if index < limit else None
 
     @staticmethod
     def write_allocated(smp_page: Page, index: int, allocated: bool) -> None:
@@ -209,6 +236,12 @@ class LometSpaceMap(_Geometry):
         if value == self._allocated:
             return True, 0
         return False, value
+
+    def first_free(self, smp_page: Page, limit: int) -> Optional[int]:
+        """Lowest index below ``limit`` whose page is deallocated: the
+        entry holding the first byte that is not part of a sentinel."""
+        offset = _first_non_ff(smp_page, limit * self.lsn_bytes)
+        return None if offset is None else offset // self.lsn_bytes
 
     def write_allocated(self, smp_page: Page, index: int) -> None:
         """Mark the covered page allocated (entry becomes the sentinel)."""

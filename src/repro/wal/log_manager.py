@@ -30,6 +30,7 @@ from repro.common.lsn import LogAddress, Lsn, addresses_for
 from repro.common.stats import (
     LOG_ARCHIVE_SCANS,
     LOG_BYTES_ARCHIVED,
+    LOG_BYTES_SCANNED,
     LOG_BYTES_WRITTEN,
     LOG_FORCES,
     LOG_FORCES_COALESCED,
@@ -62,6 +63,7 @@ class LogManager:
         # is the cheapest real win in the whole hot lane.
         self._records_written = self.stats.handle(LOG_RECORDS_WRITTEN)
         self._bytes_written = self.stats.handle(LOG_BYTES_WRITTEN)
+        self._bytes_scanned = self.stats.handle(LOG_BYTES_SCANNED)
         self._buffer = bytearray()
         self._flushed_len = 0
         self.local_max_lsn: Lsn = NULL_LSN
@@ -172,11 +174,18 @@ class LogManager:
         ``Local_Max_LSN`` still absorbs the maximum seen so the server's
         own control records sort above everything it has stored.
         """
-        addr = LogAddress(self.system_id, len(self._buffer))
-        for _, record in LogRecord.parse_stream(data):
-            if record.lsn > self.local_max_lsn:
-                self.local_max_lsn = record.lsn
-        self._append_bytes(data, count_records=False)
+        return self.append_parsed(data, max(
+            (record.lsn for _, record in LogRecord.parse_stream(data)),
+            default=NULL_LSN))
+
+    def append_parsed(self, data: bytes, max_lsn: Lsn) -> LogAddress:
+        """:meth:`append_raw` for a caller that already parsed ``data``
+        and knows the highest LSN in it (the standby parses each shipped
+        record once, for its duplicate screen and redo test).
+        """
+        if max_lsn > self.local_max_lsn:
+            self.local_max_lsn = max_lsn
+        addr = self._append_bytes(data, count_records=False)
         if self.tracer.enabled:
             self.tracer.emit(
                 ev.LOG_APPEND_RAW,
@@ -326,19 +335,23 @@ class LogManager:
         A restarted system must not assign LSNs below ones it already
         wrote; scanning the stable log for the maximum reinitialises the
         Lamport clock.  (Remote maxima re-arrive via normal traffic.)
-        LSNs increase along the log, so the active portion suffices; the
-        archive is consulted only if the active log is empty.
+        The scan starts at the last completed checkpoint: its
+        BEGIN_CHECKPOINT record was stamped ``Local_Max_LSN + 1`` by
+        :meth:`append`, so it dominates every earlier record —
+        :meth:`append_raw`'d client batches included, whose LSNs do not
+        increase along the log.  Without a checkpoint the active portion
+        is scanned; the archive is consulted only if that is empty.
         """
-        maximum = NULL_LSN
-        for _, record in self.scan(from_offset=self.archived_offset):
-            if record.lsn > maximum:
-                maximum = record.lsn
-        if maximum == NULL_LSN and self.archived_offset:
-            for _, record in self.scan():
-                if record.lsn > maximum:
-                    maximum = record.lsn
+        start = max(self.archived_offset, self.master_record_offset or 0)
+        maximum = self._max_lsn_from(start)
+        if maximum == NULL_LSN and start:
+            maximum = self._max_lsn_from(0)
         self.local_max_lsn = maximum
         return maximum
+
+    def _max_lsn_from(self, offset: int) -> Lsn:
+        return max((record.lsn for _, record in self.scan(from_offset=offset)),
+                   default=NULL_LSN)
 
     def scan(
         self,
@@ -356,11 +369,19 @@ class LogManager:
             # The scan reaches into archived territory (media recovery
             # fetching the tapes); account for it.
             self.stats.incr(LOG_ARCHIVE_SCANS)
-        data = bytes(self._buffer[:end])
-        offset = from_offset
-        while offset < end:
+        if from_offset >= end:
+            return
+        self._bytes_scanned.bump(end - from_offset)
+        # Snapshot the scanned window only (appends during the scan may
+        # resize the live buffer), in one copy.
+        with memoryview(self._buffer) as view:
+            data = bytes(view[from_offset:end])
+        system_id = self.system_id
+        offset = 0
+        length = end - from_offset
+        while offset < length:
             record, offset_next = LogRecord.from_bytes(data, offset)
-            yield LogAddress(self.system_id, offset), record
+            yield LogAddress(system_id, from_offset + offset), record
             offset = offset_next
 
     def read_record_at(self, offset: int) -> LogRecord:

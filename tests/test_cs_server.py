@@ -73,6 +73,41 @@ class TestTxnTable:
         assert cs.server.log.master_record_offset == offset
 
 
+class TestRestartUndoWithEqualLsns:
+    """ROADMAP item 0: equal LSNs on different pages are legal under
+    the USN rule (clients assign LSNs locally), so restart undo must
+    not resolve a loser's records by LSN alone."""
+
+    @pytest.mark.parametrize("cache_capacity", [0, 3])
+    def test_each_loser_is_undone_on_its_own_page(self, cache_capacity):
+        system = CsSystem(n_data_pages=128)
+        c1 = system.add_client(1, cache_capacity=cache_capacity)
+        c2 = system.add_client(2, cache_capacity=cache_capacity)
+        (page_a, slot_a), (page_b, slot_b) = [
+            committed_row(c1, b"init") for _ in range(2)]
+        # A recovered client restarts its LSNs low ...
+        system.crash_client(1)
+        system.recover_client(1)
+        # ... so these two uncommitted updates get the same LSN.
+        loser_1 = c1.begin()
+        c1.update(loser_1, page_a, slot_a, b"AAAA")
+        loser_2 = c2.begin()
+        c2.update(loser_2, page_b, slot_b, b"BBBB")
+        c1.checkpoint()
+        c2.checkpoint()
+        updates = [r for _, r in system.server.log.scan()
+                   if r.kind == RecordKind.UPDATE
+                   and r.txn_id in (loser_1.txn_id, loser_2.txn_id)]
+        assert len(updates) == 2
+        assert updates[0].lsn == updates[1].lsn
+        system.crash_server()
+        summary = system.restart_server()
+        assert summary.clrs_written == 2
+        disk = system.server.disk
+        assert disk.read_page(page_a).read_record(slot_a) == b"init"
+        assert disk.read_page(page_b).read_record(slot_b) == b"init"
+
+
 class TestGuards:
     def test_duplicate_client_id_rejected(self, cs):
         from repro.cs.client import CsClient

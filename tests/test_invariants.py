@@ -186,7 +186,7 @@ def _run_history(ops, scheme="medium"):
 
 
 @pytest.mark.parametrize("scheme", ["medium", "fast"])
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)  # example count: the profile (tests/conftest.py)
 @given(ops=op_strategy())
 def test_property_durability_and_atomicity(scheme, ops):
     """I4 + I5 under arbitrary histories with crashes — under both the
@@ -206,7 +206,7 @@ def test_property_durability_and_atomicity(scheme, ops):
         )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)  # example count: the profile (tests/conftest.py)
 @given(ops=op_strategy())
 def test_property_lsn_invariants(ops):
     """I1 + I2 under arbitrary histories."""

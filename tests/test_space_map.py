@@ -103,6 +103,26 @@ class TestBitmap:
         for index in range(2001):
             assert SpaceMap.read_allocated(page, index) == (index in indices)
 
+    @settings(max_examples=60, deadline=None)
+    @given(prefix=st.integers(0, 300), limit=st.integers(1, 300),
+           holes=st.sets(st.integers(0, 299), max_size=4))
+    def test_property_first_free_matches_the_per_bit_search(
+            self, prefix, limit, holes):
+        """The chosen page must be the one the per-bit loop chose."""
+        page = smp_page()
+        SpaceMap.write_range(page, 0, prefix, True)
+        for index in holes:
+            SpaceMap.write_allocated(page, index, False)
+        expected = next((index for index in range(limit)
+                         if not SpaceMap.read_allocated(page, index)), None)
+        assert SpaceMap.first_free(page, limit) == expected
+
+    def test_first_free_on_a_full_last_byte(self):
+        page = smp_page()
+        SpaceMap.write_range(page, 0, 16, True)
+        assert SpaceMap.first_free(page, 16) is None
+        assert SpaceMap.first_free(page, 17) == 16
+
 
 class TestLomet:
     def test_entries_per_page(self):
@@ -148,6 +168,25 @@ class TestLomet:
         """One bitmap SMP covers ~64x more pages than a Lomet SMP."""
         ratio = smp_entries_per_page() / lomet_entries_per_page(8)
         assert ratio == pytest.approx(64.0, abs=0.2)
+
+    @pytest.mark.parametrize("lsn_bytes", [6, 8])
+    @settings(max_examples=40, deadline=None)
+    @given(prefix=st.integers(0, 40), limit=st.integers(1, 40),
+           holes=st.dictionaries(st.integers(0, 39),
+                                 st.sampled_from([0, 0xFF, 0xFFFF00,
+                                                  2**48 - 2]), max_size=3))
+    def test_property_first_free_matches_the_per_entry_search(
+            self, lsn_bytes, prefix, limit, holes):
+        sm = LometSpaceMap(smp_start=1, data_start=10, n_data_pages=500,
+                           lsn_bytes=lsn_bytes)
+        page = smp_page(PageType.LOMET_SPACE_MAP)
+        for index in range(prefix):
+            sm.write_allocated(page, index)
+        for index, lsn in holes.items():
+            sm.write_deallocated(page, index, lsn)
+        expected = next((index for index in range(limit)
+                         if not sm.read_entry(page, index)[0]), None)
+        assert sm.first_free(page, limit) == expected
 
     @settings(max_examples=30, deadline=None)
     @given(st.dictionaries(st.integers(0, 400),

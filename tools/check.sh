@@ -15,7 +15,7 @@
 #   test    tier-1 pytest suite
 #   bench   E1/TPS/instant bench smokes + bench-suite smoke +
 #           span-trace smoke (capture, critical-path, invariant
-#           check, Perfetto export)
+#           check, Perfetto export) + perf-lab smoke and self-tests
 #   chaos   crash-point torture smoke + failover and restart drill
 #           smokes (python -m repro.chaos [--drill ...] --smoke)
 #
@@ -161,12 +161,31 @@ span_trace_smoke() {
     return "${status}"
 }
 
+# Perf-lab smoke: one epoch of the restart, replicated-commit and
+# client-server workloads with their full oracle (every read checked,
+# every record read back from disk, standby images, durability after
+# each crash cycle).  A non-zero exit or "correct": false on the result
+# line fails the stage; timings are not gated here.
+perflab_smoke() {
+    local workload result
+    for workload in restart-eager repl-quorum-2sb cs-commit-2cl; do
+        result="$(python benchmarks/perflab/run.py --workload "${workload}" \
+            --seed 1992 --epochs 1 --trace 0 | tail -n 1)" || return 1
+        case "${result}" in
+            *'"correct": true'*) ;;
+            *) echo "perflab ${workload}: ${result}" >&2; return 1 ;;
+        esac
+    done
+}
+
 stage_bench() {
     run_step "bench-e1 smoke" bench_e1_smoke
     run_step "bench-tps smoke" bench_tps_smoke
     run_step "bench-instant smoke" bench_instant_smoke
     run_step "bench-suite smoke" bench_suite_smoke
     run_step "span-trace smoke" span_trace_smoke
+    run_step "perflab smoke" perflab_smoke
+    run_step "perflab self-tests" python -m pytest benchmarks/perflab -q
 }
 
 # Chaos smoke: <= 10 crash-point kills across SD and CS, each followed
