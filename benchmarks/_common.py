@@ -4,11 +4,36 @@ from __future__ import annotations
 
 import argparse
 import json
-from typing import Callable, List, Optional
+import sys
+from typing import Callable, List, Optional, Tuple
 
 from repro import SDComplex
 from repro.harness.experiment import ExperimentResult
 from repro.sd.instance import DbmsInstance
+
+
+def count_calls(fn: Callable[..., object], *args: object) -> Tuple[int, int]:
+    """``(interpreted, builtin)`` calls made while ``fn(*args)`` runs
+    (``fn``'s own frame and the profiler's removal excluded) — the
+    deterministic cost measure the hot-lane gates use where a
+    wall-clock ratio would also move with the lane it is compared
+    against."""
+    interpreted = builtin = 0
+
+    def profiler(frame, event, arg):
+        nonlocal interpreted, builtin
+        if event == "call":
+            interpreted += 1
+        elif event == "c_call":
+            builtin += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return interpreted - 1, builtin - 1
 
 
 def committed_row(engine, payload=b"v0"):

@@ -88,7 +88,8 @@ class BufferPool:
 
     def unfix(self, page_id: int) -> None:
         """Release one pin on ``page_id``."""
-        bcb = self._require(page_id)
+        # A hit skips the _require frame; only a miss calls it, to raise.
+        bcb = self._frames.get(page_id) or self._require(page_id)
         if bcb.fix_count <= 0:
             raise ValueError(f"page {page_id} is not fixed")
         bcb.fix_count -= 1
@@ -145,7 +146,8 @@ class BufferPool:
     def note_update(self, page_id: int, lsn: Lsn, record_offset: int,
                     record_end: int) -> None:
         """Tell the pool an update to ``page_id`` was just logged."""
-        self._require(page_id).note_update(lsn, record_offset, record_end)
+        bcb = self._frames.get(page_id) or self._require(page_id)
+        bcb.note_update(lsn, record_offset, record_end)
 
     def bcb(self, page_id: int) -> BufferControlBlock:
         """The BCB for a buffered page (introspection/tests)."""

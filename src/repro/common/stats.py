@@ -23,7 +23,9 @@ class CounterHandle:
     so mixing ``registry.incr(NAME)`` and ``handle.bump()`` on the same
     name stays coherent.  ``bump`` deliberately skips the negative-
     amount guard of :meth:`StatsRegistry.incr` — handles live on
-    audited hot paths that only ever move counters forward.
+    audited hot paths that only ever move counters forward.  The very
+    hottest of them (one log append, one lock request, one message)
+    add to ``value`` directly and save the method frame as well.
     """
 
     __slots__ = ("name", "value")

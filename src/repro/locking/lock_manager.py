@@ -15,7 +15,7 @@ Lock names are arbitrary hashable tuples; :func:`record_lock` and
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.common.errors import DeadlockError
@@ -118,10 +118,23 @@ class _Request:
     convert_from: Optional[LockMode] = None
 
 
-@dataclass
 class _LockHead:
-    granted: Dict[Hashable, LockMode] = field(default_factory=dict)
-    queue: List[_Request] = field(default_factory=list)
+    """One resource's grants and FIFO queue.
+
+    ``seq`` numbers heads in creation order, which is the iteration
+    order of the lock table: :meth:`LockManager.release_all` sorts by
+    it to report promotions in the order a table sweep would.
+    """
+
+    __slots__ = ("seq", "granted", "queue")
+
+    def __init__(self, seq: int) -> None:
+        self.seq = seq
+        self.granted: Dict[Hashable, LockMode] = {}
+        self.queue: List[_Request] = []
+
+
+_HeadsByResource = Dict[Hashable, _LockHead]
 
 
 class LockManager:
@@ -140,7 +153,15 @@ class LockManager:
         # Pre-resolved handle: LOCK_REQUESTS is bumped on every single
         # acquire, so it skips the registry's per-call string hashing.
         self._requests = self.stats.handle(LOCK_REQUESTS)
-        self._table: Dict[Hashable, _LockHead] = {}
+        self._table: _HeadsByResource = {}
+        self._heads_created = 0
+        # Owner index: the heads each owner holds a grant on, and the
+        # heads it has a queued request on (a queued conversion is in
+        # both).  Kept in step with the table by every grant, release
+        # and queue edit, so commit-time release is O(locks held), not
+        # a sweep of the whole table.
+        self._held: Dict[Hashable, _HeadsByResource] = {}
+        self._queued: Dict[Hashable, _HeadsByResource] = {}
         # owner -> resource currently waited for (for the WFG)
         self._waiting_on: Dict[Hashable, Hashable] = {}
         # Shard label: a PartitionedLockManager sets this so traces can
@@ -157,13 +178,14 @@ class LockManager:
             blockers_fn if blockers_fn is not None else self._blockers)
 
     def _trace(self, kind: str, **fields: Hashable) -> None:
+        """Emit a lock event.  Callers test ``tracer.enabled`` first,
+        so an untraced request builds neither the kwargs nor a frame."""
         # The lock table is global, so its events carry system 0 (the
         # GLM in SD, the server in CS).
-        if self.tracer.enabled:
-            if self.shard is not None:
-                self.tracer.emit(kind, system=0, shard=self.shard, **fields)
-            else:
-                self.tracer.emit(kind, system=0, **fields)
+        if self.shard is not None:
+            self.tracer.emit(kind, system=0, shard=self.shard, **fields)
+        else:
+            self.tracer.emit(kind, system=0, **fields)
 
     # ------------------------------------------------------------------
     def acquire(
@@ -194,70 +216,6 @@ class LockManager:
                 return self._acquire(owner, resource, mode)
         return self._acquire(owner, resource, mode)
 
-    def _acquire(
-        self,
-        owner: Hashable,
-        resource: Hashable,
-        mode: LockMode,
-    ) -> LockStatus:
-        self._requests.bump()
-        head = self._table.get(resource)
-        if head is None:
-            # Uncontended fast lane: the first request on a free
-            # resource always grants — no queue to scan, no
-            # compatibility to check.  Same result, stats and trace as
-            # the general path below.
-            head = _LockHead()
-            head.granted[owner] = mode
-            self._table[resource] = head
-            self._trace(
-                ev.LOCK_GRANT, owner=owner, resource=resource,
-                mode=mode.name,
-            )
-            return LockStatus.GRANTED
-        if any(r.owner == owner for r in head.queue):
-            # Retry of a still-queued request: keep the queue position.
-            return LockStatus.WAITING
-        held = head.granted.get(owner)
-        if held is not None:
-            target = supremum(held, mode)
-            if target == held:
-                return LockStatus.GRANTED
-            if self._conversion_compatible(head, owner, target):
-                head.granted[owner] = target
-                self._trace(
-                    ev.LOCK_GRANT, owner=owner, resource=resource,
-                    mode=target.name,
-                )
-                return LockStatus.GRANTED
-            request = _Request(owner=owner, mode=target, convert_from=held)
-            head.queue.insert(0, request)  # conversions go first
-        else:
-            if not head.queue and self._grant_compatible(head, mode):
-                head.granted[owner] = mode
-                self._trace(
-                    ev.LOCK_GRANT, owner=owner, resource=resource,
-                    mode=mode.name,
-                )
-                return LockStatus.GRANTED
-            request = _Request(owner=owner, mode=mode)
-            head.queue.append(request)
-        self.stats.incr(LOCK_WAITS)
-        self._waiting_on[owner] = resource
-        self._trace(
-            ev.LOCK_WAIT, owner=owner, resource=resource,
-            mode=request.mode.name,
-        )
-        if self._find_cycle(owner):
-            # The requester whose wait closes the cycle is the victim:
-            # every other participant is already parked and will never
-            # re-enter acquire(), so it is the only one positioned to
-            # break the deadlock.
-            self._remove_request(resource, owner)
-            self._trace(ev.LOCK_DEADLOCK, owner=owner, resource=resource)
-            raise DeadlockError(f"{owner} chosen as deadlock victim on {resource}")
-        return LockStatus.WAITING
-
     def try_acquire(
         self,
         owner: Hashable,
@@ -267,42 +225,76 @@ class LockManager:
         """Like :meth:`acquire` but never waits: a conflicting request
         returns WOULD_BLOCK without being enqueued.  Used for
         opportunistic operations such as lock escalation."""
-        self._requests.bump()
+        return self._acquire(owner, resource, mode, wait=False)
+
+    def _acquire(
+        self,
+        owner: Hashable,
+        resource: Hashable,
+        mode: LockMode,
+        wait: bool = True,
+    ) -> LockStatus:
+        self._requests.value += 1
         head = self._table.get(resource)
         if head is None:
-            # Same uncontended fast lane as acquire().
-            head = _LockHead()
-            head.granted[owner] = mode
-            self._table[resource] = head
-            self._trace(
-                ev.LOCK_GRANT, owner=owner, resource=resource,
-                mode=mode.name,
-            )
+            # Uncontended fast lane: the first request on a free
+            # resource always grants — no queue to scan, no
+            # compatibility to check.
+            self._heads_created += 1
+            head = self._table[resource] = _LockHead(self._heads_created)
+            self._grant(owner, resource, head, mode)
             return LockStatus.GRANTED
-        if any(r.owner == owner for r in head.queue):
+        if self._queued and resource in self._queued.get(owner, ()):
+            # Retry of a still-queued request: keep the queue position.
+            return LockStatus.WAITING if wait else LockStatus.WOULD_BLOCK
+        current = head.granted.get(owner)
+        if current is not None:
+            target = _SUPREMUM[current, mode]
+            if target == current:
+                return LockStatus.GRANTED
+            grantable = self._conversion_compatible(head, owner, target)
+        else:
+            target = mode
+            grantable = not head.queue and self._grant_compatible(head, mode)
+        if grantable:
+            self._grant(owner, resource, head, target)
+            return LockStatus.GRANTED
+        if not wait:
             return LockStatus.WOULD_BLOCK
-        held = head.granted.get(owner)
-        if held is not None:
-            target = supremum(held, mode)
-            if target == held:
-                return LockStatus.GRANTED
-            if self._conversion_compatible(head, owner, target):
-                head.granted[owner] = target
-                self._trace(
-                    ev.LOCK_GRANT, owner=owner, resource=resource,
-                    mode=target.name,
-                )
-                return LockStatus.GRANTED
-        elif not head.queue and self._grant_compatible(head, mode):
-            head.granted[owner] = mode
-            self._trace(
-                ev.LOCK_GRANT, owner=owner, resource=resource,
-                mode=mode.name,
-            )
-            return LockStatus.GRANTED
-        if not head.granted and not head.queue:
-            del self._table[resource]
-        return LockStatus.WOULD_BLOCK
+        request = _Request(owner=owner, mode=target, convert_from=current)
+        if current is not None:
+            head.queue.insert(0, request)  # conversions go first
+        else:
+            head.queue.append(request)
+        self._queued.setdefault(owner, {})[resource] = head
+        self.stats.incr(LOCK_WAITS)
+        self._waiting_on[owner] = resource
+        if self.tracer.enabled:
+            self._trace(ev.LOCK_WAIT, owner=owner, resource=resource,
+                        mode=request.mode.name)
+        if self._find_cycle(owner):
+            # The requester whose wait closes the cycle is the victim:
+            # every other participant is already parked and will never
+            # re-enter acquire(), so it is the only one positioned to
+            # break the deadlock.
+            self._remove_request(resource, owner)
+            if self.tracer.enabled:
+                self._trace(ev.LOCK_DEADLOCK, owner=owner, resource=resource)
+            raise DeadlockError(f"{owner} chosen as deadlock victim on {resource}")
+        return LockStatus.WAITING
+
+    def _grant(self, owner: Hashable, resource: Hashable, head: _LockHead,
+               mode: LockMode) -> None:
+        """Record a grant (or a granted conversion) on a live head."""
+        head.granted[owner] = mode
+        held = self._held.get(owner)
+        if held is None:
+            self._held[owner] = {resource: head}
+        else:
+            held[resource] = head
+        if self.tracer.enabled:
+            self._trace(ev.LOCK_GRANT, owner=owner, resource=resource,
+                        mode=mode.name)
 
     def release(self, owner: Hashable, resource: Hashable) -> List[Hashable]:
         """Release ``owner``'s lock on ``resource``.
@@ -313,34 +305,53 @@ class LockManager:
         if head is None or owner not in head.granted:
             raise KeyError(f"{owner} holds no lock on {resource}")
         del head.granted[owner]
-        self._trace(ev.LOCK_RELEASE, owner=owner, resource=resource)
-        return self._promote(resource, head)
+        held = self._held[owner]
+        del held[resource]
+        if not held:
+            del self._held[owner]
+        if self.tracer.enabled:
+            self._trace(ev.LOCK_RELEASE, owner=owner, resource=resource)
+        if head.queue:
+            return self._promote(resource, head)
+        if not head.granted:
+            del self._table[resource]
+        return []
 
     def release_all(self, owner: Hashable) -> List[Tuple[Hashable, Hashable]]:
-        """Release every lock ``owner`` holds (commit/abort/crash).
+        """Release every lock ``owner`` holds (commit/abort/crash) and
+        withdraw every request it still has queued — including a queued
+        conversion on a resource it holds, which would otherwise be
+        promoted later on behalf of a finished transaction.
 
-        Returns ``(resource, new_owner)`` pairs for promoted waiters.
+        Returns ``(resource, new_owner)`` pairs for promoted waiters,
+        in lock-table order.  Cost is O(locks held or awaited by
+        ``owner``), whatever other owners hold.
         """
-        promoted: List[Tuple[Hashable, Hashable]] = []
-        self._remove_waits(owner)
-        self._trace(ev.LOCK_RELEASE_ALL, owner=owner)
-        for resource in list(self._table):
-            head = self._table[resource]
-            if owner in head.granted:
+        self._waiting_on.pop(owner, None)
+        if self.tracer.enabled:
+            self._trace(ev.LOCK_RELEASE_ALL, owner=owner)
+        held = self._held.pop(owner, None)
+        queued = self._queued.pop(owner, None)
+        # Heads whose queue must be re-examined, keyed for table order.
+        waiting: List[Tuple[int, Hashable, _LockHead]] = []
+        if held:
+            for resource, head in held.items():
                 del head.granted[owner]
-                promoted.extend(
-                    (resource, new_owner)
-                    for new_owner in self._promote(resource, head)
-                )
-            else:
-                before = len(head.queue)
+                if head.queue:
+                    waiting.append((head.seq, resource, head))
+                elif not head.granted:
+                    del self._table[resource]
+        if queued:
+            for resource, head in queued.items():
                 head.queue = [r for r in head.queue if r.owner != owner]
-                if len(head.queue) != before:
-                    promoted.extend(
-                        (resource, new_owner)
-                        for new_owner in self._promote(resource, head)
-                    )
-        return promoted
+                if not held or resource not in held:
+                    waiting.append((head.seq, resource, head))
+        waiting.sort()  # seq is unique, so ties never compare resources
+        return [
+            (resource, new_owner)
+            for _, resource, head in waiting
+            for new_owner in self._promote(resource, head)
+        ]
 
     # ------------------------------------------------------------------
     def holds(self, owner: Hashable, resource: Hashable,
@@ -364,11 +375,11 @@ class LockManager:
 
     def locks_of(self, owner: Hashable) -> Dict[Hashable, LockMode]:
         """Every lock ``owner`` currently holds."""
-        return {
-            resource: head.granted[owner]
-            for resource, head in self._table.items()
-            if owner in head.granted
-        }
+        held = self._held.get(owner)
+        if not held:
+            return {}
+        return {resource: head.granted[owner]
+                for resource, head in held.items()}
 
     def owners(self) -> Set[Hashable]:
         """Every owner currently holding or awaiting a lock."""
@@ -388,18 +399,20 @@ class LockManager:
     @staticmethod
     def _grant_compatible(head: _LockHead, mode: LockMode) -> bool:
         mask = _COMPAT_MASK[mode]
-        return all(mask >> held & 1 for held in head.granted.values())
+        for held in head.granted.values():
+            if not mask >> held & 1:
+                return False
+        return True
 
     @staticmethod
     def _conversion_compatible(
         head: _LockHead, owner: Hashable, target: LockMode
     ) -> bool:
         mask = _COMPAT_MASK[target]
-        return all(
-            mask >> held & 1
-            for other, held in head.granted.items()
-            if other != owner
-        )
+        for other, held in head.granted.items():
+            if other != owner and not mask >> held & 1:
+                return False
+        return True
 
     def _promote(self, resource: Hashable, head: _LockHead) -> List[Hashable]:
         granted: List[Hashable] = []
@@ -412,26 +425,28 @@ class LockManager:
             if not ok:
                 break
             head.queue.pop(0)
-            head.granted[request.owner] = request.mode
+            self._forget_queued(request.owner, resource)
             self._waiting_on.pop(request.owner, None)
-            self._trace(
-                ev.LOCK_GRANT, owner=request.owner, resource=resource,
-                mode=request.mode.name,
-            )
+            self._grant(request.owner, resource, head, request.mode)
             granted.append(request.owner)
         if not head.granted and not head.queue:
             del self._table[resource]
         return granted
 
-    def _remove_request(self, resource: Hashable, owner: Hashable) -> None:
-        head = self._table.get(resource)
-        if head is not None:
-            head.queue = [r for r in head.queue if r.owner != owner]
-            if not head.granted and not head.queue:
-                del self._table[resource]
-        self._waiting_on.pop(owner, None)
+    def _forget_queued(self, owner: Hashable, resource: Hashable) -> None:
+        queued = self._queued[owner]
+        del queued[resource]
+        if not queued:
+            del self._queued[owner]
 
-    def _remove_waits(self, owner: Hashable) -> None:
+    def _remove_request(self, resource: Hashable, owner: Hashable) -> None:
+        """Withdraw ``owner``'s queued request on ``resource`` (the
+        deadlock victim's)."""
+        head = self._table[resource]
+        head.queue = [r for r in head.queue if r.owner != owner]
+        self._forget_queued(owner, resource)
+        if not head.granted and not head.queue:
+            del self._table[resource]
         self._waiting_on.pop(owner, None)
 
     def _blockers(self, owner: Hashable) -> List[Hashable]:

@@ -43,6 +43,7 @@ from repro.common.stats import (
     NET_PARKED_DRAINED,
     NET_PARKED_FAILED,
     NET_RETRANSMITS,
+    CounterHandle,
     StatsRegistry,
     message_kind_counter,
 )
@@ -84,6 +85,12 @@ class Network:
         self._injector = injector if injector is not None else NULL_INJECTOR
         self.retry = retry if retry is not None else RetryPolicy()
         self._participants: Dict[int, LamportParticipant] = {}
+        # Pre-resolved counter handles: _deliver runs once per message
+        # (20+ per CS transaction), so it skips the registry's string
+        # hashing and builds each per-kind counter name only once.
+        self._messages_sent = self.stats.handle(MESSAGES_SENT)
+        self._message_bytes = self.stats.handle(MESSAGE_BYTES)
+        self._kind_counters: Dict[str, CounterHandle] = {}
         # Fault-path state (untouched on the fast path): a fabric-wide
         # message sequence, the at-most-once delivery window, and the
         # park bench for delayed messages.
@@ -208,9 +215,13 @@ class Network:
                 self.stats.incr(NET_DUP_DROPPED)
                 return
             self._seen_seqs.add(seq)
-        self.stats.incr(MESSAGES_SENT)
-        self.stats.incr(MESSAGE_BYTES, nbytes)
-        self.stats.incr(message_kind_counter(kind))
+        self._messages_sent.value += 1
+        self._message_bytes.value += nbytes
+        kind_counter = self._kind_counters.get(kind)
+        if kind_counter is None:
+            kind_counter = self.stats.handle(message_kind_counter(kind))
+            self._kind_counters[kind] = kind_counter
+        kind_counter.value += 1
         src = self._participants.get(src_id)
         if self.tracer.enabled:
             piggyback = (

@@ -73,51 +73,51 @@ class CoherencyController:
             # any system reads or updates it.  The registry is empty on
             # the classic path, so this costs one truthiness test there.
             self._complex.ensure_instant_recovered(page_id)
+        me = requester.system_id
         writer = self._writer.get(page_id)
-        if writer is not None and writer in self._crashed \
-                and writer != requester.system_id:
-            raise ProtocolError(
-                f"page {page_id} is owned by crashed system {writer}; "
-                f"restart recovery must run first"
-            )
         transfer: Optional[_Transfer] = None
-        if writer is not None and writer != requester.system_id:
+        if writer is not None and writer != me:
+            if writer in self._crashed:
+                raise ProtocolError(
+                    f"page {page_id} is owned by crashed system {writer}; "
+                    f"restart recovery must run first"
+                )
             if for_update or self.scheme == "medium":
-                transfer = self._surrender(writer, page_id,
-                                           requester.system_id)
+                transfer = self._surrender(writer, page_id, me)
             else:
                 # fast-scheme read: the writer keeps its dirty copy and
                 # writer status; the reader gets a consistent image.
-                transfer = self._share_copy(writer, page_id,
-                                            requester.system_id)
+                transfer = self._share_copy(writer, page_id, me)
+        readers = self._readers.get(page_id)
         if for_update:
-            self._invalidate_other_readers(page_id, requester.system_id)
-            self._writer[page_id] = requester.system_id
-            self._readers[page_id] = {requester.system_id}
+            if readers is None or len(readers) != 1 or me not in readers:
+                self._invalidate_other_readers(page_id, me)
+            self._writer[page_id] = me
         else:
-            if writer is not None and writer != requester.system_id \
+            if writer is not None and writer != me \
                     and self.scheme == "medium":
                 # Old writer demoted: its copy (if any) is now clean.
                 self._writer.pop(page_id, None)
-            self._readers.setdefault(page_id, set()).add(requester.system_id)
-        if requester.pool.contains(page_id):
-            if transfer is not None:
-                # The requester's buffered copy predates the transfer
-                # (e.g. a recovery redo pass read the disk version
-                # while another system still held the page); the
-                # transferred image is the current one.
-                requester.pool.put_page(transfer.page)
-                if transfer.dirty:
-                    self._stamp_transferred_dirty(requester, page_id,
-                                                  transfer)
-            return requester.pool.fix(page_id)
-        if transfer is not None:
-            page = requester.pool.install_page(transfer.page,
-                                               dirty=transfer.dirty)
+            if readers is None:
+                self._readers[page_id] = {me}
+            else:
+                readers.add(me)
+        pool = requester.pool
+        if transfer is None:
+            return pool.fix(page_id)  # buffered copy, or a disk read
+        if pool.contains(page_id):
+            # The requester's buffered copy predates the transfer
+            # (e.g. a recovery redo pass read the disk version
+            # while another system still held the page); the
+            # transferred image is the current one.
+            pool.put_page(transfer.page)
             if transfer.dirty:
                 self._stamp_transferred_dirty(requester, page_id, transfer)
-            return page
-        return requester.pool.fix(page_id)  # disk read
+            return pool.fix(page_id)
+        page = pool.install_page(transfer.page, dirty=transfer.dirty)
+        if transfer.dirty:
+            self._stamp_transferred_dirty(requester, page_id, transfer)
+        return page
 
     @staticmethod
     def _stamp_transferred_dirty(requester: "DbmsInstance", page_id: int,

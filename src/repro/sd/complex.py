@@ -20,7 +20,7 @@ the last updater's maximum.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.recovery.instant import InstantRecoveryManager
@@ -183,7 +183,11 @@ class SDComplex:
         if status is LockStatus.GRANTED and self.lock_value_blocks:
             value = self._lock_values.get(resource)
             if value is not None:
-                instance.log.observe_remote_max(value)
+                log = instance.log
+                # At or below Local_Max_LSN the Lamport merge changes
+                # nothing; only a tracer still wants the observation.
+                if value > log.local_max_lsn or log.tracer.enabled:
+                    log.observe_remote_max(value)
         return status
 
     def try_lock(
@@ -204,22 +208,25 @@ class SDComplex:
     def release_lock(
         self, instance: DbmsInstance, txn_id: int, resource: Hashable
     ) -> None:
-        self._store_lock_value(instance, resource)
+        self._store_lock_values(instance, (resource,))
         self.glm.release(txn_id, resource)
 
     def release_txn_locks(self, instance: DbmsInstance, txn_id: int) -> None:
         """Commit/abort-time release of everything a transaction holds."""
-        for resource in self.glm.locks_of(txn_id):
-            self._store_lock_value(instance, resource)
+        self._store_lock_values(instance, self.glm.locks_of(txn_id))
         self.glm.release_all(txn_id)
 
-    def _store_lock_value(self, instance: DbmsInstance,
-                          resource: Hashable) -> None:
+    def _store_lock_values(self, instance: DbmsInstance,
+                           resources: Iterable[Hashable]) -> None:
+        """Leave the releaser's Local_Max_LSN in each lock's value block."""
         if not self.lock_value_blocks:
             return
-        current = self._lock_values.get(resource, 0)
-        self._lock_values[resource] = max(current,
-                                          instance.log.local_max_lsn)
+        values = self._lock_values
+        value = instance.log.local_max_lsn
+        for resource in resources:
+            # -1: a block is created even for a releaser still at LSN 0.
+            if values.get(resource, -1) < value:
+                values[resource] = value
 
     def release_system_locks(self, system_id: int) -> None:
         """Drop the retained locks of a recovered system's transactions."""

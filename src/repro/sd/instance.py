@@ -127,7 +127,8 @@ class DbmsInstance:
     # transaction control
     # ------------------------------------------------------------------
     def begin(self) -> Transaction:
-        self._check_up()
+        if self.crashed:
+            raise self._down_error()
         txn = self.txns.begin()
         if self.tracer.enabled:
             self.tracer.emit(ev.TXN_BEGIN, system=self.system_id,
@@ -222,10 +223,16 @@ class DbmsInstance:
             ) from exc
 
     def _finish_pending(self) -> int:
+        pending = self._pending_commits
         finished = 0
-        while self._pending_commits:
-            self._finish_commit(self._pending_commits.pop(0))
-            finished += 1
+        try:
+            for txn in pending:
+                finished += 1
+                self._finish_commit(txn)
+        finally:
+            # One slice delete instead of a pop(0) per transaction; a
+            # failure still leaves the untouched tail pending.
+            del pending[:finished]
         return finished
 
     def _finish_commit(self, txn: Transaction) -> None:
@@ -245,7 +252,8 @@ class DbmsInstance:
         behind another system's crash) can simply be retried without
         double-compensation.
         """
-        self._check_up()
+        if self.crashed:
+            raise self._down_error()
         if txn.state not in (TxnState.ACTIVE, TxnState.ABORTING):
             raise ReproError(f"cannot roll back txn in state {txn.state}")
         txn.state = TxnState.ABORTING
@@ -381,14 +389,19 @@ class DbmsInstance:
         and immediately released (degree-2 consistency).
         """
         self._check_active(txn)
-        page = self._access(page_id, for_update=False)
-        try:
-            if use_commit_lsn and self.complex.commit_lsn.check(page.page_lsn):
-                return page.read_record(slot)
-        finally:
-            self.pool.unfix(page_id)
-        # Slow path: lock hierarchically, re-fetch, read; under cursor
-        # stability the record-level lock is released right after.
+        if use_commit_lsn:
+            # Only the Commit_LSN screen looks at the page before
+            # locking.  Without it the order is lock, fix, read — as in
+            # update() — so a reader about to block never pulls the
+            # page across systems first.
+            page = self._access(page_id, for_update=False)
+            try:
+                if self.complex.commit_lsn.check(page.page_lsn):
+                    return page.read_record(slot)
+            finally:
+                self.pool.unfix(page_id)
+        # Lock hierarchically, fetch, read; under cursor stability the
+        # record-level lock is released right after.
         releasable = self._lock_for_read(txn, page_id, slot)
         page = self._access(page_id, for_update=False)
         try:
@@ -784,14 +797,14 @@ class DbmsInstance:
             op, data = decode_op(record.redo)
             apply_op(page, record.slot, op, data)
         stamp_page_lsn(page, record.lsn)
-        self.pool.note_update(page.page_id, record.lsn, addr.offset,
+        self.pool.note_update(record.page_id, record.lsn, addr.offset,
                               self.log.end_offset)
         txn.note_logged(record.lsn, addr.offset,
                         undoable=record.is_undoable())
         if self.tracer.enabled:
             self.tracer.emit(
                 ev.PAGE_UPDATE, system=self.system_id,
-                page=page.page_id, slot=record.slot, txn=txn.txn_id,
+                page=record.page_id, slot=record.slot, txn=txn.txn_id,
                 lsn=int(record.lsn), page_lsn_prev=int(page_lsn_prev),
                 kind=record.kind.name,
             )
@@ -885,12 +898,14 @@ class DbmsInstance:
             raise
 
     def _access(self, page_id: int, for_update: bool) -> Page:
-        self._check_up()
+        if self.crashed:
+            raise self._down_error()
         return self.complex.coherency.access(self, page_id, for_update)
 
-    def _check_up(self) -> None:
-        if self.crashed:
-            raise ReproError(f"system {self.system_id} is down")
+    def _down_error(self) -> ReproError:
+        """The error every entry point raises while ``crashed`` (they
+        test the flag inline: the checks run several times per op)."""
+        return ReproError(f"system {self.system_id} is down")
 
     def _check_writable(self) -> None:
         """Reject updates and commits while in degraded mode.
@@ -899,7 +914,8 @@ class DbmsInstance:
         stable state intact, so serving committed data read-only is
         safe — that is the whole point of degrading instead of failing.
         """
-        self._check_up()
+        if self.crashed:
+            raise self._down_error()
         if self.degraded:
             self.stats.incr(DEGRADED_REJECTIONS)
             raise DegradedModeError(
@@ -916,8 +932,9 @@ class DbmsInstance:
                              reason=reason)
 
     def _check_active(self, txn: Transaction) -> None:
-        self._check_up()
-        if txn.state != TxnState.ACTIVE:
+        if self.crashed:
+            raise self._down_error()
+        if txn.state is not TxnState.ACTIVE:
             raise ReproError(
                 f"txn {txn.txn_id} is {txn.state.value}, not active"
             )

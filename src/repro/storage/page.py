@@ -42,6 +42,17 @@ from repro.common.lsn import Lsn
 _HEADER = struct.Struct("<IQBHHI3x")
 assert _HEADER.size == PAGE_HEADER_SIZE
 
+# Single-field views of the header at fixed offsets.  The record hot
+# path reads page_LSN and slot_count on every operation; one
+# ``unpack_from`` beats unpacking all six fields (and, for a store,
+# repacking them).
+_PAGE_LSN = struct.Struct("<Q")
+_PAGE_LSN_AT = 4
+_SLOT_COUNT = struct.Struct("<H")
+_SLOT_COUNT_AT = 13
+assert struct.calcsize("<I") == _PAGE_LSN_AT
+assert struct.calcsize("<IQB") == _SLOT_COUNT_AT
+
 _SLOT = struct.Struct("<HH")
 SLOT_SIZE = _SLOT.size
 
@@ -143,16 +154,14 @@ class Page:
     @property
     def page_lsn(self) -> Lsn:
         """The update sequence number of the page (paper, Section 3.2)."""
-        return self._header()[1]
+        return _PAGE_LSN.unpack_from(self._buf, _PAGE_LSN_AT)[0]
 
     @page_lsn.setter
     def page_lsn(self, value: Lsn) -> None:
         if value < 0:
             raise ValueError("page_lsn cannot be negative")
         self._ensure_owned()
-        h = list(self._header())
-        h[1] = value
-        self._set_header(*h)
+        _PAGE_LSN.pack_into(self._buf, _PAGE_LSN_AT, value)
 
     @property
     def page_type(self) -> PageType:
@@ -160,7 +169,7 @@ class Page:
 
     @property
     def slot_count(self) -> int:
-        return self._header()[3]
+        return _SLOT_COUNT.unpack_from(self._buf, _SLOT_COUNT_AT)[0]
 
     @property
     def free_offset(self) -> int:
@@ -201,9 +210,10 @@ class Page:
         return PAGE_SIZE - SLOT_SIZE * (slot + 1)
 
     def _read_slot(self, slot: int) -> Tuple[int, int]:
-        if not 0 <= slot < self.slot_count:
+        buf = self._buf
+        if not 0 <= slot < _SLOT_COUNT.unpack_from(buf, _SLOT_COUNT_AT)[0]:
             raise IndexError(f"slot {slot} out of range on page {self.page_id}")
-        return _SLOT.unpack_from(self._buf, self._slot_pos(slot))
+        return _SLOT.unpack_from(buf, self._slot_pos(slot))
 
     def _write_slot(self, slot: int, offset: int, length: int) -> None:
         _SLOT.pack_into(self._buf, self._slot_pos(slot), offset, length)

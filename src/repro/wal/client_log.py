@@ -20,7 +20,7 @@ from repro.common.lsn import Lsn
 from repro.common.stats import LOG_RECORDS_WRITTEN, StatsRegistry
 from repro.obs import events as ev
 from repro.obs.tracer import NULL_TRACER, NullTracer
-from repro.wal.records import LogRecord, RecordKind
+from repro.wal.records import LogRecord, RecordKind, stamp_and_encode
 
 
 class ClientLogManager:
@@ -52,8 +52,10 @@ class ClientLogManager:
     def append(self, record: LogRecord, page_lsn: Lsn = NULL_LSN) -> Lsn:
         """Assign an LSN (USN rule) and buffer the record."""
         lsn = max(page_lsn, self.local_max_lsn) + 1
-        record.lsn = lsn
-        record.system_id = self.client_id
+        # Stamped and encoded in one call; :meth:`ship` then finds the
+        # bytes cached on the record (a later field assignment would
+        # still invalidate them).
+        stamp_and_encode(record, lsn, self.client_id)
         self.local_max_lsn = lsn
         self._pending.append(record)
         if record.txn_id:

@@ -41,7 +41,11 @@ from repro.faults import points as fp
 from repro.faults.injector import NULL_INJECTOR, NullFaultInjector
 from repro.obs import events as ev
 from repro.obs.tracer import NULL_TRACER, NullTracer
-from repro.wal.records import LogRecord, stamp_and_encode_batch
+from repro.wal.records import (
+    LogRecord,
+    stamp_and_encode,
+    stamp_and_encode_batch,
+)
 
 
 class LogManager:
@@ -64,6 +68,7 @@ class LogManager:
         self._records_written = self.stats.handle(LOG_RECORDS_WRITTEN)
         self._bytes_written = self.stats.handle(LOG_BYTES_WRITTEN)
         self._bytes_scanned = self.stats.handle(LOG_BYTES_SCANNED)
+        self._forces = self.stats.handle(LOG_FORCES)
         self._buffer = bytearray()
         self._flushed_len = 0
         self.local_max_lsn: Lsn = NULL_LSN
@@ -96,15 +101,15 @@ class LogManager:
         Returns the record's logical :class:`LogAddress`; the assigned
         LSN is stamped into ``record.lsn``.
         """
-        lsn = max(page_lsn, self.local_max_lsn) + 1
-        record.lsn = lsn
-        record.system_id = self.system_id
+        system_id = self.system_id
+        local_max = self.local_max_lsn
+        lsn = (page_lsn if page_lsn > local_max else local_max) + 1
         self.local_max_lsn = lsn
-        addr = self._append_bytes(record.to_bytes())
+        addr = self._append_bytes(stamp_and_encode(record, lsn, system_id))
         if self.tracer.enabled:
             self.tracer.emit(
                 ev.LOG_APPEND,
-                system=self.system_id,
+                system=system_id,
                 lsn=int(lsn),
                 kind=record.kind.name,
                 txn=record.txn_id,
@@ -199,8 +204,8 @@ class LogManager:
         addr = LogAddress(self.system_id, len(self._buffer))
         self._buffer += data
         if count_records:
-            self._records_written.bump()
-        self._bytes_written.bump(len(data))
+            self._records_written.value += 1
+        self._bytes_written.value += len(data)
         return addr
 
     def observe_remote_max(self, remote_max_lsn: Lsn) -> None:
@@ -263,7 +268,7 @@ class LogManager:
                 fp.LOG_FORCE, system=self.system_id, up_to=target
             )
         self._flushed_len = target
-        self.stats.incr(LOG_FORCES)
+        self._forces.bump()
         if self.tracer.enabled:
             self.tracer.emit(
                 ev.LOG_FORCE, system=self.system_id, up_to=target

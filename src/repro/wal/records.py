@@ -90,7 +90,7 @@ def decode_op(payload: bytes) -> Tuple[PageOp, bytes]:
     return PageOp(payload[0]), payload[1:]
 
 
-@dataclass
+@dataclass(init=False)
 class LogRecord:
     """One log record; mutable because the log manager stamps the LSN."""
 
@@ -106,13 +106,48 @@ class LogRecord:
     undo: bytes = b""
     extra: bytes = b""
 
+    def __init__(
+        self,
+        kind: RecordKind,
+        txn_id: int = 0,
+        system_id: int = 0,
+        page_id: int = NO_PAGE,
+        slot: int = NO_SLOT,
+        lsn: Lsn = 0,
+        prev_lsn: Lsn = 0,
+        undo_next_lsn: Lsn = 0,
+        redo: bytes = b"",
+        undo: bytes = b"",
+        extra: bytes = b"",
+    ) -> None:
+        # Hand-written (``init=False``): the generated __init__ would
+        # route eleven assignments through the invalidation hook below,
+        # and every update builds a record.  A record under
+        # construction has no cached encoding, so filling ``__dict__``
+        # directly is safe.
+        d = self.__dict__
+        d["kind"] = kind
+        d["txn_id"] = txn_id
+        d["system_id"] = system_id
+        d["page_id"] = page_id
+        d["slot"] = slot
+        d["lsn"] = lsn
+        d["prev_lsn"] = prev_lsn
+        d["undo_next_lsn"] = undo_next_lsn
+        d["redo"] = redo
+        d["undo"] = undo
+        d["extra"] = extra
+
     # ------------------------------------------------------------------
     # encoded-bytes cache
     # ------------------------------------------------------------------
     # ``to_bytes`` caches its result under the non-field ``__dict__``
     # key ``_encoded``; any later field assignment invalidates it.  The
     # cache is written with a direct ``__dict__`` store so the
-    # invalidation hook below never sees it.
+    # invalidation hook below never sees it.  The hot lanes (__init__,
+    # from_bytes, stamp_and_encode*) bypass the hook where they can
+    # prove the cache is absent or about to be replaced; it stays as
+    # the safety net for every other writer.
     def __setattr__(self, name: str, value: object) -> None:
         d = self.__dict__
         d[name] = value
@@ -165,18 +200,10 @@ class LogRecord:
         pos += undo_len
         extra = bytes(data[pos:pos + extra_len]) if extra_len else b""
         pos += extra_len
-        # Construct without __init__: recovery scans parse records by
-        # the thousand, and routing eleven field assignments through
-        # the Python-level invalidation hook above would tax exactly
-        # the paths this parser exists to keep fast.  A record built
-        # here has no cached encoding, so the bulk-update is safe.
-        record = cls.__new__(cls)
-        record.__dict__.update(
-            kind=RecordKind(kind), txn_id=txn_id, system_id=system_id,
-            page_id=page_id, slot=slot, lsn=lsn, prev_lsn=prev_lsn,
-            undo_next_lsn=undo_next_lsn, redo=redo, undo=undo, extra=extra,
-        )
-        return record, pos
+        # __init__ fills __dict__ without the invalidation hook, which
+        # recovery scans (records by the thousand) could not afford.
+        return cls(RecordKind(kind), txn_id, system_id, page_id, slot, lsn,
+                   prev_lsn, undo_next_lsn, redo, undo, extra), pos
 
     @staticmethod
     def parse_stream(data: LogBuffer) -> Iterator[Tuple[int, "LogRecord"]]:
@@ -200,10 +227,11 @@ def stamp_and_encode(record: LogRecord, lsn: Lsn, system_id: int) -> bytes:
     """Hot-lane helper: assign ``lsn``/``system_id`` and serialize.
 
     Semantically identical to two attribute assignments followed by
-    :meth:`LogRecord.to_bytes`, collapsed into one call so the batched
-    append path (:meth:`repro.wal.log_manager.LogManager.append_many`)
-    pays one function call per record instead of three.  The encoded
-    bytes are cached on the record exactly as ``to_bytes`` would.
+    :meth:`LogRecord.to_bytes`, collapsed into one call so the per-call
+    append path (:meth:`repro.wal.log_manager.LogManager.append`, the
+    CS client log) pays one function call per record instead of five.
+    The encoded bytes are cached on the record exactly as ``to_bytes``
+    would.
     """
     d = record.__dict__
     d["lsn"] = lsn

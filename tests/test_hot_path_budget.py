@@ -1,0 +1,341 @@
+"""Deterministic budgets for the per-call lane — counts, never timers.
+
+The per-call lane (``begin/read/update/commit`` on one instance) is the
+floor under most perf-lab rows.  What it costs in the Python substrate
+is, to a first approximation, the number of interpreted calls it makes;
+these tests pin that number, the logical work it must keep doing, and
+the two structural properties the diet rests on: commit-time lock
+release independent of the lock table's size, and a reader that blocks
+*before* it pulls the page across systems.
+"""
+
+import copy
+import sys
+
+import pytest
+from hypothesis import given, strategies as st
+
+from repro import SDComplex
+from repro.common.errors import DeadlockError, LockWouldBlock
+from repro.common.stats import (
+    DISK_PAGE_WRITES,
+    LOCK_REQUESTS,
+    LOG_BYTES_WRITTEN,
+    LOG_FORCES,
+    LOG_RECORDS_WRITTEN,
+    message_kind_counter,
+)
+from repro.locking import lock_manager as lock_manager_module
+from repro.locking.lock_manager import LockManager, LockMode, LockStatus
+from repro.obs import events as ev
+from repro.obs.tracer import Tracer
+
+PAYLOAD_BYTES = 64
+#: Interpreted calls per canonical transaction: 361 before the diet,
+#: ~185 after it on CPython 3.11.  The ceiling leaves room for the
+#: frame-accounting differences between 3.10 and 3.12.
+CALL_CEILING = 230
+
+
+# ----------------------------------------------------------------------
+# (a) the canonical transaction: calls and logical work
+# ----------------------------------------------------------------------
+def _warm_engine():
+    sd = SDComplex(n_data_pages=64)
+    engine = sd.add_instance(1, buffer_capacity=128)
+    txn = engine.begin()
+    rows = []
+    for _ in range(4):
+        page_id = engine.allocate_page(txn)
+        slots = [engine.insert(txn, page_id, bytes([r + 1]) * PAYLOAD_BYTES)
+                 for r in range(8)]
+        rows.append((page_id, slots))
+    engine.commit(txn)
+    return sd, engine, rows
+
+
+def _canonical_txn(engine, rows, i):
+    """2 reads + 2 updates on four different pages, then commit."""
+    txn = engine.begin()
+    engine.read(txn, rows[0][0], rows[0][1][i % 8])
+    engine.update(txn, rows[1][0], rows[1][1][i % 8],
+                  bytes([i % 200 + 1]) * PAYLOAD_BYTES)
+    engine.read(txn, rows[2][0], rows[2][1][i % 8])
+    engine.update(txn, rows[3][0], rows[3][1][i % 8],
+                  bytes([i % 200 + 2]) * PAYLOAD_BYTES)
+    engine.commit(txn)
+
+
+def _count_calls(fn, *args):
+    """Python-level ``call`` events raised while ``fn(*args)`` runs
+    (``fn``'s own frame excluded)."""
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return calls - 1
+
+
+class TestCanonicalTransaction:
+    def test_interpreted_calls_within_budget(self):
+        _, engine, rows = _warm_engine()
+        for i in range(20):
+            _canonical_txn(engine, rows, i)
+        calls = _count_calls(_canonical_txn, engine, rows, 20)
+        assert calls <= CALL_CEILING, (
+            f"{calls} interpreted calls per 4-op transaction "
+            f"(budget {CALL_CEILING})")
+
+    def test_logical_work_is_pinned(self):
+        """Same locks, records, bytes and forces as before the diet."""
+        sd, engine, rows = _warm_engine()
+        for i in range(20):
+            _canonical_txn(engine, rows, i)
+        before = sd.stats.snapshot()
+        _canonical_txn(engine, rows, 20)
+        work = sd.stats.diff(before)
+        update_record = 48 + 2 * (1 + PAYLOAD_BYTES)
+        assert work == {
+            # page + record lock per op
+            LOCK_REQUESTS: 8,
+            # 2 updates, COMMIT, END
+            LOG_RECORDS_WRITTEN: 4,
+            LOG_BYTES_WRITTEN: 2 * update_record + 2 * 48,
+            LOG_FORCES: 1,
+        }
+
+
+# ----------------------------------------------------------------------
+# (b) commit-time lock release is O(locks held)
+# ----------------------------------------------------------------------
+def _lines_in_lock_manager(fn, *args):
+    """Source lines executed inside lock_manager.py while ``fn`` runs."""
+    filename = lock_manager_module.__file__
+    lines = 0
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        if frame.f_code.co_filename != filename:
+            return None
+        if event == "line":
+            lines += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return lines
+
+
+class TestReleaseCostIndependentOfTableSize:
+    @staticmethod
+    def _manager(other_locks):
+        lm = LockManager()
+        for n in range(other_locks):
+            lm.acquire(("other", n % 7), ("record", 900, n), LockMode.X)
+        for n in range(8):
+            lm.acquire("me", ("record", 1, n), LockMode.X)
+        return lm
+
+    @pytest.mark.parametrize("method", ["release_all", "locks_of"])
+    def test_same_lines_with_0_and_2000_foreign_locks(self, method):
+        small = self._manager(0)
+        large = self._manager(2000)
+        assert len(large.resources()) == 2008
+        cost_small = _lines_in_lock_manager(getattr(small, method), "me")
+        cost_large = _lines_in_lock_manager(getattr(large, method), "me")
+        assert cost_small > 0
+        assert cost_large == cost_small
+
+
+# ----------------------------------------------------------------------
+# (c) a reader that is about to block does not move the page
+# ----------------------------------------------------------------------
+class TestBlockedReadMovesNothing:
+    def test_blocked_read_costs_no_transfer_and_no_disk_write(self):
+        sd = SDComplex(n_data_pages=64)
+        writer_sys, reader_sys = sd.add_instance(1), sd.add_instance(2)
+        setup = writer_sys.begin()
+        page_id = writer_sys.allocate_page(setup)
+        slot = writer_sys.insert(setup, page_id, b"v0")
+        writer_sys.commit(setup)
+        writer = writer_sys.begin()
+        writer_sys.update(writer, page_id, slot, b"v1")   # record X lock
+        transfers = message_kind_counter("page_transfer")
+        copies = message_kind_counter("page_copy")
+
+        before = sd.stats.snapshot()
+        reader = reader_sys.begin()
+        with pytest.raises(LockWouldBlock):
+            reader_sys.read(reader, page_id, slot)
+        moved = sd.stats.diff(before)
+        assert moved.get(transfers, 0) == 0
+        assert moved.get(copies, 0) == 0
+        assert moved.get(DISK_PAGE_WRITES, 0) == 0
+        assert sd.coherency.writer_of(page_id) == 1
+
+        writer_sys.commit(writer)
+        before = sd.stats.snapshot()
+        assert reader_sys.read(reader, page_id, slot) == b"v1"
+        moved = sd.stats.diff(before)
+        assert moved.get(transfers, 0) == 1
+        assert moved.get(copies, 0) == 0
+        reader_sys.commit(reader)
+
+
+class TestReadMissEventOrder:
+    def test_single_system_read_miss_locks_then_reads_the_page(self):
+        """Lock -> fix -> read, the order ``update`` uses: on a pool
+        miss the lock events precede the eviction and the disk read.
+        (Before the diet the page was fixed once ahead of the locks, so
+        the same events came out with the I/O first.)"""
+        tracer = Tracer()
+        sd = SDComplex(n_data_pages=64, tracer=tracer)
+        engine = sd.add_instance(1, buffer_capacity=2)
+        rows = []
+        for _ in range(3):   # three pages through a two-frame pool
+            txn = engine.begin()
+            page_id = engine.allocate_page(txn)
+            rows.append((page_id, engine.insert(txn, page_id, b"v0")))
+            engine.commit(txn)
+        page_id, slot = rows[0]
+        assert not engine.pool.contains(page_id)
+
+        reader = engine.begin()
+        tracer.clear()
+        assert engine.read(reader, page_id, slot) == b"v0"
+        kinds = [event.kind for event in tracer.events()
+                 if not event.kind.startswith("span.")]
+        assert kinds == [
+            ev.LOCK_GRANT, ev.LSN_OBSERVE,     # page IS
+            ev.LOCK_GRANT, ev.LSN_OBSERVE,     # record S
+            ev.DISK_WRITE, ev.PAGE_WRITE, ev.PAGE_EVICT,   # make room
+            ev.DISK_READ, ev.PAGE_READ,
+            ev.LOCK_RELEASE,                   # cursor stability
+        ]
+
+
+# ----------------------------------------------------------------------
+# (d) the owner index against a brute-force scan of the table
+# ----------------------------------------------------------------------
+OWNERS = ("t1", "t2", "t3", "t4")
+RESOURCES = tuple(("record", 1, n) for n in range(6))
+
+
+def _scan_locks_of(lm, owner):
+    return {resource: head.granted[owner]
+            for resource, head in lm._table.items()
+            if owner in head.granted}
+
+
+def _scan_queued(lm, owner):
+    return {resource for resource, head in lm._table.items()
+            if any(r.owner == owner for r in head.queue)}
+
+
+def _reference_release_all(lm, owner):
+    """The pre-index algorithm, kept as the reference: one sweep of the
+    whole table in head-creation order.  (It differs from the parent's
+    only in withdrawing the owner's queued conversion on a head the
+    owner also holds — the leak this PR fixes.)"""
+    promoted = []
+    lm._waiting_on.pop(owner, None)
+    for resource in list(lm._table):
+        head = lm._table[resource]
+        before = len(head.queue)
+        head.queue = [r for r in head.queue if r.owner != owner]
+        if owner in head.granted:
+            del head.granted[owner]
+        elif len(head.queue) == before:
+            continue
+        promoted.extend(
+            (resource, new_owner)
+            for new_owner in lm._promote(resource, head))
+    return promoted
+
+
+def _table_state(lm):
+    return {resource: (lm.holders(resource), lm.waiters(resource))
+            for resource in lm.resources()}
+
+
+def _check_index(lm):
+    for owner in OWNERS:
+        assert lm.locks_of(owner) == _scan_locks_of(lm, owner)
+        assert set(lm._queued.get(owner, ())) == _scan_queued(lm, owner)
+    scanned = set()
+    for head in lm._table.values():
+        scanned.update(head.granted)
+        scanned.update(r.owner for r in head.queue)
+    assert lm.owners() == scanned == set(lm._held) | set(lm._queued)
+    for resource, head in lm._table.items():
+        assert head.granted or head.queue, "empty head left in the table"
+        assert lm.holders(resource) == head.granted
+        assert lm.waiters(resource) == [r.owner for r in head.queue]
+
+
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(("acquire", "acquire", "try_acquire",
+                         "release", "release_all")),
+        st.sampled_from(OWNERS),
+        st.sampled_from(RESOURCES),
+        st.sampled_from(list(LockMode)),
+    ),
+    max_size=60,
+)
+
+
+class TestOwnerIndexMatchesTableScan:
+    @given(ops=_OPS)
+    def test_random_histories(self, ops):
+        lm = LockManager()
+        for op, owner, resource, mode in ops:
+            if op == "acquire":
+                try:
+                    lm.acquire(owner, resource, mode)
+                except DeadlockError:
+                    pass  # the victim's request is withdrawn
+            elif op == "try_acquire":
+                status = lm.try_acquire(owner, resource, mode)
+                assert status is not LockStatus.WAITING
+            elif op == "release":
+                if lm.holds(owner, resource):
+                    lm.release(owner, resource)
+            else:
+                reference = copy.deepcopy(lm)
+                expected = _reference_release_all(reference, owner)
+                assert lm.release_all(owner) == expected
+                assert _table_state(lm) == _table_state(reference)
+                assert list(lm.resources()) == list(reference.resources())
+            _check_index(lm)
+        for owner in OWNERS:
+            lm.release_all(owner)
+        assert lm.resources() == [] and lm.owners() == set()
+        assert lm._held == {} and lm._queued == {}
+
+    def test_promotions_reported_in_table_order(self):
+        """The owner's acquisition order (r1 then r0) differs from the
+        table's head-creation order (r0 then r1); promotions follow
+        the table."""
+        lm = LockManager()
+        r0, r1 = RESOURCES[0], RESOURCES[1]
+        lm.acquire("w0", r0, LockMode.S)       # creates r0's head first
+        lm.acquire("me", r1, LockMode.X)
+        lm.acquire("me", r0, LockMode.S)
+        lm.release("w0", r0)
+        lm.acquire("w0", r0, LockMode.X)       # waits behind me's S
+        lm.acquire("w1", r1, LockMode.X)       # waits behind me's X
+        assert lm.release_all("me") == [(r0, "w0"), (r1, "w1")]

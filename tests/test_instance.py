@@ -178,6 +178,31 @@ class TestLockGranularityModes:
             sd.add_instance(1, lock_granularity="table")
 
 
+class TestRollbackReleasesQueuedUpgrade:
+    def test_blocked_upgrade_then_rollback_leaves_no_lock(self):
+        """Regression: a repeatable-read reader whose S->X upgrade
+        blocked and who then rolled back left the queued conversion
+        behind; the other reader's commit promoted it, and the record
+        stayed X-locked by a transaction that no longer existed."""
+        sd = SDComplex(n_data_pages=256)
+        s1 = sd.add_instance(1, isolation="repeatable_read")
+        s2 = sd.add_instance(2, isolation="repeatable_read")
+        page_id, slot = committed_row(s1)
+        resource = ("record", page_id, slot)
+        t1, t2 = s1.begin(), s2.begin()
+        assert s1.read(t1, page_id, slot) == b"v0"
+        assert s2.read(t2, page_id, slot) == b"v0"
+        with pytest.raises(LockWouldBlock):
+            s1.update(t1, page_id, slot, b"v1")   # S -> X waits for t2
+        s1.rollback(t1)
+        s2.commit(t2)
+        assert sd.glm.holders(resource) == {}
+        assert sd.glm.waiters(resource) == []
+        t3 = s2.begin()
+        s2.update(t3, page_id, slot, b"v3")       # parent: blocks forever
+        s2.commit(t3)
+
+
 class TestCommitLsnReadPath:
     def test_miss_takes_and_releases_lock(self, env):
         sd, s1, s2 = env

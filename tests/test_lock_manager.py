@@ -169,6 +169,20 @@ class TestReleaseAll:
         lm.release_all(2)  # victim gives up while queued
         assert lm.waiters(R) == []
 
+    def test_release_all_withdraws_queued_conversion(self):
+        """Regression: the owner's queued S->X conversion sat behind
+        its own grant, survived release_all, and was promoted by the
+        next release — a finished transaction holding X forever."""
+        lm = LockManager()
+        lm.acquire("A", R, LockMode.S)
+        lm.acquire("B", R, LockMode.S)
+        assert lm.acquire("A", R, LockMode.X) is LockStatus.WAITING
+        assert lm.release_all("A") == []
+        assert lm.release("B", R) == []
+        assert lm.holders(R) == {}
+        assert lm.waiters(R) == []
+        assert lm.owners() == set()
+
 
 class TestDeadlock:
     def test_two_party_deadlock_detected(self):

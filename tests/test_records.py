@@ -16,6 +16,7 @@ from repro.wal.records import (
     make_clr,
     make_format,
     make_update,
+    stamp_and_encode,
 )
 
 
@@ -202,6 +203,31 @@ class TestZeroCopyParsing:
             assert buffer is view, "header parsed from a copied buffer"
 
 
+def _built_by_init():
+    return LogRecord(
+        kind=RecordKind.UPDATE, txn_id=7, system_id=2, page_id=9, slot=1,
+        lsn=5, prev_lsn=4, undo_next_lsn=3, redo=b"r", undo=b"u", extra=b"e",
+    )
+
+
+def _built_by_from_bytes():
+    record, _ = LogRecord.from_bytes(_built_by_init().to_bytes())
+    return record
+
+
+def _built_by_stamp_and_encode():
+    record = _built_by_init()
+    stamp_and_encode(record, 5, 2)
+    return record
+
+
+_FRESH_VALUES = {
+    "kind": RecordKind.CLR, "txn_id": 70, "system_id": 20, "page_id": 90,
+    "slot": 10, "lsn": 50, "prev_lsn": 40, "undo_next_lsn": 30,
+    "redo": b"redo!", "undo": b"undo!", "extra": b"extra!",
+}
+
+
 class TestEncodingCache:
     def test_to_bytes_is_cached(self):
         record = make_update(1, 1, 5, 0, redo=b"r", undo=b"u")
@@ -228,6 +254,53 @@ class TestEncodingCache:
         data = record.to_bytes()
         clone, _ = LogRecord.from_bytes(data)
         assert clone.to_bytes() == data
+
+    # The invalidation guarantee, field by field, for every way a
+    # record comes to hold a cached encoding: a field assignment after
+    # encoding never yields stale bytes.
+    @pytest.mark.parametrize("field", sorted(_FRESH_VALUES))
+    @pytest.mark.parametrize("build", [
+        _built_by_init, _built_by_from_bytes, _built_by_stamp_and_encode,
+    ])
+    def test_assignment_after_encoding_is_fresh(self, build, field):
+        record = build()
+        stale = record.to_bytes()
+        assert record.to_bytes() is stale          # cached
+        setattr(record, field, _FRESH_VALUES[field])
+        fresh = record.to_bytes()
+        assert fresh != stale
+        clone, _ = LogRecord.from_bytes(fresh)
+        assert getattr(clone, field) == _FRESH_VALUES[field]
+        assert clone == record
+
+    def test_fields_cover_the_dataclass(self):
+        import dataclasses
+
+        assert set(_FRESH_VALUES) == {
+            f.name for f in dataclasses.fields(LogRecord)}
+
+    def test_init_matches_generated_signature(self):
+        """The hand-written __init__ keeps the dataclass contract:
+        field order, defaults, positional and keyword use."""
+        import dataclasses
+
+        defaults = LogRecord(RecordKind.COMMIT)
+        for f in dataclasses.fields(LogRecord)[1:]:
+            assert getattr(defaults, f.name) == f.default
+        positional = LogRecord(RecordKind.UPDATE, 7, 2, 9, 1, 5, 4, 3,
+                               b"r", b"u", b"e")
+        assert positional == _built_by_init()
+        assert "_encoded" not in vars(positional)
+
+    def test_stamp_and_encode_matches_slow_path(self):
+        slow = make_update(3, 0, 7, 1, redo=b"xy", undo=b"z", prev_lsn=8)
+        slow.lsn = 9
+        slow.system_id = 4
+        fast = make_update(3, 0, 7, 1, redo=b"xy", undo=b"z", prev_lsn=8)
+        data = stamp_and_encode(fast, 9, 4)
+        assert data == slow.to_bytes()
+        assert fast == slow
+        assert fast.to_bytes() is data
 
 
 class TestStampAndEncodeBatch:

@@ -15,7 +15,8 @@
 #   test    tier-1 pytest suite
 #   bench   E1/TPS/instant bench smokes + bench-suite smoke +
 #           span-trace smoke (capture, critical-path, invariant
-#           check, Perfetto export) + perf-lab smoke and self-tests
+#           check, Perfetto export) + perf-lab smoke, traced
+#           attribution guard and self-tests
 #   chaos   crash-point torture smoke + failover and restart drill
 #           smokes (python -m repro.chaos [--drill ...] --smoke)
 #
@@ -109,7 +110,8 @@ bench_suite_smoke() {
 
 # TPS smoke: run the S2 headline bench standalone (slab spine + bulk
 # driver vs the per-call baseline) and require its claim to hold —
-# equivalence plus the >= 2x speedup gates at batch 64/256.
+# equivalence, the >= 2x speedup gate at batch 256 and the bulk lane's
+# interpreted-call budget at batch 64.
 bench_tps_smoke() {
     local tmp
     tmp="$(mktemp -t bench_s2.XXXXXX.json)"
@@ -162,13 +164,15 @@ span_trace_smoke() {
 }
 
 # Perf-lab smoke: one epoch of the restart, replicated-commit and
-# client-server workloads with their full oracle (every read checked,
-# every record read back from disk, standby images, durability after
-# each crash cycle).  A non-zero exit or "correct": false on the result
-# line fails the stage; timings are not gated here.
+# client-server workloads, and of the two per-call lanes
+# (sd-percall-fit, sd-shared-2sys), with their full oracle (every read
+# checked, every record read back from disk, standby images, durability
+# after each crash cycle).  A non-zero exit or "correct": false on the
+# result line fails the stage; timings are not gated here.
 perflab_smoke() {
     local workload result
-    for workload in restart-eager repl-quorum-2sb cs-commit-2cl; do
+    for workload in restart-eager repl-quorum-2sb cs-commit-2cl \
+            sd-percall-fit sd-shared-2sys; do
         result="$(python benchmarks/perflab/run.py --workload "${workload}" \
             --seed 1992 --epochs 1 --trace 0 | tail -n 1)" || return 1
         case "${result}" in
@@ -178,6 +182,25 @@ perflab_smoke() {
     done
 }
 
+# Perf-lab attribution guard: the traced mode wraps engine methods *by
+# name* on the live objects (glm.acquire, pool.fix, ...).  An engine
+# refactor that stops calling through those names keeps every test
+# green and silently zeroes the per-layer metrics; one traced epoch of
+# sd-percall-fit must still see lock requests and buffer fixes.
+perflab_trace_guard() {
+    python benchmarks/perflab/run.py --workload sd-percall-fit \
+            --seed 1992 --epochs 1 --trace 1 | tail -n 1 \
+        | python -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+correct = result["correct"]
+seen = {name: result["metrics"][name]["value"]
+        for name in ("locking.requests_per_op", "buffer.fix_per_op")}
+if not correct or min(seen.values()) <= 0:
+    sys.exit(f"perflab traced sd-percall-fit: correct={correct} {seen}")
+'
+}
+
 stage_bench() {
     run_step "bench-e1 smoke" bench_e1_smoke
     run_step "bench-tps smoke" bench_tps_smoke
@@ -185,6 +208,7 @@ stage_bench() {
     run_step "bench-suite smoke" bench_suite_smoke
     run_step "span-trace smoke" span_trace_smoke
     run_step "perflab smoke" perflab_smoke
+    run_step "perflab trace guard" perflab_trace_guard
     run_step "perflab self-tests" python -m pytest benchmarks/perflab -q
 }
 
