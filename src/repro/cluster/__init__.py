@@ -2,11 +2,9 @@
 
 The paper's Section 2 global lock manager is a single logical service;
 this package lets the reproduction run it as K independent shards
-(:mod:`repro.cluster.glm`), build N-instance complexes from a config
-(:mod:`repro.cluster.config`), and replay restart redo partitioned by
-page across a thread pool (:mod:`repro.cluster.redo`).  See
-``docs/scaleout.md`` for the sharding scheme and the serial-equivalence
-argument.
+(:mod:`repro.cluster.glm`) and build N-instance complexes from a config
+(:mod:`repro.cluster.config`).  See ``docs/scaleout.md`` for the
+sharding scheme.
 """
 
 from repro.cluster.config import ClusterConfig, build_cluster

@@ -15,16 +15,13 @@ from repro.sd.complex import SDComplex
 class ClusterConfig:
     """Shape of a scale-out SD complex.
 
-    The defaults are the scale-out baseline the ISSUE asks for: four
-    instances, four GLM shards, four-way parallel restart redo.
-    ``lock_shards == 1`` / ``redo_parallelism == 1`` degrade to the
-    monolithic GLM and the serial redo pass, so a one-instance config
-    reproduces the classic complex exactly.
+    The defaults are the scale-out baseline: four instances, four GLM
+    shards.  ``lock_shards == 1`` degrades to the monolithic GLM, so a
+    one-instance config reproduces the classic complex exactly.
     """
 
     n_instances: int = 4
     lock_shards: int = 4
-    redo_parallelism: int = 4
     n_data_pages: int = 512
     transfer_scheme: str = "medium"
     piggyback_enabled: bool = True
@@ -37,8 +34,6 @@ class ClusterConfig:
             raise ValueError("a cluster needs at least one instance")
         if self.lock_shards < 1:
             raise ValueError("lock_shards must be >= 1")
-        if self.redo_parallelism < 1:
-            raise ValueError("redo_parallelism must be >= 1")
 
 
 def build_cluster(
@@ -48,13 +43,12 @@ def build_cluster(
     injector: Optional[NullFaultInjector] = None,
 ) -> SDComplex:
     """An :class:`SDComplex` with ``config.n_instances`` instances,
-    a ``config.lock_shards``-way GLM and partitioned restart redo."""
+    and a ``config.lock_shards``-way GLM."""
     sd = SDComplex(
         n_data_pages=config.n_data_pages,
         transfer_scheme=config.transfer_scheme,
         piggyback_enabled=config.piggyback_enabled,
         lock_shards=config.lock_shards,
-        redo_parallelism=config.redo_parallelism,
         slab=config.slab,
         stats=stats,
         tracer=tracer,

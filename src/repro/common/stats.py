@@ -138,8 +138,6 @@ NET_DUP_DROPPED = "net.dup_dropped"
 NET_DELAYED = "net.delayed"
 LOCK_RETRIES = "lock.retries"
 LOCK_RETRY_TIMEOUTS = "lock.retry_timeouts"
-CLUSTER_REDO_PARTITIONS = "cluster.redo_partitions"
-CLUSTER_REDO_PARALLEL_RUNS = "cluster.redo_parallel_runs"
 CLUSTER_CROSS_SHARD_CHECKS = "cluster.cross_shard_checks"
 BULK_UPDATE_BATCHES = "bulk.update_batches"
 BULK_READ_BATCHES = "bulk.read_batches"

@@ -43,7 +43,8 @@ from repro.locking.lock_manager import LockManager, LockMode, LockStatus
 from repro.net.network import Network
 from repro.obs import events as ev
 from repro.obs.tracer import NULL_TRACER, NullTracer
-from repro.recovery.apply import apply_payload, apply_redo
+from repro.recovery.apply import apply_payload
+from repro.recovery.redo import collect_local_redo, redo_chain
 from repro.storage.disk import SharedDisk
 from repro.storage.page import Page, PageType
 from repro.storage.space_map import SpaceMap
@@ -101,7 +102,6 @@ class CsServer:
         tracer: Optional[NullTracer] = None,
         injector: Optional[NullFaultInjector] = None,
         lock_shards: int = 1,
-        redo_parallelism: int = 1,
         slab: bool = True,
         restart_mode: str = "eager",
     ) -> None:
@@ -126,7 +126,6 @@ class CsServer:
         self.pool = BufferPool(self.disk, self.log, capacity=buffer_capacity,
                                tracer=self.tracer, injector=self.injector)
         self.lock_shards = lock_shards
-        self.redo_parallelism = redo_parallelism
         #: ``"eager"`` (classic, default) or ``"instant"`` — see
         #: :mod:`repro.recovery.instant`; the classic path is
         #: byte-identical to pre-instant behaviour.
@@ -541,39 +540,39 @@ class CsServer:
         if not dpt:
             return
         redo_start = min(rec_addr for _, rec_addr in dpt.values())
-        for addr, record in self.log.scan(from_offset=redo_start):
-            if not record.is_page_oriented():
-                continue
-            entry = dpt.get(record.page_id)
-            if entry is None or addr.offset < entry[1]:
-                continue
-            buffered = self.pool.contains(record.page_id)
-            page = self.pool.fix(record.page_id)
+        chains = collect_local_redo(self.log, dpt, redo_start)
+        for page_id in sorted(chains):
+            chain = chains[page_id]
+            # Replay into the live pool, not the disk: the server's
+            # buffered version can be newer than the disk's.
+            buffered = self.pool.contains(page_id)
+            page = self.pool.fix(page_id)
             try:
-                if record.lsn > page.page_lsn:
-                    page_lsn_prev = page.page_lsn
-                    apply_redo(page, record)
-                    self.pool.note_update(record.page_id, record.lsn,
-                                          addr.offset, self.log.end_offset)
-                    summary.records_redone += 1
-                    if self.tracer.enabled:
-                        self.tracer.emit(
-                            ev.RECOVERY_REDO, system=SERVER_ID,
-                            page=record.page_id, lsn=int(record.lsn),
-                            page_lsn_prev=int(page_lsn_prev),
-                        )
-                elif buffered:
-                    summary.redo_skipped_buffer_hit += 1
-                else:
-                    summary.redo_skipped_by_lsn += 1
-                    if self.tracer.enabled:
-                        self.tracer.emit(
-                            ev.RECOVERY_SKIP, system=SERVER_ID,
-                            page=record.page_id, lsn=int(record.lsn),
-                            page_lsn=int(page.page_lsn),
-                        )
+                outcome = redo_chain(page, chain.records)
+                for offset, record, (applied, seen) in zip(
+                        chain.offsets, chain.records, outcome):
+                    if applied:
+                        self.pool.note_update(page_id, record.lsn, offset,
+                                              self.log.end_offset)
+                        summary.records_redone += 1
+                        if self.tracer.enabled:
+                            self.tracer.emit(
+                                ev.RECOVERY_REDO, system=SERVER_ID,
+                                page=page_id, lsn=int(record.lsn),
+                                page_lsn_prev=int(seen),
+                            )
+                    elif buffered:
+                        summary.redo_skipped_buffer_hit += 1
+                    else:
+                        summary.redo_skipped_by_lsn += 1
+                        if self.tracer.enabled:
+                            self.tracer.emit(
+                                ev.RECOVERY_SKIP, system=SERVER_ID,
+                                page=page_id, lsn=int(record.lsn),
+                                page_lsn=int(seen),
+                            )
             finally:
-                self.pool.unfix(record.page_id)
+                self.pool.unfix(page_id)
 
     def _client_undo(self, losers: Dict[int, Lsn],
                      index: Dict[Tuple[int, Lsn], LogRecord],
@@ -707,8 +706,7 @@ class CsServer:
             if self.restart_mode == "instant":
                 summary = self._instant_restart()
             else:
-                summary = restart_recovery(
-                    self, redo_parallelism=self.redo_parallelism)
+                summary = restart_recovery(self)
             self.pool.flush_all()
             self.glm = self._build_glm()
         return summary
@@ -718,7 +716,6 @@ class CsServer:
         single server log, then open — each page's redo chain applies
         on its first fix through the pool's ``recovery_intercept``
         (:mod:`repro.recovery.instant`)."""
-        from repro.cluster.redo import collect_local_redo
         from repro.recovery.instant import InstantRecoveryManager
 
         manager = InstantRecoveryManager(

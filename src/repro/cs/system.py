@@ -26,7 +26,6 @@ class CsSystem:
         tracer: Optional[NullTracer] = None,
         injector: Optional[NullFaultInjector] = None,
         lock_shards: int = 1,
-        redo_parallelism: int = 1,
         slab: bool = True,
         restart_mode: str = "eager",
     ) -> None:
@@ -41,7 +40,6 @@ class CsSystem:
                                network=self.network, tracer=self.tracer,
                                injector=self.injector,
                                lock_shards=lock_shards,
-                               redo_parallelism=redo_parallelism,
                                slab=slab,
                                restart_mode=restart_mode)
         self.clients: Dict[int, CsClient] = {}

@@ -70,7 +70,7 @@ from repro.faults.injector import (
 from repro.harness.verifier import verify_cs_system, verify_sd_complex
 from repro.obs import events as ev
 from repro.obs.invariants import Violation, check_trace
-from repro.recovery import aries
+from repro.recovery import redo
 from repro.recovery.media import recover_page_from_media
 
 ARCH_SD = "sd"
@@ -1063,8 +1063,8 @@ def sabotage_redo_screening() -> Iterator[None]:
     the trace checker's ``redo-screening`` invariant must trip and the
     campaign must exit non-zero.  Never set the flag any other way.
     """
-    aries._SABOTAGE_DISABLE_REDO_SCREENING = True
+    redo._SABOTAGE_DISABLE_REDO_SCREENING = True
     try:
         yield
     finally:
-        aries._SABOTAGE_DISABLE_REDO_SCREENING = False
+        redo._SABOTAGE_DISABLE_REDO_SCREENING = False

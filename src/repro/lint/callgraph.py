@@ -3,9 +3,8 @@
 Two structures back the interprocedural halves of the flow-aware rules:
 
 * :class:`ModuleGraph` — one module's functions/methods keyed by bare
-  name, the local call edges between them, and the two derived closures
-  the rules ask for: which functions can (transitively) emit trace
-  events, and which functions run as thread-pool worker callables.
+  name, the local call edges between them, and the derived closure the
+  rules ask for: which functions can (transitively) emit trace events.
   Name-based resolution is deliberate: within one module of this
   codebase bare function names are unambiguous, and staying inside the
   module keeps the analysis cheap and the findings explainable.
@@ -115,8 +114,8 @@ class ProjectIndex:
 # ----------------------------------------------------------------------
 def _lambda_aware_calls(func: ast.AST) -> Iterable[ast.Call]:
     """Same-scope calls plus calls inside lambdas defined in the scope
-    (a lambda handed to ``pool.map`` runs on the worker, so its calls
-    belong to the submitting scope for closure purposes)."""
+    (a lambda has no name to hang call edges on, so its calls belong
+    to the defining scope for closure purposes)."""
     seen: Set[int] = set()
     for call in function_calls(func):
         seen.add(id(call))
@@ -131,11 +130,7 @@ def _lambda_aware_calls(func: ast.AST) -> Iterable[ast.Call]:
 class ModuleGraph:
     """Functions, methods and local call edges of one module."""
 
-    #: Executor-ish receivers for worker-callable detection.
-    _POOL_RECEIVERS = frozenset({"pool", "executor", "tpe", "workers"})
-
     def __init__(self, tree: ast.Module) -> None:
-        self.tree = tree
         #: bare name -> definition (first definition wins).
         self.functions: Dict[str, ast.AST] = {}
         for func in walk_functions(tree):
@@ -190,81 +185,3 @@ class ModuleGraph:
                 return True
         target = terminal_name(call.func)
         return target is not None and target in emitting
-
-    # -- worker closure ------------------------------------------------
-    def _uses_thread_pools(self) -> bool:
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.ImportFrom):
-                if any(
-                    a.name in ("ThreadPoolExecutor", "ProcessPoolExecutor",
-                               "Thread")
-                    for a in node.names
-                ):
-                    return True
-            elif isinstance(node, ast.Import):
-                if any(
-                    a.name in ("concurrent.futures", "threading")
-                    for a in node.names
-                ):
-                    return True
-        return False
-
-    def _callable_roots(self, node: ast.AST) -> Set[str]:
-        """Worker names referenced by a callable argument: a bare name
-        is the worker itself; a lambda contributes every local function
-        its body calls."""
-        roots: Set[str] = set()
-        if isinstance(node, ast.Name) and node.id in self.functions:
-            roots.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            if node.attr in self.functions:
-                roots.add(node.attr)
-        elif isinstance(node, ast.Lambda):
-            for inner in ast.walk(node.body):
-                if isinstance(inner, ast.Call):
-                    target = terminal_name(inner.func)
-                    if target is not None and target in self.functions:
-                        roots.add(target)
-        return roots
-
-    def worker_functions(self) -> Set[str]:
-        """Functions that run on worker threads: callables handed to a
-        thread pool's ``submit``/``map`` (or ``Thread(target=...)``),
-        plus their local transitive callees."""
-        if not self._uses_thread_pools():
-            return set()
-        roots: Set[str] = set()
-        for node in ast.walk(self.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Attribute) and func.attr in (
-                "submit", "map",
-            ):
-                receiver = terminal_name(func.value)
-                receiver_is_pool = (
-                    receiver is not None
-                    and receiver.lower() in self._POOL_RECEIVERS
-                ) or (
-                    isinstance(func.value, ast.Call)
-                    and terminal_name(func.value.func)
-                    in ("ThreadPoolExecutor", "ProcessPoolExecutor")
-                )
-                if receiver_is_pool and node.args:
-                    roots |= self._callable_roots(node.args[0])
-            elif terminal_name(func) == "Thread":
-                for keyword in node.keywords:
-                    if keyword.arg == "target":
-                        roots |= self._callable_roots(keyword.value)
-        # Transitive closure: everything a worker calls locally also
-        # runs on the worker thread.
-        workers = set(roots)
-        changed = True
-        while changed:
-            changed = False
-            for name in sorted(workers):
-                for callee in sorted(self.calls.get(name, ())):
-                    if callee in self.functions and callee not in workers:
-                        workers.add(callee)
-                        changed = True
-        return workers

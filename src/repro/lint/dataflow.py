@@ -8,8 +8,7 @@ flow-aware rules share:
   iterable is a ``set``/``dict`` built earlier in the function);
 * **lockset** — the set of lock receivers held at a program point,
   as a *may* analysis (union join: "possibly still held", what R009
-  needs at the exits) or a *must* analysis (intersection join:
-  "definitely held", what R010 needs at each shared mutation).
+  needs at the exits).
 
 States are immutable (frozensets / tuples of pairs) so the solver can
 compare them for the fixpoint test; the worklist is processed in block
@@ -236,20 +235,17 @@ class LocksetAnalysis:
     ``with`` acquisitions get a ``with:``-prefixed key so they never
     collide with explicit acquire/release bookkeeping.
 
-    ``must=True`` joins by intersection ("definitely held" — sound for
-    *is this mutation protected*); ``must=False`` joins by union
-    ("possibly held" — sound for *can this lock leak out*).
+    A *may* analysis: paths join by union ("possibly held" — sound for
+    *can this lock leak out*).
     """
 
     def __init__(
         self,
         cfg: CFG,
         is_lockish: Callable[[Optional[str]], bool],
-        must: bool = False,
     ) -> None:
         self.cfg = cfg
         self.is_lockish = is_lockish
-        self.must = must
         self.states = solve_forward(
             cfg,
             frozenset(),
@@ -261,10 +257,7 @@ class LocksetAnalysis:
     def _join(
         self, a: FrozenSet[str], b: FrozenSet[str]
     ) -> FrozenSet[str]:
-        # The solver seeds unreached blocks with the empty set; for a
-        # must-analysis the empty set is also the sound answer at any
-        # join (never claim protection that one path lacks).
-        return (a & b) if self.must else (a | b)
+        return a | b
 
     def _transfer(
         self, block_id: int, state: FrozenSet[str]
@@ -308,6 +301,3 @@ class LocksetAnalysis:
             for key in sorted(in_state):
                 out.setdefault(key, []).append(exit_id)
         return out
-
-    def held_before(self, block_id: int) -> FrozenSet[str]:
-        return self.states[block_id][0]

@@ -3,7 +3,8 @@
 Rule IDs are stable and documented in ``docs/static_analysis.md``;
 suppression comments reference them, so never renumber.  R001–R007 are
 the original per-function pattern matchers; R008–R013 ride on the
-flow-aware layer (``cfg``/``dataflow``/``callgraph``).
+flow-aware layer (``cfg``/``dataflow``/``callgraph``).  R010 (shared
+state in thread workers) is retired: ``src/`` has no threads.
 """
 
 from typing import Dict, List
@@ -16,7 +17,6 @@ from repro.lint.rules.faults import FaultDisciplineRule
 from repro.lint.rules.locks import LockPairingRule, LockReleasePathsRule
 from repro.lint.rules.lsn import LsnHygieneRule
 from repro.lint.rules.seams import SeamThreadingRule
-from repro.lint.rules.shared import SharedStateUnderLockRule
 from repro.lint.rules.spans import SpanDisciplineRule
 from repro.lint.rules.stats import StatsDisciplineRule
 from repro.lint.rules.wal import WalDisciplineRule, WalPathOrderRule
@@ -31,7 +31,6 @@ ALL_RULES: List[Rule] = [
     FaultDisciplineRule(),
     SeamThreadingRule(),
     LockReleasePathsRule(),
-    SharedStateUnderLockRule(),
     WalPathOrderRule(),
     DeterminismHygieneRule(),
     SpanDisciplineRule(),

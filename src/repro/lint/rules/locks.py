@@ -161,7 +161,7 @@ class LockReleasePathsRule(Rule):
         cfg = build_cfg(
             func, call_may_raise=lambda c: not _is_lock_protocol_call(c)
         )
-        lockset = LocksetAnalysis(cfg, _lockish, must=False)
+        lockset = LocksetAnalysis(cfg, _lockish)
         leaked = lockset.held_at_exit()
         for key, exit_ids in sorted(leaked.items()):
             if key.startswith("with:"):

@@ -95,7 +95,6 @@ def capture_e1(
 
 def capture_e7(
     n_txns: int = 6,
-    redo_parallelism: int = 1,
     skews: Optional[Dict[int, Tuple[float, float]]] = None,
     injector=None,
 ) -> Tuple[Tracer, Dict[str, object]]:
@@ -111,8 +110,7 @@ def capture_e7(
     clock_skews = skews if skews is not None else DEFAULT_SKEWS
     tracer = Tracer()
     complex_ = SDComplex(n_data_pages=128, tracer=tracer,
-                         injector=injector,
-                         redo_parallelism=redo_parallelism)
+                         injector=injector)
     offset, rate = clock_skews.get(1, (0.0, 1.0))
     s1 = complex_.add_instance(
         1, lock_granularity="record",
@@ -141,7 +139,6 @@ def capture_e7(
         "scheme": "usn",
         "page": page_id,
         "txns": n_txns,
-        "redo_parallelism": redo_parallelism,
         "records_redone": summary_obj.records_redone,
         "clrs_written": summary_obj.clrs_written,
         "loser_rolled_back": survivor == b"committed-0",

@@ -1,9 +1,9 @@
 """Span-level trace diffing: where did the ticks go?
 
-Compares two traces of the *same scenario* (redo at P=1 vs P=4, a
-faulted vs a clean run, before vs after an optimization) span-by-span.
+Compares two traces of the *same scenario* (eager vs instant restart,
+a faulted vs a clean run, before vs after an optimization) span-by-span.
 Spans are aggregated by **path** — the ``/``-joined chain of span
-names from the root (``recovery/redo/redo_part``) — since span ids are
+names from the root (``restart/recovery/redo``) — since span ids are
 run-local but the causal shape is what should match across runs.
 
 Determinism makes this sharp: two runs of one scenario produce

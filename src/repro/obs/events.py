@@ -111,15 +111,6 @@ Instant restart (see :mod:`repro.recovery.instant` and
 * ``INSTANT_DONE``  — ``recovered``, ``demand``, ``swept`` (the
   manager drained: every pending page has been recovered)
 
-Cluster scale-out (system = the recovering instance; see
-``docs/scaleout.md``):
-
-* ``CLUSTER_REDO_PLAN`` — ``partitions``, ``parallelism``, ``records``
-  (the partitioned redo plan built from the merged log)
-* ``CLUSTER_REDO_PART`` — ``partition``, ``pages``, ``records``,
-  ``redone``, ``skipped`` (one partition's replay, emitted in
-  partition order after the pool joins)
-
 Causal spans (see ``docs/observability.md`` — paired brackets tying
 flat events into per-transaction / per-recovery causal trees; emitted
 by :meth:`~repro.obs.tracer.Tracer.span`):
@@ -145,8 +136,6 @@ doing the work):
   ("restart" | "fast" | "cs-client" | "media")
 * ``SPAN_ANALYSIS`` / ``SPAN_REDO`` / ``SPAN_UNDO`` — the recovery
   passes inside a ``SPAN_RECOVERY``
-* ``SPAN_REDO_PART``     — one partition of the parallel partitioned
-  redo, attribute ``partition``
 * ``SPAN_RESTART``       — an instance/server/complex restart wrapper,
   attribute ``target``
 * ``SPAN_QUIESCE``       — a CS quiesce checkpoint
@@ -207,9 +196,6 @@ FAULT_INJECT = "fault.inject"
 DEGRADED_ENTER = "degraded.enter"
 DEGRADED_EXIT = "degraded.exit"
 
-CLUSTER_REDO_PLAN = "cluster.redo_plan"
-CLUSTER_REDO_PART = "cluster.redo_part"
-
 REPL_SHIP = "repl.ship"
 REPL_ACK = "repl.ack"
 REPL_COMMIT_ACK = "repl.commit_ack"
@@ -232,7 +218,6 @@ SPAN_RECOVERY = "recovery"
 SPAN_ANALYSIS = "analysis"
 SPAN_REDO = "redo"
 SPAN_UNDO = "undo"
-SPAN_REDO_PART = "redo_part"
 SPAN_RESTART = "restart"
 SPAN_QUIESCE = "quiesce"
 SPAN_PROMOTE = "promote"

@@ -21,11 +21,8 @@ them:
 * **I4 lamport** — every ``lsn.observe`` merge must leave the local
   maximum at least ``max(before, remote)``: observing a remote
   Local_Max_LSN may never move logical time backwards.
-* **I5 cluster-redo** — every ``cluster.redo_part`` must fall between
-  its system's ``cluster.redo_plan`` and the enclosing
-  ``recovery.end``; by that end, the distinct partition ids must cover
-  the plan exactly (``partitions`` of them, no duplicates, none
-  missing).
+* (I5 policed redo partitions, which no longer exist; the numbers
+  stay stable.)
 * **I6 span-pairing** — every ``span.begin`` has exactly one matching
   ``span.end`` (same span id, later in logical time); no duplicate
   begins, no orphan ends, nothing left open at end of trace.
@@ -111,8 +108,6 @@ def check_trace(events: Iterable[TraceEvent]) -> List[Violation]:
     # event's own page_lsn_prev field.
     locks = _LockTable()
     observed_max: Dict[int, int] = {}
-    # I5: system -> (expected partition count, partition ids seen so far)
-    redo_plans: Dict[int, Tuple[int, Set[int]]] = {}
     # I6: span id -> begin event (still open); closed ids kept to catch
     # duplicate ends.
     open_spans: Dict[int, TraceEvent] = {}
@@ -211,43 +206,6 @@ def check_trace(events: Iterable[TraceEvent]) -> List[Violation]:
                         f"{prev_seen} -> {after}",
                     )
                 observed_max[event.system] = after
-
-        if kind == ev.CLUSTER_REDO_PLAN:
-            if event.system in redo_plans:
-                flag(
-                    "cluster-redo",
-                    event,
-                    f"redo plan opened while a previous plan for system "
-                    f"{event.system} is still awaiting recovery.end",
-                )
-            redo_plans[event.system] = (f.get("partitions", 0), set())
-        elif kind == ev.CLUSTER_REDO_PART:
-            plan = redo_plans.get(event.system)
-            partition = f.get("partition")
-            if plan is None:
-                flag(
-                    "cluster-redo",
-                    event,
-                    f"redo_part partition={partition} outside any "
-                    f"redo_plan/recovery.end window",
-                )
-            elif partition in plan[1]:
-                flag(
-                    "cluster-redo",
-                    event,
-                    f"duplicate redo_part for partition {partition}",
-                )
-            else:
-                plan[1].add(partition)
-        elif kind == ev.RECOVERY_END:
-            plan = redo_plans.pop(event.system, None)
-            if plan is not None and len(plan[1]) != plan[0]:
-                flag(
-                    "cluster-redo",
-                    event,
-                    f"redo plan promised {plan[0]} partition(s) but "
-                    f"{len(plan[1])} replayed before recovery.end",
-                )
 
         if kind == ev.INSTANT_OPEN:
             for page in f.get("pages", ()):
@@ -355,7 +313,7 @@ def render_violations(violations: List[Violation]) -> str:
     """Human-readable report (one line per violation, or an all-clear)."""
     if not violations:
         return "invariants: OK (page-lsn-monotonic, redo-screening, " \
-               "update-under-lock, lamport, cluster-redo, " \
+               "update-under-lock, lamport, " \
                "span-pairing, span-nesting, instant-recovery)"
     lines = [f"invariants: {len(violations)} violation(s)"]
     lines.extend(f"  {v}" for v in violations)

@@ -21,7 +21,12 @@ from repro.common.config import NULL_LSN
 from repro.common.lsn import Lsn
 from repro.obs import events as ev
 from repro.obs.tracer import NULL_TRACER, NullTracer
-from repro.recovery.apply import apply_payload, apply_redo
+from repro.recovery.apply import apply_payload
+from repro.recovery.redo import (
+    collect_local_redo,
+    collect_merged_redo,
+    replay_chains,
+)
 from repro.txn.transaction import Transaction
 from repro.wal.records import (
     CheckpointData,
@@ -32,13 +37,6 @@ from repro.wal.records import (
 
 _COMMITTED = 1
 _ACTIVE = 0
-
-# Deliberate-breakage seam for the chaos campaign's self-test: with
-# redo screening disabled, redo re-applies records already reflected in
-# the page (double-apply), which the verifier/invariant checker must
-# catch — proving the campaign can actually fail.  Never set outside
-# ``repro.faults.campaign.sabotage_redo_screening``.
-_SABOTAGE_DISABLE_REDO_SCREENING = False
 
 
 @dataclass
@@ -59,8 +57,8 @@ def _tracer_of(instance) -> NullTracer:
     return getattr(instance, "tracer", NULL_TRACER)
 
 
-def restart_recovery(instance, fix_page=None, unfix_page=None,
-                     redo_parallelism: int = 1) -> RestartSummary:
+def restart_recovery(instance, fix_page=None,
+                     unfix_page=None) -> RestartSummary:
     """Recover one failed system from its own local log.
 
     ``instance`` is duck-typed: it needs ``log``, ``pool`` and
@@ -68,9 +66,9 @@ def restart_recovery(instance, fix_page=None, unfix_page=None,
     the buffer pool / disk, all loser transactions are undone with CLRs
     and closed with END records.
 
-    ``redo_parallelism > 1`` runs the redo pass partitioned by page
-    across a thread pool (:mod:`repro.cluster.redo`) — byte-identical
-    final page images, since redo order only matters *within* a page.
+    Redo replays per-page chains straight against the shared disk
+    (:mod:`repro.recovery.redo`), in ascending page id; the pool only
+    sees the pages undo touches.
 
     ``fix_page``/``unfix_page`` override how the **undo** pass reaches
     pages.  In the multi-system architectures they must go through the
@@ -99,7 +97,7 @@ def restart_recovery(instance, fix_page=None, unfix_page=None,
         summary.dirty_pages_at_crash = len(dpt)
         summary.loser_transactions = len(losers)
         with tracer.span(ev.SPAN_REDO, system=system_id):
-            _redo_pass(instance, dpt, summary, parallelism=redo_parallelism)
+            _redo_pass(instance, dpt, summary)
         with tracer.span(ev.SPAN_UNDO, system=system_id):
             _undo_pass(instance, losers, summary,
                        fix_page=fix_page, unfix_page=unfix_page)
@@ -166,54 +164,14 @@ def analysis_pass(
 # redo — repeating history
 # ----------------------------------------------------------------------
 def _redo_pass(instance, dpt: Dict[int, Tuple[Lsn, int]],
-               summary: RestartSummary, parallelism: int = 1) -> None:
+               summary: RestartSummary) -> None:
     if not dpt:
         return
-    log = instance.log
-    pool = instance.pool
     redo_start = min(rec_addr for _, rec_addr in dpt.values())
     summary.redo_scan_start = redo_start
-    if parallelism > 1:
-        from repro.cluster.redo import collect_local_redo, replay_partitioned
-
-        per_page = collect_local_redo(log, dpt, redo_start)
-        replay_partitioned(
-            instance, per_page, parallelism, summary,
-            sabotage=_SABOTAGE_DISABLE_REDO_SCREENING,
-        )
-        return
-    for addr, record in log.scan(from_offset=redo_start):
-        if not record.is_page_oriented():
-            continue
-        entry = dpt.get(record.page_id)
-        if entry is None or addr.offset < entry[1]:
-            continue  # page written to disk after this update
-        page = pool.fix(record.page_id)
-        tracer = _tracer_of(instance)
-        try:
-            if _SABOTAGE_DISABLE_REDO_SCREENING or record.lsn > page.page_lsn:
-                page_lsn_prev = page.page_lsn
-                apply_redo(page, record)
-                record_end = addr.offset + record.serialized_size()
-                pool.note_update(record.page_id, record.lsn,
-                                 addr.offset, record_end)
-                summary.records_redone += 1
-                if tracer.enabled:
-                    tracer.emit(
-                        ev.RECOVERY_REDO, system=instance.system_id,
-                        page=record.page_id, lsn=int(record.lsn),
-                        page_lsn_prev=int(page_lsn_prev),
-                    )
-            else:
-                summary.redo_skipped_by_lsn += 1
-                if tracer.enabled:
-                    tracer.emit(
-                        ev.RECOVERY_SKIP, system=instance.system_id,
-                        page=record.page_id, lsn=int(record.lsn),
-                        page_lsn=int(page.page_lsn),
-                    )
-        finally:
-            pool.unfix(record.page_id)
+    replay_chains(instance,
+                  collect_local_redo(instance.log, dpt, redo_start),
+                  summary)
 
 
 # ----------------------------------------------------------------------
@@ -226,7 +184,6 @@ def fast_restart_recovery(
     skip_page_ids=(),
     fix_page=None,
     unfix_page=None,
-    redo_parallelism: int = 1,
 ) -> RestartSummary:
     """Restart recovery under the fast page-transfer scheme.
 
@@ -259,17 +216,10 @@ def fast_restart_recovery(
 
         targets = (set(dpt) | set(candidate_pages)) - set(skip_page_ids)
         with tracer.span(ev.SPAN_REDO, system=system_id):
-            if targets and redo_parallelism > 1:
-                from repro.cluster.redo import (
-                    collect_merged_redo,
-                    replay_partitioned,
-                )
-
-                per_page = collect_merged_redo(all_logs, targets)
-                replay_partitioned(
-                    instance, per_page, redo_parallelism, summary)
-            elif targets:
-                _merged_redo(instance, all_logs, targets, summary)
+            if targets:
+                replay_chains(instance,
+                              collect_merged_redo(all_logs, targets),
+                              summary)
         with tracer.span(ev.SPAN_UNDO, system=system_id):
             _undo_pass(instance, losers, summary,
                        fix_page=fix_page, unfix_page=unfix_page)
@@ -283,47 +233,6 @@ def fast_restart_recovery(
                 clrs=summary.clrs_written,
             )
     return summary
-
-
-def _merged_redo(instance, all_logs, targets, summary: RestartSummary) -> None:
-    """Serial merged-log redo (fast scheme, ``redo_parallelism == 1``)."""
-    from repro.wal.merge import merge_local_logs
-
-    log = instance.log
-    pool = instance.pool
-    tracer = _tracer_of(instance)
-    for _, record in merge_local_logs(all_logs):
-        if not record.is_page_oriented() or record.page_id not in targets:
-            continue
-        page = pool.fix(record.page_id)
-        try:
-            if record.lsn > page.page_lsn:
-                page_lsn_prev = page.page_lsn
-                apply_redo(page, record)
-                # The covering records are in their writers' stable
-                # logs; nothing to force locally before page writes.
-                bcb = pool.bcb(record.page_id)
-                if not bcb.dirty:
-                    bcb.dirty = True
-                    bcb.rec_lsn = record.lsn
-                    bcb.rec_addr = log.end_offset
-                summary.records_redone += 1
-                if tracer.enabled:
-                    tracer.emit(
-                        ev.RECOVERY_REDO, system=instance.system_id,
-                        page=record.page_id, lsn=int(record.lsn),
-                        page_lsn_prev=int(page_lsn_prev),
-                    )
-            else:
-                summary.redo_skipped_by_lsn += 1
-                if tracer.enabled:
-                    tracer.emit(
-                        ev.RECOVERY_SKIP, system=instance.system_id,
-                        page=record.page_id, lsn=int(record.lsn),
-                        page_lsn=int(page.page_lsn),
-                    )
-        finally:
-            pool.unfix(record.page_id)
 
 
 # ----------------------------------------------------------------------

@@ -11,13 +11,12 @@ that mode over the paper's multi-system substrate:
 1. **Analysis** runs eagerly (:func:`repro.recovery.aries.analysis_pass`
    — the shared first act of every restart flavour) and yields the
    dirty page table and the loser transactions.
-2. **Per-page redo chains** are indexed from the stable log(s) using
-   PR 5's candidate collectors — :func:`repro.cluster.redo.
-   collect_local_redo` under the medium transfer scheme and for the CS
-   server (single-log redo), :func:`repro.cluster.redo.
-   collect_merged_redo` over the merged USN stream under the fast
-   scheme — i.e. exactly the records the eager serial pass would
-   consider, in exactly its order.
+2. **Per-page redo chains** are indexed from the stable log(s) by the
+   shared collectors — :func:`repro.recovery.redo.collect_local_redo`
+   under the medium transfer scheme and for the CS server (single-log
+   redo), :func:`repro.recovery.redo.collect_merged_redo` over the
+   merged USN stream under the fast scheme — i.e. exactly the chains
+   eager restart replays.
 3. **Undo runs eagerly at open**, reusing the eager
    :func:`~repro.recovery.aries._undo_pass` verbatim with the same
    page fixers the eager path uses.  Undo touches only loser pages, so
@@ -30,21 +29,19 @@ that mode over the paper's multi-system substrate:
    ``recovery_intercept`` seam (and, in the SD complex, a guard at the
    top of coherency access) routes the first touch of a still-pending
    page through :meth:`InstantRecoveryManager.recover_page`, which
-   applies the page's chain straight to the shared disk.  A
+   applies the page's chain straight to the shared disk
+   (:func:`repro.recovery.redo.replay_to_disk`, the eager path's own
+   per-page step).  A
    deterministic **sweeper** (:meth:`~InstantRecoveryManager.sweep`)
    drains the remaining pages in sorted page-id order in tick-driven
    increments.
 
 Equivalence discipline (the property the chaos ``restart`` drill
-enforces with SHA-256 disk digests): per page, instant restart applies
-the same records under the same ``record.lsn > page_LSN`` screening
-from the same disk base image as the eager pass, and writes the page
-back only when a record actually applied (mirroring
-:func:`~repro.cluster.redo.replay_partitioned`'s modified-only
-write-back).  Application *order between pages* differs, but order
-only matters within a page — the same argument that justified PR 5's
-partitioned redo.  Once every manager has drained, the disk image is
-byte-identical to the eager one.
+enforces with SHA-256 disk digests): per page, instant restart runs
+the same function over the same chain from the same disk base image
+as the eager pass.  Application *order between pages* differs, but
+order only matters within a page.  Once every manager has drained,
+the disk image is byte-identical to the eager one.
 
 WAL is satisfied throughout: every record in a chain comes from a
 stable post-crash log, so writing a chain-applied image needs no log
@@ -69,9 +66,8 @@ from repro.faults import points as fp
 from repro.faults.injector import NULL_INJECTOR, NullFaultInjector
 from repro.obs import events as ev
 from repro.recovery import aries
-from repro.recovery.apply import apply_redo
 from repro.recovery.aries import RestartSummary, analysis_pass
-from repro.wal.records import LogRecord
+from repro.recovery.redo import Chain, replay_to_disk
 
 
 class InstantRecoveryManager:
@@ -105,7 +101,7 @@ class InstantRecoveryManager:
         self.summary = RestartSummary()
         self.dpt: Dict[int, tuple] = {}
         self.losers: Dict[int, int] = {}
-        self._chains: Dict[int, List[LogRecord]] = {}
+        self._chains: Dict[int, Chain] = {}
         self._opened = False
         self._drained = False
         self.demand_recoveries = 0
@@ -129,13 +125,10 @@ class InstantRecoveryManager:
             redo_start = min(rec_addr for _, rec_addr in self.dpt.values())
             self.summary.redo_scan_start = redo_start
 
-    def index_chains(self, chains: Dict[int, List[LogRecord]]) -> None:
-        """Install the per-page redo chains (candidate-collector
-        output); pages with a non-empty chain become *pending*."""
-        self._chains = {
-            page_id: records
-            for page_id, records in chains.items() if records
-        }
+    def index_chains(self, chains: Dict[int, Chain]) -> None:
+        """Install the per-page redo chains (collector output); every
+        page with a chain becomes *pending*."""
+        self._chains = dict(chains)
 
     def open(self, fix_page=None, unfix_page=None) -> RestartSummary:
         """Declare the pending set, then roll back the losers eagerly.
@@ -186,8 +179,8 @@ class InstantRecoveryManager:
         the chain is consumed only after the write-back, so the next
         touch retries from the same stable records.
         """
-        records = self._chains.get(page_id)
-        if records is None:
+        chain = self._chains.get(page_id)
+        if chain is None:
             return False
         instance = self.instance
         system_id = instance.system_id
@@ -196,46 +189,14 @@ class InstantRecoveryManager:
                          page=page_id, via=via):
             self.injector.fire(fp.INSTANT_RECOVER, system=system_id,
                                page=page_id)
-            disk = instance.pool.disk
-            # Copy-on-write view: a chain that screens out entirely
-            # never copies the image (and the page is left unwritten,
-            # mirroring replay_partitioned's modified-only write-back).
-            page = disk.read_page_view(page_id)
-            redone = skipped = 0
-            sabotage = aries._SABOTAGE_DISABLE_REDO_SCREENING
-            emitted: List[tuple] = []
-            for record in records:
-                if sabotage or record.lsn > page.page_lsn:
-                    page_lsn_prev = page.page_lsn
-                    apply_redo(page, record)
-                    redone += 1
-                    emitted.append(
-                        (True, int(record.lsn), int(page_lsn_prev)))
-                else:
-                    skipped += 1
-                    emitted.append(
-                        (False, int(record.lsn), int(page.page_lsn)))
-            if redone:
-                disk.write_page(page)
+            redone, skipped = replay_to_disk(
+                instance, page_id, chain, self.summary)
             del self._chains[page_id]
-            self.summary.records_redone += redone
-            self.summary.redo_skipped_by_lsn += skipped
             if via == "demand":
                 self.demand_recoveries += 1
             else:
                 self.sweep_recoveries += 1
             if tracer.enabled:
-                for was_redo, lsn, other in emitted:
-                    if was_redo:
-                        tracer.emit(
-                            ev.RECOVERY_REDO, system=system_id,
-                            page=page_id, lsn=lsn, page_lsn_prev=other,
-                        )
-                    else:
-                        tracer.emit(
-                            ev.RECOVERY_SKIP, system=system_id,
-                            page=page_id, lsn=lsn, page_lsn=other,
-                        )
                 tracer.emit(
                     ev.INSTANT_PAGE, system=system_id, page=page_id,
                     redone=redone, skipped=skipped, via=via,

@@ -19,12 +19,11 @@ from typing import Iterable, Optional
 from repro.common.stats import StatsRegistry
 from repro.obs import events as ev
 from repro.obs.tracer import NULL_TRACER, NullTracer
-from repro.recovery.apply import apply_redo
+from repro.recovery.redo import collect_merged_redo, redo_chain
 from repro.storage.disk import SharedDisk
 from repro.storage.image_copy import ImageCopy
 from repro.storage.page import Page, PageType
 from repro.wal.log_manager import LogManager
-from repro.wal.merge import merge_local_logs
 
 
 def recover_page_from_media(
@@ -61,12 +60,10 @@ def recover_page_from_media(
         # No LSN-keyed index here or below: LSNs are only ever compared
         # with the page_LSN of the record's own page, where they are
         # unique and increasing across all logs.
-        for _, record in merge_local_logs(logs, stats=stats,
-                                          from_offsets=from_offsets):
-            if record.page_id != page_id:
-                continue
-            if record.lsn > page.page_lsn:
-                apply_redo(page, record)
+        chains = collect_merged_redo(logs, {page_id}, stats=stats,
+                                     from_offsets=from_offsets)
+        if page_id in chains:
+            redo_chain(page, chains[page_id].records)
         if disk is not None:
             disk.write_page(page)
     return page
@@ -98,10 +95,9 @@ def recover_database_from_media(
                 blank = Page()
                 blank.format(page_id, PageType.FREE)
                 pages[page_id] = blank
-        for _, record in merge_local_logs(logs, stats=stats):
-            page = pages.get(record.page_id)
-            if page is not None and record.lsn > page.page_lsn:
-                apply_redo(page, record)
+        chains = collect_merged_redo(logs, pages, stats=stats)
         for page_id in sorted(pages):
+            if page_id in chains:
+                redo_chain(pages[page_id], chains[page_id].records)
             disk.write_page(pages[page_id])
     return len(pages)

@@ -42,7 +42,7 @@ from repro.faults import points as fp
 from repro.faults.injector import NullFaultInjector
 from repro.obs import events as ev
 from repro.obs.tracer import NullTracer
-from repro.recovery.apply import apply_redo
+from repro.recovery.redo import redo_chain
 from repro.storage.disk import SharedDisk
 from repro.storage.page import Page, PageType
 from repro.wal.log_manager import LogManager
@@ -191,16 +191,15 @@ class StandbyComplex:
         if not record.is_page_oriented():
             return
         page = self.disk.read_page(record.page_id)
-        if record.lsn > page.page_lsn:
-            page_lsn_prev = page.page_lsn
-            apply_redo(page, record)
+        [(applied, page_lsn_seen)] = redo_chain(page, [record])
+        if applied:
             self.disk.write_page(page)
             self.stats.incr(REPL_RECORDS_APPLIED)
             if self.tracer.enabled:
                 self.tracer.emit(
                     ev.RECOVERY_REDO, system=self.system_id,
                     page=record.page_id, lsn=int(record.lsn),
-                    page_lsn_prev=int(page_lsn_prev),
+                    page_lsn_prev=int(page_lsn_seen),
                 )
         else:
             self.stats.incr(REPL_APPLY_SKIPPED)
@@ -208,7 +207,7 @@ class StandbyComplex:
                 self.tracer.emit(
                     ev.RECOVERY_SKIP, system=self.system_id,
                     page=record.page_id, lsn=int(record.lsn),
-                    page_lsn=int(page.page_lsn),
+                    page_lsn=int(page_lsn_seen),
                 )
 
     # ------------------------------------------------------------------

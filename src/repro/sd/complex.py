@@ -70,7 +70,6 @@ class SDComplex:
         injector: Optional[NullFaultInjector] = None,
         net_retry: Optional[RetryPolicy] = None,
         lock_shards: int = 1,
-        redo_parallelism: int = 1,
         slab: bool = True,
         replicate: Optional["ReplicationConfig"] = None,
         disk: Optional[SharedDisk] = None,
@@ -103,7 +102,6 @@ class SDComplex:
                                injector=self.injector,
                                retry=net_retry)
         self.lock_shards = lock_shards
-        self.redo_parallelism = redo_parallelism
         if lock_shards > 1:
             # Scale-out GLM (lazy import: repro.cluster builds on this
             # module).  One shard keeps the monolithic manager — and
@@ -289,7 +287,7 @@ class SDComplex:
                     # Complex-wide failure: the page's retained owner is
                     # another crashed system.  The merged-log redo pass
                     # above already reconstructed every analysis-DPT
-                    # page into our pool, so undo can proceed on that
+                    # page on disk, so undo can proceed on that
                     # version; the owner's own later recovery stays
                     # idempotent thanks to the page_LSN test.
                     return instance.pool.fix(page_id)
@@ -301,14 +299,12 @@ class SDComplex:
                 skip_page_ids=skip,
                 fix_page=fix_fast,
                 unfix_page=instance.pool.unfix,
-                redo_parallelism=self.redo_parallelism,
             )
         else:
             summary = restart_recovery(
                 instance,
                 fix_page=self.recovery_page_fixer(instance),
                 unfix_page=instance.pool.unfix,
-                redo_parallelism=self.redo_parallelism,
             )
         instance.pool.flush_all()
         # Cold cache after recovery: keeping reconstructed pages around
@@ -333,9 +329,9 @@ class SDComplex:
         page has its chain applied first, so CLR order, LSN hints and
         the final disk image match the eager path byte for byte.
         """
-        from repro.cluster.redo import collect_local_redo, collect_merged_redo
         from repro.common.errors import ProtocolError
         from repro.recovery.instant import InstantRecoveryManager
+        from repro.recovery.redo import collect_local_redo, collect_merged_redo
 
         manager = InstantRecoveryManager(
             instance, mode=self.transfer_scheme, stats=self.stats,
@@ -442,8 +438,7 @@ class SDComplex:
         page_LSN test.
         """
         from repro.common.errors import ProtocolError
-        from repro.recovery.apply import apply_redo
-        from repro.wal.merge import merge_local_logs
+        from repro.recovery.redo import collect_merged_redo, redo_chain
 
         def fix_page(page_id: int):
             try:
@@ -453,10 +448,9 @@ class SDComplex:
                 if instance.pool.contains(page_id):
                     instance.pool.drop_page(page_id, allow_dirty=True)
                 page = self.disk.read_page(page_id)
-                for _, record in merge_local_logs(self.local_logs()):
-                    if record.page_id == page_id \
-                            and record.lsn > page.page_lsn:
-                        apply_redo(page, record)
+                chains = collect_merged_redo(self.local_logs(), {page_id})
+                if page_id in chains:
+                    redo_chain(page, chains[page_id].records)
                 self.disk.write_page(page)
                 return instance.pool.install_page(page, dirty=False)
 

@@ -65,9 +65,11 @@ from repro.lint import lint_source
 from repro.lint.rules import RULES_BY_ID
 from repro.obs import events as ev
 from repro.obs.capture import capture_e1
+from repro.obs.invariants import check_trace
 from repro.obs.tracer import Tracer
-from repro.recovery import aries
+from repro.recovery import redo
 from repro.recovery.media import recover_page_from_media
+from repro.replication import StandbyComplex
 from repro.sd.complex import SDComplex
 from repro.harness.verifier import verify_sd_complex
 
@@ -544,11 +546,54 @@ class TestRestartDrill:
         assert "failover" in out and "restart" in out
 
 
+def _crashed_sd(**complex_kwargs):
+    tracer = Tracer()
+    sd = SDComplex(n_data_pages=64, tracer=tracer, **complex_kwargs)
+    for system_id in (1, 2):
+        sd.add_instance(system_id)
+    scenarios.run_sd_workload(sd, 3)
+    sd.crash_complex()
+    return tracer, lambda: (sd.restart_complex(), sd.instant_drain())
+
+
+def _crashed_cs_client():
+    cs, tracer = scenarios.build_cs(NULL_INJECTOR, seed=3)
+    scenarios.run_cs_workload(cs, 3)
+    cs.crash_client(1)
+    return tracer, lambda: cs.recover_client(1)
+
+
+def _restarted_standby():
+    """A standby restarted over its already-applied volume and re-fed
+    the stream: only the page_LSN test makes that idempotent."""
+    sd, tracer = scenarios.build_replicated_sd(NULL_INJECTOR, seed=3,
+                                               ack="quorum")
+    scenarios.run_sd_workload(sd, 3)
+    standby = sd.replication.standbys()[scenarios.STANDBY_BASE_ID]
+    restarted = StandbyComplex(scenarios.STANDBY_BASE_ID, sd)
+    restarted.disk = standby.disk
+    stream = sorted(standby.replica_snapshot().items())
+    return tracer, lambda: restarted.receive(stream)
+
+
 class TestSabotage:
+    @pytest.mark.parametrize("about_to_recover", [
+        lambda: _crashed_sd(transfer_scheme="fast"),
+        lambda: _crashed_sd(restart_mode="instant"),
+        _crashed_cs_client,
+        _restarted_standby,
+    ], ids=["fast-restart", "instant-restart", "cs-client", "standby-apply"])
+    def test_every_flavour_double_applies(self, about_to_recover):
+        tracer, recover = about_to_recover()
+        with sabotage_redo_screening():
+            recover()
+        assert "redo-screening" in {
+            v.invariant for v in check_trace(tracer.events())}
+
     def test_broken_redo_screening_turns_campaign_red(self):
         with sabotage_redo_screening():
             report = run_campaign("sd", seed=0, smoke=True)
-        assert not aries._SABOTAGE_DISABLE_REDO_SCREENING
+        assert not redo._SABOTAGE_DISABLE_REDO_SCREENING
         assert not report.ok
         assert any("redo-screening" in violation
                    for result in report.failed

@@ -179,5 +179,3 @@ class TestConfigValidation:
             ClusterConfig(lock_shards=0)
         with pytest.raises(ValueError):
             ClusterConfig(n_instances=0)
-        with pytest.raises(ValueError):
-            ClusterConfig(redo_parallelism=0)

@@ -633,106 +633,6 @@ class TestR009:
 
 
 # ----------------------------------------------------------------------
-# R010 — shared-state-under-lock in thread workers
-# ----------------------------------------------------------------------
-class TestR010:
-    def test_unlocked_worker_mutation_flagged(self):
-        found = findings_for(
-            """
-            from concurrent.futures import ThreadPoolExecutor
-
-            class C:
-                def run(self):
-                    self.pool.submit(self._work, 1)
-
-                def _work(self, part):
-                    self.results.append(part)
-            """
-        )
-        assert ids_of(found) == ["R010"]
-
-    def test_mutation_under_with_lock_clean(self):
-        assert (
-            findings_for(
-                """
-                from concurrent.futures import ThreadPoolExecutor
-
-                class C:
-                    def run(self):
-                        self.pool.submit(self._work, 1)
-
-                    def _work(self, part):
-                        with self._lock:
-                            self.results.append(part)
-                """
-            )
-            == []
-        )
-
-    def test_locally_created_state_clean(self):
-        assert (
-            findings_for(
-                """
-                from concurrent.futures import ThreadPoolExecutor
-
-                class C:
-                    def run(self):
-                        self.pool.submit(self._work, 1)
-
-                    def _work(self, part):
-                        out = []
-                        out.append(part)
-                        return out
-                """
-            )
-            == []
-        )
-
-    def test_non_worker_method_clean(self):
-        # Without a pool handing the method to another thread there is
-        # no data race to protect against.
-        assert (
-            findings_for(
-                """
-                class C:
-                    def _work(self, part):
-                        self.results.append(part)
-                """
-            )
-            == []
-        )
-
-    def test_transitive_worker_callee_flagged(self):
-        found = findings_for(
-            """
-            from concurrent.futures import ThreadPoolExecutor
-
-            class C:
-                def run(self):
-                    self.pool.submit(self._work, 1)
-
-                def _work(self, part):
-                    self._record(part)
-
-                def _record(self, part):
-                    self.results.append(part)
-            """
-        )
-        assert ids_of(found) == ["R010"]
-
-    def test_tests_exempt(self):
-        source = (
-            "from concurrent.futures import ThreadPoolExecutor\n"
-            "class C:\n"
-            "    def run(self):\n"
-            "        self.pool.submit(self._work, 1)\n"
-            "    def _work(self, part):\n"
-            "        self.results.append(part)\n"
-        )
-        assert findings_for(source, path=TST) == []
-
-
-# ----------------------------------------------------------------------
 # R011 — flow-sensitive WAL ordering (one unlogged branch is enough)
 # ----------------------------------------------------------------------
 class TestR011:
@@ -1095,7 +995,6 @@ class TestEngine:
             "R007",
             "R008",
             "R009",
-            "R010",
             "R011",
             "R012",
             "R013",
@@ -1346,47 +1245,6 @@ class TestDataflow:
         lockset = LocksetAnalysis(cfg, lambda name: name == "glm")
         assert lockset.held_at_exit() == {}
 
-    def test_must_lockset_under_with(self):
-        func, cfg = _cfg_for(
-            """
-            def f(self, part):
-                with self._lock:
-                    self.results.append(part)
-            """
-        )
-        lockset = LocksetAnalysis(
-            cfg, lambda name: name is not None and "lock" in name.lower(),
-            must=True,
-        )
-        mutation = _block_with(cfg, ast.Expr)
-        assert "with:self._lock" in lockset.held_before(mutation.id)
-
-    def test_must_lockset_drops_unprotected_branch(self):
-        func, cfg = _cfg_for(
-            """
-            def f(self, txn, fast):
-                if not fast:
-                    self.lock.acquire(txn)
-                self.results.append(txn)
-            """,
-            call_may_raise=lambda call: False,
-        )
-        lockset = LocksetAnalysis(
-            cfg, lambda name: name is not None and "lock" in name.lower(),
-            must=True,
-        )
-        mutation = next(
-            b for b in cfg.blocks
-            if any(
-                isinstance(s, ast.Expr)
-                and isinstance(s.value, ast.Call)
-                and isinstance(s.value.func, ast.Attribute)
-                and s.value.func.attr == "append"
-                for s in b.stmts
-            )
-        )
-        assert lockset.held_before(mutation.id) == frozenset()
-
 
 # ----------------------------------------------------------------------
 # SARIF output
@@ -1587,14 +1445,6 @@ class TestRealTree:
                 "            return None\n"
                 "        self.glm.release(txn, 1)\n"
                 "        return txn\n"
-            ),
-            "R010": (
-                "from concurrent.futures import ThreadPoolExecutor\n"
-                "class C:\n"
-                "    def run(self):\n"
-                "        self.pool.submit(self._work, 1)\n"
-                "    def _work(self, part):\n"
-                "        self.results.append(part)\n"
             ),
             "R011": (
                 "class C:\n"

@@ -15,8 +15,7 @@ from repro.workload.scaleout import (
 
 def build_complex(n_instances=4):
     return build_cluster(ClusterConfig(
-        n_instances=n_instances, lock_shards=1, redo_parallelism=1,
-        n_data_pages=256))
+        n_instances=n_instances, lock_shards=1, n_data_pages=256))
 
 
 def script_fingerprint(scripts):

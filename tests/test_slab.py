@@ -10,8 +10,8 @@ Three claims, each load-bearing for the TPS headline:
   ``TestZeroCopyParsing`` in ``tests/test_records.py``);
 * **flavour equivalence** — slab and classic spines leave SHA-256
   identical disk images and byte-identical traces under the E1 anomaly,
-  an E7-style whole-complex restart, parallel partitioned redo at
-  P in {1, 2, 4}, and the seeded chaos workload — and torn writes and
+  an E7-style whole-complex restart and the seeded chaos workload —
+  and torn writes and
   media corruption are still *detected* (and repaired) under the slab.
 """
 
@@ -21,7 +21,6 @@ import zlib
 import pytest
 
 import repro.storage.disk as disk_mod
-from repro.cluster import ClusterConfig, build_cluster
 from repro.common.clock import SkewedClock
 from repro.common.config import PAGE_SIZE
 from repro.common.errors import MediaError, TornPageError
@@ -33,7 +32,6 @@ from repro.recovery.media import recover_page_from_media
 from repro.sd.complex import SDComplex
 from repro.storage.disk import SharedDisk, _compute_checksum
 from repro.storage.page import Page, PageType
-from repro.workload.scaleout import ScaleoutConfig, run_scaleout
 
 
 def arm_next_hit(injector, point):
@@ -268,24 +266,6 @@ class TestSlabClassicEquality:
         assert disk_sha(slab_sd.disk) == disk_sha(classic_sd.disk)
         assert slab_tracer.dump_jsonl() == classic_tracer.dump_jsonl()
         assert slab_sd.stats.snapshot() == classic_sd.stats.snapshot()
-
-    @pytest.mark.parametrize("parallelism", [1, 2, 4])
-    def test_parallel_redo_disk_identical(self, parallelism):
-        def recovered(slab):
-            sd = build_cluster(ClusterConfig(
-                n_instances=2, lock_shards=1,
-                redo_parallelism=parallelism, n_data_pages=256, slab=slab))
-            result = run_scaleout(sd, ScaleoutConfig(
-                n_transactions=12, sharing_ratio=0.2, seed=11))
-            assert result.committed > 0
-            sd.crash_complex()
-            sd.restart_complex()
-            return sd
-
-        slab_sd, classic_sd = recovered(True), recovered(False)
-        assert disk_sha(slab_sd.disk) == disk_sha(classic_sd.disk)
-        assert set(slab_sd.disk.written_page_ids()) == \
-            set(classic_sd.disk.written_page_ids())
 
     def test_chaos_smoke_disk_identical(self):
         """The chaos scenario workload itself (no crash) — the smoke

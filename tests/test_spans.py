@@ -5,7 +5,7 @@ commit and a traced E7 restart each yield a span tree whose root
 inclusive cost equals the sum of the critical path's step costs, span
 emission is deterministic down to span ids and parent links (two runs
 produce byte-identical JSONL), and the extended invariant checker
-flags broken cluster-redo coverage and broken span brackets.
+flags broken span brackets.
 """
 
 import pytest
@@ -263,45 +263,10 @@ class TestDiff:
 
 
 # ----------------------------------------------------------------------
-# invariant checker extensions (I5 cluster-redo, I6/I7 spans)
+# invariant checker extensions (I6/I7 spans)
 # ----------------------------------------------------------------------
 def _ev(seq, system, kind, /, **fields):
     return TraceEvent(seq=seq, system=system, kind=kind, fields=fields)
-
-
-class TestClusterRedoInvariant:
-    def _window(self, parts, promised=2):
-        events = [
-            _ev(1, 1, ev.RECOVERY_BEGIN, mode="restart"),
-            _ev(2, 1, ev.CLUSTER_REDO_PLAN, partitions=promised,
-                parallelism=2, records=10),
-        ]
-        seq = 3
-        for p in parts:
-            events.append(_ev(seq, 1, ev.CLUSTER_REDO_PART, partition=p))
-            seq += 1
-        events.append(_ev(seq, 1, ev.RECOVERY_END, redone=10))
-        return events
-
-    def test_exact_coverage_clean(self):
-        assert check_trace(self._window([0, 1])) == []
-
-    def test_missing_partition_flagged(self):
-        v = first_violation(check_trace(self._window([0])), "cluster-redo")
-        assert v is not None and "promised 2" in v.message
-
-    def test_duplicate_partition_flagged(self):
-        violations = check_trace(self._window([0, 0]))
-        assert first_violation(violations, "cluster-redo") is not None
-
-    def test_part_outside_window_flagged(self):
-        events = [_ev(1, 1, ev.CLUSTER_REDO_PART, partition=0)]
-        v = first_violation(check_trace(events), "cluster-redo")
-        assert v is not None and "outside" in v.message
-
-    def test_cluster_capture_is_clean(self):
-        tracer, _ = capture_e7(redo_parallelism=4)
-        assert check_trace(tracer.events()) == []
 
 
 class TestSpanInvariants:
