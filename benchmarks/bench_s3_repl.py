@@ -3,7 +3,7 @@
 The USN scheme makes a hot standby cheap: the primary's local logs
 k-way merge by LSN alone (Section 3.2.2), so one continuous redo
 stream keeps a whole standby complex current.  What the write-ack
-level buys — and costs — should then be visible in two numbers:
+level buys — and costs — should then be visible in three numbers:
 
 * **replication lag** (records collected but not yet shipped) at the
   end of a committed workload: zero for ``quorum``/``all`` (the commit
@@ -11,13 +11,18 @@ level buys — and costs — should then be visible in two numbers:
   asynchronous ``local``;
 * **commit cost** in fabric messages per commit: ``local`` commits
   pay nothing at the commit point until the window overflows, while
-  ``quorum``/``all`` pay the ship + ack round trips synchronously.
+  ``quorum``/``all`` pay the ship + ack round trips synchronously;
+* **commit cost** in log forces per commit: 1 without replication,
+  1 + *n* at ``all`` (every standby forces every commit), and in
+  between a ``quorum`` commit waits for one standby's force while the
+  other forces on its window, and ``local`` waits for none.
 
 Everything is counted, not timed (rule R002), so the table is
 byte-stable across runs.
 """
 
 from repro.common.stats import (
+    LOG_FORCES,
     MESSAGES_SENT,
     REPL_ACKS,
     REPL_RECORDS_SHIPPED,
@@ -32,7 +37,9 @@ from _common import bench_main
 
 N_COMMITS = 24
 N_STANDBYS = 2
-WINDOW_RECORDS = 8
+#: About three commits' worth of records: a window a single commit
+#: fills would make every standby force every commit at every level.
+WINDOW_RECORDS = 16
 BATCH_RECORDS = 4
 
 
@@ -53,22 +60,24 @@ def build(ack):
 
 
 def drive(sd, instances):
-    """N_COMMITS alternating single-insert transactions."""
-    before = sd.stats.get(MESSAGES_SENT)
+    """N_COMMITS alternating single-insert transactions; returns the
+    fabric messages and log forces they cost."""
+    before = sd.stats.snapshot()
     for index in range(N_COMMITS):
         instance = instances[index % len(instances)]
         txn = instance.begin()
         page_id = instance.allocate_page(txn)
         instance.insert(txn, page_id, b"s3 row %02d" % index)
         instance.commit(txn)
-    return sd.stats.get(MESSAGES_SENT) - before
+    cost = sd.stats.diff(before)
+    return cost.get(MESSAGES_SENT, 0), cost.get(LOG_FORCES, 0)
 
 
 def run_experiment():
     rows = []
     for ack in (None, "local", "quorum", "all"):
         sd, instances = build(ack)
-        messages = drive(sd, instances)
+        messages, forces = drive(sd, instances)
         if ack is None:
             lag, drained_lag, shipped, acks = "-", "-", 0, 0
         else:
@@ -79,8 +88,21 @@ def run_experiment():
             acks = sd.stats.get(REPL_ACKS)
         rows.append((ack or "off", messages,
                      round(messages / N_COMMITS, 2),
-                     lag, drained_lag, shipped, acks))
+                     lag, drained_lag, shipped, acks,
+                     round(forces / N_COMMITS, 2)))
     return rows
+
+
+COLUMNS = ["ack", "messages", "msgs/commit", "lag", "lag after drain",
+           "records shipped", "acks", "forces/commit"]
+
+
+def costs_ordered(rows):
+    """Messages and forces per commit are ordered by ack strictness,
+    with the force count exact at both ends."""
+    off, local, quorum, all_ = rows
+    return (off[1] < local[1] <= quorum[1] <= all_[1]
+            and off[7] == 1 < local[7] < quorum[7] < all_[7] == 1 + N_STANDBYS)
 
 
 def build_result():
@@ -90,8 +112,7 @@ def build_result():
         "write-ack levels trade commit-point messages for replication "
         "lag: local lag is window-bounded, quorum/all lag is zero",
     )
-    table = Table(["ack", "messages", "msgs/commit", "lag",
-                   "lag after drain", "records shipped", "acks"])
+    table = Table(COLUMNS)
     for row in rows:
         table.add_row(*row)
     result.add_table(
@@ -103,7 +124,7 @@ def build_result():
     result.record("quorum_lag", quorum[3])
     result.record("all_lag", all_[3])
     ok = (
-        off[1] < local[1] <= quorum[1] <= all_[1]
+        costs_ordered(rows)
         and local[3] <= WINDOW_RECORDS and local[4] == 0
         and quorum[3] == 0 and all_[3] == 0
     )
@@ -121,8 +142,7 @@ if __name__ == "__main__":
 def test_s3_repl(benchmark):
     rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     print_banner("S3", "log-shipping replication lag and commit cost")
-    table = Table(["ack", "messages", "msgs/commit", "lag",
-                   "lag after drain", "records shipped", "acks"])
+    table = Table(COLUMNS)
     for row in rows:
         table.add_row(*row)
     table.show()
@@ -134,5 +154,5 @@ def test_s3_repl(benchmark):
     assert local[4] == 0
     # Synchronous levels: nothing pending after the last commit.
     assert quorum[3] == 0 and all_[3] == 0
-    # Commit-point message cost is ordered by ack strictness.
-    assert off[1] < local[1] <= quorum[1] <= all_[1]
+    # Commit-point message and force cost is ordered by ack strictness.
+    assert costs_ordered(rows)

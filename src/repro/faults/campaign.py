@@ -648,7 +648,7 @@ def _promote_and_audit(result: DrillResult, sd: "SDComplex",
     spec = result.spec
     # Elect the standby holding the longest prefix of the shipped
     # stream.  Every standby receives the same batch sequence, so
-    # (applied LSN, records held) orders prefixes by containment and
+    # (absorbed LSN, records held) orders prefixes by containment and
     # the winner holds a superset of every acked standby's stream.
     standbys = sd.replication.standbys()
     snapshots = {sid: standby.replica_snapshot()
@@ -660,7 +660,7 @@ def _promote_and_audit(result: DrillResult, sd: "SDComplex",
     }
     promoted_id = max(
         standbys,
-        key=lambda sid: (int(standbys[sid].applied_max_lsn),
+        key=lambda sid: (int(standbys[sid].absorbed_lsn),
                          record_counts[sid], -sid),
     )
     standby = standbys[promoted_id]

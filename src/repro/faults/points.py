@@ -46,11 +46,12 @@ consulted; what happens there is decided by the matching
   to the standby; ``fail`` is answered with bounded retry/backoff,
   exhaustion disconnects the standby).
 * ``REPL_ACK``     — before the standby's cumulative ack is recorded on
-  the primary; ``fail`` models a lost ack (the shipped batch survives,
-  the ack LSN simply does not advance until the next round trip).
+  the primary; ``fail`` models a lost round trip (the shipped batch
+  survives, the acked LSNs simply do not advance until the next one;
+  a probe lost here never reached the standby, so it forced nothing).
 * ``REPL_APPLY``   — :meth:`StandbyComplex.receive`, before a shipped
-  batch enters the standby's continuous-redo loop (hit attributed to
-  the standby).
+  batch is absorbed into the replica logs (hit attributed to the
+  standby).
 * ``INSTANT_RECOVER`` — :meth:`InstantRecoveryManager.recover_page`,
   before a pending page's redo chain is applied under instant restart
   (hit attributed to the recovering system); a ``fail`` here models a

@@ -89,8 +89,8 @@ system = the primary complex's shipper (system 0) unless noted):
 
 * ``REPL_SHIP``     — ``standby``, ``records``, ``nbytes``, ``max_lsn``
   (one merged-log batch shipped to one standby)
-* ``REPL_ACK``      — ``standby``, ``lsn`` (cumulative applied-LSN ack
-  recorded on the primary)
+* ``REPL_ACK``      — ``standby``, ``lsn``, ``durable_lsn`` (the
+  cumulative absorbed and forced LSNs one ack records on the primary)
 * ``REPL_COMMIT_ACK`` — ``txn``, ``lsn``, ``level``, ``satisfied``
   (system = the committing instance; the commit-point ack decision)
 * ``REPL_DEGRADED_ENTER`` — ``reason``, ``standby`` (primary stops

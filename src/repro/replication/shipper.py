@@ -2,32 +2,44 @@
 
 One :class:`ReplicationManager` hangs off an
 :class:`~repro.sd.complex.SDComplex` (``replicate=`` seam).  It keeps a
-byte cursor into every instance's local log, collects newly *stable*
-records through :func:`~repro.wal.merge.merge_local_logs` (LSN-only
-comparisons — the Section 3.2.2 discipline), and ships them in bounded
-batches over the network fabric to every attached
+byte cursor into every instance's local log, reads the newly *stable*
+bytes behind it, orders the records of all logs by the LSN in their
+headers alone (the Section 3.2.2 discipline) and ships the log's own
+bytes in bounded batches over the network fabric to every attached
 :class:`~repro.replication.standby.StandbyComplex`.
 
-Only forced records ever leave the primary (``stable_only=True``):
-shipping the volatile tail would let a standby hold records the
-primary itself loses in a crash, inverting the durability order.
+Only forced records ever leave the primary
+(:meth:`~repro.wal.log_manager.LogManager.read_stable`): shipping the
+volatile tail would let a standby hold records the primary itself
+loses in a crash, inverting the durability order.
 
-Write-ack levels (the adjustable-durability knob):
+Write-ack levels (the adjustable-durability knob) — each is a number
+of standbys that must have *forced* the commit record, beyond the
+primary's own force:
 
-* ``local``  — the commit is acknowledged by the primary's log force
-  alone; shipping is asynchronous and only the overflow beyond the
-  in-flight window is pushed out at commit.
-* ``quorum`` — the commit point ships everything stable and waits for
-  a majority of {primary} ∪ standbys to hold the commit record.
-* ``all``    — every attached standby must hold it.
+* ``local``  — none; shipping is asynchronous and only the overflow
+  beyond the in-flight window is pushed out at commit.
+* ``quorum`` — a majority of {primary} ∪ standbys: ⌊(n+1)/2⌋ of *n*
+  standbys.  The commit point ships everything stable to everyone.
+* ``all``    — every attached standby.
+
+Every batch goes to every connected standby, but only the standbys
+whose vote the level needs (lowest connected id first) are asked to
+force it; the others absorb it and force on their own window bound.
+An ack carries both cumulative LSNs — absorbed and durable — for each
+primary log (only within one log do LSNs order the stream):
+:attr:`CommitAck.satisfied` is decided on durable, link health on
+absorbed (a standby that holds the commit record unforced is a healthy
+laggard, not a degraded one).
 
 "Waits" is one bounded synchronous round per standby (retry with
 deterministic backoff via :func:`~repro.faults.policy.run_with_retry`);
-a standby that cannot be reached is disconnected and the commit
-proceeds with the acks it has — the primary enters **ack-degraded**
-mode (trace event + counter) rather than stalling.  Every commit's ack
-decision is recorded as a :class:`CommitAck`, which the failover drill
-audits against what survives promotion.
+a standby that cannot be reached is disconnected, the next connected
+one is asked to force in its place, and the commit proceeds with the
+acks it has — the primary enters **ack-degraded** mode (trace event +
+counter) rather than stalling.  Every commit's ack decision is
+recorded as a :class:`CommitAck`, which the failover drill audits
+against what survives promotion.
 
 Disabled replication is the shared :data:`NULL_REPLICATION` object
 (``enabled=False``), so ``replicate=None`` stacks stay byte-identical
@@ -36,6 +48,7 @@ to pre-replication runs per the equivalence discipline.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 
@@ -58,6 +71,7 @@ from repro.faults.injector import FAIL
 from repro.faults.policy import RetryPolicy, run_with_retry
 from repro.obs import events as ev
 from repro.replication.standby import StandbyComplex
+from repro.wal.records import record_spans
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sd.complex import SDComplex
@@ -67,8 +81,11 @@ ACK_QUORUM = "quorum"
 ACK_ALL = "all"
 ACK_LEVELS = (ACK_LOCAL, ACK_QUORUM, ACK_ALL)
 
-#: A shipped unit: (source system id, serialized record bytes).
+#: A shipped unit: (source system id, one run of that log's bytes).
 ShipItem = Tuple[int, bytes]
+#: A collected record awaiting shipment: its LSN and source (the merge
+#: key), and where it lies in the stable window read from that log.
+_Pending = Tuple[int, int, bytes, int, int]
 
 
 class ReplicationConfig:
@@ -147,17 +164,18 @@ NULL_REPLICATION = NullReplication()
 class _StandbyLink:
     """Primary-side state for one attached standby."""
 
-    __slots__ = ("standby", "acked_lsn", "connected", "degraded")
+    __slots__ = ("standby", "system_id", "absorbed", "durable",
+                 "connected", "degraded")
 
     def __init__(self, standby: StandbyComplex) -> None:
         self.standby = standby
-        self.acked_lsn: int = 0
+        self.system_id = standby.system_id
+        #: The standby's cumulative LSNs per primary log as of its
+        #: last ack: highest absorbed, highest forced.
+        self.absorbed: Dict[int, int] = {}
+        self.durable: Dict[int, int] = {}
         self.connected = True
         self.degraded = False
-
-    @property
-    def system_id(self) -> int:
-        return self.standby.system_id
 
 
 class ReplicationManager(NullReplication):
@@ -177,8 +195,13 @@ class ReplicationManager(NullReplication):
         #: queue (the ship cursor into each local log).
         self._shipped_offsets: Dict[int, int] = {}
         #: Collected-but-unshipped records, in merged LSN order.
-        self._pending: Deque[ShipItem] = deque()
+        self._pending: Deque[_Pending] = deque()
+        #: Highest LSN handed to the fabric so far, per source.
+        self._shipped_lsn: Dict[int, int] = {}
         self._links: Dict[int, _StandbyLink] = {}
+        #: The links in ascending standby id — the order votes are
+        #: asked for.
+        self._by_id: Tuple[_StandbyLink, ...] = ()
         #: Every commit-point ack decision, in commit order (the
         #: failover drill's loss audit reads this).
         self.commit_acks: List[CommitAck] = []
@@ -195,14 +218,19 @@ class ReplicationManager(NullReplication):
                 f"system {system_id} is a primary instance, not a standby")
         standby = StandbyComplex(system_id, self.primary)
         self._links[system_id] = _StandbyLink(standby)
+        self._by_id = tuple(link for _, link in sorted(self._links.items()))
         return standby
 
     def standbys(self) -> Dict[int, StandbyComplex]:
         return {sid: link.standby for sid, link in self._links.items()}
 
     def acked_lsn(self, system_id: int) -> int:
-        """The cumulative LSN the standby last acknowledged."""
-        return self._links[system_id].acked_lsn
+        """The highest LSN the standby last acknowledged as forced."""
+        return max(self._links[system_id].durable.values(), default=0)
+
+    def absorbed_lsn(self, system_id: int) -> int:
+        """The highest LSN the standby last acknowledged holding."""
+        return max(self._links[system_id].absorbed.values(), default=0)
 
     def connected(self, system_id: int) -> bool:
         return self._links[system_id].connected
@@ -217,6 +245,18 @@ class ReplicationManager(NullReplication):
         records, against the primary's stable log boundary)."""
         return len(self._pending)
 
+    def _votes_needed(self) -> int:
+        """Standbys that must have forced a commit record, beyond the
+        primary's own force, for the configured level to hold."""
+        level = self.config.ack
+        if level == ACK_ALL:
+            return len(self._links)
+        if level == ACK_QUORUM:
+            # A majority of {primary} ∪ standbys, the primary's log
+            # force being its vote.
+            return (len(self._links) + 1) // 2
+        return 0
+
     # ------------------------------------------------------------------
     # the commit hook
     # ------------------------------------------------------------------
@@ -230,6 +270,7 @@ class ReplicationManager(NullReplication):
         """
         self._collect()
         level = self.config.ack
+        commit_lsn = int(lsn)
         if level == ACK_LOCAL:
             # Asynchronous shipping: only the overflow beyond the
             # in-flight window leaves at the commit point, so the
@@ -239,15 +280,16 @@ class ReplicationManager(NullReplication):
             satisfied = True
             self._note_link_health()
         else:
-            self._flush(limit=0)
-            satisfied = self._await_acks(int(lsn), level)
-        ack = CommitAck(system, txn, int(lsn), level, satisfied)
-        self.commit_acks.append(ack)
+            votes = self._votes_needed()
+            self._flush(limit=0, forcing=votes)
+            satisfied = self._await_acks(system, commit_lsn, votes)
+        self.commit_acks.append(
+            CommitAck(system, txn, commit_lsn, level, satisfied))
         if satisfied:
             self.stats.incr(REPL_COMMITS_ACKED)
         if self.tracer.enabled:
             self.tracer.emit(
-                ev.REPL_COMMIT_ACK, system=system, txn=txn, lsn=int(lsn),
+                ev.REPL_COMMIT_ACK, system=system, txn=txn, lsn=commit_lsn,
                 level=level, satisfied=satisfied,
             )
         return satisfied
@@ -257,59 +299,111 @@ class ReplicationManager(NullReplication):
 
         The between-commits pump (benchmarks call it to simulate an
         idle-time shipper tick; ``local`` mode relies on it to keep lag
-        near zero when commits are sparse).
+        near zero when commits are sparse).  It leaves every connected
+        standby forced and applied through the last record shipped.
         """
         self._collect()
         shipped = len(self._pending)
-        self._flush(limit=0)
-        return shipped - len(self._pending)
+        self._flush(limit=0, forcing=len(self._links))
+        shipped -= len(self._pending)
+        for link in self._by_id:
+            if link.connected and link.durable != self._shipped_lsn:
+                self._ack(link, force=True)
+        return shipped
 
     # ------------------------------------------------------------------
     # collect / ship
     # ------------------------------------------------------------------
     def _collect(self) -> None:
-        """Pull newly stable records from the merged local logs."""
-        from repro.wal.merge import merge_local_logs
+        """Queue the newly stable records of every local log, ordered
+        by the LSN in their headers; nothing is parsed or re-encoded."""
+        offsets = self._shipped_offsets
+        windows: List[List[_Pending]] = []
+        for log in self.primary.local_logs():
+            source_id = log.system_id
+            start = offsets.get(source_id, 0)
+            data = log.read_stable(start)
+            if data:
+                offsets[source_id] = start + len(data)
+                windows.append([(lsn, source_id, data, begin, end)
+                                for lsn, begin, end in record_spans(data)])
+        # (lsn, source) is unique, so the merge never compares further.
+        self._pending.extend(heapq.merge(*windows))
 
-        logs = self.primary.local_logs()
-        if not logs:
+    def _flush(self, limit: int, forcing: int = 0) -> None:
+        """Ship pending records until at most ``limit`` remain.
+
+        Every batch goes to every connected standby; the first
+        ``forcing`` of them are asked to force the last one.
+        """
+        pending = self._pending
+        if len(pending) <= limit:
             return
-        for addr, record in merge_local_logs(
-                logs, stats=self.stats,
-                from_offsets=dict(self._shipped_offsets),
-                stable_only=True):
-            data = record.to_bytes()
-            self._pending.append((addr.system_id, data))
-            self._shipped_offsets[addr.system_id] = addr.offset + len(data)
-
-    def _flush(self, limit: int) -> None:
-        """Ship pending records until at most ``limit`` remain."""
-        links = [link for link in self._links.values() if link.connected]
-        while len(self._pending) > limit:
-            batch: List[ShipItem] = []
-            while self._pending and len(batch) < self.config.batch_records:
-                batch.append(self._pending.popleft())
-            for link in links:
+        links = [link for link in self._by_id if link.connected]
+        batch_records = self.config.batch_records
+        shipped_lsn = self._shipped_lsn
+        while len(pending) > limit:
+            # One item per run: records adjacent in merged order that
+            # come from the same stable window are adjacent in it.
+            runs: List[List] = []
+            run_data = None
+            records = nbytes = 0
+            while pending and records < batch_records:
+                lsn, source_id, data, begin, end = pending.popleft()
+                if data is run_data:
+                    runs[-1][3] = end
+                else:
+                    runs.append([source_id, data, begin, end])
+                    run_data = data
+                records += 1
+                nbytes += end - begin
+                shipped_lsn[source_id] = lsn
+            batch = [(source_id, data[begin:end])
+                     for source_id, data, begin, end in runs]
+            last = len(pending) <= limit
+            for position, link in enumerate(links):
                 if link.connected:
-                    self._ship_to(link, batch)
+                    self._ship_to(link, batch, records, nbytes,
+                                  force=last and position < forcing)
 
-    def _ship_to(self, link: _StandbyLink, batch: List[ShipItem]) -> None:
+    def _ship_to(self, link: _StandbyLink, batch: List[ShipItem],
+                 records: int, nbytes: int, force: bool) -> None:
         """Ship one batch to one standby, with bounded retry/backoff.
 
         An injected ``fail`` at ``repl.ship`` (or anywhere inside the
-        standby's apply) is retried under the configured policy;
-        exhaustion disconnects the standby — crash-flavoured injections
-        propagate untouched, they are the drill's kill signal.
+        standby's absorb, force and apply) is retried under the
+        configured policy; exhaustion disconnects the standby —
+        crash-flavoured injections propagate untouched, they are the
+        drill's kill signal.
         """
-        nbytes = sum(len(data) for _, data in batch)
-
-        def attempt() -> None:
-            if self.injector.enabled:
-                self.injector.fire(fp.REPL_SHIP, system=link.system_id,
-                                   standby=link.system_id,
-                                   records=len(batch))
+        if self.injector.enabled:
+            # Only an injector can fail a ship, so only then is the
+            # retry frame built.
+            if not self._ship_with_retry(link, batch, nbytes, force):
+                return
+        else:
             self.network.message(0, link.system_id, "repl.ship", nbytes)
-            link.standby.receive(batch)
+            link.standby.receive(batch, force)
+        self.stats.incr(REPL_BATCHES_SHIPPED)
+        self.stats.incr(REPL_RECORDS_SHIPPED, records)
+        if self.tracer.enabled:
+            self.tracer.emit(
+                ev.REPL_SHIP, system=0, standby=link.system_id,
+                records=records, nbytes=nbytes,
+                max_lsn=int(link.standby.absorbed_lsn),
+            )
+        self._ack(link)
+
+    def _ship_with_retry(self, link: _StandbyLink, batch: List[ShipItem],
+                         nbytes: int, force: bool) -> bool:
+        """The injector-enabled ship; False once the budget is spent
+        and the standby has been disconnected."""
+        def attempt() -> None:
+            self.injector.fire(fp.REPL_SHIP, system=link.system_id,
+                               standby=link.system_id,
+                               records=len(batch))
+            self.network.message(0, link.system_id, "repl.ship", nbytes)
+            link.standby.receive(batch, force)
 
         def note_retry(_attempt: int) -> None:
             self.stats.incr(REPL_SHIP_RETRIES)
@@ -324,72 +418,82 @@ class ReplicationManager(NullReplication):
             )
         except RetryExhaustedError:
             self._disconnect(link, "ship retry budget exhausted")
-            return
-        self.stats.incr(REPL_BATCHES_SHIPPED)
-        self.stats.incr(REPL_RECORDS_SHIPPED, len(batch))
-        if self.tracer.enabled:
-            max_lsn = link.standby.applied_max_lsn
-            self.tracer.emit(
-                ev.REPL_SHIP, system=0, standby=link.system_id,
-                records=len(batch), nbytes=nbytes, max_lsn=int(max_lsn),
-            )
-        self._ack(link)
+            return False
+        return True
 
-    def _ack(self, link: _StandbyLink) -> None:
-        """One standby→primary ack round trip (cumulative applied LSN).
+    def _ack(self, link: _StandbyLink, force: bool = False) -> None:
+        """One standby→primary ack round trip: both cumulative LSNs.
 
-        An injected ``fail`` at ``repl.ack`` models a lost ack: the
-        shipped records survive on the standby, the primary's view of
-        its progress simply does not advance until the next round.
+        With ``force`` it is the probe that first asks the standby to
+        force what it holds.  An injected ``fail`` at ``repl.ack``
+        models a lost round: whatever was shipped survives on the
+        standby, the primary's view of its progress simply does not
+        advance until the next one.
         """
+        standby = link.standby
         try:
             if self.injector.enabled:
                 self.injector.fire(fp.REPL_ACK, system=link.system_id,
                                    standby=link.system_id)
+            if force:
+                standby.harden()
         except FaultInjectedError as exc:
             if exc.action != FAIL:
                 raise
             return
-        self.network.message(link.system_id, 0, "repl.ack", 16)
-        link.acked_lsn = int(link.standby.applied_max_lsn)
+        absorbed, durable = standby.progress()
+        self.network.message(link.system_id, 0, "repl.ack",
+                             16 * len(absorbed))
+        link.absorbed = absorbed
+        link.durable = durable
         self.stats.incr(REPL_ACKS)
         if self.tracer.enabled:
             self.tracer.emit(ev.REPL_ACK, system=0,
-                             standby=link.system_id, lsn=link.acked_lsn)
+                             standby=link.system_id,
+                             lsn=self.absorbed_lsn(link.system_id),
+                             durable_lsn=self.acked_lsn(link.system_id))
 
     # ------------------------------------------------------------------
     # ack accounting
     # ------------------------------------------------------------------
-    def _await_acks(self, commit_lsn: int, level: str) -> bool:
-        """Has ``level`` been met for the commit record at ``commit_lsn``?
+    def _await_acks(self, system: int, commit_lsn: int,
+                    votes: int) -> bool:
+        """Have ``votes`` standbys forced ``system``'s record at
+        ``commit_lsn``?
 
-        Everything stable — the commit record included — has been
-        shipped by the preceding ``_flush(limit=0)``, so a connected
-        standby that acked ``>= commit_lsn`` holds the commit record.
-        Standbys whose recorded ack lags get one probe round trip (the
-        earlier ack may simply have been lost).
+        A replica log is its source log's prefix, in LSN order, so a
+        standby whose durable LSN for ``system`` has reached
+        ``commit_lsn`` has forced the commit record and everything the
+        transaction logged before it.  In id order, a standby whose
+        vote is still needed and whose recorded ack lags gets one probe
+        asking it to force — the earlier ack may simply have been lost,
+        or the standby first asked may be gone; one whose vote is not
+        needed is probed only if it is not known to hold the record.
         """
-        for _, link in sorted(self._links.items()):
-            if link.connected and link.acked_lsn < commit_lsn:
+        holders = 0
+        for link in self._by_id:
+            if not link.connected:
+                continue
+            if holders < votes:
+                if link.durable.get(system, 0) < commit_lsn:
+                    self._ack(link, force=True)
+            elif link.absorbed.get(system, 0) < commit_lsn:
                 self._ack(link)
-        holders = [link for link in self._links.values()
-                   if link.connected and link.acked_lsn >= commit_lsn]
-        if level == ACK_ALL:
-            satisfied = len(holders) == len(self._links)
-        else:  # quorum over {primary} ∪ standbys; the primary's own
-            # log force is its vote.
-            votes = len(holders) + 1
-            total = len(self._links) + 1
-            satisfied = votes * 2 > total
-        self._note_link_health(commit_lsn)
-        return satisfied
+            if link.durable.get(system, 0) >= commit_lsn:
+                holders += 1
+        self._note_link_health(system, commit_lsn)
+        return holders >= votes
 
-    def _note_link_health(self, commit_lsn: Optional[int] = None) -> None:
-        """Flip per-standby ack-degraded state and emit the events."""
-        for _, link in sorted(self._links.items()):
+    def _note_link_health(self, system: int = 0,
+                          commit_lsn: int = 0) -> None:
+        """Flip per-standby ack-degraded state and emit the events.
+
+        Health is judged on what a standby *holds*: one that absorbed
+        the commit record without forcing it is a laggard by design.
+        """
+        for link in self._by_id:
             behind = (not link.connected
-                      or (commit_lsn is not None
-                          and link.acked_lsn < commit_lsn))
+                      or link.absorbed.get(system, 0) < commit_lsn)
             if behind and not link.degraded:
                 link.degraded = True
                 self.stats.incr(REPL_DEGRADED_ENTRIES)

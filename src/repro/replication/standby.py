@@ -2,21 +2,32 @@
 
 A :class:`StandbyComplex` owns its own disk (same geometry as the
 primary, space maps formatted by the same volume-initialisation step)
-and one **replica log** per primary instance.  Every shipped record is
-appended verbatim to its source's replica log
-(:meth:`~repro.wal.log_manager.LogManager.append_parsed`, the Section 3.1
-"append them, as they are" discipline), forced, and — for
-page-oriented records — replayed through the standard redo test
-``record.LSN > page_LSN`` (Section 3.2.1) straight against the
-standby's disk.  That loop *is* restart recovery's redo pass run as a
+and one **replica log** per primary instance.  A shipped record passes
+through three states, in this order and never another:
+
+* **absorbed** — appended verbatim to its source's replica log
+  (:meth:`~repro.wal.log_manager.LogManager.append_parsed`, the
+  Section 3.1 "append them, as they are" discipline);
+* **durable** — that replica log forced.  The shipper asks for the
+  force where the ack level needs this standby's vote; otherwise the
+  standby forces by itself once ``window_records`` records are
+  absorbed and unforced, so what a crash can take stays bounded;
+* **applied** — page-oriented records replayed through the standard
+  redo test ``record.LSN > page_LSN`` (Section 3.2.1) against the
+  standby's disk, as per-page chains: one read and one write per page
+  however many records of the window touch it.
+
+Log, force, apply is write-ahead logging on the standby: no page
+reaches its disk ahead of the log record that would undo it at
+promotion.  The apply step *is* restart recovery's redo pass run as a
 steady state, so the standby emits the same ``RECOVERY_REDO`` /
 ``RECOVERY_SKIP`` events and stays under the trace checker's
 redo-screening invariant.
 
-Apply order is the primary's merged LSN order, which is sufficient:
+Records arrive in the primary's merged LSN order, which is sufficient:
 per-page LSNs are strictly increasing across the complex (invariant
-I1), so all records for one page arrive in increasing-LSN order, and
-records for different pages commute.
+I1), so each page's chain is in increasing-LSN order, and chains of
+different pages commute.
 
 :meth:`promote` is failover: an optional final catch-up from whatever
 stable primary logs survived, then ARIES restart recovery *per replica
@@ -46,7 +57,7 @@ from repro.recovery.redo import redo_chain
 from repro.storage.disk import SharedDisk
 from repro.storage.page import Page, PageType
 from repro.wal.log_manager import LogManager
-from repro.wal.records import LogRecord
+from repro.wal.records import NO_PAGE, LogRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sd.complex import SDComplex
@@ -96,12 +107,42 @@ class StandbyComplex:
         self._format_space_maps(primary)
         #: One replica log per primary instance, keyed by source id.
         self._replica_logs: Dict[int, LogManager] = {}
-        #: Highest LSN appended per source (duplicate screen: a
-        #: re-shipped batch after a lost-ack retry must not re-append).
+        #: Highest LSN absorbed per source (duplicate screen: a
+        #: re-shipped batch after a lost-ack retry must not re-append)
+        #: and highest LSN forced per source — what an ack carries.
+        #: Per source because only *within* one local log do LSNs
+        #: order the stream: a log forced late ships LSNs below what
+        #: another log's records already reached here.
         self._last_lsn: Dict[int, int] = {}
-        #: Highest LSN applied/absorbed overall — the cumulative ack.
-        self.applied_max_lsn: Lsn = 0
+        self._durable_lsn: Dict[int, int] = {}
+        #: Records absorbed since the last force, and the bound at
+        #: which the standby forces unasked.
+        self._unforced = 0
+        self._window_records = primary.replication.config.window_records
+        #: Absorbed page-oriented records not yet applied, one chain
+        #: per page in arrival (= LSN) order.
+        self._unapplied: Dict[int, List[LogRecord]] = {}
         self.promoted = False
+
+    @property
+    def absorbed_lsn(self) -> Lsn:
+        """Highest LSN appended to a replica log."""
+        return max(self._last_lsn.values(), default=0)
+
+    @property
+    def durable_lsn(self) -> Lsn:
+        """Highest LSN on the forced part of a replica log."""
+        return max(self._durable_lsn.values(), default=0)
+
+    @property
+    def applied_max_lsn(self) -> Lsn:
+        """:attr:`absorbed_lsn` under its earlier name."""
+        return self.absorbed_lsn
+
+    def progress(self) -> Tuple[Dict[int, int], Dict[int, int]]:
+        """What an ack carries: per source, the highest LSN absorbed
+        and the highest LSN forced."""
+        return dict(self._last_lsn), dict(self._durable_lsn)
 
     def _format_space_maps(self, primary: "SDComplex") -> None:
         """Run the volume-initialisation step the primary ran.
@@ -145,70 +186,118 @@ class StandbyComplex:
     # ------------------------------------------------------------------
     # continuous redo
     # ------------------------------------------------------------------
-    def receive(self, batch: Iterable[Tuple[int, bytes]]) -> int:
-        """Apply one shipped batch; returns records newly applied.
+    def receive(self, batch: Iterable[Tuple[int, bytes]],
+                force: bool = True) -> int:
+        """Absorb one shipped batch; returns records newly absorbed.
 
-        Each item is ``(source system id, serialized record bytes)``
-        and may carry one record or a whole stream.  Per record: screen
-        duplicates by per-source LSN (re-ships after a lost ack are
-        no-ops), append verbatim to the source's replica log, and for
-        page-oriented records run the redo test against the standby's
-        disk.  Replica logs are forced before returning, so the ack the
-        caller derives from :attr:`applied_max_lsn` means *durable on
-        the standby*.
+        Each item is ``(source system id, serialized records)`` — one
+        run of one source's log, parsed once and appended in one piece.
+        ``force`` is the shipper saying this standby's vote is needed:
+        the replica logs are forced and the durable records applied
+        before returning.  Without it the batch is only absorbed,
+        unless that fills the unforced window.
         """
         items = list(batch)
         if self.injector.enabled:
             self.injector.fire(fp.REPL_APPLY, system=self.system_id,
                                standby=self.system_id, items=len(items))
-        applied = 0
-        touched: List[LogManager] = []
+        absorbed = 0
         for source_id, data in items:
-            for offset, record in LogRecord.parse_stream(data):
-                # Safe to screen by LSN alone: one source's local log
-                # is strictly increasing in LSN (the USN rule).
-                if record.lsn <= self._last_lsn.get(source_id, 0):
-                    continue  # duplicate re-ship
-                log = self._replica_log(source_id)
-                # Verbatim, and parsed only here: the shipped bytes of
-                # this record go into the replica log as they are.
-                log.append_parsed(
-                    data[offset:offset + record.serialized_size()],
-                    record.lsn)
-                if not touched or touched[-1] is not log:
-                    touched.append(log)
-                self._last_lsn[source_id] = int(record.lsn)
-                self._apply_record(record)
-                applied += 1
-                if record.lsn > self.applied_max_lsn:
-                    self.applied_max_lsn = record.lsn
-        for log in touched:
-            log.force()
-        return applied
+            absorbed += self._absorb(source_id, data)
+        self._unforced += absorbed
+        if force or self._unforced >= self._window_records:
+            self.harden()
+        return absorbed
 
-    def _apply_record(self, record: LogRecord) -> None:
-        """The standing redo pass: one record against the disk image."""
-        if not record.is_page_oriented():
-            return
-        page = self.disk.read_page(record.page_id)
-        [(applied, page_lsn_seen)] = redo_chain(page, [record])
-        if applied:
+    def _absorb(self, source_id: int, data: bytes) -> int:
+        """Append the new records of one run to its replica log."""
+        # Safe to screen by LSN alone: one source's local log is
+        # strictly increasing in LSN (the USN rule), so the duplicates
+        # of a re-shipped run are a prefix of it.
+        last = self._last_lsn.get(source_id, 0)
+        unapplied = self._unapplied
+        fresh_from = -1
+        count = 0
+        for offset, record in LogRecord.parse_stream(data):
+            if record.lsn <= last:
+                continue  # duplicate re-ship
+            if fresh_from < 0:
+                fresh_from = offset
+            count += 1
+            last = record.lsn
+            page_id = record.page_id
+            if page_id != NO_PAGE:
+                chain = unapplied.get(page_id)
+                if chain is None:
+                    unapplied[page_id] = [record]
+                else:
+                    chain.append(record)
+        if count:
+            # Verbatim, and parsed only here: the shipped bytes go into
+            # the replica log as they are.
+            self._replica_log(source_id).append_parsed(
+                data[fresh_from:], last)
+            self._last_lsn[source_id] = last
+        return count
+
+    def harden(self) -> None:
+        """Force every replica log, then apply what that made durable.
+
+        The order is the point (log, force, apply); a failed force
+        leaves every page of the window unwritten.
+        """
+        for log in self._replica_logs.values():
+            log.force()
+        self._unforced = 0
+        self._durable_lsn.update(self._last_lsn)
+        unapplied = self._unapplied
+        while unapplied:
+            page_id = next(iter(unapplied))
+            self._apply_chain(page_id, unapplied[page_id])
+            del unapplied[page_id]
+
+    def _apply_chain(self, page_id: int, records: List[LogRecord]) -> None:
+        """The standing redo pass: one page's chain against its image."""
+        page = self.disk.read_page(page_id)
+        outcome = redo_chain(page, records)
+        redone = 0
+        for applied, _ in outcome:
+            redone += applied
+        if redone:
             self.disk.write_page(page)
-            self.stats.incr(REPL_RECORDS_APPLIED)
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    ev.RECOVERY_REDO, system=self.system_id,
-                    page=record.page_id, lsn=int(record.lsn),
-                    page_lsn_prev=int(page_lsn_seen),
-                )
-        else:
-            self.stats.incr(REPL_APPLY_SKIPPED)
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    ev.RECOVERY_SKIP, system=self.system_id,
-                    page=record.page_id, lsn=int(record.lsn),
-                    page_lsn=int(page_lsn_seen),
-                )
+            self.stats.incr(REPL_RECORDS_APPLIED, redone)
+        if redone < len(outcome):
+            self.stats.incr(REPL_APPLY_SKIPPED, len(outcome) - redone)
+        if self.tracer.enabled:
+            for record, (applied, page_lsn_seen) in zip(records, outcome):
+                if applied:
+                    self.tracer.emit(
+                        ev.RECOVERY_REDO, system=self.system_id,
+                        page=page_id, lsn=int(record.lsn),
+                        page_lsn_prev=int(page_lsn_seen),
+                    )
+                else:
+                    self.tracer.emit(
+                        ev.RECOVERY_SKIP, system=self.system_id,
+                        page=page_id, lsn=int(record.lsn),
+                        page_lsn=int(page_lsn_seen),
+                    )
+
+    def crash(self) -> None:
+        """Lose the volatile state: every replica log's unforced tail
+        and every record absorbed but not yet applied.
+
+        What remains is what the durable LSNs promised.  The next
+        step for a crashed standby is :meth:`promote`, whose restart
+        redo over the replica logs re-applies any durable record the
+        crash caught between force and apply.
+        """
+        self._unapplied.clear()
+        self._unforced = 0
+        for source_id, log in self._replica_logs.items():
+            log.crash()
+            self._last_lsn[source_id] = int(log.recover_local_max())
+        self._durable_lsn.update(self._last_lsn)
 
     # ------------------------------------------------------------------
     # failover
@@ -236,9 +325,9 @@ class StandbyComplex:
                               standby=self.system_id):
             if salvaged_logs is not None:
                 self._final_catch_up(salvaged_logs)
+            self.harden()
             for sid in sorted(self._replica_logs):
                 log = self._replica_logs[sid]
-                log.force()
                 pool = BufferPool(self.disk, log, tracer=self.tracer,
                                   injector=self.injector)
                 site = _RecoverySite(sid, log, pool, self.tracer)
@@ -246,7 +335,7 @@ class StandbyComplex:
                 # replica log holds one source's records only.
                 restart_recovery(site)
                 pool.flush_all()
-            seed = self.applied_max_lsn
+            seed = self.absorbed_lsn
             for log in self._replica_logs.values():
                 log.force()
                 if log.local_max_lsn > seed:
@@ -287,5 +376,6 @@ class StandbyComplex:
         return (
             f"StandbyComplex(system={self.system_id}, "
             f"sources={sorted(self._replica_logs)}, "
-            f"applied_max_lsn={self.applied_max_lsn})"
+            f"absorbed_lsn={self.absorbed_lsn}, "
+            f"durable_lsn={self.durable_lsn})"
         )

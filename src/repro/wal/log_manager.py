@@ -376,11 +376,7 @@ class LogManager:
             self.stats.incr(LOG_ARCHIVE_SCANS)
         if from_offset >= end:
             return
-        self._bytes_scanned.bump(end - from_offset)
-        # Snapshot the scanned window only (appends during the scan may
-        # resize the live buffer), in one copy.
-        with memoryview(self._buffer) as view:
-            data = bytes(view[from_offset:end])
+        data = self._read_window(from_offset, end)
         system_id = self.system_id
         offset = 0
         length = end - from_offset
@@ -388,6 +384,25 @@ class LogManager:
             record, offset_next = LogRecord.from_bytes(data, offset)
             yield LogAddress(system_id, from_offset + offset), record
             offset = offset_next
+
+    def _read_window(self, from_offset: int, end: int) -> bytes:
+        """One counted copy of the log bytes in ``[from_offset, end)``
+        (appends during a scan may resize the live buffer)."""
+        self._bytes_scanned.bump(end - from_offset)
+        with memoryview(self._buffer) as view:
+            return bytes(view[from_offset:end])
+
+    def read_stable(self, from_offset: int) -> bytes:
+        """The forced log bytes from ``from_offset`` on, verbatim.
+
+        The log shipper's read: only forced records may leave the
+        primary, and they leave as the bytes the log holds.  Whole
+        records when ``from_offset`` is a record boundary — the stable
+        boundary always is one.
+        """
+        if from_offset >= self._flushed_len:
+            return b""
+        return self._read_window(from_offset, self._flushed_len)
 
     def read_record_at(self, offset: int) -> LogRecord:
         """Parse the single record starting at byte ``offset``.

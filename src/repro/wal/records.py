@@ -223,6 +223,27 @@ class LogRecord:
             offset = offset_next
 
 
+#: The header fields that locate and order a record without parsing
+#: it: the LSN and the three payload lengths.
+_SPAN = struct.Struct("<Q32xHHH")
+
+
+def record_spans(data: LogBuffer) -> List[Tuple[Lsn, int, int]]:
+    """``(lsn, start, end)`` of every record in ``data``, read from the
+    headers alone — what a consumer that forwards records verbatim
+    (the log shipper) needs to order and cut a stream."""
+    spans: List[Tuple[Lsn, int, int]] = []
+    unpack = _SPAN.unpack_from
+    offset = 0
+    length = len(data)
+    while offset < length:
+        lsn, redo_len, undo_len, extra_len = unpack(data, offset)
+        end = offset + HEADER_SIZE + redo_len + undo_len + extra_len
+        spans.append((lsn, offset, end))
+        offset = end
+    return spans
+
+
 def stamp_and_encode(record: LogRecord, lsn: Lsn, system_id: int) -> bytes:
     """Hot-lane helper: assign ``lsn``/``system_id`` and serialize.
 

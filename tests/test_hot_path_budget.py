@@ -23,26 +23,37 @@ from repro.common.stats import (
     LOG_BYTES_WRITTEN,
     LOG_FORCES,
     LOG_RECORDS_WRITTEN,
+    MESSAGES_SENT,
     message_kind_counter,
 )
 from repro.locking import lock_manager as lock_manager_module
 from repro.locking.lock_manager import LockManager, LockMode, LockStatus
 from repro.obs import events as ev
 from repro.obs.tracer import Tracer
+from repro.replication import ACK_ALL, ACK_QUORUM, ReplicationConfig
 
 PAYLOAD_BYTES = 64
 #: Interpreted calls per canonical transaction: 361 before the diet,
 #: ~185 after it on CPython 3.11.  The ceiling leaves room for the
 #: frame-accounting differences between 3.10 and 3.12.
 CALL_CEILING = 230
+#: The same transaction with ``ReplicationConfig()`` and two standbys:
+#: 491 before the ship-path diet, 340 after it on CPython 3.11.
+REPLICATED_CALL_CEILING = 370
+#: What the canonical transaction writes to one log: two updates, a
+#: COMMIT and an END.
+TXN_LOG_BYTES = 2 * (48 + 2 * (1 + PAYLOAD_BYTES)) + 2 * 48
 
 
 # ----------------------------------------------------------------------
 # (a) the canonical transaction: calls and logical work
 # ----------------------------------------------------------------------
-def _warm_engine():
-    sd = SDComplex(n_data_pages=64)
+def _warm_engine(replicate=None):
+    sd = SDComplex(n_data_pages=64, replicate=replicate)
     engine = sd.add_instance(1, buffer_capacity=128)
+    if replicate is not None:
+        for system_id in (9, 10):
+            sd.replication.add_standby(system_id)
     txn = engine.begin()
     rows = []
     for _ in range(4):
@@ -103,15 +114,62 @@ class TestCanonicalTransaction:
         before = sd.stats.snapshot()
         _canonical_txn(engine, rows, 20)
         work = sd.stats.diff(before)
-        update_record = 48 + 2 * (1 + PAYLOAD_BYTES)
         assert work == {
             # page + record lock per op
             LOCK_REQUESTS: 8,
             # 2 updates, COMMIT, END
             LOG_RECORDS_WRITTEN: 4,
-            LOG_BYTES_WRITTEN: 2 * update_record + 2 * 48,
+            LOG_BYTES_WRITTEN: TXN_LOG_BYTES,
             LOG_FORCES: 1,
         }
+
+
+class TestReplicatedCanonicalTransaction:
+    """The quorum row: what two standbys add to the transaction above,
+    in forces, messages, log bytes and calls."""
+
+    @staticmethod
+    def _steady(ack=ACK_QUORUM):
+        sd, engine, rows = _warm_engine(ReplicationConfig(ack=ack))
+        for i in range(20):
+            _canonical_txn(engine, rows, i)
+        # Every standby forced and applied: the next window_records
+        # absorbed records are away from a laggard's window boundary.
+        sd.replication.drain()
+        return sd, engine, rows
+
+    @pytest.mark.parametrize("ack, forces", [(ACK_QUORUM, 2), (ACK_ALL, 3)])
+    def test_one_commit_costs_the_levels_forces(self, ack, forces):
+        sd, engine, rows = self._steady(ack)
+        before = sd.stats.snapshot()
+        _canonical_txn(engine, rows, 20)
+        work = sd.stats.diff(before)
+        # The primary's force plus one per standby whose vote the level
+        # needs; a ship and an ack per standby; three copies of the log.
+        assert work[LOG_FORCES] == forces
+        assert work[MESSAGES_SENT] == 4
+        assert work[LOG_BYTES_WRITTEN] == 3 * TXN_LOG_BYTES == 3 * 452
+        assert work[LOG_RECORDS_WRITTEN] == 4    # replica logs count bytes
+
+    def test_laggard_forces_once_per_window(self):
+        sd, engine, rows = self._steady()
+        window = sd.replication.config.window_records
+        commits = 64
+        before = sd.stats.get(LOG_FORCES)
+        for i in range(20, 20 + commits):
+            _canonical_txn(engine, rows, i)
+        # Two forces per commit, and four records ship with each (the
+        # previous END, two updates, the COMMIT): the laggard forces
+        # once per window_records of them.
+        assert sd.stats.get(LOG_FORCES) - before == \
+            2 * commits + 4 * commits // window == 132
+
+    def test_interpreted_calls_within_budget(self):
+        _, engine, rows = self._steady()
+        calls = _count_calls(_canonical_txn, engine, rows, 20)
+        assert calls <= REPLICATED_CALL_CEILING, (
+            f"{calls} interpreted calls per replicated 4-op transaction "
+            f"(budget {REPLICATED_CALL_CEILING})")
 
 
 # ----------------------------------------------------------------------

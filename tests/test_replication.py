@@ -10,8 +10,10 @@ from repro.common.stats import (
     StatsRegistry,
 )
 from repro.faults import points as fp
+from repro.faults.campaign import _disk_digest, _reference_failover_digest
 from repro.faults.injector import FaultInjector, FaultPlan
 from repro.faults.policy import RetryPolicy
+from repro.obs import events as ev
 from repro.obs.tracer import Tracer
 from repro.replication import (
     ACK_ALL,
@@ -22,7 +24,7 @@ from repro.replication import (
     StandbyComplex,
 )
 from repro.sd.complex import SDComplex
-from repro.wal.records import RecordKind
+from repro.wal.records import LogRecord, RecordKind
 
 
 def build(ack=ACK_QUORUM, n_standbys=2, window=4, batch=2, injector=None,
@@ -134,6 +136,112 @@ class TestShipping:
         sd.replication.drain()
         assert all(s.applied_max_lsn == instance.log.local_max_lsn
                    for s in standbys)
+
+
+def stable_lsn(standby):
+    """Highest LSN on the stable part of the standby's replica logs."""
+    return max((int(record.lsn)
+                for log in standby.replica_logs()
+                for _, record in log.scan(include_unflushed=False)),
+               default=0)
+
+
+class TestStandbyWal:
+    def test_failed_replica_force_leaves_no_page_ahead_of_the_log(self):
+        """Log, force, apply: when the replica log's force fails, no
+        standby page may carry a page_LSN the stable log cannot undo."""
+        plan = FaultPlan(seed=0)
+        sd, (standby,) = build(
+            ack=ACK_LOCAL, n_standbys=1, window=64, batch=64,
+            injector=FaultInjector(plan), retry=RetryPolicy(max_attempts=1))
+        commit_one(sd.instances[1])      # stays home: the window holds it
+        # Every log force from here on fails; the next ones are the
+        # replica log's, inside receive.
+        plan.at(fp.LOG_FORCE).every_hit(1).fail()
+        sd.replication.drain()
+        stable = stable_lsn(standby)
+        assert stable < standby.applied_max_lsn   # the batch did arrive
+        for page_id in standby.disk.written_page_ids():
+            assert (standby.disk.page_lsn_on_disk(page_id) or 0) <= stable
+
+    def test_healthy_laggard_is_not_degraded(self):
+        """At quorum one of two standbys forces each commit; the other
+        holds it unforced and is healthy, not ack-degraded."""
+        tracer = Tracer()
+        stats = StatsRegistry()
+        sd = SDComplex(n_data_pages=64, stats=stats, tracer=tracer,
+                       replicate=ReplicationConfig())
+        instance = sd.add_instance(1)
+        for system_id in (9, 10):
+            sd.replication.add_standby(system_id)
+        txn = instance.begin()
+        page_id = instance.allocate_page(txn)
+        slot = instance.insert(txn, page_id, b"row 00")
+        instance.commit(txn)
+        lagged = 0
+        for index in range(64):
+            txn = instance.begin()
+            instance.update(txn, page_id, slot, b"row %02d" % index)
+            instance.commit(txn)
+            ack = sd.replication.commit_acks[-1]
+            assert ack.satisfied
+            assert sd.replication.acked_lsn(9) >= ack.lsn
+            assert sd.replication.absorbed_lsn(10) >= ack.lsn
+            lagged += sd.replication.acked_lsn(10) < ack.lsn
+            assert not sd.replication.ack_degraded
+        assert lagged > 32               # the laggard really lags
+        assert stats.get(REPL_DEGRADED_ENTRIES) == 0
+        assert not [e for e in tracer.events()
+                    if e.kind == ev.REPL_DEGRADED_ENTER]
+
+
+class TestStandbyCrash:
+    @pytest.mark.parametrize("n_standbys", [2, 3])
+    @pytest.mark.parametrize("ack", [ACK_QUORUM, ACK_ALL])
+    def test_satisfied_commits_survive_every_standby_crashing(
+            self, ack, n_standbys):
+        """Acked means forced: lose the primary and every standby's
+        volatile state after each of six commits — every satisfied
+        commit is still in the best standby's replica log, and its
+        promoted disk equals a from-scratch replay of that log."""
+        for n_commits in range(1, 7):
+            sd, standbys = build(ack=ack, n_standbys=n_standbys,
+                                 window=64, batch=8)
+            for index in range(n_commits):
+                commit_one(sd.instances[1 + index % 2],
+                           b"row %02d" % index)
+            sd.crash_complex()
+            for standby in standbys:
+                standby.crash()
+            best = max(standbys,
+                       key=lambda s: (int(s.durable_lsn), -s.system_id))
+            snapshot = best.replica_snapshot()
+            held = {(source_id, record.txn_id)
+                    for source_id, blob in snapshot.items()
+                    for _, record in LogRecord.parse_stream(blob)
+                    if record.kind == RecordKind.COMMIT}
+            acks = sd.replication.commit_acks
+            assert len(acks) == n_commits and all(a.satisfied for a in acks)
+            assert {(a.system, a.txn) for a in acks} <= held
+            promoted = best.promote()
+            assert _disk_digest(promoted.disk) == _reference_failover_digest(
+                best.system_id, sd, snapshot)
+
+    def test_crash_drops_the_unforced_tail_and_the_unapplied_window(self):
+        sd, standbys = build(ack=ACK_QUORUM, window=64, batch=8)
+        page_id = commit_one(sd.instances[1], b"held, not forced")
+        forcer, laggard = standbys
+        assert laggard.absorbed_lsn == forcer.absorbed_lsn
+        assert laggard.durable_lsn < forcer.durable_lsn
+        assert forcer.disk.page_exists(page_id)
+        assert not laggard.disk.page_exists(page_id)   # not durable yet
+        laggard.crash()
+        assert laggard.absorbed_lsn == laggard.durable_lsn == \
+            stable_lsn(laggard)
+        assert not laggard.disk.page_exists(page_id)
+        forcer.crash()
+        assert forcer.durable_lsn == stable_lsn(forcer) >= \
+            sd.replication.commit_acks[-1].lsn
 
 
 class TestStandbyApply:

@@ -187,19 +187,32 @@ perflab_smoke() {
 # name* on the live objects (glm.acquire, pool.fix, ...).  An engine
 # refactor that stops calling through those names keeps every test
 # green and silently zeroes the per-layer metrics; one traced epoch of
-# sd-percall-fit must still see lock requests and buffer fixes.
-perflab_trace_guard() {
-    python benchmarks/perflab/run.py --workload sd-percall-fit \
+# sd-percall-fit must still see lock requests and buffer fixes, and one
+# of repl-quorum-2sb the three replication wraps (shipper.on_commit,
+# shipper.drain, standby.receive returning the records it absorbed).
+perflab_traced_nonzero() {
+    local workload="$1"
+    shift
+    python benchmarks/perflab/run.py --workload "${workload}" \
             --seed 1992 --epochs 1 --trace 1 | tail -n 1 \
         | python -c '
 import json, sys
+workload, names = sys.argv[1], sys.argv[2:]
 result = json.loads(sys.stdin.read())
 correct = result["correct"]
-seen = {name: result["metrics"][name]["value"]
-        for name in ("locking.requests_per_op", "buffer.fix_per_op")}
+seen = {name: result["metrics"][name]["value"] for name in names}
 if not correct or min(seen.values()) <= 0:
-    sys.exit(f"perflab traced sd-percall-fit: correct={correct} {seen}")
-'
+    sys.exit(f"perflab traced {workload}: correct={correct} {seen}")
+' "${workload}" "$@"
+}
+
+perflab_trace_guard() {
+    perflab_traced_nonzero sd-percall-fit \
+        locking.requests_per_op buffer.fix_per_op \
+    && perflab_traced_nonzero repl-quorum-2sb \
+        replication.shipper.batches_per_txn \
+        replication.shipper.on_commit_us_p50 \
+        replication.standby.receive_us_per_record
 }
 
 stage_bench() {
