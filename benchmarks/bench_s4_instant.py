@@ -25,7 +25,6 @@ from repro.common.stats import (
     INSTANT_DEMAND_RECOVERIES,
     INSTANT_SWEEP_RECOVERIES,
 )
-from repro.faults.campaign import _disk_digest
 from repro.harness import Table, print_banner
 from repro.harness.experiment import ExperimentResult
 from repro.sd.complex import SDComplex
@@ -103,7 +102,7 @@ def run_variant(mode):
         "ttft_ticks": ttft,
         "lazy_after_first_txn": lazy,
         "summary": summary,
-        "digest": _disk_digest(sd.disk),
+        "digest": sd.disk.digest(),
         "demand": sd.stats.get(INSTANT_DEMAND_RECOVERIES),
         "swept": sd.stats.get(INSTANT_SWEEP_RECOVERIES),
         "stats": sd.stats,

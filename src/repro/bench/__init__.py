@@ -43,10 +43,10 @@ SCHEMA_VERSION = 1
 
 #: Trimmed suite for the pre-PR smoke gate: one standalone bench (E1,
 #: exercising the JSON harvest path), one fast pytest bench, the micro
-#: bench whose fast-lane speedup assertions gate PR 3's lanes, the
-#: S2 TPS headline whose slab/bulk-driver gates cover PR 8's, the
-#: S3 replication bench whose lag/ack gates cover PR 9's, and the
-#: S4 instant-restart bench whose TTFT gate covers PR 10's.
+#: bench whose call-count gates guard the batch log and disk lanes, the
+#: S2 TPS headline whose gates guard the bulk-op lane, the S3
+#: replication bench whose lag/ack gates guard log shipping, and the
+#: S4 instant-restart bench whose TTFT gate guards instant restart.
 SMOKE_BENCHES = ("bench_e1_anomaly", "bench_a3_group_commit",
                  "bench_micro", "bench_s2_tps", "bench_s3_repl",
                  "bench_s4_instant")

@@ -25,9 +25,6 @@ class ClusterConfig:
     n_data_pages: int = 512
     transfer_scheme: str = "medium"
     piggyback_enabled: bool = True
-    #: Storage-spine flavour; ``False`` selects the classic
-    #: dict-of-bytes disk (the slab-vs-classic equality sweeps).
-    slab: bool = True
 
     def __post_init__(self) -> None:
         if self.n_instances < 1:
@@ -49,7 +46,6 @@ def build_cluster(
         transfer_scheme=config.transfer_scheme,
         piggyback_enabled=config.piggyback_enabled,
         lock_shards=config.lock_shards,
-        slab=config.slab,
         stats=stats,
         tracer=tracer,
         injector=injector,

@@ -63,6 +63,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 # The server's system id in log records and on the network fabric.
 SERVER_ID = 0
+# Server database geometry (SMPs first, data pages after) and pool size.
+SMP_START = 1
+DATA_START = 64
+POOL_FRAMES = 256
 
 _COMMITTED = 1
 _ACTIVE = 0
@@ -94,15 +98,10 @@ class CsServer:
     def __init__(
         self,
         n_data_pages: int = 2048,
-        data_start: int = 64,
-        smp_start: int = 1,
         stats: Optional[StatsRegistry] = None,
         network: Optional[Network] = None,
-        buffer_capacity: int = 256,
         tracer: Optional[NullTracer] = None,
         injector: Optional[NullFaultInjector] = None,
-        lock_shards: int = 1,
-        slab: bool = True,
         restart_mode: str = "eager",
     ) -> None:
         if restart_mode not in ("eager", "instant"):
@@ -118,14 +117,13 @@ class CsServer:
         self.network = network if network is not None else Network(
             stats=self.stats, tracer=self.tracer, injector=self.injector
         )
-        self.disk = SharedDisk(capacity=data_start + n_data_pages + 64,
+        self.disk = SharedDisk(capacity=DATA_START + n_data_pages + 64,
                                stats=self.stats, tracer=self.tracer,
-                               injector=self.injector, slab=slab)
+                               injector=self.injector)
         self.log = LogManager(SERVER_ID, stats=self.stats,
                               tracer=self.tracer, injector=self.injector)
-        self.pool = BufferPool(self.disk, self.log, capacity=buffer_capacity,
+        self.pool = BufferPool(self.disk, self.log, capacity=POOL_FRAMES,
                                tracer=self.tracer, injector=self.injector)
-        self.lock_shards = lock_shards
         #: ``"eager"`` (classic, default) or ``"instant"`` — see
         #: :mod:`repro.recovery.instant`; the classic path is
         #: byte-identical to pre-instant behaviour.
@@ -133,8 +131,8 @@ class CsServer:
         #: The active instant-restart manager, if a restart is lazily
         #: recovering pages (None on the classic path).
         self.instant: Optional["InstantRecoveryManager"] = None
-        self.glm = self._build_glm()
-        self.space_map = SpaceMap(smp_start=smp_start, data_start=data_start,
+        self.glm = LockManager(stats=self.stats, tracer=self.tracer)
+        self.space_map = SpaceMap(smp_start=SMP_START, data_start=DATA_START,
                                   n_data_pages=n_data_pages)
         self.network.register(SERVER_ID, self.log)
         self.system_id = SERVER_ID  # duck-type for the generic ARIES passes
@@ -165,17 +163,6 @@ class CsServer:
             page = Page()
             page.format(smp_page_id, PageType.SPACE_MAP)
             self.disk.write_page(page)
-
-    def _build_glm(self):
-        """A fresh lock service, honouring the shard configuration
-        (restart recreates it — retained-lock release is explicit)."""
-        if self.lock_shards > 1:
-            from repro.cluster.glm import PartitionedLockManager
-
-            return PartitionedLockManager(
-                self.lock_shards, stats=self.stats, tracer=self.tracer,
-                injector=self.injector)
-        return LockManager(stats=self.stats, tracer=self.tracer)
 
     # ------------------------------------------------------------------
     # membership
@@ -708,7 +695,8 @@ class CsServer:
             else:
                 summary = restart_recovery(self)
             self.pool.flush_all()
-            self.glm = self._build_glm()
+            # A fresh lock service: retained-lock release is explicit.
+            self.glm = LockManager(stats=self.stats, tracer=self.tracer)
         return summary
 
     def _instant_restart(self):

@@ -25,8 +25,6 @@ class CsSystem:
         stats: Optional[StatsRegistry] = None,
         tracer: Optional[NullTracer] = None,
         injector: Optional[NullFaultInjector] = None,
-        lock_shards: int = 1,
-        slab: bool = True,
         restart_mode: str = "eager",
     ) -> None:
         self.stats = stats if stats is not None else StatsRegistry()
@@ -39,8 +37,6 @@ class CsSystem:
         self.server = CsServer(n_data_pages=n_data_pages, stats=self.stats,
                                network=self.network, tracer=self.tracer,
                                injector=self.injector,
-                               lock_shards=lock_shards,
-                               slab=slab,
                                restart_mode=restart_mode)
         self.clients: Dict[int, CsClient] = {}
         self.commit_lsn = CommitLsnService(stats=self.stats,

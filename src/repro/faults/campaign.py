@@ -570,17 +570,6 @@ class DrillResult:
         }
 
 
-def _disk_digest(disk: "SharedDisk") -> str:
-    """SHA-256 over the written page images, in page-id order."""
-    import hashlib
-
-    digest = hashlib.sha256()
-    for page_id in sorted(disk.written_page_ids()):
-        digest.update(page_id.to_bytes(8, "little"))
-        digest.update(bytes(disk.raw_image(page_id)))
-    return digest.hexdigest()
-
-
 def _reference_failover_digest(system_id: int, sd: "SDComplex",
                                snapshot: Dict[int, bytes]) -> str:
     """Recover the promoted standby's replica stream from scratch.
@@ -607,7 +596,7 @@ def _reference_failover_digest(system_id: int, sd: "SDComplex",
                                tracer=NULL_TRACER, injector=NULL_INJECTOR)
     reference.receive((source_id, data) for _, source_id, data in entries)
     reference.promote()
-    return _disk_digest(reference.disk)
+    return reference.disk.digest()
 
 
 def run_drill_spec(spec: DrillSpec, seed: int) -> DrillResult:
@@ -688,7 +677,7 @@ def _promote_and_audit(result: DrillResult, sd: "SDComplex",
         result.loss_bounded = not lost
     promoted = standby.promote()
     result.image_match = (
-        _disk_digest(promoted.disk)
+        promoted.disk.digest()
         == _reference_failover_digest(promoted_id, sd, snapshot))
     # The promoted complex must take new work: one smoke transaction
     # (after the digest — it changes the disk).
@@ -931,7 +920,7 @@ def _run_restart_variant(spec: RestartDrillSpec, seed: int,
         return leg
     leg["scope"] = scope
     disk = system.disk if spec.arch == ARCH_SD else system.server.disk
-    leg["digest"] = _disk_digest(disk)
+    leg["digest"] = disk.digest()
     if mode == "instant":
         report = verifier(system, quiesced=True)
         leg["verifier_ok"] = report.ok

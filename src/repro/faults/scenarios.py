@@ -66,16 +66,11 @@ def _workload_config(seed: int) -> WorkloadConfig:
     )
 
 
-def build_sd(injector: NullFaultInjector, seed: int,
-             slab: bool = True) -> Tuple[SDComplex, Tracer]:
-    """A two-instance SD complex under a recording tracer.
-
-    ``slab=False`` selects the classic disk spine — the chaos
-    slab-vs-classic equality tests compare the two byte for byte.
-    """
+def build_sd(injector: NullFaultInjector,
+             seed: int) -> Tuple[SDComplex, Tracer]:
+    """A two-instance SD complex under a recording tracer."""
     tracer = Tracer()
-    sd = SDComplex(n_data_pages=64, tracer=tracer, injector=injector,
-                   slab=slab)
+    sd = SDComplex(n_data_pages=64, tracer=tracer, injector=injector)
     for system_id in (1, 2):
         sd.add_instance(system_id)
     return sd, tracer
@@ -128,12 +123,11 @@ def build_replicated_sd(injector: NullFaultInjector, seed: int,
     return sd, tracer
 
 
-def build_cs(injector: NullFaultInjector, seed: int,
-             slab: bool = True) -> Tuple[CsSystem, Tracer]:
+def build_cs(injector: NullFaultInjector,
+             seed: int) -> Tuple[CsSystem, Tracer]:
     """A two-client CS system under a recording tracer."""
     tracer = Tracer()
-    cs = CsSystem(n_data_pages=64, tracer=tracer, injector=injector,
-                  slab=slab)
+    cs = CsSystem(n_data_pages=64, tracer=tracer, injector=injector)
     for client_id in (1, 2):
         cs.add_client(client_id)
     return cs, tracer

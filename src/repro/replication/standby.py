@@ -93,8 +93,6 @@ class StandbyComplex:
         self.system_id = system_id
         # Geometry is copied, seams are shared (overridable so a
         # reference replay can run silently next to the real standby).
-        self._smp_start = primary.space_map.smp_start
-        self._data_start = primary.space_map.data_start
         self._n_data_pages = primary.space_map.n_data_pages
         self.stats = stats if stats is not None else primary.stats
         self.tracer = tracer if tracer is not None else primary.tracer
@@ -102,8 +100,7 @@ class StandbyComplex:
                          else primary.injector)
         self.disk = SharedDisk(capacity=primary.disk.capacity,
                                stats=self.stats, tracer=self.tracer,
-                               injector=self.injector,
-                               slab=primary.disk.slab)
+                               injector=self.injector)
         self._format_space_maps(primary)
         #: One replica log per primary instance, keyed by source id.
         self._replica_logs: Dict[int, LogManager] = {}
@@ -342,8 +339,6 @@ class StandbyComplex:
                     seed = log.local_max_lsn
             promoted = SDComplex(
                 n_data_pages=self._n_data_pages,
-                data_start=self._data_start,
-                smp_start=self._smp_start,
                 disk=self.disk,
                 stats=self.stats, tracer=self.tracer,
                 injector=self.injector,

@@ -29,7 +29,6 @@ from repro.common.errors import ReproError
 from repro.common.lsn import Lsn
 from repro.common.stats import StatsRegistry
 from repro.faults.injector import NULL_INJECTOR, NullFaultInjector
-from repro.faults.policy import RetryPolicy
 from repro.locking.lock_manager import LockManager, LockMode, LockStatus
 from repro.net.network import Network
 from repro.obs import events as ev
@@ -59,18 +58,13 @@ class SDComplex:
     def __init__(
         self,
         n_data_pages: int = DEFAULT_DATA_PAGES,
-        data_start: int = DEFAULT_DATA_START,
-        smp_start: int = DEFAULT_SMP_START,
-        disk_capacity: Optional[int] = None,
         piggyback_enabled: bool = True,
         lock_value_blocks: bool = True,
         transfer_scheme: str = "medium",
         stats: Optional[StatsRegistry] = None,
         tracer: Optional[NullTracer] = None,
         injector: Optional[NullFaultInjector] = None,
-        net_retry: Optional[RetryPolicy] = None,
         lock_shards: int = 1,
-        slab: bool = True,
         replicate: Optional["ReplicationConfig"] = None,
         disk: Optional[SharedDisk] = None,
         restart_mode: str = "eager",
@@ -92,15 +86,13 @@ class SDComplex:
             # standby's replica image) instead of formatting a fresh one.
             self.disk = disk
         else:
-            capacity = disk_capacity or (data_start + n_data_pages + 64)
-            self.disk = SharedDisk(capacity=capacity, stats=self.stats,
-                                   tracer=self.tracer,
-                                   injector=self.injector, slab=slab)
+            self.disk = SharedDisk(
+                capacity=DEFAULT_DATA_START + n_data_pages + 64,
+                stats=self.stats, tracer=self.tracer, injector=self.injector)
         self.network = Network(stats=self.stats,
                                piggyback_enabled=piggyback_enabled,
                                tracer=self.tracer,
-                               injector=self.injector,
-                               retry=net_retry)
+                               injector=self.injector)
         self.lock_shards = lock_shards
         if lock_shards > 1:
             # Scale-out GLM (lazy import: repro.cluster builds on this
@@ -117,7 +109,8 @@ class SDComplex:
         self.coherency = CoherencyController(self, scheme=transfer_scheme)
         self.commit_lsn = CommitLsnService(stats=self.stats,
                                            tracer=self.tracer)
-        self.space_map = SpaceMap(smp_start=smp_start, data_start=data_start,
+        self.space_map = SpaceMap(smp_start=DEFAULT_SMP_START,
+                                  data_start=DEFAULT_DATA_START,
                                   n_data_pages=n_data_pages)
         self.instances: Dict[int, DbmsInstance] = {}
         #: ``"eager"`` (classic full restart, the default — byte-

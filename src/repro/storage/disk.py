@@ -14,28 +14,23 @@ at the ``disk.write`` / ``disk.read`` fault points — a torn write
 persists a half-old/half-new image whose checksum check fails on the
 next read, exactly how real torn writes are discovered.
 
-Storage comes in two byte-identical flavours:
-
-* **slab** (default) — pages live in large fixed-size ``bytearray``
-  extents; each stored page is addressed through cached ``memoryview``
-  windows (full image, checksum head, checksum tail).  A write is one
-  copy into the window plus an in-place ``pack_into`` of the streamed
-  CRC; a read verifies through the cached windows and hands out either
-  a private image (:meth:`read_page`) or a borrowed copy-on-write view
-  (:meth:`read_page_view`).  Extents are never resized — growing a
-  ``bytearray`` with live ``memoryview`` exports raises
-  ``BufferError`` — so the slab grows by appending extents.
-* **classic** (``slab=False``) — one immutable ``bytes`` image per
-  page in a dict, the original copy-per-operation spine.  Kept as the
-  equivalence baseline: stored images, counters and traces must match
-  the slab path byte for byte (``tests/test_slab.py``).
+Pages live in large fixed-size ``bytearray`` extents (the slab); each
+stored page is addressed through cached ``memoryview`` windows (full
+image, checksum head, checksum tail).  A write is one copy into the
+window plus an in-place ``pack_into`` of the streamed CRC; a read
+verifies through the cached windows and hands out either a private
+image (:meth:`read_page`) or a borrowed copy-on-write view
+(:meth:`read_page_view`).  Extents are never resized — growing a
+``bytearray`` with live ``memoryview`` exports raises ``BufferError`` —
+so the slab grows by appending extents.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 import zlib
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.common.config import PAGE_SIZE
 from repro.common.errors import FaultInjectedError, MediaError, TornPageError
@@ -66,52 +61,12 @@ EXTENT_PAGES = 64
 _Windows = Tuple[memoryview, memoryview, memoryview]
 
 
-def _compute_checksum(image: Union[bytes, bytearray, memoryview]) -> int:
-    """CRC32 of everything but the checksum field, streamed.
-
-    ``crc32(head)`` then ``crc32(tail, crc)`` over two zero-copy
-    memoryview windows — the old form concatenated the two slices into
-    a fresh page-sized ``bytes`` on *every* disk read and write.
-    """
-    view = memoryview(image)
-    return zlib.crc32(view[_CKSUM_END:], zlib.crc32(view[:_CKSUM_OFFSET]))
-
-
-class _SlabPages(Mapping[int, memoryview]):
-    """Read-only mapping facade over the slab's stored pages.
-
-    Keeps ``disk._pages`` introspection working in slab mode (tests
-    digest stored images through it); values are read-only windows that
-    alias live slab storage — callers needing a private copy go through
-    :meth:`SharedDisk.raw_image`.
-    """
-
-    __slots__ = ("_disk",)
-
-    def __init__(self, disk: "SharedDisk") -> None:
-        self._disk = disk
-
-    def __getitem__(self, page_id: int) -> memoryview:
-        return self._disk._views[page_id][0].toreadonly()
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._disk._views)
-
-    def __len__(self) -> int:
-        return len(self._disk._views)
-
-    def __contains__(self, page_id: object) -> bool:
-        return page_id in self._disk._views
-
-
 class SharedDisk:
     """A page-addressed, checksummed, crash-consistent page store.
 
     Writes are atomic at page granularity (the classic WAL assumption).
     ``capacity`` bounds the page-id space; pages are materialised lazily
-    so sparse databases are cheap.  ``slab`` selects the zero-copy slab
-    spine (default) or the classic copy-per-operation dict — the two
-    are byte-identical in stored images, counters and traces.
+    so sparse databases are cheap.
     """
 
     def __init__(
@@ -120,7 +75,6 @@ class SharedDisk:
         stats: Optional[StatsRegistry] = None,
         tracer: Optional[NullTracer] = None,
         injector: Optional[NullFaultInjector] = None,
-        slab: bool = True,
     ) -> None:
         if capacity <= 0:
             raise ValueError("disk capacity must be positive")
@@ -128,15 +82,9 @@ class SharedDisk:
         self.stats = stats if stats is not None else StatsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._injector = injector if injector is not None else NULL_INJECTOR
-        self.slab = slab
-        self._classic: Dict[int, bytes] = {}
         self._extents: List[bytearray] = []
-        # page_id -> cached windows; insertion order = first-write order,
-        # mirroring the classic dict's key order.
+        # page_id -> cached windows, in first-write order.
         self._views: Dict[int, _Windows] = {}
-        self._pages: Mapping[int, Union[bytes, memoryview]] = (
-            _SlabPages(self) if slab else self._classic
-        )
         self._lost: Set[int] = set()
 
     # ------------------------------------------------------------------
@@ -170,19 +118,6 @@ class SharedDisk:
                 f"page id {page_id} outside disk capacity {self.capacity}"
             )
 
-    def _stamped_image(self, page: Page) -> bytes:
-        """The page's byte image with a fresh checksum stamped in.
-
-        Stamping happens on a copy so the caller's in-memory page is
-        not mutated by the act of writing it.  One working buffer and
-        an in-place ``pack_into`` — the old path materialised four full
-        pages (``to_bytes``, a ``bytes`` round-trip for the checksum, a
-        probe :class:`Page`, and its ``to_bytes``).
-        """
-        image = bytearray(page.raw_buffer())
-        _CKSUM.pack_into(image, _CKSUM_OFFSET, _compute_checksum(image))
-        return bytes(image)
-
     def write_page(self, page: Page) -> None:
         """Persist ``page``, stamping a fresh checksum into the image."""
         page_id = page.page_id
@@ -197,13 +132,10 @@ class SharedDisk:
                 # image, so the next read fails verification.
                 self._store_torn_image(page)
                 raise
-        if self.slab:
-            full, head, tail = self._slab_window(page_id)
-            full[:] = page.raw_buffer()
-            _CKSUM.pack_into(full, _CKSUM_OFFSET,
-                             zlib.crc32(tail, zlib.crc32(head)))
-        else:
-            self._classic[page_id] = self._stamped_image(page)
+        full, head, tail = self._slab_window(page_id)
+        full[:] = page.raw_buffer()
+        _CKSUM.pack_into(full, _CKSUM_OFFSET,
+                         zlib.crc32(tail, zlib.crc32(head)))
         self._lost.discard(page_id)
         self.stats.incr(DISK_PAGE_WRITES)
         if self.tracer.enabled:
@@ -227,7 +159,7 @@ class SharedDisk:
             return 0
         if page_ids is None:
             page_ids = [page.page_id for page in pages]
-        if not self.slab or self._injector.enabled or self.tracer.enabled:
+        if self._injector.enabled or self.tracer.enabled:
             for page in pages:
                 self.write_page(page)
             return len(pages)
@@ -251,29 +183,19 @@ class SharedDisk:
 
     def _store_torn_image(self, page: Page) -> None:
         half = PAGE_SIZE // 2
-        if self.slab:
-            full, head, tail = self._slab_window(page.page_id)
-            # The only staging copy this path needs: the old back half,
-            # saved before the intended image lands in the window.
-            old_tail = bytes(full[half:])
-            full[:] = page.raw_buffer()
-            _CKSUM.pack_into(full, _CKSUM_OFFSET,
-                             zlib.crc32(tail, zlib.crc32(head)))
-            if full[half:] == old_tail:
-                # Old and new agree on the back half; tear a byte anyway
-                # so the torn write is deterministically detectable.
-                full[PAGE_SIZE - 1] ^= 0xFF
-            else:
-                full[half:] = old_tail
+        full, head, tail = self._slab_window(page.page_id)
+        # The only staging copy this path needs: the old back half,
+        # saved before the intended image lands in the window.
+        old_tail = bytes(full[half:])
+        full[:] = page.raw_buffer()
+        _CKSUM.pack_into(full, _CKSUM_OFFSET,
+                         zlib.crc32(tail, zlib.crc32(head)))
+        if full[half:] == old_tail:
+            # Old and new agree on the back half; tear a byte anyway
+            # so the torn write is deterministically detectable.
+            full[PAGE_SIZE - 1] ^= 0xFF
         else:
-            intended = self._stamped_image(page)
-            old = self._classic.get(page.page_id, bytes(PAGE_SIZE))
-            torn = intended[:half] + old[half:]
-            if torn == intended:
-                mutated = bytearray(torn)
-                mutated[-1] ^= 0xFF
-                torn = bytes(mutated)
-            self._classic[page.page_id] = torn
+            full[half:] = old_tail
         self._lost.discard(page.page_id)
         self.stats.incr(DISK_PAGE_WRITES)
 
@@ -315,27 +237,16 @@ class SharedDisk:
         self.stats.incr(DISK_PAGE_READS)
         if page_id in self._lost:
             raise MediaError(f"page {page_id} unreadable (media failure)")
-        if self.slab:
-            views = self._views.get(page_id)
-            if views is None:
-                return self._blank_page(page_id)
-            full, head, tail = views
-            if zlib.crc32(tail, zlib.crc32(head)) != \
-                    _CKSUM.unpack_from(full, _CKSUM_OFFSET)[0]:
-                raise MediaError(
-                    f"page {page_id} failed checksum verification"
-                )
-            page = Page(full.toreadonly()) if borrowed \
-                else Page(bytearray(full))
-        else:
-            image = self._classic.get(page_id)
-            if image is None:
-                return self._blank_page(page_id)
-            page = Page.view(image) if borrowed else Page.from_bytes(image)
-            if _compute_checksum(image) != page.checksum:
-                raise MediaError(
-                    f"page {page_id} failed checksum verification"
-                )
+        views = self._views.get(page_id)
+        if views is None:
+            return self._blank_page(page_id)
+        full, head, tail = views
+        if zlib.crc32(tail, zlib.crc32(head)) != \
+                _CKSUM.unpack_from(full, _CKSUM_OFFSET)[0]:
+            raise MediaError(
+                f"page {page_id} failed checksum verification"
+            )
+        page = Page(full.toreadonly()) if borrowed else Page(bytearray(full))
         if self.tracer.enabled:
             self.tracer.emit(ev.DISK_READ, page=page_id)
         return page
@@ -349,7 +260,7 @@ class SharedDisk:
 
     def page_exists(self, page_id: int) -> bool:
         """True if the page has ever been written (and not lost)."""
-        return page_id in self._pages and page_id not in self._lost
+        return page_id in self._views and page_id not in self._lost
 
     def raw_image(self, page_id: int) -> bytes:
         """A private copy of the stored image, checksum included.
@@ -359,9 +270,7 @@ class SharedDisk:
         <repro.storage.image_copy.ImageCopy.take>`): a slab window
         aliases live storage and would see every later write.
         """
-        if self.slab:
-            return bytes(self._views[page_id][0])
-        return self._classic[page_id]
+        return bytes(self._views[page_id][0])
 
     def page_lsn_on_disk(self, page_id: int) -> Optional[int]:
         """page_LSN of the disk version without counting an I/O.
@@ -371,19 +280,24 @@ class SharedDisk:
         """
         if page_id in self._lost:
             return None
-        if self.slab:
-            views = self._views.get(page_id)
-            if views is None:
-                return None
-            return Page(views[0].toreadonly()).page_lsn
-        image = self._classic.get(page_id)
-        if image is None:
+        views = self._views.get(page_id)
+        if views is None:
             return None
-        return Page.view(image).page_lsn
+        return Page(views[0].toreadonly()).page_lsn
 
     def written_page_ids(self) -> Iterator[int]:
         """All page ids with a disk version, in ascending order."""
-        return iter(sorted(self._pages))
+        return iter(sorted(self._views))
+
+    def digest(self) -> str:
+        """SHA-256 of the stored images: for each written page in
+        page-id order, its id (8 bytes, little-endian) then its image,
+        checksum included.  Counts no I/O."""
+        digest = hashlib.sha256()
+        for page_id in sorted(self._views):
+            digest.update(page_id.to_bytes(8, "little"))
+            digest.update(self._views[page_id][0])
+        return digest.hexdigest()
 
     # ------------------------------------------------------------------
     # fault injection
@@ -397,22 +311,17 @@ class SharedDisk:
 
     def corrupt_page(self, page_id: int, byte_offset: int = 100) -> None:
         """Flip a byte in the stored image (checksum will catch it)."""
-        if page_id not in self._pages:
+        if page_id not in self._views:
             raise ValueError(f"page {page_id} has no disk version to corrupt")
         if not 0 <= byte_offset < PAGE_SIZE:
             raise ValueError("byte offset outside the page")
-        if self.slab:
-            self._views[page_id][0][byte_offset] ^= 0xFF
-        else:
-            mutated = bytearray(self._classic[page_id])
-            mutated[byte_offset] ^= 0xFF
-            self._classic[page_id] = bytes(mutated)
+        self._views[page_id][0][byte_offset] ^= 0xFF
         if self.tracer.enabled:
             self.tracer.emit(ev.DISK_CORRUPT, page=page_id,
                              offset=byte_offset)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"SharedDisk(capacity={self.capacity}, slab={self.slab}, "
-            f"pages={len(self._pages)}, lost={len(self._lost)})"
+            f"SharedDisk(capacity={self.capacity}, "
+            f"pages={len(self._views)}, lost={len(self._lost)})"
         )

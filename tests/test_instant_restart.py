@@ -15,7 +15,6 @@ from repro.common.stats import (
     INSTANT_SWEEP_RECOVERIES,
 )
 from repro.cs.system import CsSystem
-from repro.faults.campaign import _disk_digest
 from repro.faults.injector import NULL_INJECTOR
 from repro.faults.scenarios import (
     build_cs,
@@ -88,7 +87,7 @@ class TestEquivalence:
         eager_sd, _, eager_summary = run_sd_scenario("eager", scheme)
         instant_sd, tracer, instant_summary = run_sd_scenario(
             "instant", scheme)
-        assert _disk_digest(instant_sd.disk) == _disk_digest(eager_sd.disk)
+        assert instant_sd.disk.digest() == eager_sd.disk.digest()
         assert (instant_summary.records_redone
                 == eager_summary.records_redone)
         assert (instant_summary.clrs_written
@@ -98,8 +97,8 @@ class TestEquivalence:
     def test_cs_instant_digest_matches_eager(self):
         eager_cs, _, eager_summary = run_cs_scenario("eager")
         instant_cs, tracer, instant_summary = run_cs_scenario("instant")
-        assert (_disk_digest(instant_cs.server.disk)
-                == _disk_digest(eager_cs.server.disk))
+        assert (instant_cs.server.disk.digest()
+                == eager_cs.server.disk.digest())
         assert (instant_summary.records_redone
                 == eager_summary.records_redone)
         assert check_trace(tracer.events()) == []

@@ -16,7 +16,6 @@ from repro.cluster import ClusterConfig, build_cluster
 from repro.common.errors import FaultInjectedError
 from repro.faults import points as fp
 from repro.faults import scenarios
-from repro.faults.campaign import _disk_digest as disk_sha
 from repro.faults.injector import NULL_INJECTOR, FaultInjector, FaultPlan
 from repro.obs import events as ev
 from repro.obs.tracer import Tracer
@@ -110,7 +109,7 @@ SCENARIOS = {"sd-medium": whole_crash, "sd-fast": whole_crash,
 def outcome(name):
     world, disk, summaries = SCENARIOS[name](name)
     return world, {
-        "disk_sha256": disk_sha(disk),
+        "disk_sha256": disk.digest(),
         "written_page_ids": list(disk.written_page_ids()),
         "redo_counts": [[sid, s.records_redone, s.redo_skipped_by_lsn]
                         for sid, s in sorted(summaries.items())],
@@ -165,7 +164,7 @@ def interrupted_restart(name, where, then_instant=False):
     restart()
     if then_instant:
         assert world.instant_drain() > 0
-    return disk_sha(disk)
+    return disk.digest()
 
 
 @pytest.mark.parametrize("name, where, then_instant", [

@@ -10,7 +10,7 @@ from repro.common.stats import (
     StatsRegistry,
 )
 from repro.faults import points as fp
-from repro.faults.campaign import _disk_digest, _reference_failover_digest
+from repro.faults.campaign import _reference_failover_digest
 from repro.faults.injector import FaultInjector, FaultPlan
 from repro.faults.policy import RetryPolicy
 from repro.obs import events as ev
@@ -224,7 +224,7 @@ class TestStandbyCrash:
             assert len(acks) == n_commits and all(a.satisfied for a in acks)
             assert {(a.system, a.txn) for a in acks} <= held
             promoted = best.promote()
-            assert _disk_digest(promoted.disk) == _reference_failover_digest(
+            assert promoted.disk.digest() == _reference_failover_digest(
                 best.system_id, sd, snapshot)
 
     def test_crash_drops_the_unforced_tail_and_the_unapplied_window(self):

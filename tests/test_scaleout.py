@@ -1,7 +1,5 @@
 """Tests for the seeded scale-out workload (repro.workload.scaleout)."""
 
-import hashlib
-
 from repro.cluster import ClusterConfig, build_cluster
 from repro.workload.scaleout import (
     HIGH_SHARING,
@@ -107,10 +105,7 @@ class TestEndToEnd:
         def one_run():
             sd = build_complex(4)
             result = run_scaleout(sd, LOW_SHARING)
-            digest = hashlib.sha256()
-            for page_id in sorted(sd.disk._pages):
-                digest.update(sd.disk._pages[page_id])
-            return result, digest.hexdigest()
+            return result, sd.disk.digest()
 
         result_a, disk_a = one_run()
         result_b, disk_b = one_run()

@@ -108,8 +108,8 @@ bench_suite_smoke() {
     return "${status}"
 }
 
-# TPS smoke: run the S2 headline bench standalone (slab spine + bulk
-# driver vs the per-call baseline) and require its claim to hold —
+# TPS smoke: run the S2 headline bench standalone (bulk-op lane vs the
+# per-call baseline) and require its claim to hold —
 # equivalence and the bulk lane's interpreted-call budgets at batch 64
 # and 256 (no timer decides this gate).
 bench_tps_smoke() {
