@@ -25,7 +25,7 @@ from repro.common.stats import PAGE_READS_AVOIDED
 from repro.faults import points as fp
 from repro.locking.lock_manager import LockMode, LockStatus, record_lock
 from repro.obs import events as ev
-from repro.recovery.apply import apply_payload, stamp_page_lsn
+from repro.recovery.apply import compensate, stamp_page_lsn
 from repro.storage.page import Page, PageType
 from repro.storage.space_map import SpaceMap
 from repro.txn.manager import TransactionManager
@@ -36,7 +36,6 @@ from repro.wal.records import (
     PageOp,
     RecordKind,
     encode_op,
-    make_clr,
     make_format,
     make_update,
 )
@@ -217,15 +216,8 @@ class CsClient:
 
     def _undo_one(self, txn: Transaction, record: LogRecord) -> None:
         entry = self._require_cached(record.page_id, for_update=True)
-        clr = make_clr(
-            txn_id=txn.txn_id, system_id=self.client_id,
-            page_id=record.page_id, slot=record.slot,
-            redo=record.undo, undo_next_lsn=record.prev_lsn,
-            prev_lsn=txn.last_lsn,
-        )
-        page_lsn_prev = entry.page.page_lsn
-        self.log.append(clr, page_lsn=page_lsn_prev)
-        apply_payload(entry.page, record.slot, record.undo, clr.lsn)
+        clr, _, page_lsn_prev = compensate(
+            self.log, entry.page, record, txn.txn_id, txn.last_lsn)
         self._note_dirty(entry, clr.lsn)
         txn.note_logged(clr.lsn, 0, undoable=False)
         if self.tracer.enabled:

@@ -43,23 +43,27 @@ from repro.locking.lock_manager import LockManager, LockMode, LockStatus
 from repro.net.network import Network
 from repro.obs import events as ev
 from repro.obs.tracer import NULL_TRACER, NullTracer
-from repro.recovery.apply import apply_payload
+from repro.recovery.aries import (
+    _ACTIVE,
+    _COMMITTED,
+    _finish,
+    _fold_records,
+    _fold_txn,
+    _losers_of,
+    _undo_pass,
+    restart_recovery,
+)
+from repro.recovery.instant import InstantRecoveryManager
 from repro.recovery.redo import collect_local_redo, redo_chain
 from repro.storage.disk import SharedDisk
 from repro.storage.page import Page, PageType
 from repro.storage.space_map import SpaceMap
 from repro.txn.manager import _SYSTEM_STRIDE
 from repro.wal.log_manager import LogManager
-from repro.wal.records import (
-    CheckpointData,
-    LogRecord,
-    RecordKind,
-    make_clr,
-)
+from repro.wal.records import CheckpointData, LogRecord, RecordKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cs.client import CsClient
-    from repro.recovery.instant import InstantRecoveryManager
 
 # The server's system id in log records and on the network fabric.
 SERVER_ID = 0
@@ -67,9 +71,6 @@ SERVER_ID = 0
 SMP_START = 1
 DATA_START = 64
 POOL_FRAMES = 256
-
-_COMMITTED = 1
-_ACTIVE = 0
 
 
 class _Batch(NamedTuple):
@@ -130,7 +131,7 @@ class CsServer:
         self.restart_mode = restart_mode
         #: The active instant-restart manager, if a restart is lazily
         #: recovering pages (None on the classic path).
-        self.instant: Optional["InstantRecoveryManager"] = None
+        self.instant: Optional[InstantRecoveryManager] = None
         self.glm = LockManager(stats=self.stats, tracer=self.tracer)
         self.space_map = SpaceMap(smp_start=SMP_START, data_start=DATA_START,
                                   n_data_pages=n_data_pages)
@@ -285,7 +286,7 @@ class CsServer:
                 len(batches))
         batches.append(_Batch(first_lsn, last_lsn, addr.offset))
         for record in records:
-            self._track_txn(record)
+            _fold_txn(self._txn_table, record)
         if self.tracer.enabled:
             self.tracer.emit(
                 ev.CS_SHIP, system=SERVER_ID,
@@ -293,17 +294,6 @@ class CsServer:
                 offset=addr.offset,
             )
         return addr.offset
-
-    def _track_txn(self, record: LogRecord) -> None:
-        if not record.txn_id:
-            return
-        if record.kind == RecordKind.END:
-            self._txn_table.pop(record.txn_id, None)
-        elif record.kind == RecordKind.COMMIT:
-            self._txn_table[record.txn_id] = (record.lsn, _COMMITTED)
-        else:
-            state = self._txn_table.get(record.txn_id, (0, _ACTIVE))[1]
-            self._txn_table[record.txn_id] = (record.lsn, state)
 
     def map_rec_lsn(self, client_id: int, rec_lsn: Lsn) -> int:
         """RecLSN -> RecAddr: offset of the batch containing ``rec_lsn``.
@@ -421,10 +411,13 @@ class CsServer:
     def recover_client(self, client_id: int) -> ClientRecoverySummary:
         """Recover a failed client from the server's single log.
 
-        Analysis filters the log by the client's identity (carried in
-        every record); redo applies only updates missing from the
-        server's buffer/disk version (page_LSN test); undo rolls back
-        the client's loser transactions with CLRs.
+        The ARIES passes over the client's window — from its last
+        checkpoint, or the oldest RecAddr of a page dirty there — of
+        the log filtered by the client's identity (carried in every
+        record): the shared analysis fold, seeded with the checkpoint's
+        tables; redo of only the updates missing from the server's
+        buffer/disk version (page_LSN test); the shared undo walk for
+        the client's losers, with CLRs.
         """
         self._check_up()
         client = self._clients[client_id]
@@ -436,23 +429,30 @@ class CsServer:
             if self.tracer.enabled:
                 self.tracer.emit(ev.RECOVERY_BEGIN, system=SERVER_ID,
                                  mode="cs-client", client=client_id)
+            dpt: Dict[int, Tuple[Lsn, int]] = {}
+            txn_table: Dict[int, Tuple[Lsn, int]] = {}
+            window = 0
+            if client_id in self._client_checkpoints:
+                window, data = self._client_checkpoints[client_id]
+                dpt.update(data.dirty_pages)
+                txn_table.update(data.transactions)
+                window = min([window] + [addr for _, addr in dpt.values()])
             with self.tracer.span(ev.SPAN_ANALYSIS, system=SERVER_ID):
-                dpt, losers, index = self._client_analysis(
-                    client_id, summary)
+                summary.records_scanned = _fold_records(
+                    ((addr, record)
+                     for addr, record in self.log.scan(from_offset=window)
+                     if record.system_id == client_id
+                     or record.txn_id // _SYSTEM_STRIDE == client_id),
+                    dpt, txn_table)
+            losers = _losers_of(txn_table)
             summary.loser_transactions = len(losers)
             with self.tracer.span(ev.SPAN_REDO, system=SERVER_ID):
                 self._client_redo(dpt, summary)
-            with self.tracer.span(ev.SPAN_UNDO, system=SERVER_ID):
-                self._client_undo(losers, index, summary)
-            self.log.force()
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    ev.RECOVERY_END, system=SERVER_ID,
-                    redone=summary.records_redone,
-                    skipped=summary.redo_skipped_by_lsn,
-                    losers=summary.loser_transactions,
-                    clrs=summary.clrs_written,
-                )
+            _undo_pass(self, losers, summary, fix_page=self._fix_current,
+                       window_start=window)
+            for txn_id in losers:
+                self._txn_table.pop(txn_id, None)
+            _finish(self, summary)
         # Retained resources are released only now.
         for txn_id in list(self._owned_txns(client_id)):
             self.glm.release_all(txn_id)
@@ -462,6 +462,23 @@ class CsServer:
             readers.discard(client_id)
         self._client_checkpoints.pop(client_id, None)
         return summary
+
+    def _fix_current(self, page_id: int) -> Page:
+        """Fix the current version of ``page_id`` for client undo.
+
+        Under record locking the loser's page may live, newer, in a
+        *live* client's cache (it was recalled there with the loser's
+        uncommitted bytes on it).  Undoing against the server's stale
+        copy would assign the CLR an LSN that can collide with that
+        client's unshipped records; recalling first ships those records
+        (raising the server's Local_Max_LSN past them) and hands the
+        server the current version.  A *crashed* holder is safe as-is:
+        its records either shipped (already absorbed) or died with it.
+        """
+        holder = self._clients.get(self._writer.get(page_id))
+        if holder is not None and not holder.crashed:
+            self._recall_page(holder, page_id)
+        return self.pool.fix(page_id)
 
     def _owned_txns(self, client_id: int) -> Set[int]:
         owners: Set[int] = set()
@@ -473,61 +490,9 @@ class CsServer:
                 owners.add(txn_id)
         return owners
 
-    def _client_analysis(self, client_id: int, summary: ClientRecoverySummary):
-        checkpoint = self._client_checkpoints.get(client_id)
-        dpt: Dict[int, Tuple[Lsn, int]] = {}
-        txn_table: Dict[int, Tuple[Lsn, int]] = {}
-        start = 0
-        if checkpoint is not None:
-            start, data = checkpoint
-            dpt.update(data.dirty_pages)
-            txn_table.update(data.transactions)
-        scan_start = min(
-            [addr for _, addr in dpt.values()] + [start]
-        ) if dpt else start
-        # Keyed by (txn, LSN): a recovered client restarts its LSNs
-        # low, so two of its transactions may reuse an LSN.
-        index: Dict[Tuple[int, Lsn], LogRecord] = {}
-        for addr, record in self.log.scan(from_offset=scan_start):
-            mine = (record.system_id == client_id or
-                    (record.txn_id and
-                     record.txn_id // _SYSTEM_STRIDE == client_id))
-            if not mine:
-                continue
-            summary.records_scanned += 1
-            if record.kind == RecordKind.END_CHECKPOINT:
-                continue
-            if record.txn_id:
-                if record.kind == RecordKind.END:
-                    txn_table.pop(record.txn_id, None)
-                elif record.kind == RecordKind.COMMIT:
-                    txn_table[record.txn_id] = (record.lsn, _COMMITTED)
-                else:
-                    state = txn_table.get(record.txn_id, (0, _ACTIVE))[1]
-                    txn_table[record.txn_id] = (record.lsn, state)
-                index[record.txn_id, record.lsn] = record
-            if record.is_page_oriented():
-                dpt.setdefault(record.page_id, (record.lsn, addr.offset))
-        losers = {
-            txn_id: last_lsn
-            for txn_id, (last_lsn, state) in txn_table.items()
-            if state != _COMMITTED and txn_id // _SYSTEM_STRIDE == client_id
-        }
-        # Loser chains can reach back before the analysis scan start
-        # (records logged before the client's checkpoint): index every
-        # loser record over the whole log so undo can follow them.
-        if losers and scan_start:
-            for _, record in self.log.scan():
-                if record.txn_id in losers:
-                    index[record.txn_id, record.lsn] = record
-        return dpt, losers, index
-
     def _client_redo(self, dpt: Dict[int, Tuple[Lsn, int]],
                      summary: ClientRecoverySummary) -> None:
-        if not dpt:
-            return
-        redo_start = min(rec_addr for _, rec_addr in dpt.values())
-        chains = collect_local_redo(self.log, dpt, redo_start)
+        chains = collect_local_redo(self.log, dpt)
         for page_id in sorted(chains):
             chain = chains[page_id]
             # Replay into the live pool, not the disk: the server's
@@ -560,76 +525,6 @@ class CsServer:
                             )
             finally:
                 self.pool.unfix(page_id)
-
-    def _client_undo(self, losers: Dict[int, Lsn],
-                     index: Dict[Tuple[int, Lsn], LogRecord],
-                     summary: ClientRecoverySummary) -> None:
-        next_undo = dict(losers)
-        last_lsn = dict(losers)
-        while next_undo:
-            txn_id = max(next_undo, key=lambda t: next_undo[t])
-            lsn = next_undo[txn_id]
-            record = index.get((txn_id, lsn))
-            if record is None or lsn == NULL_LSN:
-                self._end_txn(txn_id, last_lsn[txn_id])
-                del next_undo[txn_id]
-                continue
-            if record.kind == RecordKind.CLR:
-                follow = record.undo_next_lsn
-            elif record.is_undoable():
-                # Under record locking the loser's page may live,
-                # newer, in a *live* client's cache (it was recalled
-                # there with the loser's uncommitted bytes on it).
-                # Undoing against the server's stale copy would assign
-                # the CLR an LSN that can collide with that client's
-                # unshipped records; recalling first ships those
-                # records (raising the server's Local_Max_LSN past
-                # them) and hands the server the current version.  A
-                # *crashed* holder is safe as-is: its records either
-                # shipped (already absorbed) or died with it.
-                holder_id = self._writer.get(record.page_id)
-                if holder_id is not None and holder_id in self._clients:
-                    holder = self._clients[holder_id]
-                    if not holder.crashed:
-                        self._recall_page(holder, record.page_id)
-                page = self.pool.fix(record.page_id)
-                try:
-                    clr = make_clr(
-                        txn_id=txn_id, system_id=SERVER_ID,
-                        page_id=record.page_id, slot=record.slot,
-                        redo=record.undo, undo_next_lsn=record.prev_lsn,
-                        prev_lsn=last_lsn[txn_id],
-                    )
-                    page_lsn_prev = page.page_lsn
-                    addr = self.log.append(clr, page_lsn=page_lsn_prev)
-                    apply_payload(page, record.slot, record.undo, clr.lsn)
-                    self.pool.note_update(record.page_id, clr.lsn,
-                                          addr.offset, self.log.end_offset)
-                    index[txn_id, clr.lsn] = clr
-                    last_lsn[txn_id] = clr.lsn
-                    summary.clrs_written += 1
-                    if self.tracer.enabled:
-                        self.tracer.emit(
-                            ev.RECOVERY_CLR, system=SERVER_ID,
-                            page=record.page_id, txn=txn_id,
-                            lsn=int(clr.lsn),
-                            page_lsn_prev=int(page_lsn_prev),
-                        )
-                finally:
-                    self.pool.unfix(record.page_id)
-                follow = record.prev_lsn
-            else:
-                follow = record.prev_lsn
-            if follow == NULL_LSN:
-                self._end_txn(txn_id, last_lsn[txn_id])
-                del next_undo[txn_id]
-            else:
-                next_undo[txn_id] = follow
-
-    def _end_txn(self, txn_id: int, prev_lsn: Lsn) -> None:
-        end = LogRecord(kind=RecordKind.END, txn_id=txn_id, prev_lsn=prev_lsn)
-        self.log.append(end)
-        self._txn_table.pop(txn_id, None)
 
     # ------------------------------------------------------------------
     # server checkpoint & server failure (handled like SD-complex failure)
@@ -679,48 +574,37 @@ class CsServer:
 
         Reuses the generic restart passes — the server log plays the
         role of an SD instance's local log, with records from *all*
-        clients (redo's page_LSN test handles the interleaving).
+        clients (redo's page_LSN test handles the interleaving).  With
+        ``restart_mode="instant"`` the server opens after analysis and
+        loser undo, and each page's redo chain applies on its first fix
+        through the pool's ``recovery_intercept``
+        (:mod:`repro.recovery.instant`).
         """
-        from repro.recovery.aries import restart_recovery
-
         if not self.crashed:
             raise ReproError("server is not down")
         self.crashed = False
-        # system_id attribute satisfies restart_recovery's duck type.
-        self.system_id = SERVER_ID
         with self.tracer.span(ev.SPAN_RESTART, system=SERVER_ID,
                               target="server"):
             if self.restart_mode == "instant":
-                summary = self._instant_restart()
+                manager = InstantRecoveryManager(
+                    self, mode="cs", stats=self.stats,
+                    injector=self.injector, on_drained=self._instant_drained,
+                )
+                self.instant = manager
+                # Install the intercept before undo: the undo pass
+                # reaches loser pages through the plain pool fixer, and
+                # the intercept applies a pending page's chain before
+                # the frame fills.
+                self.pool.recovery_intercept = self._instant_intercept
+                with self.tracer.span(ev.SPAN_RECOVERY, system=SERVER_ID,
+                                      mode="instant"):
+                    manager.analyze()
+                    summary = manager.open()
             else:
                 summary = restart_recovery(self)
             self.pool.flush_all()
             # A fresh lock service: retained-lock release is explicit.
             self.glm = LockManager(stats=self.stats, tracer=self.tracer)
-        return summary
-
-    def _instant_restart(self):
-        """Instant server restart: analysis + eager loser undo over the
-        single server log, then open — each page's redo chain applies
-        on its first fix through the pool's ``recovery_intercept``
-        (:mod:`repro.recovery.instant`)."""
-        from repro.recovery.instant import InstantRecoveryManager
-
-        manager = InstantRecoveryManager(
-            self, mode="cs", stats=self.stats, injector=self.injector,
-            on_drained=self._instant_drained,
-        )
-        self.instant = manager
-        # Install the intercept before undo: the undo pass reaches
-        # loser pages through the plain pool fixer, and the intercept
-        # applies a pending page's chain before the frame fills.
-        self.pool.recovery_intercept = self._instant_intercept
-        with self.tracer.span(ev.SPAN_RECOVERY, system=SERVER_ID,
-                              mode="instant"):
-            manager.analyze()
-            manager.index_chains(collect_local_redo(
-                self.log, manager.dpt, manager.summary.redo_scan_start))
-            summary = manager.open()
         return summary
 
     def _instant_intercept(self, page_id: int) -> None:

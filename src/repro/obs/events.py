@@ -55,7 +55,8 @@ Messages and the Commit_LSN service:
 
 Recovery pass brackets:
 
-* ``RECOVERY_BEGIN``— ``mode`` ("restart" | "fast" | "cs-client")
+* ``RECOVERY_BEGIN``— ``mode`` ("restart" | "fast" | "instant" |
+  "cs-client")
 * ``RECOVERY_SKIP`` — ``page``*, ``lsn``*, ``page_lsn``* (redo screened
   out by the page_LSN test)
 * ``RECOVERY_END``  — ``redone``, ``skipped``, ``losers``, ``clrs``

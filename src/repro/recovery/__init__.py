@@ -17,7 +17,7 @@ from repro.recovery.apply import apply_op, apply_redo, apply_undo, inverse_op
 from repro.recovery.checkpoint import take_checkpoint
 from repro.recovery.commit_lsn import CommitLsnService
 from repro.recovery.media import recover_page_from_media
-from repro.recovery.aries import restart_recovery, rollback_transaction
+from repro.recovery.aries import restart_recovery
 
 __all__ = [
     "CommitLsnService",
@@ -27,6 +27,5 @@ __all__ = [
     "inverse_op",
     "recover_page_from_media",
     "restart_recovery",
-    "rollback_transaction",
     "take_checkpoint",
 ]

@@ -3,15 +3,18 @@
 Operations are physiological (Section 1.4 lineage): they name a page
 and slot, and the operation is replayed against the page's current
 organisation.  The page_LSN test decides *whether* to apply; this
-module only knows *how*.
+module only knows *how* — including the one CLR writer,
+:func:`compensate`, which every rollback and restart undo goes through.
 """
 
 from __future__ import annotations
 
+from typing import Any, Tuple
+
 from repro.common.lsn import Lsn
 from repro.storage.page import Page, PageType
 from repro.storage.space_map import SpaceMap
-from repro.wal.records import LogRecord, PageOp, decode_op, encode_op
+from repro.wal.records import LogRecord, PageOp, decode_op, encode_op, make_clr
 
 
 def stamp_page_lsn(page: Page, lsn: Lsn) -> None:
@@ -69,6 +72,25 @@ def apply_payload(page: Page, slot: int, payload: bytes, lsn: Lsn) -> None:
     op, data = decode_op(payload)
     apply_op(page, slot, op, data)
     page.page_lsn = lsn
+
+
+def compensate(log, page: Page, record: LogRecord, txn_id: int,
+               prev_lsn: Lsn) -> Tuple[LogRecord, Any, Lsn]:
+    """Undo ``record`` on ``page`` behind a CLR: the one CLR writer.
+
+    Logs the CLR first (its LSN by the USN rule from the page's current
+    page_LSN; ``log`` stamps its own system id), then applies the undo
+    operation and stamps the CLR's LSN.  Returns ``(clr, address,
+    page_lsn_prev)`` where ``address`` is whatever ``log.append``
+    returns; pool bookkeeping and trace events stay with the caller.
+    """
+    page_lsn_prev = page.page_lsn
+    clr = make_clr(txn_id=txn_id, system_id=0, page_id=record.page_id,
+                   slot=record.slot, redo=record.undo,
+                   undo_next_lsn=record.prev_lsn, prev_lsn=prev_lsn)
+    address = log.append(clr, page_lsn=page_lsn_prev)
+    apply_payload(page, record.slot, record.undo, clr.lsn)
+    return clr, address, page_lsn_prev
 
 
 def apply_undo(page: Page, record: LogRecord, clr_lsn: int) -> bytes:

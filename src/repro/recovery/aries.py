@@ -10,33 +10,42 @@ Redo logic is untouched relative to single-system ARIES (Section 3.2.1,
 "Restart Processing": redo iff ``record.LSN > page_LSN``) — that is the
 paper's point: the USN scheme preserves the page-state comparison while
 abandoning the address interpretation of LSNs.
+
+This module is the one home of the restart steps every flavour is a
+call sequence over (Sauer/Haerder: one per-page algorithm on different
+schedules):
+
+* :func:`_prologue` — re-seed the Lamport clock, run analysis, plan
+  the per-page redo chains;
+* :func:`_redo` — replay the chains in ascending page id;
+* :func:`_undo_pass` — roll the losers back with CLRs;
+* :func:`_finish` — force the log and close the ``recovery.end``
+  bracket.
+
+Eager restart (:func:`restart_recovery`) runs all four; staged restart
+defers undo, instant restart defers redo
+(:mod:`repro.recovery.instant`), and CS client recovery feeds a
+client-filtered stream to the same analysis fold and undo walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.common.config import NULL_LSN
 from repro.common.lsn import Lsn
 from repro.obs import events as ev
 from repro.obs.tracer import NULL_TRACER, NullTracer
-from repro.recovery.apply import apply_payload
-from repro.recovery.redo import (
-    collect_local_redo,
-    collect_merged_redo,
-    replay_chains,
-)
-from repro.txn.transaction import Transaction
-from repro.wal.records import (
-    CheckpointData,
-    LogRecord,
-    RecordKind,
-    make_clr,
-)
+from repro.recovery.apply import compensate
+from repro.recovery.redo import Chain, collect_local_redo, replay_chains
+from repro.wal.records import CheckpointData, LogRecord, RecordKind
 
 _COMMITTED = 1
 _ACTIVE = 0
+
+#: A redo plan: analysis DPT -> per-page chains.
+RedoPlan = Callable[[Dict[int, Tuple[Lsn, int]]], Dict[int, Chain]]
 
 
 @dataclass
@@ -57,8 +66,8 @@ def _tracer_of(instance) -> NullTracer:
     return getattr(instance, "tracer", NULL_TRACER)
 
 
-def restart_recovery(instance, fix_page=None,
-                     unfix_page=None) -> RestartSummary:
+def restart_recovery(instance, fix_page=None, unfix_page=None,
+                     plan: Optional[RedoPlan] = None) -> RestartSummary:
     """Recover one failed system from its own local log.
 
     ``instance`` is duck-typed: it needs ``log``, ``pool`` and
@@ -68,7 +77,13 @@ def restart_recovery(instance, fix_page=None,
 
     Redo replays per-page chains straight against the shared disk
     (:mod:`repro.recovery.redo`), in ascending page id; the pool only
-    sees the pages undo touches.
+    sees the pages undo touches.  The chains come from the failed
+    system's log alone (medium scheme, CS server, standby promote)
+    unless the caller passes ``plan``: under the fast transfer scheme a
+    page lost with the failed buffers may carry several systems'
+    updates, so the caller's plan replays the **merged** local logs
+    ([MoNa91]; the paper's Section 5) and the run is labelled
+    ``"fast"``.
 
     ``fix_page``/``unfix_page`` override how the **undo** pass reaches
     pages.  In the multi-system architectures they must go through the
@@ -81,60 +96,72 @@ def restart_recovery(instance, fix_page=None,
     needs no override: the medium transfer scheme guarantees the disk
     version lacks only this system's own tail of updates.
     """
-    log = instance.log
     tracer = _tracer_of(instance)
     system_id = instance.system_id
+    mode = "restart" if plan is None else "fast"
     summary = RestartSummary()
-    with tracer.span(ev.SPAN_RECOVERY, system=system_id, mode="restart"):
+    with tracer.span(ev.SPAN_RECOVERY, system=system_id, mode=mode):
         if tracer.enabled:
-            tracer.emit(ev.RECOVERY_BEGIN, system=system_id,
-                        mode="restart")
-        # The Lamport clock must be re-seeded before any CLR is appended.
-        log.recover_local_max()
-
-        with tracer.span(ev.SPAN_ANALYSIS, system=system_id):
-            dpt, losers = analysis_pass(log, summary)
-        summary.dirty_pages_at_crash = len(dpt)
-        summary.loser_transactions = len(losers)
-        with tracer.span(ev.SPAN_REDO, system=system_id):
-            _redo_pass(instance, dpt, summary)
-        with tracer.span(ev.SPAN_UNDO, system=system_id):
-            _undo_pass(instance, losers, summary,
-                       fix_page=fix_page, unfix_page=unfix_page)
-        log.force()
-        if tracer.enabled:
-            tracer.emit(
-                ev.RECOVERY_END, system=system_id,
-                redone=summary.records_redone,
-                skipped=summary.redo_skipped_by_lsn,
-                losers=summary.loser_transactions,
-                clrs=summary.clrs_written,
-            )
+            tracer.emit(ev.RECOVERY_BEGIN, system=system_id, mode=mode)
+        chains, losers = _prologue(instance, summary, plan)
+        _redo(instance, chains, summary)
+        _undo_pass(instance, losers, summary,
+                   fix_page=fix_page, unfix_page=unfix_page)
+        _finish(instance, summary)
     return summary
 
 
 # ----------------------------------------------------------------------
 # analysis
 # ----------------------------------------------------------------------
+def _prologue(instance, summary: RestartSummary,
+              plan: Optional[RedoPlan] = None
+              ) -> Tuple[Dict[int, Chain], Dict[int, Lsn]]:
+    """Clock, analysis and redo plan: the first act of every restart.
+
+    The Lamport clock is re-seeded before any CLR can be appended.
+    Returns ``(chains, losers)``; ``plan`` defaults to single-log redo.
+    """
+    log = instance.log
+    log.recover_local_max()
+    with _tracer_of(instance).span(ev.SPAN_ANALYSIS,
+                                   system=instance.system_id):
+        dpt, losers = analysis_pass(log, summary)
+    summary.dirty_pages_at_crash = len(dpt)
+    summary.loser_transactions = len(losers)
+    if dpt:
+        summary.redo_scan_start = min(addr for _, addr in dpt.values())
+    chains = collect_local_redo(log, dpt) if plan is None else plan(dpt)
+    return chains, losers
+
+
 def analysis_pass(
     log, summary: RestartSummary
 ) -> Tuple[Dict[int, Tuple[Lsn, int]], Dict[int, Lsn]]:
     """Rebuild the dirty page table and find loser transactions.
 
     Returns ``(dpt, losers)`` where dpt maps page_id -> (RecLSN,
-    RecAddr) and losers maps txn_id -> last_lsn.
-
-    Public because it is the shared first act of every restart
-    flavour: classic eager recovery here, staged restart
-    (:mod:`repro.recovery.staged`) and instant restart
-    (:mod:`repro.recovery.instant`) both run exactly this pass and
-    then diverge in *when* redo work happens.
+    RecAddr) and losers maps txn_id -> last_lsn.  Analysis starts at
+    the master record (the last complete checkpoint).
     """
     dpt: Dict[int, Tuple[Lsn, int]] = {}
     txn_table: Dict[int, Tuple[Lsn, int]] = {}  # txn -> (last_lsn, state)
     start = log.master_record_offset or 0
-    for addr, record in log.scan(from_offset=start):
-        summary.records_analyzed += 1
+    summary.records_analyzed += _fold_records(
+        log.scan(from_offset=start), dpt, txn_table)
+    return dpt, _losers_of(txn_table)
+
+
+def _fold_records(stream: Iterable, dpt: Dict[int, Tuple[Lsn, int]],
+                  txn_table: Dict[int, Tuple[Lsn, int]]) -> int:
+    """Fold ``(address, record)`` pairs, in log order, into a dirty
+    page table and a transaction table; returns how many were read.
+
+    A checkpoint's tables seed entries the window has not set yet.
+    """
+    count = 0
+    for addr, record in stream:
+        count += 1
         if record.kind == RecordKind.END_CHECKPOINT:
             data = CheckpointData.from_bytes(record.extra)
             for page_id, entry in data.dirty_pages.items():
@@ -142,149 +169,100 @@ def analysis_pass(
             for txn_id, entry in data.transactions.items():
                 txn_table.setdefault(txn_id, entry)
             continue
-        if record.txn_id:
-            if record.kind == RecordKind.END:
-                txn_table.pop(record.txn_id, None)
-            elif record.kind == RecordKind.COMMIT:
-                txn_table[record.txn_id] = (record.lsn, _COMMITTED)
-            else:
-                prior_state = txn_table.get(record.txn_id, (0, _ACTIVE))[1]
-                txn_table[record.txn_id] = (record.lsn, prior_state)
+        _fold_txn(txn_table, record)
         if record.is_page_oriented():
             dpt.setdefault(record.page_id, (record.lsn, addr.offset))
-    losers = {
-        txn_id: last_lsn
-        for txn_id, (last_lsn, state) in txn_table.items()
-        if state != _COMMITTED
-    }
-    return dpt, losers
+    return count
+
+
+def _fold_txn(txn_table: Dict[int, Tuple[Lsn, int]],
+              record: LogRecord) -> None:
+    """One record's effect on a transaction table (txn -> (last LSN,
+    state)): END forgets the transaction, COMMIT marks it committed,
+    anything else advances its last LSN."""
+    txn_id = record.txn_id
+    if not txn_id:
+        return
+    if record.kind == RecordKind.END:
+        txn_table.pop(txn_id, None)
+    elif record.kind == RecordKind.COMMIT:
+        txn_table[txn_id] = (record.lsn, _COMMITTED)
+    else:
+        txn_table[txn_id] = (record.lsn,
+                             txn_table.get(txn_id, (0, _ACTIVE))[1])
+
+
+def _losers_of(txn_table: Dict[int, Tuple[Lsn, int]]) -> Dict[int, Lsn]:
+    """The uncommitted transactions of a table, with their last LSNs."""
+    return {txn_id: last_lsn
+            for txn_id, (last_lsn, state) in txn_table.items()
+            if state != _COMMITTED}
 
 
 # ----------------------------------------------------------------------
 # redo — repeating history
 # ----------------------------------------------------------------------
-def _redo_pass(instance, dpt: Dict[int, Tuple[Lsn, int]],
-               summary: RestartSummary) -> None:
-    if not dpt:
-        return
-    redo_start = min(rec_addr for _, rec_addr in dpt.values())
-    summary.redo_scan_start = redo_start
-    replay_chains(instance,
-                  collect_local_redo(instance.log, dpt, redo_start),
-                  summary)
-
-
-# ----------------------------------------------------------------------
-# fast-scheme restart: merged-log redo (the paper's Section 5 extension)
-# ----------------------------------------------------------------------
-def fast_restart_recovery(
-    instance,
-    all_logs,
-    candidate_pages,
-    skip_page_ids=(),
-    fix_page=None,
-    unfix_page=None,
-) -> RestartSummary:
-    """Restart recovery under the fast page-transfer scheme.
-
-    With memory-to-memory dirty-page transfer, a page lost with the
-    failed system's buffers may carry updates from *several* systems
-    that never reached disk, so redo must replay the **merged** local
-    logs ([MoNa91]; the paper's Section 5: schemes that "rely on a
-    realtime merged log").  Redo targets are ``candidate_pages`` (the
-    failed system's dirty-page table plus its retained page ownership);
-    ``skip_page_ids`` are pages whose current version is safe in a live
-    system's buffer pool and therefore needs no reconstruction.
-
-    Undo still uses only the failed system's own log — transactions are
-    local — but applies through ``fix_page``/``unfix_page`` (usually
-    coherency-mediated), because a loser's page may by now live in
-    another system's pool.
-    """
-    log = instance.log
-    tracer = _tracer_of(instance)
-    system_id = instance.system_id
-    summary = RestartSummary()
-    with tracer.span(ev.SPAN_RECOVERY, system=system_id, mode="fast"):
-        if tracer.enabled:
-            tracer.emit(ev.RECOVERY_BEGIN, system=system_id, mode="fast")
-        log.recover_local_max()
-        with tracer.span(ev.SPAN_ANALYSIS, system=system_id):
-            dpt, losers = analysis_pass(log, summary)
-        summary.dirty_pages_at_crash = len(dpt)
-        summary.loser_transactions = len(losers)
-
-        targets = (set(dpt) | set(candidate_pages)) - set(skip_page_ids)
-        with tracer.span(ev.SPAN_REDO, system=system_id):
-            if targets:
-                replay_chains(instance,
-                              collect_merged_redo(all_logs, targets),
-                              summary)
-        with tracer.span(ev.SPAN_UNDO, system=system_id):
-            _undo_pass(instance, losers, summary,
-                       fix_page=fix_page, unfix_page=unfix_page)
-        log.force()
-        if tracer.enabled:
-            tracer.emit(
-                ev.RECOVERY_END, system=system_id,
-                redone=summary.records_redone,
-                skipped=summary.redo_skipped_by_lsn,
-                losers=summary.loser_transactions,
-                clrs=summary.clrs_written,
-            )
-    return summary
+def _redo(instance, chains: Dict[int, Chain],
+          summary: RestartSummary) -> None:
+    with _tracer_of(instance).span(ev.SPAN_REDO, system=instance.system_id):
+        replay_chains(instance, chains, summary)
 
 
 # ----------------------------------------------------------------------
 # undo — rollback of losers with CLRs
 # ----------------------------------------------------------------------
-def _undo_pass(instance, losers: Dict[int, Lsn],
-               summary: RestartSummary,
-               fix_page=None, unfix_page=None) -> None:
-    if not losers:
-        return
-    log = instance.log
-    # Index the losers' records in the analysed window (checkpoint ->
-    # end of log), keyed by (txn, LSN): the USN rule makes LSNs unique
-    # per page, not per log — in the CS server log two clients' records
-    # for different pages may carry the same LSN (Sections 1.5, 3.1).
-    # A loser already active at the checkpoint has older records; the
-    # index widens once, to the whole active log, when a chain first
-    # leaves the window.  The archive-truncation rule keeps every
-    # active transaction's records on the active log.
-    window_start = max(log.archived_offset, log.master_record_offset or 0)
-    index = _index_losers(log, losers, window_start)
-    widened = window_start == log.archived_offset
-    next_undo: Dict[int, Lsn] = dict(losers)
-    last_lsn: Dict[int, Lsn] = dict(losers)
-    while next_undo:
-        txn_id = max(next_undo, key=lambda t: next_undo[t])
-        lsn = next_undo[txn_id]
-        record = index.get((txn_id, lsn))
-        if record is None and lsn != NULL_LSN and not widened:
-            index = _index_losers(log, losers, log.archived_offset)
-            widened = True
+def _undo_pass(instance, losers: Dict[int, Lsn], summary,
+               fix_page=None, unfix_page=None,
+               window_start: Optional[int] = None) -> None:
+    """Roll back ``losers`` (txn -> last LSN), newest record first.
+
+    ``summary`` needs ``clrs_written``.  Records are resolved through
+    an index of the losers' records in the analysed window, keyed by
+    ``(txn, LSN)``: the USN rule makes LSNs unique per page, not per
+    log — in the CS server log two clients' records for different
+    pages may carry the same LSN (Sections 1.5, 3.1).  The window is
+    ``window_start`` (CS client recovery passes its own) or the
+    checkpoint.  A loser already active at the checkpoint has older
+    records; the index widens once, to the whole active log, when a
+    chain first leaves the window.  The archive-truncation rule keeps
+    every active transaction's records on the active log.
+    """
+    with _tracer_of(instance).span(ev.SPAN_UNDO, system=instance.system_id):
+        if not losers:
+            return
+        log = instance.log
+        if window_start is None:
+            window_start = max(log.archived_offset,
+                               log.master_record_offset or 0)
+        index = _index_losers(log, losers, window_start)
+        widened = window_start == log.archived_offset
+        next_undo: Dict[int, Lsn] = dict(losers)
+        last_lsn: Dict[int, Lsn] = dict(losers)
+        while next_undo:
+            txn_id = max(next_undo, key=lambda t: next_undo[t])
+            lsn = next_undo[txn_id]
             record = index.get((txn_id, lsn))
-        if record is None or lsn == NULL_LSN:
-            _finish_loser(instance, txn_id, last_lsn[txn_id])
-            del next_undo[txn_id]
-            continue
-        if record.kind == RecordKind.CLR:
-            follow = record.undo_next_lsn
-        elif record.is_undoable():
-            clr_lsn = _compensate(instance, txn_id, record,
-                                  last_lsn[txn_id],
-                                  fix_page=fix_page, unfix_page=unfix_page)
-            last_lsn[txn_id] = clr_lsn
-            summary.clrs_written += 1
-            follow = record.prev_lsn
-        else:
-            follow = record.prev_lsn
-        if follow == NULL_LSN:
-            _finish_loser(instance, txn_id, last_lsn[txn_id])
-            del next_undo[txn_id]
-        else:
-            next_undo[txn_id] = follow
+            if record is None and lsn != NULL_LSN and not widened:
+                index = _index_losers(log, losers, log.archived_offset)
+                widened = True
+                record = index.get((txn_id, lsn))
+            if record is None or lsn == NULL_LSN:
+                follow = NULL_LSN
+            elif record.kind == RecordKind.CLR:
+                follow = record.undo_next_lsn
+            else:
+                if record.is_undoable():
+                    last_lsn[txn_id] = _compensate(
+                        instance, txn_id, record, last_lsn[txn_id],
+                        fix_page=fix_page, unfix_page=unfix_page)
+                    summary.clrs_written += 1
+                follow = record.prev_lsn
+            if follow == NULL_LSN:
+                log.append(LogRecord(kind=RecordKind.END, txn_id=txn_id,
+                                     prev_lsn=last_lsn[txn_id]))
+                del next_undo[txn_id]
+            else:
+                next_undo[txn_id] = follow
 
 
 def _index_losers(log, losers: Dict[int, Lsn],
@@ -303,28 +281,17 @@ def _compensate(instance, txn_id: int, record: LogRecord,
     survives a crash-during-restart).
 
     ``fix_page``/``unfix_page`` default to the instance's own pool; the
-    fast-transfer restart path passes coherency-mediated accessors
-    because a loser's page may live in another system's buffer.
+    multi-system callers pass coherency-mediated (SD) or recalling (CS)
+    accessors because a loser's page may live in another system's
+    buffer.
     """
-    log = instance.log
     pool = instance.pool
-    if fix_page is None:
-        fix_page = pool.fix
-    if unfix_page is None:
-        unfix_page = pool.unfix
-    page = fix_page(record.page_id)
+    page = (fix_page or pool.fix)(record.page_id)
     try:
-        clr = make_clr(
-            txn_id=txn_id, system_id=instance.system_id,
-            page_id=record.page_id, slot=record.slot,
-            redo=record.undo, undo_next_lsn=record.prev_lsn,
-            prev_lsn=prev_lsn,
-        )
-        page_lsn_prev = page.page_lsn
-        addr = log.append(clr, page_lsn=page_lsn_prev)
-        apply_payload(page, record.slot, record.undo, clr.lsn)
+        clr, addr, page_lsn_prev = compensate(instance.log, page, record,
+                                              txn_id, prev_lsn)
         pool.note_update(record.page_id, clr.lsn, addr.offset,
-                         log.end_offset)
+                         instance.log.end_offset)
         tracer = _tracer_of(instance)
         if tracer.enabled:
             tracer.emit(
@@ -334,18 +301,22 @@ def _compensate(instance, txn_id: int, record: LogRecord,
             )
         return clr.lsn
     finally:
-        unfix_page(record.page_id)
-
-
-def _finish_loser(instance, txn_id: int, prev_lsn: Lsn) -> None:
-    end = LogRecord(kind=RecordKind.END, txn_id=txn_id, prev_lsn=prev_lsn)
-    instance.log.append(end)
+        (unfix_page or pool.unfix)(record.page_id)
 
 
 # ----------------------------------------------------------------------
-# normal-processing rollback entry point (re-exported convenience)
+# finish
 # ----------------------------------------------------------------------
-def rollback_transaction(instance, txn: Transaction,
-                         to_savepoint: Optional[str] = None) -> None:
-    """Roll back a live transaction (delegates to the instance)."""
-    instance.rollback(txn, to_savepoint=to_savepoint)
+def _finish(instance, summary) -> None:
+    """Force the CLRs and END records, then close the recovery bracket
+    (``summary`` needs the redo/skip/loser/CLR counts)."""
+    instance.log.force()
+    tracer = _tracer_of(instance)
+    if tracer.enabled:
+        tracer.emit(
+            ev.RECOVERY_END, system=instance.system_id,
+            redone=summary.records_redone,
+            skipped=summary.redo_skipped_by_lsn,
+            losers=summary.loser_transactions,
+            clrs=summary.clrs_written,
+        )

@@ -8,16 +8,14 @@ same machinery can instead recover each page lazily on first touch,
 shrinking downtime to O(analysis + losers).  This module implements
 that mode over the paper's multi-system substrate:
 
-1. **Analysis** runs eagerly (:func:`repro.recovery.aries.analysis_pass`
-   — the shared first act of every restart flavour) and yields the
-   dirty page table and the loser transactions.
-2. **Per-page redo chains** are indexed from the stable log(s) by the
-   shared collectors — :func:`repro.recovery.redo.collect_local_redo`
-   under the medium transfer scheme and for the CS server (single-log
-   redo), :func:`repro.recovery.redo.collect_merged_redo` over the
-   merged USN stream under the fast scheme — i.e. exactly the chains
-   eager restart replays.
-3. **Undo runs eagerly at open**, reusing the eager
+1. **Analysis and the redo plan** run eagerly through the shared
+   restart prologue (:func:`repro.recovery.aries._prologue`): the
+   Lamport clock is re-seeded, analysis yields the loser
+   transactions, and the per-page redo chains are indexed from the
+   stable log(s) — single-log under the medium transfer scheme and for
+   the CS server, the wiring's merged-log plan under the fast scheme —
+   i.e. exactly the chains eager restart replays.
+2. **Undo runs eagerly at open**, reusing the eager
    :func:`~repro.recovery.aries._undo_pass` verbatim with the same
    page fixers the eager path uses.  Undo touches only loser pages, so
    this keeps open cost proportional to the in-flight work at crash
@@ -25,7 +23,7 @@ that mode over the paper's multi-system substrate:
    the equivalence guarantee below hold by construction: the CLRs are
    appended in the same order, against the same page images, with the
    same ``page_lsn`` hints, as under eager restart.
-4. Everything else recovers **on demand**: the buffer pool's
+3. Everything else recovers **on demand**: the buffer pool's
    ``recovery_intercept`` seam (and, in the SD complex, a guard at the
    top of coherency access) routes the first touch of a still-pending
    page through :meth:`InstantRecoveryManager.recover_page`, which
@@ -66,7 +64,7 @@ from repro.faults import points as fp
 from repro.faults.injector import NULL_INJECTOR, NullFaultInjector
 from repro.obs import events as ev
 from repro.recovery import aries
-from repro.recovery.aries import RestartSummary, analysis_pass
+from repro.recovery.aries import RedoPlan, RestartSummary
 from repro.recovery.redo import Chain, replay_to_disk
 
 
@@ -99,7 +97,6 @@ class InstantRecoveryManager:
         self.injector = injector if injector is not None else NULL_INJECTOR
         self.on_drained = on_drained
         self.summary = RestartSummary()
-        self.dpt: Dict[int, tuple] = {}
         self.losers: Dict[int, int] = {}
         self._chains: Dict[int, Chain] = {}
         self._opened = False
@@ -110,25 +107,12 @@ class InstantRecoveryManager:
     # ------------------------------------------------------------------
     # open sequence
     # ------------------------------------------------------------------
-    def analyze(self) -> None:
-        """Re-seed the Lamport clock and run the analysis pass."""
-        log = self.instance.log
-        system_id = self.instance.system_id
-        # The Lamport clock must be re-seeded before any CLR is
-        # appended — same rule as eager restart.
-        log.recover_local_max()
-        with self.tracer.span(ev.SPAN_ANALYSIS, system=system_id):
-            self.dpt, self.losers = analysis_pass(log, self.summary)
-        self.summary.dirty_pages_at_crash = len(self.dpt)
-        self.summary.loser_transactions = len(self.losers)
-        if self.dpt:
-            redo_start = min(rec_addr for _, rec_addr in self.dpt.values())
-            self.summary.redo_scan_start = redo_start
-
-    def index_chains(self, chains: Dict[int, Chain]) -> None:
-        """Install the per-page redo chains (collector output); every
-        page with a chain becomes *pending*."""
-        self._chains = dict(chains)
+    def analyze(self, plan: Optional[RedoPlan] = None) -> None:
+        """The restart prologue: clock, analysis and the redo plan
+        (single-log unless the wiring passes ``plan``); every page with
+        a chain becomes *pending*."""
+        self._chains, self.losers = aries._prologue(
+            self.instance, self.summary, plan)
 
     def open(self, fix_page=None, unfix_page=None) -> RestartSummary:
         """Declare the pending set, then roll back the losers eagerly.
@@ -151,9 +135,8 @@ class InstantRecoveryManager:
         if self.stats is not None:
             self.stats.incr(INSTANT_OPENS)
         self._opened = True
-        with tracer.span(ev.SPAN_UNDO, system=system_id):
-            aries._undo_pass(instance, self.losers, self.summary,
-                             fix_page=fix_page, unfix_page=unfix_page)
+        aries._undo_pass(instance, self.losers, self.summary,
+                         fix_page=fix_page, unfix_page=unfix_page)
         instance.log.force()
         if not self._chains:
             self._finish()

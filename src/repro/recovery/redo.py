@@ -98,11 +98,15 @@ def _add(chains: Dict[int, Chain], offset: int, record: LogRecord) -> None:
 
 
 def collect_local_redo(
-    log: "LogManager", dpt: Dict[int, Tuple[Lsn, int]], redo_start: int
+    log: "LogManager", dpt: Dict[int, Tuple[Lsn, int]]
 ) -> Dict[int, Chain]:
     """Chains for single-log redo: pages in the DPT, records at or
-    after the page's RecAddr (earlier ones reached disk)."""
+    after the page's RecAddr (earlier ones reached disk).  The scan
+    starts at the smallest RecAddr; an empty DPT reads nothing."""
     chains: Dict[int, Chain] = {}
+    if not dpt:
+        return chains
+    redo_start = min(rec_addr for _, rec_addr in dpt.values())
     for addr, record in log.scan(from_offset=redo_start):
         if not record.is_page_oriented():
             continue

@@ -8,14 +8,11 @@ every page is current; the only uncommitted data left is the losers',
 and that is protected by their retained locks.  So the system can open
 for business between redo and undo.
 
-:class:`StagedRestart` exposes exactly that seam.  ``run_redo()``
-performs analysis + redo, flushes the reconstructed pages and lifts the
-coherency fence — from this moment other systems (and new local
-transactions) may access everything except records the losers still
-lock.  ``run_undo()`` then rolls the losers back and releases their
-locks.  ``restart_instance`` remains the one-shot equivalent.
-
-Only the medium transfer scheme supports staged restart here: the fast
+:class:`StagedRestart` is eager restart's call sequence
+(:mod:`repro.recovery.aries`) split at that seam.  ``run_redo()`` runs
+the prologue and redo, flushes the reconstructed pages and lifts the
+coherency fence; ``run_undo()`` rolls the losers back and releases
+their locks.  Only the medium transfer scheme supports it: the fast
 scheme's merged-log redo interacts with live-system buffers and is run
 as one unit.
 """
@@ -26,14 +23,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.common.errors import ReproError
 from repro.common.lsn import Lsn
-from repro.obs import events as ev
-from repro.recovery.aries import (
-    RestartSummary,
-    _redo_pass,
-    _tracer_of,
-    _undo_pass,
-    analysis_pass,
-)
+from repro.recovery.aries import RestartSummary, _prologue, _redo, _undo_pass
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sd.complex import SDComplex
@@ -57,40 +47,25 @@ class StagedRestart:
         self.instance = instance
         self.summary = RestartSummary()
         self._losers: Optional[Dict[int, Lsn]] = None
-        self._open = False
         self._finished = False
 
-    # ------------------------------------------------------------------
     def run_redo(self) -> RestartSummary:
-        """Analysis + redo; then open the system for new transactions.
-
-        After this returns, the failed system's pages are current on
-        disk, the coherency fence is lifted, and only the losers'
-        retained locks restrict access.
-        """
+        """Analysis + redo; then open the system for new transactions
+        (pages current on disk, fence lifted, losers' locks retained)."""
         if self._losers is not None:
             raise ReproError("redo already ran")
         instance = self.instance
         instance.crashed = False
-        log = instance.log
-        tracer = _tracer_of(instance)
-        log.recover_local_max()
-        with tracer.span(ev.SPAN_ANALYSIS, system=instance.system_id):
-            dpt, losers = analysis_pass(log, self.summary)
-        self.summary.dirty_pages_at_crash = len(dpt)
-        self.summary.loser_transactions = len(losers)
-        with tracer.span(ev.SPAN_REDO, system=instance.system_id):
-            _redo_pass(instance, dpt, self.summary)
+        chains, self._losers = _prologue(instance, self.summary)
+        _redo(instance, chains, self.summary)
         instance.pool.flush_all()
         self.complex.coherency.note_recovered(instance.system_id)
-        self._losers = losers
-        self._open = True
         return self.summary
 
     @property
     def open_for_access(self) -> bool:
         """True between redo completion and undo completion."""
-        return self._open and not self._finished
+        return self._losers is not None and not self._finished
 
     def loser_transactions(self) -> Dict[int, Lsn]:
         """The transactions still holding retained locks."""
@@ -98,22 +73,18 @@ class StagedRestart:
             raise ReproError("run_redo() first")
         return dict(self._losers)
 
-    # ------------------------------------------------------------------
     def run_undo(self) -> RestartSummary:
-        """Roll back the losers and release their retained locks."""
+        """Roll back the losers and release their retained locks.  A
+        loser's page may have moved to another system during the open
+        window; the complex's recovery fixer fetches the current one."""
         if self._losers is None:
             raise ReproError("run_redo() first")
         if self._finished:
             raise ReproError("undo already ran")
         instance = self.instance
-        tracer = _tracer_of(instance)
-        # A loser's page may have moved to another system during the
-        # open window; the fixer fetches the current version (with the
-        # crashed-owner reconstruction fallback).
-        with tracer.span(ev.SPAN_UNDO, system=instance.system_id):
-            _undo_pass(instance, self._losers, self.summary,
-                       fix_page=self.complex.recovery_page_fixer(instance),
-                       unfix_page=instance.pool.unfix)
+        _undo_pass(instance, self._losers, self.summary,
+                   fix_page=self.complex.recovery_page_fixer(instance),
+                   unfix_page=instance.pool.unfix)
         instance.log.force()
         instance.pool.flush_all()
         self.complex.release_system_locks(instance.system_id)

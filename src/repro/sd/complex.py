@@ -20,12 +20,9 @@ the last updater's maximum.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional
+from typing import Dict, Hashable, Iterable, List, Optional
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.recovery.instant import InstantRecoveryManager
-
-from repro.common.errors import ReproError
+from repro.common.errors import ProtocolError, ReproError
 from repro.common.lsn import Lsn
 from repro.common.stats import StatsRegistry
 from repro.faults.injector import NULL_INJECTOR, NullFaultInjector
@@ -33,7 +30,11 @@ from repro.locking.lock_manager import LockManager, LockMode, LockStatus
 from repro.net.network import Network
 from repro.obs import events as ev
 from repro.obs.tracer import NULL_TRACER, NullTracer
+from repro.recovery.aries import restart_recovery
 from repro.recovery.commit_lsn import CommitLsnService
+from repro.recovery.instant import InstantRecoveryManager
+from repro.recovery.redo import collect_merged_redo, redo_chain
+from repro.recovery.staged import StagedRestart
 from repro.replication.shipper import (
     NULL_REPLICATION,
     ReplicationConfig,
@@ -121,7 +122,7 @@ class SDComplex:
         #: Active instant-restart managers, keyed by recovering system.
         #: Empty on the classic path — every guard on it is a single
         #: truthiness test, keeping eager traces byte-identical.
-        self.instant: Dict[int, "InstantRecoveryManager"] = {}
+        self.instant: Dict[int, InstantRecoveryManager] = {}
         self.lock_value_blocks = lock_value_blocks
         self._lock_values: Dict[Hashable, Lsn] = {}
         if disk is None:
@@ -245,7 +246,10 @@ class SDComplex:
         Under the medium transfer scheme this uses only the failed
         instance's local log (the paper's Section 3.1 payoff); under
         the fast scheme, redo replays the merged local logs for the
-        pages the failed instance owned (Section 5 extension).
+        pages the failed instance owned (Section 5 extension).  With
+        ``restart_mode="instant"`` the same plan is indexed instead of
+        replayed, and each page recovers on first touch
+        (:mod:`repro.recovery.instant`).
         """
         instance = self.instances[system_id]
         if not instance.crashed:
@@ -253,128 +257,74 @@ class SDComplex:
         instance.crashed = False
         with self.tracer.span(ev.SPAN_RESTART, system=system_id,
                               target="instance"):
+            plan, fix_page = self._restart_plan(system_id, instance)
             if self.restart_mode == "instant":
-                return self._instant_restart_instance(system_id, instance)
-            return self._restart_instance(system_id, instance)
-
-    def _restart_instance(self, system_id: int, instance: DbmsInstance):
-        from repro.recovery.aries import fast_restart_recovery, restart_recovery
-
-        if self.transfer_scheme == "fast":
-            candidates = self.coherency.pages_owned_by(system_id)
-            skip = set()
-            for other_id, other in self.instances.items():
-                if other_id == system_id or other.crashed:
-                    continue
-                for bcb in other.pool.pages():
-                    if bcb.dirty:
-                        skip.add(bcb.page_id)
-
-            def fix_fast(page_id):
-                from repro.common.errors import ProtocolError
-
-                try:
-                    return self.coherency.access(instance, page_id,
-                                                 for_update=True)
-                except ProtocolError:
-                    # Complex-wide failure: the page's retained owner is
-                    # another crashed system.  The merged-log redo pass
-                    # above already reconstructed every analysis-DPT
-                    # page on disk, so undo can proceed on that
-                    # version; the owner's own later recovery stays
-                    # idempotent thanks to the page_LSN test.
-                    return instance.pool.fix(page_id)
-
-            summary = fast_restart_recovery(
-                instance,
-                [inst.log for inst in self.instances.values()],
-                candidate_pages=candidates,
-                skip_page_ids=skip,
-                fix_page=fix_fast,
-                unfix_page=instance.pool.unfix,
-            )
-        else:
-            summary = restart_recovery(
-                instance,
-                fix_page=self.recovery_page_fixer(instance),
-                unfix_page=instance.pool.unfix,
-            )
-        instance.pool.flush_all()
-        # Cold cache after recovery: keeping reconstructed pages around
-        # would require re-registering every copy with the coherency
-        # layer and invites stale-read hazards; dropping them is simple
-        # and what a real restart does anyway.
-        for bcb in list(instance.pool.pages()):
-            instance.pool.drop_page(bcb.page_id)
-        self.coherency.note_recovered(system_id)
-        self.release_system_locks(system_id)
-        return summary
-
-    def _instant_restart_instance(self, system_id: int,
-                                  instance: DbmsInstance):
-        """Instant restart: analysis + eager loser undo, then open —
-        the redo scan becomes per-page chains recovered on first touch
-        (:mod:`repro.recovery.instant`).
-
-        The undo fixers are exactly the eager ones (coherency-mediated
-        medium fixer / ``fix_fast``); the coherency-access guard and
-        the pool's ``recovery_intercept`` make sure any touched pending
-        page has its chain applied first, so CLR order, LSN hints and
-        the final disk image match the eager path byte for byte.
-        """
-        from repro.common.errors import ProtocolError
-        from repro.recovery.instant import InstantRecoveryManager
-        from repro.recovery.redo import collect_local_redo, collect_merged_redo
-
-        manager = InstantRecoveryManager(
-            instance, mode=self.transfer_scheme, stats=self.stats,
-            injector=self.injector, on_drained=self._instant_drained,
-        )
-        # Register before open: the eager undo below reaches pages
-        # through the coherency layer, whose instant guard routes any
-        # pending page back through this manager first.
-        self.instant[system_id] = manager
-        instance.pool.recovery_intercept = self.ensure_instant_recovered
-        with self.tracer.span(ev.SPAN_RECOVERY, system=system_id,
-                              mode="instant"):
-            manager.analyze()
-            if self.transfer_scheme == "fast":
-                candidates = self.coherency.pages_owned_by(system_id)
-                skip = set()
-                for other_id, other in self.instances.items():
-                    if other_id == system_id or other.crashed:
-                        continue
-                    for bcb in other.pool.pages():
-                        if bcb.dirty:
-                            skip.add(bcb.page_id)
-                targets = (set(manager.dpt) | set(candidates)) - skip
-                manager.index_chains(collect_merged_redo(
-                    [inst.log for inst in self.instances.values()],
-                    targets))
-
-                def fix_fast(page_id):
-                    try:
-                        return self.coherency.access(instance, page_id,
-                                                     for_update=True)
-                    except ProtocolError:
-                        return instance.pool.fix(page_id)
-
-                fix_page = fix_fast
+                manager = InstantRecoveryManager(
+                    instance, mode=self.transfer_scheme, stats=self.stats,
+                    injector=self.injector,
+                    on_drained=self._instant_drained,
+                )
+                # Register before open: the eager undo reaches pages
+                # through the coherency layer, whose instant guard (and
+                # the pool's intercept) recovers a pending page first,
+                # so CLR order, LSN hints and the final disk image
+                # match the eager path byte for byte.
+                self.instant[system_id] = manager
+                instance.pool.recovery_intercept = \
+                    self.ensure_instant_recovered
+                with self.tracer.span(ev.SPAN_RECOVERY, system=system_id,
+                                      mode="instant"):
+                    manager.analyze(plan)
+                    summary = manager.open(fix_page=fix_page,
+                                           unfix_page=instance.pool.unfix)
             else:
-                manager.index_chains(collect_local_redo(
-                    instance.log, manager.dpt,
-                    manager.summary.redo_scan_start))
-                fix_page = self.recovery_page_fixer(instance)
-            summary = manager.open(fix_page=fix_page,
-                                   unfix_page=instance.pool.unfix)
-        instance.pool.flush_all()
-        # Cold cache, same as the eager path: only undo-touched pages
-        # are pooled at this point, and they just hit the disk.
-        for bcb in list(instance.pool.pages()):
-            instance.pool.drop_page(bcb.page_id)
-        self.coherency.note_recovered(system_id)
-        self.release_system_locks(system_id)
-        return summary
+                summary = restart_recovery(instance, fix_page,
+                                           instance.pool.unfix, plan)
+            instance.pool.flush_all()
+            # Cold cache after recovery: keeping reconstructed pages
+            # around would require re-registering every copy with the
+            # coherency layer and invites stale-read hazards; dropping
+            # them is simple and what a real restart does anyway.
+            for bcb in list(instance.pool.pages()):
+                instance.pool.drop_page(bcb.page_id)
+            self.coherency.note_recovered(system_id)
+            self.release_system_locks(system_id)
+            return summary
+
+    def _restart_plan(self, system_id: int, instance: DbmsInstance):
+        """``(redo plan, undo fixer)`` of a recovering instance.
+
+        Medium scheme: single-log redo (``None``) and
+        :meth:`recovery_page_fixer`.  Fast scheme: merged-log redo of
+        the analysis DPT plus the instance's retained page ownership,
+        minus pages whose current version is dirty in a live pool; undo
+        goes through the coherency layer, falling back to the local
+        pool when the page's retained owner is another crashed system
+        (complex-wide failure) — the merged-log redo already
+        reconstructed every DPT page on disk, and the owner's own later
+        recovery stays idempotent thanks to the page_LSN test.
+        """
+        if self.transfer_scheme != "fast":
+            return None, self.recovery_page_fixer(instance)
+        candidates = set(self.coherency.pages_owned_by(system_id))
+        skip = {bcb.page_id
+                for other_id, other in self.instances.items()
+                if other_id != system_id and not other.crashed
+                for bcb in other.pool.pages() if bcb.dirty}
+        logs = self.local_logs()
+
+        def plan(dpt):
+            targets = (set(dpt) | candidates) - skip
+            return collect_merged_redo(logs, targets) if targets else {}
+
+        def fix_fast(page_id: int):
+            try:
+                return self.coherency.access(instance, page_id,
+                                             for_update=True)
+            except ProtocolError:
+                return instance.pool.fix(page_id)
+
+        return plan, fix_fast
 
     def ensure_instant_recovered(self, page_id: int) -> None:
         """Apply every active instant manager's pending chain for
@@ -393,7 +343,7 @@ class SDComplex:
             if manager is not None:
                 manager.recover_page(page_id)
 
-    def _instant_drained(self, manager: "InstantRecoveryManager") -> None:
+    def _instant_drained(self, manager: InstantRecoveryManager) -> None:
         """Deregister a drained manager; drop the fix intercepts once
         the last one is gone."""
         drained = [
@@ -430,9 +380,6 @@ class SDComplex:
         The owner's own later recovery stays idempotent via the
         page_LSN test.
         """
-        from repro.common.errors import ProtocolError
-        from repro.recovery.redo import collect_merged_redo, redo_chain
-
         def fix_page(page_id: int):
             try:
                 return self.coherency.access(instance, page_id,
@@ -453,8 +400,6 @@ class SDComplex:
         """Start a staged restart ([Moha91]-style early access): call
         ``run_redo()`` to open the system for new transactions with only
         the losers' retained locks in force, then ``run_undo()``."""
-        from repro.recovery.staged import StagedRestart
-
         return StagedRestart(self, self.instances[system_id])
 
     def crash_complex(self) -> None:

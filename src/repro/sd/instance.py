@@ -42,7 +42,7 @@ from repro.faults.injector import FAIL
 from repro.faults.policy import RetryPolicy, run_with_lock_retry
 from repro.locking.lock_manager import LockMode, LockStatus, page_lock, record_lock
 from repro.obs import events as ev
-from repro.recovery.apply import apply_op, apply_payload, stamp_page_lsn
+from repro.recovery.apply import apply_op, compensate, stamp_page_lsn
 from repro.storage.page import Page, PageType
 from repro.storage.space_map import SpaceMap
 from repro.txn.manager import TransactionManager
@@ -54,7 +54,6 @@ from repro.wal.records import (
     RecordKind,
     decode_op,
     encode_op,
-    make_clr,
     make_format,
     make_update,
 )
@@ -282,15 +281,8 @@ class DbmsInstance:
         """Undo a single update record, logging a CLR first."""
         page = self._access(record.page_id, for_update=True)
         try:
-            clr = make_clr(
-                txn_id=txn.txn_id, system_id=self.system_id,
-                page_id=record.page_id, slot=record.slot,
-                redo=record.undo, undo_next_lsn=record.prev_lsn,
-                prev_lsn=txn.last_lsn,
-            )
-            page_lsn_prev = page.page_lsn
-            addr = self.log.append(clr, page_lsn=page_lsn_prev)
-            apply_payload(page, record.slot, record.undo, clr.lsn)
+            clr, addr, page_lsn_prev = compensate(
+                self.log, page, record, txn.txn_id, txn.last_lsn)
             self.pool.note_update(record.page_id, clr.lsn, addr.offset,
                                   self.log.end_offset)
             txn.note_logged(clr.lsn, addr.offset, undoable=False)

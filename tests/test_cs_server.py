@@ -4,7 +4,8 @@ import pytest
 
 from repro import CsSystem
 from repro.common.errors import ReproError
-from repro.cs.server import SERVER_ID, _COMMITTED
+from repro.cs.server import SERVER_ID
+from repro.recovery.aries import _COMMITTED
 from repro.wal.records import CheckpointData, RecordKind
 
 

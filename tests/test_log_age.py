@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.stats import LOG_BYTES_SCANNED, StatsRegistry
 from repro.cs.server import CsServer
+from repro.cs.system import CsSystem
 from repro.recovery.checkpoint import archive_log, take_checkpoint
 from repro.replication import ReplicationConfig
 from repro.sd.complex import SDComplex
@@ -225,7 +226,8 @@ def test_map_rec_lsn_equals_the_linear_reference(ops):
 
 
 # ----------------------------------------------------------------------
-# (e) a loser older than the checkpoint: undo widens its index once
+# (e) a loser older than the checkpoint: undo widens its index once;
+#     CS client recovery indexes its own window the same way
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("restart_mode", ["eager", "instant"])
 def test_loser_active_at_the_checkpoint_is_fully_undone(restart_mode):
@@ -247,6 +249,53 @@ def test_loser_active_at_the_checkpoint_is_fully_undone(restart_mode):
     engine.pool.flush_all()
     for row in (old_row, new_row):
         assert sd.disk.read_page(row[0]).read_record(row[1]) == b"v0"
+
+
+def cs_client_recovery_scan(prior_txns):
+    """``log.bytes_scanned`` by recovering a client that checkpointed
+    after ``prior_txns`` committed transactions and then shipped one
+    loser update."""
+    stats = StatsRegistry()
+    cs = CsSystem(n_data_pages=64, stats=stats)
+    client = cs.add_client(1)
+    rows = committed_rows(client, 4)
+    update_rows(client, rows, random.Random(1992), prior_txns)
+    client.flush_all()
+    client.checkpoint()
+    loser = client.begin()
+    client.update(loser, *rows[0], b"in-flight")
+    client.send_page_back(rows[0][0])
+    cs.crash_client(1)
+    before = stats.get(LOG_BYTES_SCANNED)
+    summary = cs.recover_client(1)
+    assert (summary.records_scanned, summary.clrs_written) == (1, 1)
+    return stats.get(LOG_BYTES_SCANNED) - before
+
+
+def test_cs_client_recovery_scan_does_not_grow_with_history():
+    """Undo indexes the client's window, not the whole server log."""
+    assert cs_client_recovery_scan(50) == cs_client_recovery_scan(200)
+
+
+def test_cs_client_loser_active_at_the_checkpoint_is_fully_undone():
+    cs = CsSystem(n_data_pages=64)
+    client = cs.add_client(1)
+    (old_row, new_row) = committed_rows(client, 2)
+    loser = client.begin()
+    client.update(loser, *old_row, b"before-ckpt")
+    # Ship the page and steal it to disk: it leaves the client's
+    # dirty-page table, so the checkpoint opens the window after it.
+    client.flush_all()
+    cs.server.pool.flush_all()
+    client.checkpoint()
+    client.update(loser, *new_row, b"after-ckpt")
+    client.flush_all()
+    cs.crash_client(1)
+    summary = cs.recover_client(1)
+    assert (summary.loser_transactions, summary.clrs_written) == (1, 2)
+    cs.quiesce()
+    for row in (old_row, new_row):
+        assert cs.server.disk.read_page(row[0]).read_record(row[1]) == b"v0"
 
 
 # ----------------------------------------------------------------------

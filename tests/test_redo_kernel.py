@@ -1,8 +1,10 @@
-"""Structural guard: one redo kernel, no threads, no knob.
+"""Structural guard: one redo kernel, one restart pipeline, no knob.
 
 The paper's redo rule — apply iff ``record.LSN > page_LSN`` (Section
 3.2.1) — lives in :func:`repro.recovery.redo.redo_chain` and nowhere
-else, so the sabotage seam covers every recovery flavour.  Source
+else, so the sabotage seam covers every recovery flavour.  Likewise
+the rest of restart has one home each: the Lamport clock re-seed, the
+transaction-table fold, the undo walk and the CLR writer.  Source
 walks, plus one traced restart that pins the specified replay order.
 """
 
@@ -50,6 +52,62 @@ def test_one_page_lsn_comparison():
             if record_lsn and "page_lsn" in map(_terminal, operands):
                 sites.append(f"{name}:{node.lineno}")
     assert len(sites) == 1 and sites[0].startswith("recovery/redo.py:"), sites
+
+
+def _functions(predicate, skip=()):
+    """``module:function`` of every function whose own body (nested
+    functions included) satisfies ``predicate(nodes)``."""
+    found = []
+    for name, _, tree in _modules():
+        if name.startswith(skip):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if predicate(list(ast.walk(node))):
+                    found.append(f"{name}:{node.name}")
+    return found
+
+
+def _calls(nodes, callee):
+    return sum(isinstance(node, ast.Call) and _terminal(node.func) == callee
+               for node in nodes)
+
+
+def test_one_undo_walk_follows_undo_next():
+    """Outside the record format (``wal/``), only the undo walk reads a
+    CLR's ``undo_next_lsn``."""
+    readers = _functions(
+        lambda nodes: any(isinstance(node, ast.Attribute)
+                          and node.attr == "undo_next_lsn"
+                          and isinstance(node.ctx, ast.Load)
+                          for node in nodes),
+        skip=("wal/",))
+    assert readers == ["recovery/aries.py:_undo_pass"], readers
+
+
+def test_one_transaction_table_fold():
+    def folds(nodes):
+        compared = {operand.attr for node in nodes
+                    if isinstance(node, ast.Compare)
+                    for operand in (node.left, *node.comparators)
+                    if isinstance(operand, ast.Attribute)
+                    and _terminal(operand.value) == "RecordKind"}
+        return {"COMMIT", "END"} <= compared
+
+    assert _functions(folds) == ["recovery/aries.py:_fold_txn"]
+
+
+def test_one_clr_writer():
+    sites = _functions(lambda nodes: _calls(nodes, "make_clr") > 0,
+                       skip=("wal/records.py",))
+    assert sites == ["recovery/apply.py:compensate"], sites
+
+
+def test_one_clock_reseed_in_recovery():
+    sites = [site for site in _functions(
+        lambda nodes: _calls(nodes, "recover_local_max") > 0)
+        if site.startswith("recovery/")]
+    assert sites == ["recovery/aries.py:_prologue"], sites
 
 
 def test_no_threads_and_no_parallelism_knob():
