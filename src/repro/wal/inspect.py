@@ -92,6 +92,9 @@ class LogSummary:
 
     records: int = 0
     by_kind: Dict[str, int] = field(default_factory=dict)
+    #: Encoded bytes (header and payloads) per kind: where the log's
+    #: volume goes.
+    bytes_by_kind: Dict[str, int] = field(default_factory=dict)
     transactions: Dict[int, int] = field(default_factory=dict)
     pages: Dict[int, int] = field(default_factory=dict)
     first_lsn: int = 0
@@ -99,20 +102,25 @@ class LogSummary:
 
     def render(self) -> str:
         kinds = ", ".join(f"{k}={v}" for k, v in sorted(self.by_kind.items()))
+        volume = ", ".join(
+            f"{k}={v}" for k, v in sorted(self.bytes_by_kind.items()))
         return (
             f"{self.records} records (LSN {self.first_lsn}..{self.last_lsn}); "
             f"{len(self.transactions)} txns over {len(self.pages)} pages; "
-            f"{kinds}"
+            f"{kinds}; bytes {sum(self.bytes_by_kind.values())}: {volume}"
         )
 
 
 def summarize_log(log: LogManager) -> LogSummary:
-    """Counts per kind / transaction / page, plus the LSN span."""
+    """Counts (and bytes) per kind, counts per transaction / page, plus
+    the LSN span."""
     summary = LogSummary()
     for _, record in log.scan():
         summary.records += 1
         abbrev = _KIND_ABBREV.get(record.kind, str(record.kind))
         summary.by_kind[abbrev] = summary.by_kind.get(abbrev, 0) + 1
+        summary.bytes_by_kind[abbrev] = \
+            summary.bytes_by_kind.get(abbrev, 0) + record.serialized_size()
         if record.txn_id:
             summary.transactions[record.txn_id] = \
                 summary.transactions.get(record.txn_id, 0) + 1

@@ -43,6 +43,7 @@ from repro.obs import events as ev
 from repro.obs.tracer import NULL_TRACER, NullTracer
 from repro.wal.records import (
     LogRecord,
+    record_spans,
     stamp_and_encode,
     stamp_and_encode_batch,
 )
@@ -104,8 +105,11 @@ class LogManager:
         system_id = self.system_id
         local_max = self.local_max_lsn
         lsn = (page_lsn if page_lsn > local_max else local_max) + 1
+        # Encode first: a record that does not fit its kind's header
+        # shape raises before the clock moves.
+        data = stamp_and_encode(record, lsn, system_id)
         self.local_max_lsn = lsn
-        addr = self._append_bytes(stamp_and_encode(record, lsn, system_id))
+        addr = self._append_bytes(data)
         if self.tracer.enabled:
             self.tracer.emit(
                 ev.LOG_APPEND,
@@ -180,8 +184,7 @@ class LogManager:
         own control records sort above everything it has stored.
         """
         return self.append_parsed(data, max(
-            (record.lsn for _, record in LogRecord.parse_stream(data)),
-            default=NULL_LSN))
+            (lsn for lsn, _, _ in record_spans(data)), default=NULL_LSN))
 
     def append_parsed(self, data: bytes, max_lsn: Lsn) -> LogAddress:
         """:meth:`append_raw` for a caller that already parsed ``data``
@@ -355,8 +358,8 @@ class LogManager:
         return maximum
 
     def _max_lsn_from(self, offset: int) -> Lsn:
-        return max((record.lsn for _, record in self.scan(from_offset=offset)),
-                   default=NULL_LSN)
+        spans = record_spans(self._scan_bytes(offset))
+        return max((lsn for lsn, _, _ in spans), default=NULL_LSN)
 
     def scan(
         self,
@@ -369,21 +372,29 @@ class LogManager:
         (``include_unflushed=False`` after :meth:`crash` is a no-op
         distinction, but live invariant checks use it).
         """
-        end = len(self._buffer) if include_unflushed else self._flushed_len
+        data = self._scan_bytes(
+            from_offset,
+            len(self._buffer) if include_unflushed else self._flushed_len)
+        system_id = self.system_id
+        offset = 0
+        length = len(data)
+        while offset < length:
+            record, offset_next = LogRecord.from_bytes(data, offset)
+            yield LogAddress(system_id, from_offset + offset), record
+            offset = offset_next
+
+    def _scan_bytes(self, from_offset: int, end: Optional[int] = None) -> bytes:
+        """The log bytes a scan from ``from_offset`` to ``end`` (default:
+        the end of the log) reads, counted as that scan."""
+        if end is None:
+            end = len(self._buffer)
         if from_offset < self.archived_offset:
             # The scan reaches into archived territory (media recovery
             # fetching the tapes); account for it.
             self.stats.incr(LOG_ARCHIVE_SCANS)
         if from_offset >= end:
-            return
-        data = self._read_window(from_offset, end)
-        system_id = self.system_id
-        offset = 0
-        length = end - from_offset
-        while offset < length:
-            record, offset_next = LogRecord.from_bytes(data, offset)
-            yield LogAddress(system_id, from_offset + offset), record
-            offset = offset_next
+            return b""
+        return self._read_window(from_offset, end)
 
     def _read_window(self, from_offset: int, end: int) -> bytes:
         """One counted copy of the log bytes in ``[from_offset, end)``
@@ -418,7 +429,7 @@ class LogManager:
 
     def record_count(self) -> int:
         """Total records currently in the log (including unflushed)."""
-        return sum(1 for _ in self.scan())
+        return len(record_spans(self._scan_bytes(0)))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

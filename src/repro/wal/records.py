@@ -1,25 +1,46 @@
 """Binary log record format.
 
-Every record serializes to a 48-byte packed header followed by three
-variable-length payloads (redo, undo, extra).  Fields:
+Every record serializes to a fixed packed header followed by three
+variable-length payloads (redo, undo, extra).  The header's shape is a
+function of the record's kind: the kind byte leads every header, and
+one table lookup on it selects one of three layouts, so no record
+carries a field its kind never uses.
 
-==============  =====  ====================================================
-field           bytes  meaning
-==============  =====  ====================================================
-lsn             8      update sequence number assigned by the log manager
-prev_lsn        8      LSN of this transaction's previous record (0 = none)
-txn_id          8      owning transaction
-undo_next_lsn   8      CLRs only: next record of the txn to undo (0 = done)
-page_id         4      page the record describes (0xFFFFFFFF = none)
-system_id       2      writer system / client id (Section 3.1: client log
-                       records carry the client's identity)
-slot            2      record slot within the page (0xFFFF = none)
-redo_len        2
-undo_len        2
-extra_len       2
-kind            1      :class:`RecordKind`
-padding         1
-==============  =====  ====================================================
+==============  =====  =======  ====  ====  =================================
+field           bytes  control  page  full  meaning
+==============  =====  =======  ====  ====  =================================
+kind            1      x        x     x     :class:`RecordKind`
+lsn             8      x        x     x     update sequence number assigned
+                                            by the log manager
+prev_lsn        8      x        x     x     this transaction's previous
+                                            record (0 = none)
+txn_id          8      x        x     x     owning transaction
+undo_next_lsn   8                     x     CLRs only: next record of the
+                                            txn to undo (0 = done)
+page_id         4               x     x     page the record describes
+                                            (0xFFFFFFFF = none)
+system_id       2      x        x     x     writer system / client id
+                                            (Section 3.1: client log records
+                                            carry the client's identity)
+slot            2               x     x     record slot within the page
+                                            (0xFFFF = none)
+redo_len        2               x     x
+undo_len        2               x     x
+extra_len       2               x     x
+padding         1                     x
+header size            27       39    48
+==============  =====  =======  ====  ====  =================================
+
+* **control** -- COMMIT, ABORT, END: no page, no payload.
+* **page** -- UPDATE, SMP_UPDATE, FORMAT_PAGE: everything but
+  ``undo_next_lsn`` (Lomet-baseline UPDATEs carry a BSI in ``extra``).
+* **full** -- CLR, BEGIN/END_CHECKPOINT, DUMMY: every field.
+
+A record whose fields do not fit its kind's shape (a COMMIT with a
+page, an UPDATE with an ``undo_next_lsn``, a slot or a payload
+length too wide for its field, a kind byte that names no kind) raises
+:class:`ValueError` when it is encoded; nothing is ever silently
+dropped or truncated.
 
 Update payloads are *physiological*: an operation byte
 (:class:`PageOp`) plus operand bytes, applied to a named slot of a named
@@ -32,13 +53,10 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.common.lsn import Lsn
-
-_HEADER = struct.Struct("<QQQQIHHHHHBx")
-HEADER_SIZE = _HEADER.size
-assert HEADER_SIZE == 48
 
 #: Log bytes can be parsed out of an owned ``bytes`` object or a
 #: zero-copy ``memoryview`` over someone else's buffer (the log
@@ -63,6 +81,39 @@ class RecordKind(enum.IntEnum):
     FORMAT_PAGE = 8       # page (re)allocation format record (redo-only)
     SMP_UPDATE = 9        # space map page bit flip (redo+undo)
     DUMMY = 10            # filler for log-production-rate experiments
+
+
+# The three header shapes (see the module docstring).
+_CONTROL = struct.Struct("<BQQQH")
+_PAGE = struct.Struct("<BQQQIHHHHH")
+_FULL = struct.Struct("<BQQQQIHHHHHx")
+assert (_CONTROL.size, _PAGE.size, _FULL.size) == (27, 39, 48)
+
+#: Kind byte -> :class:`RecordKind` and kind byte -> header shape (None
+#: for a byte that names no kind), as tuples over all 256 byte values
+#: so the parse and encode lanes pay one index, not a call.
+_KINDS: Tuple[Optional[RecordKind], ...] = tuple(
+    map({kind.value: kind for kind in RecordKind}.get, range(256)))
+_SHAPES: Tuple[Optional[struct.Struct], ...] = tuple(
+    None if kind is None
+    else _CONTROL if kind in (RecordKind.COMMIT, RecordKind.ABORT,
+                              RecordKind.END)
+    else _PAGE if kind in (RecordKind.UPDATE, RecordKind.SMP_UPDATE,
+                           RecordKind.FORMAT_PAGE)
+    else _FULL
+    for kind in _KINDS)
+
+#: Where a header's LSN and payload lengths sit: what a reader that
+#: only orders and cuts records needs.
+_CONTROL_LSN = struct.Struct("<xQ")
+_SPANS = {_PAGE: struct.Struct("<xQ24xHHH"), _FULL: struct.Struct("<xQ32xHHH")}
+
+
+def _misfit(record: "LogRecord") -> ValueError:
+    """Drop ``record``'s stale encoding; the error an encoder raises
+    for a record whose fields do not fit its kind's header shape."""
+    record.__dict__.pop("_encoded", None)
+    return ValueError(f"{record!r} does not fit its kind's header shape")
 
 
 class PageOp(enum.IntEnum):
@@ -166,20 +217,15 @@ class LogRecord:
 
     def serialized_size(self) -> int:
         """Encoded length, computed from field lengths (no packing)."""
-        return HEADER_SIZE + len(self.redo) + len(self.undo) + len(self.extra)
+        return (_SHAPES[self.kind].size
+                + len(self.redo) + len(self.undo) + len(self.extra))
 
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
         cached: Optional[bytes] = self.__dict__.get("_encoded")
         if cached is not None:
             return cached
-        data = _HEADER.pack(
-            self.lsn, self.prev_lsn, self.txn_id, self.undo_next_lsn,
-            self.page_id, self.system_id, self.slot,
-            len(self.redo), len(self.undo), len(self.extra), int(self.kind),
-        ) + self.redo + self.undo + self.extra
-        self.__dict__["_encoded"] = data
-        return data
+        return stamp_and_encode(self, self.lsn, self.system_id)
 
     @classmethod
     def from_bytes(
@@ -191,18 +237,33 @@ class LogRecord:
         ``memoryview`` parses without materializing any intermediate
         ``bytes``; only the (possibly empty) payloads are copied out.
         """
-        (lsn, prev_lsn, txn_id, undo_next_lsn, page_id, system_id, slot,
-         redo_len, undo_len, extra_len, kind) = _HEADER.unpack_from(data, offset)
-        pos = offset + HEADER_SIZE
+        kind = data[offset]
+        shape = _SHAPES[kind]
+        # __init__ fills __dict__ without the invalidation hook, which
+        # recovery scans (records by the thousand) could not afford.
+        if shape is _CONTROL:
+            _, lsn, prev_lsn, txn_id, system_id = shape.unpack_from(
+                data, offset)
+            return cls(_KINDS[kind], txn_id, system_id, NO_PAGE, NO_SLOT,
+                       lsn, prev_lsn), offset + shape.size
+        if shape is _PAGE:
+            (_, lsn, prev_lsn, txn_id, page_id, system_id, slot,
+             redo_len, undo_len, extra_len) = shape.unpack_from(data, offset)
+            undo_next_lsn = 0
+        elif shape is _FULL:
+            (_, lsn, prev_lsn, txn_id, undo_next_lsn, page_id, system_id,
+             slot, redo_len, undo_len, extra_len) = shape.unpack_from(
+                 data, offset)
+        else:
+            raise ValueError(f"no record kind {kind} at offset {offset}")
+        pos = offset + shape.size
         redo = bytes(data[pos:pos + redo_len]) if redo_len else b""
         pos += redo_len
         undo = bytes(data[pos:pos + undo_len]) if undo_len else b""
         pos += undo_len
         extra = bytes(data[pos:pos + extra_len]) if extra_len else b""
         pos += extra_len
-        # __init__ fills __dict__ without the invalidation hook, which
-        # recovery scans (records by the thousand) could not afford.
-        return cls(RecordKind(kind), txn_id, system_id, page_id, slot, lsn,
+        return cls(_KINDS[kind], txn_id, system_id, page_id, slot, lsn,
                    prev_lsn, undo_next_lsn, redo, undo, extra), pos
 
     @staticmethod
@@ -223,23 +284,28 @@ class LogRecord:
             offset = offset_next
 
 
-#: The header fields that locate and order a record without parsing
-#: it: the LSN and the three payload lengths.
-_SPAN = struct.Struct("<Q32xHHH")
-
-
 def record_spans(data: LogBuffer) -> List[Tuple[Lsn, int, int]]:
     """``(lsn, start, end)`` of every record in ``data``, read from the
     headers alone — what a consumer that forwards records verbatim
-    (the log shipper) needs to order and cut a stream."""
+    (the log shipper) or only wants their LSNs needs."""
     spans: List[Tuple[Lsn, int, int]] = []
-    unpack = _SPAN.unpack_from
+    note_span = spans.append
+    shapes = _SHAPES
+    control_lsn = _CONTROL_LSN.unpack_from
     offset = 0
     length = len(data)
     while offset < length:
-        lsn, redo_len, undo_len, extra_len = unpack(data, offset)
-        end = offset + HEADER_SIZE + redo_len + undo_len + extra_len
-        spans.append((lsn, offset, end))
+        shape = shapes[data[offset]]
+        if shape is _CONTROL:
+            (lsn,) = control_lsn(data, offset)
+            end = offset + _CONTROL.size
+        elif shape is None:
+            raise ValueError(f"no record kind {data[offset]} at offset {offset}")
+        else:
+            lsn, redo_len, undo_len, extra_len = _SPANS[shape].unpack_from(
+                data, offset)
+            end = offset + shape.size + redo_len + undo_len + extra_len
+        note_span((lsn, offset, end))
         offset = end
     return spans
 
@@ -248,23 +314,42 @@ def stamp_and_encode(record: LogRecord, lsn: Lsn, system_id: int) -> bytes:
     """Hot-lane helper: assign ``lsn``/``system_id`` and serialize.
 
     Semantically identical to two attribute assignments followed by
-    :meth:`LogRecord.to_bytes`, collapsed into one call so the per-call
-    append path (:meth:`repro.wal.log_manager.LogManager.append`, the
-    CS client log) pays one function call per record instead of five.
-    The encoded bytes are cached on the record exactly as ``to_bytes``
-    would.
+    :meth:`LogRecord.to_bytes` (which delegates here), collapsed into
+    one call so the per-call append path
+    (:meth:`repro.wal.log_manager.LogManager.append`, the CS client log)
+    pays one function call per record instead of five.  The encoded
+    bytes are cached on the record.  Raises :class:`ValueError`, leaving
+    no encoding cached, if the record does not fit its kind's shape.
     """
     d = record.__dict__
     d["lsn"] = lsn
     d["system_id"] = system_id
-    redo = record.redo
-    undo = record.undo
-    extra = record.extra
-    data = _HEADER.pack(
-        lsn, record.prev_lsn, record.txn_id, record.undo_next_lsn,
-        record.page_id, system_id, record.slot,
-        len(redo), len(undo), len(extra), record.kind,
-    ) + redo + undo + extra
+    kind = d["kind"]
+    redo = d["redo"]
+    undo = d["undo"]
+    extra = d["extra"]
+    try:
+        shape = _SHAPES[kind]
+        if shape is _PAGE and not d["undo_next_lsn"]:
+            data = shape.pack(
+                kind, lsn, d["prev_lsn"], d["txn_id"], d["page_id"],
+                system_id, d["slot"], len(redo), len(undo), len(extra),
+            ) + redo + undo + extra
+        elif shape is _CONTROL and d["page_id"] == NO_PAGE \
+                and d["slot"] == NO_SLOT \
+                and not (d["undo_next_lsn"] or redo or undo or extra):
+            data = shape.pack(kind, lsn, d["prev_lsn"], d["txn_id"],
+                              system_id)
+        elif shape is _FULL:
+            data = shape.pack(
+                kind, lsn, d["prev_lsn"], d["txn_id"], d["undo_next_lsn"],
+                d["page_id"], system_id, d["slot"], len(redo), len(undo),
+                len(extra),
+            ) + redo + undo + extra
+        else:
+            raise _misfit(record)
+    except (struct.error, IndexError) as err:
+        raise _misfit(record) from err
     d["_encoded"] = data
     return data
 
@@ -279,51 +364,52 @@ def stamp_and_encode_batch(
 
     The innermost loop of :meth:`LogManager.append_many
     <repro.wal.log_manager.LogManager.append_many>`, kept here next to
-    ``_HEADER`` so a 64-record batch pays zero per-record function
+    the header shapes so a 64-record batch pays zero per-record function
     calls: LSN assignment follows the USN rule
     (``max(page_lsn, running_lsn) + 1``, degenerating to ``+1`` when
     ``page_lsns`` is omitted), fields are stamped through ``__dict__``
     (skipping the invalidation hook — the fresh encoding is installed
-    in the same breath), and each record's encoded bytes are cached
-    exactly as :meth:`LogRecord.to_bytes` would.
+    in the same breath), and each record is encoded and cached exactly
+    as :func:`stamp_and_encode` would, misfits raising alike.
     """
-    pack = _HEADER.pack
     parts: List[bytes] = []
     note_part = parts.append
-    if page_lsns is None:
-        for record in records:
-            lsn += 1
-            d = record.__dict__
-            d["lsn"] = lsn
-            d["system_id"] = system_id
-            redo = d["redo"]
-            undo = d["undo"]
-            extra = d["extra"]
-            data = pack(
-                lsn, d["prev_lsn"], d["txn_id"], d["undo_next_lsn"],
-                d["page_id"], system_id, d["slot"],
-                len(redo), len(undo), len(extra), d["kind"],
-            ) + redo + undo + extra
-            d["_encoded"] = data
-            note_part(data)
-    else:
-        for record, page_lsn in zip(records, page_lsns):
-            if page_lsn > lsn:
-                lsn = page_lsn
-            lsn += 1
-            d = record.__dict__
-            d["lsn"] = lsn
-            d["system_id"] = system_id
-            redo = d["redo"]
-            undo = d["undo"]
-            extra = d["extra"]
-            data = pack(
-                lsn, d["prev_lsn"], d["txn_id"], d["undo_next_lsn"],
-                d["page_id"], system_id, d["slot"],
-                len(redo), len(undo), len(extra), d["kind"],
-            ) + redo + undo + extra
-            d["_encoded"] = data
-            note_part(data)
+    for record, page_lsn in zip(
+            records, repeat(0) if page_lsns is None else page_lsns):
+        if page_lsn > lsn:
+            lsn = page_lsn
+        lsn += 1
+        d = record.__dict__
+        d["lsn"] = lsn
+        d["system_id"] = system_id
+        kind = d["kind"]
+        redo = d["redo"]
+        undo = d["undo"]
+        extra = d["extra"]
+        try:
+            shape = _SHAPES[kind]
+            if shape is _PAGE and not d["undo_next_lsn"]:
+                data = shape.pack(
+                    kind, lsn, d["prev_lsn"], d["txn_id"], d["page_id"],
+                    system_id, d["slot"], len(redo), len(undo), len(extra),
+                ) + redo + undo + extra
+            elif shape is _CONTROL and d["page_id"] == NO_PAGE \
+                    and d["slot"] == NO_SLOT \
+                    and not (d["undo_next_lsn"] or redo or undo or extra):
+                data = shape.pack(kind, lsn, d["prev_lsn"], d["txn_id"],
+                                  system_id)
+            elif shape is _FULL:
+                data = shape.pack(
+                    kind, lsn, d["prev_lsn"], d["txn_id"],
+                    d["undo_next_lsn"], d["page_id"], system_id, d["slot"],
+                    len(redo), len(undo), len(extra),
+                ) + redo + undo + extra
+            else:
+                raise _misfit(record)
+        except (struct.error, IndexError) as err:
+            raise _misfit(record) from err
+        d["_encoded"] = data
+        note_part(data)
     return parts, lsn
 
 

@@ -40,9 +40,10 @@ CALL_CEILING = 230
 #: The same transaction with ``ReplicationConfig()`` and two standbys:
 #: 491 before the ship-path diet, 340 after it on CPython 3.11.
 REPLICATED_CALL_CEILING = 370
-#: What the canonical transaction writes to one log: two updates, a
-#: COMMIT and an END.
-TXN_LOG_BYTES = 2 * (48 + 2 * (1 + PAYLOAD_BYTES)) + 2 * 48
+#: What the canonical transaction writes to one log: two updates (a
+#: 39-byte page header each) and a COMMIT and an END (27-byte control
+#: headers, no payload).
+TXN_LOG_BYTES = 2 * (39 + 2 * (1 + PAYLOAD_BYTES)) + 2 * 27
 
 
 # ----------------------------------------------------------------------
@@ -148,7 +149,7 @@ class TestReplicatedCanonicalTransaction:
         # needs; a ship and an ack per standby; three copies of the log.
         assert work[LOG_FORCES] == forces
         assert work[MESSAGES_SENT] == 4
-        assert work[LOG_BYTES_WRITTEN] == 3 * TXN_LOG_BYTES == 3 * 452
+        assert work[LOG_BYTES_WRITTEN] == 3 * TXN_LOG_BYTES == 3 * 392
         assert work[LOG_RECORDS_WRITTEN] == 4    # replica logs count bytes
 
     def test_laggard_forces_once_per_window(self):

@@ -64,6 +64,17 @@ class TestSummaries:
         assert summary.last_lsn >= summary.first_lsn > 0
         assert "records" in summary.render()
 
+    def test_bytes_by_kind_account_for_the_whole_log(self):
+        sd, s1, *_ = instance_with_history()
+        summary = summarize_log(s1.log)
+        assert set(summary.bytes_by_kind) == set(summary.by_kind)
+        assert sum(summary.bytes_by_kind.values()) == s1.log.end_offset
+        # Control records are header-only: 27 bytes each.
+        assert summary.bytes_by_kind["CMT"] == 27 * summary.by_kind["CMT"]
+        assert summary.bytes_by_kind["END"] == 27 * summary.by_kind["END"]
+        assert f"bytes {s1.log.end_offset}: " in summary.render()
+        assert f"CMT={summary.bytes_by_kind['CMT']}" in summary.render()
+
     def test_transaction_history(self):
         sd, s1, txn_id, loser_id, _ = instance_with_history()
         history = transaction_history(s1.log, loser_id)

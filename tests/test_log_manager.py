@@ -71,6 +71,19 @@ class TestUsnAssignment:
         log.append(record)
         assert record.system_id == 6
 
+    @pytest.mark.parametrize("append", ["append", "append_many"])
+    def test_out_of_shape_record_leaves_log_and_clock(self, append):
+        log = LogManager(1)
+        log.append(rec())
+        misfit = LogRecord(RecordKind.COMMIT, txn_id=1, page_id=10)
+        with pytest.raises(ValueError, match="header shape"):
+            if append == "append":
+                log.append(misfit, page_lsn=50)
+            else:
+                log.append_many([rec(), misfit])
+        assert (log.local_max_lsn, log.end_offset) == (1, 39 + 2)
+        assert log.record_count() == 1
+
 
 class TestLamportExchange:
     def test_observe_remote_max_raises_clock(self):

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.wal.records import (
-    HEADER_SIZE,
     CheckpointData,
     LogRecord,
     NO_PAGE,
@@ -16,8 +15,19 @@ from repro.wal.records import (
     make_clr,
     make_format,
     make_update,
+    record_spans,
     stamp_and_encode,
+    stamp_and_encode_batch,
 )
+
+#: The header each kind is written with (see the records module
+#: docstring): control 27 B, page 39 B, full 48 B.
+CONTROL_KINDS = (RecordKind.COMMIT, RecordKind.ABORT, RecordKind.END)
+PAGE_KINDS = (RecordKind.UPDATE, RecordKind.SMP_UPDATE,
+              RecordKind.FORMAT_PAGE)
+HEADER_BYTES = {kind: 27 if kind in CONTROL_KINDS
+                else 39 if kind in PAGE_KINDS else 48
+                for kind in RecordKind}
 
 
 class TestOpCodec:
@@ -39,7 +49,7 @@ class TestOpCodec:
 class TestRecordSerialization:
     def test_roundtrip_all_fields(self):
         record = LogRecord(
-            kind=RecordKind.UPDATE, txn_id=1_000_003, system_id=7,
+            kind=RecordKind.CLR, txn_id=1_000_003, system_id=7,
             page_id=42, slot=3, lsn=99, prev_lsn=55, undo_next_lsn=11,
             redo=b"redo-bytes", undo=b"undo-bytes", extra=b"extra",
         )
@@ -49,8 +59,17 @@ class TestRecordSerialization:
 
     def test_serialized_size(self):
         record = make_update(1, 1, 5, 0, redo=b"1234", undo=b"56")
-        assert record.serialized_size() == HEADER_SIZE + 6
+        assert record.serialized_size() == 39 + 6
         assert len(record.to_bytes()) == record.serialized_size()
+
+    @pytest.mark.parametrize("kind", list(RecordKind))
+    def test_serialized_size_is_the_encoding_for_every_kind(self, kind):
+        payload = {} if kind in CONTROL_KINDS else dict(
+            page_id=3, slot=1, redo=b"redo", undo=b"un", extra=b"x")
+        record = LogRecord(kind=kind, txn_id=5, lsn=9, **payload)
+        payload_bytes = 7 if payload else 0
+        assert record.serialized_size() == len(record.to_bytes())
+        assert record.serialized_size() == HEADER_BYTES[kind] + payload_bytes
 
     def test_defaults(self):
         record = LogRecord(kind=RecordKind.COMMIT, txn_id=9)
@@ -98,19 +117,98 @@ class TestRecordSerialization:
         slot=st.integers(0, 2**16 - 1),
         lsn=st.integers(0, 2**63),
         prev_lsn=st.integers(0, 2**63),
+        undo_next_lsn=st.integers(0, 2**63),
         redo=st.binary(max_size=200),
         undo=st.binary(max_size=200),
         extra=st.binary(max_size=200),
     )
     def test_property_roundtrip(self, kind, txn_id, system_id, page_id,
-                                slot, lsn, prev_lsn, redo, undo, extra):
+                                slot, lsn, prev_lsn, undo_next_lsn,
+                                redo, undo, extra):
+        # Only the fields the kind's header shape carries.
+        if kind in CONTROL_KINDS:
+            page_id, slot, undo_next_lsn = NO_PAGE, NO_SLOT, 0
+            redo = undo = extra = b""
+        elif kind in PAGE_KINDS:
+            undo_next_lsn = 0
         record = LogRecord(
             kind=kind, txn_id=txn_id, system_id=system_id, page_id=page_id,
             slot=slot, lsn=lsn, prev_lsn=prev_lsn,
-            redo=redo, undo=undo, extra=extra,
+            undo_next_lsn=undo_next_lsn, redo=redo, undo=undo, extra=extra,
         )
-        clone, _ = LogRecord.from_bytes(record.to_bytes())
+        data = record.to_bytes()
+        clone, offset = LogRecord.from_bytes(data)
         assert clone == record
+        assert offset == len(data) == record.serialized_size()
+
+
+class TestHeaderShapes:
+    """A record is written with its kind's header and nothing else; a
+    record with a field its shape cannot carry is refused, never
+    truncated."""
+
+    @pytest.mark.parametrize("record", [
+        # control: no page, no slot, no payload, no undo_next_lsn
+        LogRecord(RecordKind.COMMIT, txn_id=1, page_id=4),
+        LogRecord(RecordKind.END, txn_id=1, slot=0),
+        LogRecord(RecordKind.ABORT, txn_id=1, redo=b"r"),
+        # page: no undo_next_lsn
+        LogRecord(RecordKind.UPDATE, txn_id=1, page_id=4, slot=0,
+                  undo_next_lsn=3, redo=b"r", undo=b"u"),
+        # full: every field, each within its width
+        LogRecord(RecordKind.CLR, txn_id=1, page_id=4, slot=2**16,
+                  undo_next_lsn=3, redo=b"r"),
+        LogRecord(RecordKind.DUMMY, redo=bytes(2**16)),
+    ], ids=["commit-page", "end-slot", "abort-payload", "update-undo-next",
+            "clr-wide-slot", "dummy-wide-payload"])
+    def test_out_of_shape_record_raises(self, record):
+        with pytest.raises(ValueError, match="header shape"):
+            record.to_bytes()
+        with pytest.raises(ValueError, match="header shape"):
+            stamp_and_encode(record, 7, 1)
+        with pytest.raises(ValueError, match="header shape"):
+            stamp_and_encode_batch([record], 0, 1)
+        assert "_encoded" not in vars(record)
+
+    def test_unknown_kind_byte_raises(self):
+        with pytest.raises(ValueError, match="header shape"):
+            LogRecord(0).to_bytes()
+        data = bytearray(LogRecord(RecordKind.COMMIT, txn_id=1).to_bytes())
+        data[0] = 0
+        with pytest.raises(ValueError, match="no record kind"):
+            LogRecord.from_bytes(data)
+        with pytest.raises(ValueError, match="no record kind"):
+            record_spans(data)
+
+    def test_spans_agree_with_parse_stream(self):
+        lomet_update = LogRecord(
+            RecordKind.UPDATE, txn_id=2, page_id=8, slot=1, redo=b"new",
+            undo=b"old", extra=(1234).to_bytes(8, "little"))
+        records = [
+            make_update(1, 1, 5, 0, redo=b"a" * 10, undo=b"b" * 3),
+            lomet_update,
+            LogRecord(RecordKind.BEGIN_CHECKPOINT),
+            LogRecord(RecordKind.END_CHECKPOINT,
+                      redo=CheckpointData({5: (1, 0)}, {1: (1, 0)}).to_bytes()),
+            make_clr(1, 1, 5, 0, redo=b"c" * 4, undo_next_lsn=0),
+            LogRecord(RecordKind.ABORT, txn_id=1),
+            make_format(3, 1, 9, 1),
+            LogRecord(RecordKind.SMP_UPDATE, txn_id=3, page_id=0, slot=0,
+                      redo=b"s", undo=b"t"),
+            LogRecord(RecordKind.DUMMY, redo=b"f" * 20),
+            LogRecord(RecordKind.COMMIT, txn_id=3),
+            LogRecord(RecordKind.END, txn_id=3),
+        ]
+        assert {r.kind for r in records} == set(RecordKind)
+        parts, _ = stamp_and_encode_batch(records, 40, 1)
+        data = b"".join(parts)
+        parsed = list(LogRecord.parse_stream(data))
+        assert [r for _, r in parsed] == records
+        ends = [offset for offset, _ in parsed[1:]] + [len(data)]
+        assert record_spans(data) == [
+            (record.lsn, offset, end)
+            for (offset, record), end in zip(parsed, ends)]
+        assert record_spans(memoryview(data)) == record_spans(data)
 
 
 class TestCheckpointData:
@@ -180,21 +278,26 @@ class TestZeroCopyParsing:
         buffer on the header path."""
         from repro.wal import records as records_mod
 
-        real_header = records_mod._HEADER
         seen_buffers = []
 
-        records, data = self._stream()  # serialize before installing spy
+        records, data = self._stream()  # serialize before installing spies
 
-        class SpyHeader:
-            size = real_header.size
-            pack = staticmethod(real_header.pack)
+        class SpyShape:
+            def __init__(self, real):
+                self.real = real
+                self.size = real.size
 
-            @staticmethod
-            def unpack_from(buffer, offset=0):
+            def unpack_from(self, buffer, offset=0):
                 seen_buffers.append(buffer)
-                return real_header.unpack_from(buffer, offset)
+                return self.real.unpack_from(buffer, offset)
 
-        monkeypatch.setattr(records_mod, "_HEADER", SpyHeader)
+        spies = {}
+        for name in ("_CONTROL", "_PAGE", "_FULL"):
+            real = getattr(records_mod, name)
+            spies[real] = SpyShape(real)
+            monkeypatch.setattr(records_mod, name, spies[real])
+        monkeypatch.setattr(records_mod, "_SHAPES", tuple(
+            spies.get(shape, shape) for shape in records_mod._SHAPES))
         view = memoryview(data)
         parsed = [r for _, r in LogRecord.parse_stream(view)]
         assert parsed == records
@@ -203,29 +306,48 @@ class TestZeroCopyParsing:
             assert buffer is view, "header parsed from a copied buffer"
 
 
-def _built_by_init():
-    return LogRecord(
-        kind=RecordKind.UPDATE, txn_id=7, system_id=2, page_id=9, slot=1,
-        lsn=5, prev_lsn=4, undo_next_lsn=3, redo=b"r", undo=b"u", extra=b"e",
-    )
+#: One record per header shape, with every field that shape carries
+#: set away from its default.
+_BASES = {
+    "control": dict(kind=RecordKind.COMMIT, txn_id=7, system_id=2, lsn=5,
+                    prev_lsn=4),
+    "page": dict(kind=RecordKind.UPDATE, txn_id=7, system_id=2, page_id=9,
+                 slot=1, lsn=5, prev_lsn=4, redo=b"r", undo=b"u",
+                 extra=b"e"),
+    "full": dict(kind=RecordKind.CLR, txn_id=7, system_id=2, page_id=9,
+                 slot=1, lsn=5, prev_lsn=4, undo_next_lsn=3, redo=b"r",
+                 undo=b"u", extra=b"e"),
+}
 
 
-def _built_by_from_bytes():
-    record, _ = LogRecord.from_bytes(_built_by_init().to_bytes())
+def _built_by_init(shape="full"):
+    return LogRecord(**_BASES[shape])
+
+
+def _built_by_from_bytes(shape="full"):
+    record, _ = LogRecord.from_bytes(_built_by_init(shape).to_bytes())
     return record
 
 
-def _built_by_stamp_and_encode():
-    record = _built_by_init()
+def _built_by_stamp_and_encode(shape="full"):
+    record = _built_by_init(shape)
     stamp_and_encode(record, 5, 2)
     return record
 
 
 _FRESH_VALUES = {
-    "kind": RecordKind.CLR, "txn_id": 70, "system_id": 20, "page_id": 90,
+    "txn_id": 70, "system_id": 20, "page_id": 90,
     "slot": 10, "lsn": 50, "prev_lsn": 40, "undo_next_lsn": 30,
     "redo": b"redo!", "undo": b"undo!", "extra": b"extra!",
 }
+#: A fresh kind keeps the record in its shape.
+_FRESH_KIND = {"control": RecordKind.ABORT, "page": RecordKind.SMP_UPDATE,
+               "full": RecordKind.DUMMY}
+#: Every field of every shape; the full shape keeps the bare field id.
+_SHAPE_FIELDS = [
+    pytest.param(shape, field,
+                 id=field if shape == "full" else f"{shape}-{field}")
+    for shape, base in _BASES.items() for field in sorted(base)]
 
 
 class TestEncodingCache:
@@ -258,25 +380,26 @@ class TestEncodingCache:
     # The invalidation guarantee, field by field, for every way a
     # record comes to hold a cached encoding: a field assignment after
     # encoding never yields stale bytes.
-    @pytest.mark.parametrize("field", sorted(_FRESH_VALUES))
+    @pytest.mark.parametrize("shape, field", _SHAPE_FIELDS)
     @pytest.mark.parametrize("build", [
         _built_by_init, _built_by_from_bytes, _built_by_stamp_and_encode,
     ])
-    def test_assignment_after_encoding_is_fresh(self, build, field):
-        record = build()
+    def test_assignment_after_encoding_is_fresh(self, build, shape, field):
+        value = _FRESH_KIND[shape] if field == "kind" else _FRESH_VALUES[field]
+        record = build(shape)
         stale = record.to_bytes()
         assert record.to_bytes() is stale          # cached
-        setattr(record, field, _FRESH_VALUES[field])
+        setattr(record, field, value)
         fresh = record.to_bytes()
         assert fresh != stale
         clone, _ = LogRecord.from_bytes(fresh)
-        assert getattr(clone, field) == _FRESH_VALUES[field]
+        assert getattr(clone, field) == value
         assert clone == record
 
     def test_fields_cover_the_dataclass(self):
         import dataclasses
 
-        assert set(_FRESH_VALUES) == {
+        assert set(_BASES["full"]) == {
             f.name for f in dataclasses.fields(LogRecord)}
 
     def test_init_matches_generated_signature(self):
@@ -287,7 +410,7 @@ class TestEncodingCache:
         defaults = LogRecord(RecordKind.COMMIT)
         for f in dataclasses.fields(LogRecord)[1:]:
             assert getattr(defaults, f.name) == f.default
-        positional = LogRecord(RecordKind.UPDATE, 7, 2, 9, 1, 5, 4, 3,
+        positional = LogRecord(RecordKind.CLR, 7, 2, 9, 1, 5, 4, 3,
                                b"r", b"u", b"e")
         assert positional == _built_by_init()
         assert "_encoded" not in vars(positional)
@@ -305,8 +428,6 @@ class TestEncodingCache:
 
 class TestStampAndEncodeBatch:
     def test_matches_single_stamp_path(self):
-        from repro.wal.records import stamp_and_encode_batch
-
         def fresh():
             return [
                 make_update(i + 1, 0, 10 + i, 0, redo=b"r" * i, undo=b"u")
@@ -328,8 +449,6 @@ class TestStampAndEncodeBatch:
         assert fast == slow
 
     def test_page_lsn_rule(self):
-        from repro.wal.records import stamp_and_encode_batch
-
         records = [make_update(1, 0, 10, 0, b"r", b"u") for _ in range(3)]
         _, last = stamp_and_encode_batch(records, 5, 1,
                                          page_lsns=[0, 100, 0])
@@ -337,8 +456,6 @@ class TestStampAndEncodeBatch:
         assert last == 102
 
     def test_installed_cache_is_the_encoding(self):
-        from repro.wal.records import stamp_and_encode_batch
-
         records = [make_update(1, 0, 10, 0, b"r", b"u")]
         (part,), _ = stamp_and_encode_batch(records, 0, 1)
         assert records[0].to_bytes() is part
