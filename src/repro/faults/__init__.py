@@ -8,8 +8,9 @@ Public surface:
   (NULL-object pattern, zero-cost when disabled);
 * :class:`RetryPolicy` / :func:`run_with_lock_retry` — bounded retries
   with deterministic :class:`~repro.common.clock.SkewedClock` backoff;
-* :mod:`repro.faults.campaign` — the crash-point torture campaign the
-  ``python -m repro.chaos`` CLI drives.
+* :mod:`repro.faults.campaign` — the crash campaign, failover drill
+  and restart drill, three rows of one survey -> enumerate -> run ->
+  audit protocol that the ``python -m repro.chaos`` CLI drives.
 
 See ``docs/fault_injection.md``.
 """

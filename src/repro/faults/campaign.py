@@ -1,54 +1,48 @@
-"""Crash-point torture campaigns: kill the system at every fault
-point, run restart recovery, and verify the outcome.
+"""Crash drills: kill the system at a fault point, recover, and audit.
 
-The campaign has two phases.  A **survey** run drives the seeded chaos
-workload (:mod:`repro.faults.scenarios`) under an *enabled but empty*
-injector, which counts how many times each fault point is crossed
-without perturbing the run.  The runner then **enumerates crash
-specs** — (point, hit number, crash flavour) triples — and replays the
-identical workload once per spec with a one-shot rule armed, so the
-run dies exactly there.  Determinism makes the two runs agree hit for
-hit up to the fault, so a spec aimed at "the 17th log force" really
-kills the 17th log force.
+Every drill follows one protocol.  A **survey** run drives the seeded
+chaos workload (:mod:`repro.faults.scenarios`) under an *enabled but
+empty* injector, which counts how many times each fault point is
+crossed without perturbing the run.  The driver then **enumerates
+specs** — (point, hit number, crash flavour) triples — and **runs**
+the identical workload once per spec with a one-shot rule armed, so
+the run dies exactly there.  Determinism makes the two runs agree hit
+for hit up to the fault, so a spec aimed at "the 17th log force"
+really kills the 17th log force.  Each drill's **audit** step then
+recovers and checks the outcome; the first failed check of the
+drill's status ladder names the spec's status.
 
-After the injected death the runner plays operator:
+A drill is a row of data (:class:`Drill`); three rows exist:
 
-1. crash the faulted scope (one instance/client, or the whole
-   complex/server — an injected fault from the shared disk or the
-   server always takes the complex view);
-2. sweep the disk for unreadable pages (torn writes) and rebuild them
-   with media recovery (Section 3.2.2) *before* restart, since restart
-   redo must be able to read every page it screens;
-3. restart recovery for everything that died;
-4. roll back the surviving systems' in-flight transactions (their
-   locks are live; only the dead systems' transactions are losers);
-5. quiesce (flush every pool) and run the harness verifier in
-   ``quiesced`` mode plus the trace invariant checker.
-
-A spec passes only if the armed rule actually fired, recovery ran to
-completion, and both checkers are clean.  ``CampaignReport.ok`` folds
-the table into the process exit status.
+* :data:`CAMPAIGN` — crash restart (Section 3.2.1).  The runner plays
+  operator: crash the faulted scope (one instance/client, or the whole
+  complex/server — an injected fault from the shared disk or the
+  server always takes the complex view); rebuild torn pages with media
+  recovery (Section 3.2.2) *before* restart, since restart redo must
+  be able to read every page it screens; restart everything that died;
+  roll back the survivors' in-flight transactions (their locks are
+  live; only the dead systems' transactions are losers); quiesce and
+  run the harness verifier plus the trace invariant checker.
+* :data:`FAILOVER` — the replicated primary dies whole, the best
+  standby is promoted from its merged replica logs, and the loss is
+  audited against the write-ack level.
+* :data:`RESTART` — the identical crash is recovered eagerly and with
+  ``restart_mode="instant"``; the final disk images must be SHA-256
+  identical.
 
 :func:`sabotage_redo_screening` deliberately breaks redo's page_LSN
-test so the campaign's own alarm can be tested: with screening off,
+test so the drills' own alarm can be tested: with screening off,
 restart redo double-applies records and the trace checker's
-``redo-screening`` invariant trips, turning the whole campaign red.
+``redo-screening`` invariant trips, turning every drill red.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from dataclasses import asdict, dataclass, field
+from operator import attrgetter
+from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, Iterator, List,
+                    Sequence, Tuple)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cs.system import CsSystem
@@ -57,45 +51,36 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.wal.log_manager import LogManager
 
 from repro.common.errors import FaultInjectedError, MediaError, ReproError
+from repro.common.stats import StatsRegistry
 from repro.faults import points as fpoints
 from repro.faults import scenarios
-from repro.faults.injector import (
-    CRASH,
-    CRASH_COMPLEX,
-    TORN,
-    FaultInjector,
-    FaultPlan,
-    FaultRule,
-)
+from repro.faults.injector import (CRASH, CRASH_COMPLEX, NULL_INJECTOR, TORN,
+                                   FaultInjector, FaultPlan, FaultRule)
 from repro.harness.verifier import verify_cs_system, verify_sd_complex
 from repro.obs import events as ev
-from repro.obs.invariants import Violation, check_trace
+from repro.obs.invariants import check_trace
+from repro.obs.tracer import NULL_TRACER
 from repro.recovery import redo
 from repro.recovery.media import recover_page_from_media
+from repro.replication import ACK_LEVELS, StandbyComplex
+from repro.wal.records import LogRecord, RecordKind
 
 ARCH_SD = "sd"
 ARCH_CS = "cs"
 ARCHES = (ARCH_SD, ARCH_CS)
 
-#: Points the ``--smoke`` gate crashes (one mid-workload kill each);
-#: chosen to cover disk, log, network and the commit path per
-#: architecture while keeping the whole gate at <= 10 crash points.
-SMOKE_POINTS: Dict[str, Tuple[str, ...]] = {
-    ARCH_SD: (
-        fpoints.DISK_WRITE,
-        fpoints.LOG_FORCE,
-        fpoints.NET_MSG,
-        fpoints.INSTANCE_UPDATE,
-        fpoints.COMMIT_PRE_FORCE,
-    ),
-    ARCH_CS: (
-        fpoints.DISK_WRITE,
-        fpoints.LOG_FORCE,
-        fpoints.CS_SHIP,
-        fpoints.CS_COMMIT,
-        fpoints.INSTANCE_UPDATE,
-    ),
-}
+
+@dataclass(frozen=True)
+class Spec:
+    """One planned death: arm ``action`` at the ``hit``-th crossing of
+    ``point`` in the ``arch`` workload, replicated at write-ack level
+    ``ack`` when set.  ``hit == 0`` arms nothing (the survey run)."""
+
+    arch: str
+    point: str
+    hit: int
+    action: str = CRASH
+    ack: str = ""
 
 
 # ----------------------------------------------------------------------
@@ -106,13 +91,13 @@ class SurveyResult:
     """Hit counts from one un-faulted pass over the chaos workload.
 
     ``build_hits`` are hits consumed while *constructing* the stack
-    (initial space-map writes and the like); crash specs only target
-    the workload phase, ``build_hits[p] < hit <= total_hits[p]``,
-    because a death during construction leaves nothing to recover.
+    (initial space-map writes and the like); specs only target the
+    workload phase, ``build_hits[p] < hit <= total_hits[p]``, because
+    a death during construction leaves nothing to recover.
     """
 
     arch: str
-    seed: int
+    ack: str
     build_hits: Dict[str, int]
     total_hits: Dict[str, int]
     #: Page id written at each disk.write hit, in hit order.
@@ -132,80 +117,112 @@ class SurveyResult:
         return (first, last)
 
 
-def run_survey(arch: str, seed: int) -> SurveyResult:
-    """Drive the chaos workload once with an empty plan, counting hits."""
-    injector = FaultInjector(FaultPlan(seed=seed))
-    if arch == ARCH_SD:
-        system, tracer = scenarios.build_sd(injector, seed)
-        build_hits = dict(injector.hit_counts())
-        handles = scenarios.run_sd_workload(system, seed)
-    elif arch == ARCH_CS:
-        cs, tracer = scenarios.build_cs(injector, seed)
-        build_hits = dict(injector.hit_counts())
-        handles = scenarios.run_cs_workload(cs, seed)
+def _build(spec: Spec, seed: int, mode: str = "eager"):
+    """The spec's scenario with its rule armed (none when ``hit`` is
+    0), restarting in ``mode``; returns the system, its tracer, the
+    injector and the workload driver."""
+    plan = FaultPlan(seed=seed)
+    if spec.hit:
+        plan.add(FaultRule(point=spec.point, action=spec.action,
+                           nth=spec.hit))
+    injector = FaultInjector(plan)
+    if spec.arch == ARCH_CS:
+        system, tracer = scenarios.build_cs(injector, seed)
+        system.server.restart_mode = mode
+        return system, tracer, injector, scenarios.run_cs_workload
+    if spec.ack:
+        system, tracer = scenarios.build_replicated_sd(injector, seed,
+                                                       spec.ack)
     else:
-        raise ValueError(f"unknown architecture {arch!r}")
-    disk_write_pages = tuple(
-        event.fields["page"] for event in tracer.events()
-        if event.kind == ev.DISK_WRITE
-    )
+        system, tracer = scenarios.build_sd(injector, seed)
+    system.restart_mode = mode
+    return system, tracer, injector, scenarios.run_sd_workload
+
+
+def _survey(template: Spec, seed: int) -> SurveyResult:
+    system, tracer, injector, workload = _build(template, seed)
+    build_hits = dict(injector.hit_counts())
+    handles = workload(system, seed)
     return SurveyResult(
-        arch=arch,
-        seed=seed,
+        arch=template.arch,
+        ack=template.ack,
         build_hits=build_hits,
         total_hits=dict(injector.hit_counts()),
-        disk_write_pages=disk_write_pages,
+        disk_write_pages=tuple(
+            event.fields["page"] for event in tracer.events()
+            if event.kind == ev.DISK_WRITE),
         data_pages=frozenset(page_id for page_id, _ in handles),
     )
 
 
+def run_survey(arch: str, seed: int) -> SurveyResult:
+    """Drive the chaos workload once with an empty plan, counting hits."""
+    return _survey(Spec(arch, "", 0), seed)
+
+
 # ----------------------------------------------------------------------
-# spec enumeration
+# the drill row, its spec enumeration and its result
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class CrashSpec:
-    """One planned death: arm ``action`` at the ``hit``-th crossing of
-    ``point`` and see whether recovery holds."""
+class Drill:
+    """One drill as data; :func:`run_drill` is the protocol."""
 
-    arch: str
-    point: str
-    hit: int
+    #: Table header title, what one table row is called, and the table
+    #: footer after "passed/total".
+    title: str
+    noun: str
+    footer: str
+    #: Exit verdict word, and the wording after "failed/total" (red) or
+    #: "total" (green).
+    verdict: str
+    fail_text: str
+    ok_text: str
+    #: Crash flavour armed at each point's middle workload hit.
     action: str
+    #: The drill's architectures, each with its ``--smoke`` points.
+    smoke_points: Dict[str, Tuple[str, ...]]
+    #: Recover-and-audit step: replays the spec (``_crash``) and fills
+    #: in the result; a :class:`ReproError` means recovery failed.
+    audit: Callable[["Result", int], None]
+    #: (status, check) in order; the first check that does not hold
+    #: names the status.
+    ladder: Tuple[Tuple[str, str], ...]
+    #: (heading, format, result attribute) per table column.
+    columns: Tuple[Tuple[str, str, str], ...]
+    #: Write-ack levels surveyed per architecture ("" = unreplicated).
+    acks: Tuple[str, ...] = ("",)
+    #: Full mode also kills the first and last hit, the whole complex
+    #: at the middle hit, and tears one data-page write.
+    sweep: bool = False
+    #: One table per architecture instead of one for the whole drill.
+    per_arch: bool = False
 
-    @property
-    def label(self) -> str:
-        return f"{self.arch}:{self.point}@{self.hit}:{self.action}"
 
+def enumerate_specs(drill: Drill, survey: SurveyResult,
+                    smoke: bool = False) -> List[Spec]:
+    """Expand a survey into the drill's specs.
 
-def enumerate_specs(survey: SurveyResult, smoke: bool = False) -> List[CrashSpec]:
-    """Expand a survey into the campaign's crash specs.
-
-    Full mode arms a single-scope crash at the first, middle and last
-    workload hit of every point, a complex-wide crash at the middle
-    hit, and one torn write against a rebuildable data page.  Smoke
-    mode arms one mid-workload crash per :data:`SMOKE_POINTS` entry.
+    Every point the workload crosses (smoke mode: the drill's smoke
+    points) is killed at its middle workload hit with the drill's
+    action; a sweeping drill in full mode adds the rest of
+    :attr:`Drill.sweep`.
     """
-    specs: List[CrashSpec] = []
-    if smoke:
-        for point in SMOKE_POINTS[survey.arch]:
-            first, last = survey.workload_hits(point)
-            if not last:
-                continue
-            mid = first + (last - first) // 2
-            specs.append(CrashSpec(survey.arch, point, mid, CRASH))
-        return specs
-    for point in fpoints.ALL_POINTS:
+    sweep = drill.sweep and not smoke
+    specs: List[Spec] = []
+    points = drill.smoke_points[survey.arch] if smoke else fpoints.ALL_POINTS
+    for point in points:
         first, last = survey.workload_hits(point)
         if not last:
             continue
         mid = first + (last - first) // 2
-        for hit in sorted({first, mid, last}):
-            specs.append(CrashSpec(survey.arch, point, hit, CRASH))
-        specs.append(CrashSpec(survey.arch, point, mid, CRASH_COMPLEX))
-    torn_hit = _torn_target_hit(survey)
+        for hit in sorted({first, mid, last}) if sweep else (mid,):
+            specs.append(
+                Spec(survey.arch, point, hit, drill.action, survey.ack))
+        if sweep:
+            specs.append(Spec(survey.arch, point, mid, CRASH_COMPLEX))
+    torn_hit = _torn_target_hit(survey) if sweep else 0
     if torn_hit:
-        specs.append(
-            CrashSpec(survey.arch, fpoints.DISK_WRITE, torn_hit, TORN))
+        specs.append(Spec(survey.arch, fpoints.DISK_WRITE, torn_hit, TORN))
     return specs
 
 
@@ -221,103 +238,181 @@ def _torn_target_hit(survey: SurveyResult) -> int:
         hit for hit in range(first, last + 1)
         if survey.disk_write_pages[hit - 1] in survey.data_pages
     ]
-    if not candidates:
-        return 0
-    return candidates[len(candidates) // 2]
+    return candidates[len(candidates) // 2] if candidates else 0
 
 
-# ----------------------------------------------------------------------
-# one torture run
-# ----------------------------------------------------------------------
 @dataclass
-class SpecResult:
-    """Outcome of one crash spec."""
+class Result:
+    """Outcome of one spec; each drill fills the fields its audit and
+    table use and judges them through its ``ladder``."""
 
-    spec: CrashSpec
+    spec: Spec
+    ladder: Tuple[Tuple[str, str], ...]
     fired: bool = False
     fault_system: int = -1
+    recovered: bool = False
     crashed_scope: str = ""
     repaired_pages: Tuple[int, ...] = ()
-    recovered: bool = False
     verifier_ok: bool = False
+    promoted_system: int = -1
+    acked_commits: int = 0
+    lost_commits: int = 0
+    loss_bounded: bool = False
+    image_match: bool = False
+    writable: bool = False
+    lazy_pages: int = 0
     invariant_violations: Tuple[str, ...] = ()
     detail: str = ""
 
     @property
-    def ok(self) -> bool:
-        return (self.fired and self.recovered and self.verifier_ok
-                and not self.invariant_violations)
+    def clean(self) -> bool:
+        return not self.invariant_violations
 
     @property
     def status(self) -> str:
-        if self.ok:
-            return "ok"
-        if not self.fired:
-            return "no-fire"
-        if not self.recovered:
-            return "unrecovered"
-        if not self.verifier_ok:
-            return "verify-fail"
-        return "invariant-fail"
+        return next((status for status, check in self.ladder
+                     if not getattr(self, check)), "ok")
+
+    @property
+    def ok(self) -> bool:
+        return self.status == "ok"
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "spec": self.spec.label,
-            "fired": self.fired,
-            "fault_system": self.fault_system,
-            "crashed_scope": self.crashed_scope,
-            "repaired_pages": list(self.repaired_pages),
-            "recovered": self.recovered,
-            "verifier_ok": self.verifier_ok,
-            "invariant_violations": list(self.invariant_violations),
-            "status": self.status,
-            "detail": self.detail,
-        }
+        return {**asdict(self), "status": self.status}
 
 
-def run_spec(spec: CrashSpec, seed: int) -> SpecResult:
-    """Replay the workload with ``spec`` armed; crash, recover, verify."""
-    plan = FaultPlan(seed=seed)
-    plan.add(FaultRule(point=spec.point, action=spec.action, nth=spec.hit))
-    injector = FaultInjector(plan)
-    result = SpecResult(spec=spec)
-    if spec.arch == ARCH_SD:
-        system, tracer = scenarios.build_sd(injector, seed)
-        runner, recoverer = scenarios.run_sd_workload, _recover_sd
-        verifier = verify_sd_complex
-    else:
-        system, tracer = scenarios.build_cs(injector, seed)
-        runner, recoverer = scenarios.run_cs_workload, _recover_cs
-        verifier = verify_cs_system
-    fault: Optional[FaultInjectedError] = None
+def _cell(result: Result, name: str) -> object:
+    value = attrgetter(name)(result)
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, tuple):
+        return len(value)
+    return value if value != "" else "-"
+
+
+@dataclass
+class Report:
+    """Everything one drill table holds."""
+
+    drill: Drill
+    #: The table's architecture ("" when it spans several).
+    arch: str
+    seed: int
+    smoke: bool
+    results: List[Result] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return bool(self.results) and all(r.ok for r in self.results)
+
+    @property
+    def failed(self) -> List[Result]:
+        return [r for r in self.results if not r.ok]
+
+    def table(self) -> str:
+        """Fixed-width summary table, one row per spec."""
+        columns = self.drill.columns + (("status", "<14", "status"),)
+        header = " ".join([f"{'#':>3}"] + [
+            format(heading, fmt) for heading, fmt, _ in columns])
+        arch = f"arch={self.arch} " if self.arch else ""
+        lines = [
+            f"-- {self.drill.title}: {arch}seed={self.seed} "
+            f"mode={'smoke' if self.smoke else 'full'} "
+            f"{self.drill.noun}={len(self.results)} --",
+            header,
+            "-" * len(header),
+        ]
+        for index, result in enumerate(self.results, start=1):
+            lines.append(" ".join([f"{index:>3}"] + [
+                format(_cell(result, name), fmt) for _, fmt, name in columns]))
+            if not result.ok:
+                lines += [f"      ! {violation}"
+                          for violation in result.invariant_violations[:3]]
+                if result.detail:
+                    lines.append(f"      ! {result.detail}")
+        passed = len(self.results) - len(self.failed)
+        lines.append(f"-- {passed}/{len(self.results)} {self.drill.footer} --")
+        return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# the protocol: survey -> enumerate -> run -> audit
+# ----------------------------------------------------------------------
+class _NoFire(Exception):
+    """The armed rule never fired: the replay drifted from its survey."""
+
+
+def run_drill(drill: Drill, seed: int = 0, smoke: bool = False,
+              arches: Sequence[str] = ARCHES) -> List[Report]:
+    """Survey, enumerate, run and audit ``drill`` over ``arches``: one
+    report per architecture for a per-arch drill, else one report."""
+    arches = [arch for arch in arches if arch in drill.smoke_points
+              and (drill.smoke_points[arch] or not smoke)]
+    groups = [[arch] for arch in arches] if drill.per_arch else [arches]
+    reports = []
+    for group in groups:
+        report = Report(drill, group[0] if drill.per_arch else "", seed,
+                        smoke)
+        for arch in group:
+            for ack in drill.acks:
+                survey = _survey(Spec(arch, "", 0, ack=ack), seed)
+                report.results += [
+                    run_spec(drill, spec, seed)
+                    for spec in enumerate_specs(drill, survey, smoke)]
+        reports.append(report)
+    return reports
+
+
+def run_spec(drill: Drill, spec: Spec, seed: int) -> Result:
+    """Run one spec through the drill's audit step."""
+    result = Result(spec, drill.ladder)
     try:
-        runner(system, seed)
-    except FaultInjectedError as exc:
-        fault = exc
-    if fault is None:
+        drill.audit(result, seed)
+    except _NoFire:
+        result.fired = False
         result.detail = "armed rule never fired (hit count drifted?)"
-        return result
-    result.fired = True
-    result.fault_system = fault.system
-    try:
-        result.crashed_scope, repaired = recoverer(system, spec, fault)
-        result.repaired_pages = tuple(repaired)
     except ReproError as exc:
         result.detail = f"recovery failed: {type(exc).__name__}: {exc}"
-        return result
-    result.recovered = True
-    report = verifier(system, quiesced=True)
+    else:
+        result.recovered = True
+    return result
+
+
+def _crash(result: Result, seed: int, mode: str = "eager"):
+    """Replay the workload with ``result.spec`` armed; returns the dead
+    system, its tracer and the fault."""
+    system, tracer, _, workload = _build(result.spec, seed, mode)
+    try:
+        workload(system, seed)
+    except FaultInjectedError as exc:
+        result.fired, result.fault_system = True, exc.system
+        return system, tracer, exc
+    raise _NoFire
+
+
+def _verify(result: Result, system, tracer) -> None:
+    """The audit tail: the harness verifier in ``quiesced`` mode, then
+    the trace invariant checker."""
+    verify = (verify_sd_complex if result.spec.arch == ARCH_SD
+              else verify_cs_system)
+    report = verify(system, quiesced=True)
     result.verifier_ok = report.ok
     if not report.ok:
         result.detail = "; ".join(
             f"{v.invariant}: {v.detail}" for v in report.violations[:3])
-    result.invariant_violations = tuple(
-        _render_violation(v) for v in check_trace(tracer.events()))
-    return result
+    result.invariant_violations = _violations(tracer)
 
 
-def _recover_sd(sd: "SDComplex", spec: CrashSpec,
-                fault: FaultInjectedError) -> Tuple[str, List[int]]:
+def _violations(tracer) -> Tuple[str, ...]:
+    return tuple(f"{v.invariant}@seq{v.seq}(sys{v.system}): {v.message}"
+                 for v in check_trace(tracer.events()))
+
+
+# ----------------------------------------------------------------------
+# crash restart: the campaign's recovery
+# ----------------------------------------------------------------------
+def _recover_sd(sd: "SDComplex", spec: Spec,
+                fault: FaultInjectedError) -> Tuple[str, Tuple[int, ...]]:
     if spec.action == CRASH_COMPLEX or fault.system not in sd.instances:
         sd.crash_complex()
         scope = "complex"
@@ -339,8 +434,8 @@ def _recover_sd(sd: "SDComplex", spec: CrashSpec,
     return scope, repaired
 
 
-def _recover_cs(cs: "CsSystem", spec: CrashSpec,
-                fault: FaultInjectedError) -> Tuple[str, List[int]]:
+def _recover_cs(cs: "CsSystem", spec: Spec,
+                fault: FaultInjectedError) -> Tuple[str, Tuple[int, ...]]:
     if spec.action == CRASH_COMPLEX or fault.system not in cs.clients:
         cs.crash_server()
         scope = "server"
@@ -367,7 +462,7 @@ def _recover_cs(cs: "CsSystem", spec: CrashSpec,
 
 def _repair_media(
     disk: "SharedDisk", logs: Sequence["LogManager"]
-) -> List[int]:
+) -> Tuple[int, ...]:
     """Probe every written page; rebuild the unreadable ones from the
     merged stable logs (torn writes fail their checksum on read)."""
     repaired: List[int] = []
@@ -377,199 +472,25 @@ def _repair_media(
         except MediaError:
             recover_page_from_media(page_id, None, logs, disk=disk)
             repaired.append(page_id)
-    return repaired
+    return tuple(repaired)
 
 
-def _render_violation(violation: Violation) -> str:
-    return (f"{violation.invariant}@seq{violation.seq}"
-            f"(sys{violation.system}): {violation.message}")
+#: Per architecture: crash the faulted scope, repair torn pages,
+#: restart, roll back the survivors and quiesce; each returns (scope,
+#: repaired pages).
+_RECOVER = {ARCH_SD: _recover_sd, ARCH_CS: _recover_cs}
 
 
-# ----------------------------------------------------------------------
-# the campaign
-# ----------------------------------------------------------------------
-@dataclass
-class CampaignReport:
-    """Everything one architecture's campaign produced."""
-
-    arch: str
-    seed: int
-    smoke: bool
-    survey: SurveyResult
-    results: List[SpecResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.results) and all(r.ok for r in self.results)
-
-    @property
-    def failed(self) -> List[SpecResult]:
-        return [r for r in self.results if not r.ok]
-
-    def table(self) -> str:
-        """Fixed-width summary table, one row per crash spec."""
-        header = (f"{'#':>3} {'point':<17} {'hit':>5} {'action':<13} "
-                  f"{'scope':<12} {'repair':>6} {'status':<14}")
-        lines = [
-            f"-- chaos campaign: arch={self.arch} seed={self.seed} "
-            f"mode={'smoke' if self.smoke else 'full'} "
-            f"specs={len(self.results)} --",
-            header,
-            "-" * len(header),
-        ]
-        for index, result in enumerate(self.results, start=1):
-            spec = result.spec
-            lines.append(
-                f"{index:>3} {spec.point:<17} {spec.hit:>5} "
-                f"{spec.action:<13} {result.crashed_scope or '-':<12} "
-                f"{len(result.repaired_pages):>6} {result.status:<14}")
-            if not result.ok:
-                for violation in result.invariant_violations[:3]:
-                    lines.append(f"      ! {violation}")
-                if result.detail:
-                    lines.append(f"      ! {result.detail}")
-        passed = sum(1 for r in self.results if r.ok)
-        lines.append(f"-- {passed}/{len(self.results)} specs recovered "
-                     f"cleanly --")
-        return "\n".join(lines)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "arch": self.arch,
-            "seed": self.seed,
-            "smoke": self.smoke,
-            "survey_hits": dict(sorted(self.survey.total_hits.items())),
-            "results": [r.to_dict() for r in self.results],
-            "ok": self.ok,
-        }
-
-
-def run_campaign(arch: str, seed: int = 0, smoke: bool = False) -> CampaignReport:
-    """Survey, enumerate, and torture one architecture."""
-    survey = run_survey(arch, seed)
-    report = CampaignReport(arch=arch, seed=seed, smoke=smoke, survey=survey)
-    for spec in enumerate_specs(survey, smoke=smoke):
-        report.results.append(run_spec(spec, seed))
-    return report
+def _audit_crash(result: Result, seed: int) -> None:
+    system, tracer, fault = _crash(result, seed)
+    result.crashed_scope, result.repaired_pages = _RECOVER[result.spec.arch](
+        system, result.spec, fault)
+    _verify(result, system, tracer)
 
 
 # ----------------------------------------------------------------------
-# failover drill
+# failover: promote a standby from its merged replica logs
 # ----------------------------------------------------------------------
-#: Smoke-mode drill points: the replication seams plus the commit
-#: point, the three places a primary death interacts with shipping.
-DRILL_SMOKE_POINTS = (
-    fpoints.COMMIT_POST_FORCE,
-    fpoints.REPL_SHIP,
-    fpoints.REPL_APPLY,
-)
-
-
-@dataclass(frozen=True)
-class DrillSpec:
-    """One failover rehearsal: run the replicated workload at write-ack
-    level ``ack``, kill the whole primary at the ``hit``-th crossing of
-    ``point``, promote the best standby, and audit the loss."""
-
-    point: str
-    hit: int
-    ack: str
-
-    @property
-    def label(self) -> str:
-        return f"failover:{self.point}@{self.hit}:{self.ack}"
-
-
-def run_drill_survey(ack: str, seed: int) -> SurveyResult:
-    """Un-faulted hit counts for the replicated workload at ``ack``.
-
-    Replication adds crossings everywhere (standby disk writes, ship
-    and ack rounds), so the plain-campaign survey cannot be reused —
-    the drill takes its own census per ack level.
-    """
-    injector = FaultInjector(FaultPlan(seed=seed))
-    sd, _ = scenarios.build_replicated_sd(injector, seed, ack)
-    build_hits = dict(injector.hit_counts())
-    scenarios.run_sd_workload(sd, seed)
-    return SurveyResult(
-        arch=ARCH_SD, seed=seed, build_hits=build_hits,
-        total_hits=dict(injector.hit_counts()),
-        disk_write_pages=(), data_pages=frozenset(),
-    )
-
-
-def enumerate_drill_specs(survey: SurveyResult, ack: str,
-                          smoke: bool = False) -> List[DrillSpec]:
-    """Every fault point the replicated workload crosses, mid-hit.
-
-    Smoke mode keeps only :data:`DRILL_SMOKE_POINTS`; full mode covers
-    all of :data:`~repro.faults.points.ALL_POINTS` the workload hits.
-    """
-    points = DRILL_SMOKE_POINTS if smoke else fpoints.ALL_POINTS
-    specs: List[DrillSpec] = []
-    for point in points:
-        first, last = survey.workload_hits(point)
-        if not last:
-            continue
-        mid = first + (last - first) // 2
-        specs.append(DrillSpec(point=point, hit=mid, ack=ack))
-    return specs
-
-
-@dataclass
-class DrillResult:
-    """Outcome of one failover rehearsal."""
-
-    spec: DrillSpec
-    fired: bool = False
-    fault_system: int = -1
-    promoted_system: int = -1
-    acked_commits: int = 0
-    lost_commits: int = 0
-    loss_bounded: bool = False
-    image_match: bool = False
-    writable: bool = False
-    invariant_violations: Tuple[str, ...] = ()
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return (self.fired and self.loss_bounded and self.image_match
-                and self.writable and not self.invariant_violations)
-
-    @property
-    def status(self) -> str:
-        if self.ok:
-            return "ok"
-        if not self.fired:
-            return "no-fire"
-        if self.detail:
-            return "error"
-        if not self.loss_bounded:
-            return "loss"
-        if not self.image_match:
-            return "image-mismatch"
-        if not self.writable:
-            return "not-writable"
-        return "invariant-fail"
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "spec": self.spec.label,
-            "fired": self.fired,
-            "fault_system": self.fault_system,
-            "promoted_system": self.promoted_system,
-            "acked_commits": self.acked_commits,
-            "lost_commits": self.lost_commits,
-            "loss_bounded": self.loss_bounded,
-            "image_match": self.image_match,
-            "writable": self.writable,
-            "invariant_violations": list(self.invariant_violations),
-            "status": self.status,
-            "detail": self.detail,
-        }
-
-
 def _reference_failover_digest(system_id: int, sd: "SDComplex",
                                snapshot: Dict[int, bytes]) -> str:
     """Recover the promoted standby's replica stream from scratch.
@@ -581,12 +502,6 @@ def _reference_failover_digest(system_id: int, sd: "SDComplex",
     LSN order, and the per-source snapshot blobs alone are not globally
     ordered.
     """
-    from repro.common.stats import StatsRegistry
-    from repro.faults.injector import NULL_INJECTOR
-    from repro.obs.tracer import NULL_TRACER
-    from repro.replication.standby import StandbyComplex
-    from repro.wal.records import LogRecord
-
     entries: List[Tuple[int, int, bytes]] = []
     for source_id in sorted(snapshot):
         for _, record in LogRecord.parse_stream(snapshot[source_id]):
@@ -599,42 +514,13 @@ def _reference_failover_digest(system_id: int, sd: "SDComplex",
     return reference.disk.digest()
 
 
-def run_drill_spec(spec: DrillSpec, seed: int) -> DrillResult:
-    """One rehearsal: kill the primary, promote, audit, verify."""
-    plan = FaultPlan(seed=seed)
-    plan.add(FaultRule(point=spec.point, action=CRASH_COMPLEX,
-                       nth=spec.hit))
-    injector = FaultInjector(plan)
-    result = DrillResult(spec=spec)
-    sd, tracer = scenarios.build_replicated_sd(injector, seed, spec.ack)
-    fault: Optional[FaultInjectedError] = None
-    try:
-        scenarios.run_sd_workload(sd, seed)
-    except FaultInjectedError as exc:
-        fault = exc
-    if fault is None:
-        result.detail = "armed rule never fired (hit count drifted?)"
-        return result
-    result.fired = True
-    result.fault_system = fault.system
+def _audit_failover(result: Result, seed: int) -> None:
+    sd, tracer, _ = _crash(result, seed)
     # The primary site is gone: every instance dies, parked messages
     # die with it.  (No log salvage — this drill models losing the
     # machine, the case the ack levels exist to bound.)
     sd.crash_complex()
     sd.network.fail_parked()
-    try:
-        result = _promote_and_audit(result, sd, tracer)
-    except ReproError as exc:
-        result.detail = f"failover failed: {type(exc).__name__}: {exc}"
-        return result
-    return result
-
-
-def _promote_and_audit(result: DrillResult, sd: "SDComplex",
-                       tracer) -> DrillResult:
-    from repro.wal.records import LogRecord, RecordKind
-
-    spec = result.spec
     # Elect the standby holding the longest prefix of the shipped
     # stream.  Every standby receives the same batch sequence, so
     # (absorbed LSN, records held) orders prefixes by containment and
@@ -652,30 +538,29 @@ def _promote_and_audit(result: DrillResult, sd: "SDComplex",
         key=lambda sid: (int(standbys[sid].absorbed_lsn),
                          record_counts[sid], -sid),
     )
-    standby = standbys[promoted_id]
     snapshot = snapshots[promoted_id]
     result.promoted_system = promoted_id
     # Loss audit against the pre-promotion snapshot (promotion appends
     # CLRs; the audit must see exactly what was shipped).
-    survivors = set()
-    for source_id, blob in snapshot.items():
-        for _, record in LogRecord.parse_stream(blob):
-            if record.kind == RecordKind.COMMIT:
-                survivors.add((source_id, record.txn_id))
+    survivors = {
+        (source_id, record.txn_id)
+        for source_id, blob in snapshot.items()
+        for _, record in LogRecord.parse_stream(blob)
+        if record.kind == RecordKind.COMMIT
+    }
     acked = [ack for ack in sd.replication.commit_acks if ack.satisfied]
     lost = [ack for ack in acked
             if (ack.system, ack.txn) not in survivors]
     result.acked_commits = len(acked)
     result.lost_commits = len(lost)
-    if spec.ack == "local":
+    if result.spec.ack == "local":
         # Async shipping bounds the unshipped tail — and with it the
         # lost commits — by the in-flight window.
-        result.loss_bounded = (
-            len(lost) <= scenarios.REPL_WINDOW_RECORDS)
+        result.loss_bounded = len(lost) <= scenarios.REPL_WINDOW_RECORDS
     else:
         # quorum / all: an acknowledged commit must never be lost.
         result.loss_bounded = not lost
-    promoted = standby.promote()
+    promoted = standbys[promoted_id].promote()
     result.image_match = (
         promoted.disk.digest()
         == _reference_failover_digest(promoted_id, sd, snapshot))
@@ -687,173 +572,20 @@ def _promote_and_audit(result: DrillResult, sd: "SDComplex",
     instance.insert(txn, page_id, b"post-failover write")
     instance.commit(txn)
     result.writable = True
-    result.invariant_violations = tuple(
-        _render_violation(v) for v in check_trace(tracer.events()))
-    return result
-
-
-@dataclass
-class DrillReport:
-    """Everything one failover drill produced."""
-
-    seed: int
-    smoke: bool
-    results: List[DrillResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.results) and all(r.ok for r in self.results)
-
-    @property
-    def failed(self) -> List[DrillResult]:
-        return [r for r in self.results if not r.ok]
-
-    def table(self) -> str:
-        """Fixed-width summary, one row per rehearsal."""
-        header = (f"{'#':>3} {'point':<17} {'hit':>5} {'ack':<7} "
-                  f"{'promoted':>8} {'acked':>5} {'lost':>4} "
-                  f"{'status':<14}")
-        lines = [
-            f"-- failover drill: seed={self.seed} "
-            f"mode={'smoke' if self.smoke else 'full'} "
-            f"rehearsals={len(self.results)} --",
-            header,
-            "-" * len(header),
-        ]
-        for index, result in enumerate(self.results, start=1):
-            spec = result.spec
-            lines.append(
-                f"{index:>3} {spec.point:<17} {spec.hit:>5} "
-                f"{spec.ack:<7} {result.promoted_system:>8} "
-                f"{result.acked_commits:>5} {result.lost_commits:>4} "
-                f"{result.status:<14}")
-            if not result.ok:
-                for violation in result.invariant_violations[:3]:
-                    lines.append(f"      ! {violation}")
-                if result.detail:
-                    lines.append(f"      ! {result.detail}")
-        passed = sum(1 for r in self.results if r.ok)
-        lines.append(f"-- {passed}/{len(self.results)} failovers "
-                     f"clean --")
-        return "\n".join(lines)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "seed": self.seed,
-            "smoke": self.smoke,
-            "results": [r.to_dict() for r in self.results],
-            "ok": self.ok,
-        }
-
-
-def run_failover_drill(seed: int = 0, smoke: bool = False) -> DrillReport:
-    """Survey and rehearse failover at every ack level.
-
-    Kills the primary complex at every reachable fault point (mid-hit)
-    per write-ack level, promotes the best standby, and checks: the
-    promoted disk image equals a from-scratch reference recovery of
-    the shipped stream; ``quorum``/``all``-acked commits are never
-    lost; ``local`` loss stays within the in-flight window; the
-    promoted complex accepts new transactions; the whole trace passes
-    the invariant checker.
-    """
-    from repro.replication import ACK_LEVELS
-
-    report = DrillReport(seed=seed, smoke=smoke)
-    for ack in ACK_LEVELS:
-        survey = run_drill_survey(ack, seed)
-        for spec in enumerate_drill_specs(survey, ack, smoke=smoke):
-            report.results.append(run_drill_spec(spec, seed))
-    return report
+    result.invariant_violations = _violations(tracer)
 
 
 # ----------------------------------------------------------------------
-# restart drill: eager vs instant equivalence
+# restart: eager vs instant equivalence
 # ----------------------------------------------------------------------
-#: Smoke-mode restart-drill points: the disk, the log, and the commit
-#: path — three SD crash flavours whose recovery images the instant
-#: path must reproduce byte for byte.
-RESTART_DRILL_SMOKE_POINTS = (
-    fpoints.DISK_WRITE,
-    fpoints.LOG_FORCE,
-    fpoints.COMMIT_PRE_FORCE,
-)
-
-
-@dataclass(frozen=True)
-class RestartDrillSpec:
-    """One restart rehearsal: run the identical workload and crash
-    twice — once recovered eagerly, once with ``restart_mode="instant"``
-    — and demand that the final disk images are SHA-256 identical."""
-
-    arch: str
-    point: str
-    hit: int
-
-    @property
-    def label(self) -> str:
-        return f"restart:{self.arch}:{self.point}@{self.hit}"
-
-
-@dataclass
-class RestartDrillResult:
-    """Outcome of one eager-vs-instant restart rehearsal."""
-
-    spec: RestartDrillSpec
-    fired: bool = False
-    fault_system: int = -1
-    crashed_scope: str = ""
-    lazy_pages: int = 0
-    eager_digest: str = ""
-    instant_digest: str = ""
-    image_match: bool = False
-    verifier_ok: bool = False
-    invariant_violations: Tuple[str, ...] = ()
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return (self.fired and self.image_match and self.verifier_ok
-                and not self.invariant_violations)
-
-    @property
-    def status(self) -> str:
-        if self.ok:
-            return "ok"
-        if not self.fired:
-            return "no-fire"
-        if self.detail and not self.instant_digest:
-            return "error"
-        if not self.image_match:
-            return "image-mismatch"
-        if not self.verifier_ok:
-            return "verify-fail"
-        return "invariant-fail"
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "spec": self.spec.label,
-            "fired": self.fired,
-            "fault_system": self.fault_system,
-            "crashed_scope": self.crashed_scope,
-            "lazy_pages": self.lazy_pages,
-            "eager_digest": self.eager_digest,
-            "instant_digest": self.instant_digest,
-            "image_match": self.image_match,
-            "verifier_ok": self.verifier_ok,
-            "invariant_violations": list(self.invariant_violations),
-            "status": self.status,
-            "detail": self.detail,
-        }
-
-
 def _drain_instant(system, arch: str) -> int:
     """Finish an instant restart's lazy phase deterministically.
 
     The first still-pending page is recovered through the demand entry
     point — the same seam a normal page fix would hit — and the rest
     through the background sweeper, so a rehearsal exercises both lazy
-    paths.  Returns how many pages restart left for lazy recovery.
+    paths.  Returns how many pages restart left for lazy recovery (0
+    after an eager restart).
     """
     if arch == ARCH_SD:
         managers = [system.instant[sid] for sid in sorted(system.instant)]
@@ -871,174 +603,128 @@ def _drain_instant(system, arch: str) -> int:
     return len(pending)
 
 
-def _run_restart_variant(spec: RestartDrillSpec, seed: int,
-                         mode: str) -> Dict[str, object]:
-    """One leg of a restart rehearsal.
-
-    Replays the seeded workload with the spec's rule armed, recovers
-    through the standard campaign sequence under ``restart_mode=mode``
-    (the instant leg then drains its lazy pages), and returns the final
-    disk digest plus the evidence the comparison needs.  Determinism
-    makes the two legs' crashes land on the same operation, so any
-    digest divergence is recovery's fault alone.
-    """
-    plan = FaultPlan(seed=seed)
-    plan.add(FaultRule(point=spec.point, action=CRASH, nth=spec.hit))
-    injector = FaultInjector(plan)
-    leg: Dict[str, object] = {
-        "fired": False, "fault_system": -1, "scope": "",
-        "lazy_pages": 0, "digest": "", "verifier_ok": True,
-        "violations": (), "detail": "",
-    }
-    if spec.arch == ARCH_SD:
-        system, tracer = scenarios.build_sd(injector, seed)
-        system.restart_mode = mode
-        runner, recoverer = scenarios.run_sd_workload, _recover_sd
-        verifier = verify_sd_complex
-    else:
-        system, tracer = scenarios.build_cs(injector, seed)
-        system.server.restart_mode = mode
-        runner, recoverer = scenarios.run_cs_workload, _recover_cs
-        verifier = verify_cs_system
-    fault: Optional[FaultInjectedError] = None
-    try:
-        runner(system, seed)
-    except FaultInjectedError as exc:
-        fault = exc
-    if fault is None:
-        leg["detail"] = "armed rule never fired (hit count drifted?)"
-        return leg
-    leg["fired"] = True
-    leg["fault_system"] = fault.system
-    crash_spec = CrashSpec(spec.arch, spec.point, spec.hit, CRASH)
-    try:
-        scope, _ = recoverer(system, crash_spec, fault)
-        if mode == "instant":
-            leg["lazy_pages"] = _drain_instant(system, spec.arch)
-    except ReproError as exc:
-        leg["detail"] = f"recovery failed: {type(exc).__name__}: {exc}"
-        return leg
-    leg["scope"] = scope
-    disk = system.disk if spec.arch == ARCH_SD else system.server.disk
-    leg["digest"] = disk.digest()
-    if mode == "instant":
-        report = verifier(system, quiesced=True)
-        leg["verifier_ok"] = report.ok
-        if not report.ok:
-            leg["detail"] = "; ".join(
-                f"{v.invariant}: {v.detail}" for v in report.violations[:3])
-        leg["violations"] = tuple(
-            _render_violation(v) for v in check_trace(tracer.events()))
-    return leg
+def _audit_restart(result: Result, seed: int) -> None:
+    """Replay and recover the identical crash eagerly, then instantly;
+    determinism makes both legs' crashes land on the same operation,
+    so any digest divergence is recovery's fault alone.  The instant
+    leg is also verified."""
+    arch = result.spec.arch
+    digests = []
+    for mode in ("eager", "instant"):
+        system, tracer, fault = _crash(result, seed, mode)
+        result.crashed_scope, _ = _RECOVER[arch](system, result.spec, fault)
+        result.lazy_pages = _drain_instant(system, arch)
+        disk = system.disk if arch == ARCH_SD else system.server.disk
+        digests.append(disk.digest())
+    result.image_match = digests[0] == digests[1]
+    _verify(result, system, tracer)
 
 
-def run_restart_drill_spec(spec: RestartDrillSpec,
-                           seed: int) -> RestartDrillResult:
-    """One rehearsal: same crash recovered eagerly and instantly."""
-    result = RestartDrillResult(spec=spec)
-    eager = _run_restart_variant(spec, seed, "eager")
-    if not eager["fired"] or eager["detail"]:
-        result.fired = bool(eager["fired"])
-        result.detail = str(eager["detail"]) or "eager leg failed"
-        return result
-    instant = _run_restart_variant(spec, seed, "instant")
-    result.fired = bool(instant["fired"])
-    result.fault_system = int(instant["fault_system"])
-    result.crashed_scope = str(instant["scope"])
-    result.lazy_pages = int(instant["lazy_pages"])
-    result.eager_digest = str(eager["digest"])
-    result.instant_digest = str(instant["digest"])
-    result.image_match = bool(result.eager_digest) \
-        and result.eager_digest == result.instant_digest
-    result.verifier_ok = bool(instant["verifier_ok"])
-    result.invariant_violations = tuple(instant["violations"])
-    result.detail = str(instant["detail"])
-    return result
+# ----------------------------------------------------------------------
+# the three rows
+# ----------------------------------------------------------------------
+_POINT_HIT = (("point", "<17", "spec.point"), ("hit", ">5", "spec.hit"))
+
+CAMPAIGN = Drill(
+    title="chaos campaign",
+    noun="specs",
+    footer="specs recovered cleanly",
+    verdict="CHAOS",
+    fail_text="crash specs left the database unrecovered or inconsistent",
+    ok_text="crash specs, all recovered and verified",
+    action=CRASH,
+    # Disk, log, network and the commit path per architecture, keeping
+    # the whole smoke gate at <= 10 crash points.
+    smoke_points={
+        ARCH_SD: (fpoints.DISK_WRITE, fpoints.LOG_FORCE, fpoints.NET_MSG,
+                  fpoints.INSTANCE_UPDATE, fpoints.COMMIT_PRE_FORCE),
+        ARCH_CS: (fpoints.DISK_WRITE, fpoints.LOG_FORCE, fpoints.CS_SHIP,
+                  fpoints.CS_COMMIT, fpoints.INSTANCE_UPDATE),
+    },
+    audit=_audit_crash,
+    ladder=(("no-fire", "fired"), ("unrecovered", "recovered"),
+            ("verify-fail", "verifier_ok"), ("invariant-fail", "clean")),
+    columns=_POINT_HIT + (("action", "<13", "spec.action"),
+                          ("scope", "<12", "crashed_scope"),
+                          ("repair", ">6", "repaired_pages")),
+    sweep=True,
+    per_arch=True,
+)
+
+FAILOVER = Drill(
+    title="failover drill",
+    noun="rehearsals",
+    footer="failovers clean",
+    verdict="DRILL",
+    fail_text="failovers lost acked commits or diverged from reference "
+              "recovery",
+    ok_text="failovers, loss within ack guarantees, images match reference "
+            "recovery",
+    action=CRASH_COMPLEX,
+    # The replication seams plus the commit point: the three places a
+    # primary death interacts with shipping.
+    smoke_points={ARCH_SD: (fpoints.COMMIT_POST_FORCE, fpoints.REPL_SHIP,
+                            fpoints.REPL_APPLY)},
+    audit=_audit_failover,
+    ladder=(("no-fire", "fired"), ("error", "recovered"),
+            ("loss", "loss_bounded"), ("image-mismatch", "image_match"),
+            ("not-writable", "writable"), ("invariant-fail", "clean")),
+    columns=_POINT_HIT + (("ack", "<7", "spec.ack"),
+                          ("promoted", ">8", "promoted_system"),
+                          ("acked", ">5", "acked_commits"),
+                          ("lost", ">4", "lost_commits")),
+    acks=ACK_LEVELS,
+)
+
+RESTART = Drill(
+    title="restart drill",
+    noun="rehearsals",
+    footer="restarts equivalent",
+    verdict="DRILL",
+    fail_text="restarts diverged from the eager disk image or tripped a "
+              "checker",
+    ok_text="restarts, instant and eager recovery produced identical disk "
+            "images",
+    action=CRASH,
+    # Smoke: the disk, the log and the commit path on SD only.
+    smoke_points={
+        ARCH_SD: (fpoints.DISK_WRITE, fpoints.LOG_FORCE,
+                  fpoints.COMMIT_PRE_FORCE),
+        ARCH_CS: (),
+    },
+    audit=_audit_restart,
+    ladder=(("no-fire", "fired"), ("error", "recovered"),
+            ("image-mismatch", "image_match"),
+            ("verify-fail", "verifier_ok"), ("invariant-fail", "clean")),
+    columns=(("arch", "<4", "spec.arch"),) + _POINT_HIT + (
+        ("scope", "<12", "crashed_scope"), ("lazy", ">4", "lazy_pages"),
+        ("match", "<5", "image_match")),
+)
 
 
-@dataclass
-class RestartDrillReport:
-    """Everything one restart drill produced."""
-
-    seed: int
-    smoke: bool
-    results: List[RestartDrillResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.results) and all(r.ok for r in self.results)
-
-    @property
-    def failed(self) -> List[RestartDrillResult]:
-        return [r for r in self.results if not r.ok]
-
-    def table(self) -> str:
-        """Fixed-width summary, one row per rehearsal."""
-        header = (f"{'#':>3} {'arch':<4} {'point':<17} {'hit':>5} "
-                  f"{'scope':<12} {'lazy':>4} {'match':<5} "
-                  f"{'status':<14}")
-        lines = [
-            f"-- restart drill: seed={self.seed} "
-            f"mode={'smoke' if self.smoke else 'full'} "
-            f"rehearsals={len(self.results)} --",
-            header,
-            "-" * len(header),
-        ]
-        for index, result in enumerate(self.results, start=1):
-            spec = result.spec
-            lines.append(
-                f"{index:>3} {spec.arch:<4} {spec.point:<17} "
-                f"{spec.hit:>5} {result.crashed_scope or '-':<12} "
-                f"{result.lazy_pages:>4} "
-                f"{'yes' if result.image_match else 'no':<5} "
-                f"{result.status:<14}")
-            if not result.ok:
-                for violation in result.invariant_violations[:3]:
-                    lines.append(f"      ! {violation}")
-                if result.detail:
-                    lines.append(f"      ! {result.detail}")
-        passed = sum(1 for r in self.results if r.ok)
-        lines.append(f"-- {passed}/{len(self.results)} restarts "
-                     f"equivalent --")
-        return "\n".join(lines)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "seed": self.seed,
-            "smoke": self.smoke,
-            "results": [r.to_dict() for r in self.results],
-            "ok": self.ok,
-        }
+def run_campaign(arch: str, seed: int = 0, smoke: bool = False) -> Report:
+    """Survey, enumerate, and torture one architecture."""
+    return run_drill(CAMPAIGN, seed, smoke, (arch,))[0]
 
 
-def run_restart_drill(seed: int = 0,
-                      smoke: bool = False) -> RestartDrillReport:
-    """Rehearse instant restart against the eager reference.
+def run_failover_drill(seed: int = 0, smoke: bool = False) -> Report:
+    """Kill the replicated primary at every reachable fault point (mid
+    hit) per write-ack level, promote the best standby, and check: the
+    promoted image equals a from-scratch reference recovery of the
+    shipped stream; ``quorum``/``all``-acked commits are never lost;
+    ``local`` loss stays within the in-flight window; the promoted
+    complex accepts new transactions; the trace passes the invariant
+    checker."""
+    return run_drill(FAILOVER, seed, smoke)[0]
 
-    For every reachable fault point (mid workload hit) the drill runs
-    the identical seeded workload twice: once recovered with the
-    classic eager restart, once with ``restart_mode="instant"`` (open
-    after analysis + undo, then demand-recover one page and sweep the
-    rest).  A rehearsal passes only if both legs end with SHA-256
+
+def run_restart_drill(seed: int = 0, smoke: bool = False) -> Report:
+    """Rehearse instant restart against the eager reference at every
+    reachable fault point (mid hit), both architectures (smoke: three
+    SD points).  A rehearsal passes only if both legs end with SHA-256
     identical disk images and the instant leg satisfies the harness
-    verifier and the trace invariant checker.  Smoke mode keeps the
-    three :data:`RESTART_DRILL_SMOKE_POINTS` crash points on SD; full
-    mode covers both architectures at every reachable point.
-    """
-    report = RestartDrillReport(seed=seed, smoke=smoke)
-    arches = (ARCH_SD,) if smoke else ARCHES
-    for arch in arches:
-        survey = run_survey(arch, seed)
-        points = (RESTART_DRILL_SMOKE_POINTS if smoke
-                  else fpoints.ALL_POINTS)
-        for point in points:
-            first, last = survey.workload_hits(point)
-            if not last:
-                continue
-            mid = first + (last - first) // 2
-            report.results.append(run_restart_drill_spec(
-                RestartDrillSpec(arch=arch, point=point, hit=mid), seed))
-    return report
+    verifier and the trace invariant checker."""
+    return run_drill(RESTART, seed, smoke)[0]
 
 
 # ----------------------------------------------------------------------
@@ -1048,9 +734,9 @@ def run_restart_drill(seed: int = 0,
 def sabotage_redo_screening() -> Iterator[None]:
     """Disable restart redo's page_LSN screening for the duration.
 
-    Exists so the campaign's alarm can be proven live: under sabotage
-    the trace checker's ``redo-screening`` invariant must trip and the
-    campaign must exit non-zero.  Never set the flag any other way.
+    Exists so the drills' alarm can be proven live: under sabotage the
+    trace checker's ``redo-screening`` invariant must trip and the
+    drill must exit non-zero.  Never set the flag any other way.
     """
     redo._SABOTAGE_DISABLE_REDO_SCREENING = True
     try:

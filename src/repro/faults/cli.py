@@ -21,11 +21,13 @@ Usage:
   SD crash points);  an unknown drill name prints the available drills
   and exits 2;
 * ``python -m repro.chaos --sabotage redo-screening`` — deliberately
-  break restart redo's page_LSN test first; the campaign must go red
-  (used to prove the alarm itself works).
+  break restart redo's page_LSN test first; the campaign (or the
+  ``--drill``) must go red (used to prove the alarm itself works).
 
-Exit status 0 iff every crash spec recovered cleanly and both the
-harness verifier and the trace invariant checker came back clean.
+The campaign and the drills are rows of one survey -> enumerate ->
+run -> audit protocol (:mod:`repro.faults.campaign`) and share one
+run/print/exit path.  Exit status 0 iff every spec passed its
+drill's audit (recovery, harness verifier, trace invariant checker).
 """
 
 from __future__ import annotations
@@ -36,30 +38,19 @@ from typing import List, Optional
 
 from repro.faults.campaign import (
     ARCHES,
-    run_campaign,
-    run_failover_drill,
-    run_restart_drill,
+    CAMPAIGN,
+    FAILOVER,
+    RESTART,
+    run_drill,
     run_survey,
     sabotage_redo_screening,
 )
 from repro.faults.points import ALL_POINTS
 
 SABOTAGES = ("redo-screening",)
-#: Named drills: name -> (runner, one-line failure/success wording).
-DRILLS = {
-    "failover": (
-        run_failover_drill,
-        "failovers lost acked commits or diverged from reference recovery",
-        "failovers, loss within ack guarantees, images match reference "
-        "recovery",
-    ),
-    "restart": (
-        run_restart_drill,
-        "restarts diverged from the eager disk image or tripped a checker",
-        "restarts, instant and eager recovery produced identical disk "
-        "images",
-    ),
-}
+#: Drill name -> drill; no ``--drill`` (``None``) runs the campaign.
+DRILLS = {None: CAMPAIGN, "failover": FAILOVER, "restart": RESTART}
+NAMED_DRILLS = ", ".join(sorted(name for name in DRILLS if name))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,20 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="break recovery on purpose to test the alarm")
     parser.add_argument("--drill", default=None, metavar="NAME",
                         help="run a named drill instead of the campaign "
-                             f"(one of: {', '.join(sorted(DRILLS))})")
+                             f"(one of: {NAMED_DRILLS})")
     return parser
-
-
-def _run_drill(name: str, seed: int, smoke: bool) -> int:
-    runner, fail_text, ok_text = DRILLS[name]
-    report = runner(seed=seed, smoke=smoke)
-    print(report.table())
-    total, failed = len(report.results), len(report.failed)
-    if failed or not total:
-        print(f"DRILL: FAIL — {failed}/{total} {fail_text}")
-        return 1
-    print(f"DRILL: OK — {total} {ok_text}")
-    return 0
 
 
 def _list_points(arches: List[str], seed: int) -> int:
@@ -112,31 +91,27 @@ def _list_points(arches: List[str], seed: int) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     arches = list(ARCHES) if args.arch == "both" else [args.arch]
-    if args.drill is not None:
-        if args.drill not in DRILLS:
-            print(f"unknown drill {args.drill!r}; available drills: "
-                  f"{', '.join(sorted(DRILLS))}")
-            return 2
-        return _run_drill(args.drill, args.seed, args.smoke)
+    if args.drill not in DRILLS:
+        print(f"unknown drill {args.drill!r}; available drills: "
+              f"{NAMED_DRILLS}")
+        return 2
     if args.list_points:
         return _list_points(arches, args.seed)
+    drill = DRILLS[args.drill]
     guard = (sabotage_redo_screening() if args.sabotage == "redo-screening"
              else nullcontext())
-    reports = []
     with guard:
-        for arch in arches:
-            reports.append(run_campaign(arch, seed=args.seed,
-                                        smoke=args.smoke))
+        reports = run_drill(drill, args.seed, args.smoke, arches)
     for report in reports:
         print(report.table())
-        print()
+        if drill.per_arch:
+            print()
     total = sum(len(r.results) for r in reports)
     failed = sum(len(r.failed) for r in reports)
     if failed or not total:
-        print(f"CHAOS: FAIL — {failed}/{total} crash specs left the "
-              f"database unrecovered or inconsistent")
+        print(f"{drill.verdict}: FAIL — {failed}/{total} {drill.fail_text}")
         return 1
-    print(f"CHAOS: OK — {total} crash specs, all recovered and verified")
+    print(f"{drill.verdict}: OK — {total} {drill.ok_text}")
     return 0
 
 

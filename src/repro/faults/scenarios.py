@@ -69,8 +69,15 @@ def _workload_config(seed: int) -> WorkloadConfig:
 def build_sd(injector: NullFaultInjector,
              seed: int) -> Tuple[SDComplex, Tracer]:
     """A two-instance SD complex under a recording tracer."""
+    return _two_instance_sd(injector, None)
+
+
+def _two_instance_sd(
+    injector: NullFaultInjector, replicate: Optional[ReplicationConfig]
+) -> Tuple[SDComplex, Tracer]:
     tracer = Tracer()
-    sd = SDComplex(n_data_pages=64, tracer=tracer, injector=injector)
+    sd = SDComplex(n_data_pages=64, tracer=tracer, injector=injector,
+                   replicate=replicate)
     for system_id in (1, 2):
         sd.add_instance(system_id)
     return sd, tracer
@@ -107,17 +114,11 @@ def build_replicated_sd(injector: NullFaultInjector, seed: int,
     the requested write-ack level and :data:`N_STANDBYS` hot standbys
     attached before the workload starts.
     """
-    tracer = Tracer()
-    sd = SDComplex(
-        n_data_pages=64, tracer=tracer, injector=injector,
-        replicate=ReplicationConfig(
-            ack=ack,
-            window_records=REPL_WINDOW_RECORDS,
-            batch_records=REPL_BATCH_RECORDS,
-        ),
-    )
-    for system_id in (1, 2):
-        sd.add_instance(system_id)
+    sd, tracer = _two_instance_sd(injector, ReplicationConfig(
+        ack=ack,
+        window_records=REPL_WINDOW_RECORDS,
+        batch_records=REPL_BATCH_RECORDS,
+    ))
     for index in range(N_STANDBYS):
         sd.replication.add_standby(STANDBY_BASE_ID + index)
     return sd, tracer
