@@ -125,7 +125,13 @@ class CsClient:
         acknowledged until then: locks stay held at the server, and a
         client crash first loses the batch consistently (the records
         never reached the server, and neither did any covered page —
-        dirty pages always ship *with* the log records).
+        dirty pages always ship *with* the log records).  It does leave
+        ACTIVE at once, so every further operation on it is rejected.
+
+        A transaction that logged nothing just has the server drop its
+        locks and ends, lazy or not: no COMMIT or END record, no log
+        ship, no server force, no ``commit_ack`` — so a degraded server
+        still lets readers finish.
         """
         if self.tracer.enabled:
             with self.tracer.span(ev.SPAN_COMMIT, system=self.client_id,
@@ -136,6 +142,13 @@ class CsClient:
 
     def _commit(self, txn: Transaction, lazy: bool) -> None:
         self._check_active(txn)
+        if not txn.is_update_transaction():
+            if self.tracer.enabled:
+                self.tracer.emit(ev.TXN_COMMIT, system=self.client_id,
+                                 txn=txn.txn_id, lazy=lazy)
+            self.server.release_txn_locks(txn.txn_id)
+            self._finish_commit(txn)
+            return
         commit = LogRecord(kind=RecordKind.COMMIT, txn_id=txn.txn_id,
                            prev_lsn=txn.last_lsn)
         self.log.append(commit)
@@ -147,6 +160,7 @@ class CsClient:
             self.tracer.emit(ev.TXN_COMMIT, system=self.client_id,
                              txn=txn.txn_id, lazy=lazy)
         if lazy:
+            txn.state = TxnState.COMMITTED
             self._pending_commits.append(txn)
             return
         self.server.commit_point(self, txn.txn_id)
@@ -164,12 +178,18 @@ class CsClient:
         return self._finish_pending()
 
     def _finish_pending(self) -> int:
+        pending = self._pending_commits
         finished = 0
-        while self._pending_commits:
-            txn = self._pending_commits.pop(0)
-            self.server.release_txn_locks(txn.txn_id)
-            self._finish_commit(txn)
-            finished += 1
+        try:
+            for txn in pending:
+                self.server.release_txn_locks(txn.txn_id)
+                self._finish_commit(txn)
+                finished += 1
+        finally:
+            # One slice delete instead of a pop(0) per transaction; a
+            # transaction whose release failed stays pending with the
+            # tail behind it.
+            del pending[:finished]
         return finished
 
     def _finish_commit(self, txn: Transaction) -> None:
@@ -205,11 +225,13 @@ class CsClient:
             txn.truncate_to_savepoint(to_savepoint)
             txn.state = TxnState.ACTIVE
             return
-        end = LogRecord(kind=RecordKind.END, txn_id=txn.txn_id,
-                        prev_lsn=txn.last_lsn)
-        self.log.append(end)
-        # Ship the rollback's CLRs and let the server drop the locks.
-        self.server.receive_log_records(self)
+        if txn.is_update_transaction():
+            end = LogRecord(kind=RecordKind.END, txn_id=txn.txn_id,
+                            prev_lsn=txn.last_lsn)
+            self.log.append(end)
+            # Ship the rollback's CLRs (a transaction that logged
+            # nothing has nothing to ship).
+            self.server.receive_log_records(self)
         self.server.release_txn_locks(txn.txn_id)
         self.log.forget_txn(txn.txn_id)
         self.txns.end(txn)

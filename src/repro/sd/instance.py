@@ -112,8 +112,9 @@ class DbmsInstance:
         self.tracer.register_clock(system_id, self.clock)
         self.crashed = False
         # Read-only degraded mode: entered when the log device fails
-        # (an injected ``log.force`` fault); reads keep working, every
-        # update or commit is rejected until restart.
+        # (an injected ``log.force`` fault); reads and read-only commits
+        # keep working, every log-appending operation is rejected until
+        # restart.
         self.degraded = False
         # Optional bounded lock-wait policy; None keeps the raw
         # LockWouldBlock behaviour the interleaved workload driver
@@ -143,7 +144,13 @@ class DbmsInstance:
         (or a later eager commit) flushes the log — one force then
         covers a whole batch.  A lazy commit is **not acknowledged**
         until synced: its locks stay held, and a crash before the sync
-        rolls it back like any in-flight transaction.
+        rolls it back like any in-flight transaction.  It does leave
+        ACTIVE at once, so every further operation on it is rejected.
+
+        A transaction that logged nothing (ARIES: no update, no commit
+        record) just releases its locks and ends, lazy or not: no
+        COMMIT or END record, no force, no standby ack, and so no
+        writable log — a degraded instance lets its readers finish.
         """
         if self.tracer.enabled:
             with self.tracer.span(ev.SPAN_COMMIT, system=self.system_id,
@@ -153,6 +160,13 @@ class DbmsInstance:
             self._commit(txn, lazy)
 
     def _commit(self, txn: Transaction, lazy: bool) -> None:
+        if not txn.is_update_transaction():
+            self._check_active(txn)
+            if self.tracer.enabled:
+                self.tracer.emit(ev.TXN_COMMIT, system=self.system_id,
+                                 txn=txn.txn_id, lazy=lazy)
+            self._end(txn)
+            return
         self._check_writable()
         self._check_active(txn)
         commit = LogRecord(kind=RecordKind.COMMIT, txn_id=txn.txn_id,
@@ -163,6 +177,7 @@ class DbmsInstance:
             self.tracer.emit(ev.TXN_COMMIT, system=self.system_id,
                              txn=txn.txn_id, lazy=lazy)
         if lazy:
+            txn.state = TxnState.COMMITTED
             self._pending_commits.append(txn)
             return
         if self.injector.enabled:
@@ -236,9 +251,15 @@ class DbmsInstance:
 
     def _finish_commit(self, txn: Transaction) -> None:
         txn.state = TxnState.COMMITTED
-        end = LogRecord(kind=RecordKind.END, txn_id=txn.txn_id,
-                        prev_lsn=txn.last_lsn)
-        self.log.append(end)
+        self._end(txn)
+
+    def _end(self, txn: Transaction) -> None:
+        """Write END (only a transaction that logged something has a
+        chain to close), release the locks, forget the transaction."""
+        if txn.is_update_transaction():
+            end = LogRecord(kind=RecordKind.END, txn_id=txn.txn_id,
+                            prev_lsn=txn.last_lsn)
+            self.log.append(end)
         self.complex.release_txn_locks(self, txn.txn_id)
         self.txns.end(txn)
 
@@ -271,11 +292,7 @@ class DbmsInstance:
             txn.truncate_to_savepoint(to_savepoint)
             txn.state = TxnState.ACTIVE
             return
-        end = LogRecord(kind=RecordKind.END, txn_id=txn.txn_id,
-                        prev_lsn=txn.last_lsn)
-        self.log.append(end)
-        self.complex.release_txn_locks(self, txn.txn_id)
-        self.txns.end(txn)
+        self._end(txn)
 
     def _undo_one(self, txn: Transaction, record: LogRecord) -> None:
         """Undo a single update record, logging a CLR first."""
@@ -900,11 +917,12 @@ class DbmsInstance:
         return ReproError(f"system {self.system_id} is down")
 
     def _check_writable(self) -> None:
-        """Reject updates and commits while in degraded mode.
+        """Reject log-appending operations while in degraded mode.
 
-        Reads are deliberately *not* gated: a log-device failure leaves
-        stable state intact, so serving committed data read-only is
-        safe — that is the whole point of degrading instead of failing.
+        Reads, and the commit of a transaction that only read, are
+        deliberately *not* gated: a log-device failure leaves stable
+        state intact, so serving committed data read-only is safe —
+        that is the whole point of degrading instead of failing.
         """
         if self.crashed:
             raise self._down_error()

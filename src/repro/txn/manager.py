@@ -37,10 +37,9 @@ class TransactionManager:
         self._txns.pop(txn.txn_id, None)
 
     def active(self) -> Iterator[Transaction]:
-        return (
-            t for t in self._txns.values()
-            if t.state in (TxnState.ACTIVE, TxnState.ABORTING)
-        )
+        """Every transaction not yet ended: running, rolling back, or
+        lazily committed and awaiting the force that makes it durable."""
+        return iter(self._txns.values())
 
     def active_count(self) -> int:
         return sum(1 for _ in self.active())

@@ -11,8 +11,20 @@ from repro.common.lsn import Lsn
 
 
 class TxnState(enum.Enum):
+    """Where a transaction is in its life.
+
+    Only ACTIVE accepts operations (ABORTING accepts a retried
+    rollback).  COMMITTED means the commit decision is taken and no
+    further operation, rollback included, is accepted.  An eager commit
+    passes through it on the way to ENDED; a lazy (group) commit waits
+    in it until the force that covers its COMMIT record, still counted
+    by :meth:`~repro.txn.manager.TransactionManager.active` so it keeps
+    holding Commit_LSN back.  A transaction that logged nothing ends at
+    once on commit, lazy or not: it has no record to make durable.
+    """
+
     ACTIVE = "active"
-    COMMITTED = "committed"   # commit record stable; END may be pending
+    COMMITTED = "committed"   # commit decided; lazy: awaiting its force
     ABORTING = "aborting"
     ENDED = "ended"
 

@@ -343,6 +343,11 @@ class TestDegradedModeSd:
             s1.insert(reader, page_b, b"nope")
         assert sd.stats.get(DEGRADED_REJECTIONS) == 1
         assert s1.read(reader, page_b, slot_b) == b"other"
+        # A reader logged nothing, so its commit needs no log device.
+        records = s1.log.record_count()
+        s1.commit(reader)
+        assert s1.log.record_count() == records
+        assert sd.stats.get(DEGRADED_REJECTIONS) == 1
 
         # A restart repairs the log device: the unacknowledged commit
         # rolls back (its COMMIT record never reached stable storage).
@@ -360,6 +365,8 @@ class TestDegradedModeCs:
         cs = CsSystem(n_data_pages=64, injector=injector)
         c1 = cs.add_client(1)
         page_a, slot_a = committed_row(c1, b"safe")
+        page_b, slot_b = committed_row(c1, b"other")
+        page_c, slot_c = committed_row(c1, b"read-me")
         arm_next_hit(injector, fp.LOG_FORCE).fail()
 
         txn = c1.begin()
@@ -369,11 +376,19 @@ class TestDegradedModeCs:
         assert cs.server.degraded
         assert cs.stats.get(DEGRADED_ENTRIES) == 1
 
-        # The next commit is rejected at the server's door.
+        # The next update commit is rejected at the server's door.
         txn2 = c1.begin()
+        c1.update(txn2, page_b, slot_b, b"also-doomed")
         with pytest.raises(DegradedModeError):
             c1.commit(txn2)
-        assert cs.stats.get(DEGRADED_REJECTIONS) >= 1
+        rejections = cs.stats.get(DEGRADED_REJECTIONS)
+        assert rejections >= 1
+
+        # A reader logged nothing: its commit never reaches the door.
+        reader = c1.begin()
+        assert c1.read(reader, page_c, slot_c) == b"read-me"
+        c1.commit(reader)
+        assert cs.stats.get(DEGRADED_REJECTIONS) == rejections
 
         # Server restart clears the mode and undoes the doomed update.
         cs.crash_server()

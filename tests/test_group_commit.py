@@ -2,9 +2,15 @@
 
 import pytest
 
-from repro import SDComplex
-from repro.common.errors import LockWouldBlock
-from repro.common.stats import LOG_FORCES
+from repro import CsSystem, SDComplex
+from repro.common.errors import LockWouldBlock, ReproError
+from repro.common.stats import (
+    LOG_FORCES,
+    LOG_RECORDS_WRITTEN,
+    message_kind_counter,
+)
+from repro.txn.transaction import TxnState
+from repro.wal.records import RecordKind
 
 
 def fresh():
@@ -205,3 +211,154 @@ class TestCsGroupCommit:
         c1.commit(tb)
         assert c1.txns.active_count() == 0
         assert c1.sync_commits() == 0
+
+    def test_failed_release_keeps_the_txn_pending(self, monkeypatch):
+        cs, c1, _ = self.make_cs()
+        rows = [self.committed_row(c1, b"r%d" % i) for i in range(2)]
+        txns = []
+        for page_id, slot in rows:
+            txn = c1.begin()
+            c1.update(txn, page_id, slot, b"lazy")
+            c1.commit(txn, lazy=True)
+            txns.append(txn)
+        release = cs.server.release_txn_locks
+
+        def flaky(txn_id):
+            if txn_id == txns[1].txn_id:
+                raise ReproError("lock service unavailable")
+            release(txn_id)
+
+        monkeypatch.setattr(cs.server, "release_txn_locks", flaky)
+        with pytest.raises(ReproError):
+            c1.sync_commits()
+        assert [t.state for t in txns] == [TxnState.ENDED,
+                                           TxnState.COMMITTED]
+        monkeypatch.undo()
+        assert c1.sync_commits() == 1
+        assert txns[1].state is TxnState.ENDED
+
+
+# ----------------------------------------------------------------------
+# a lazily committed transaction has left ACTIVE; one that logged
+# nothing commits (lazily or not) and rolls back at zero log cost
+# ----------------------------------------------------------------------
+def sd_engine():
+    sd = SDComplex(n_data_pages=256)
+    s1 = sd.add_instance(1)
+    return sd, s1, s1.log
+
+
+def cs_engine():
+    cs = CsSystem(n_data_pages=256)
+    c1 = cs.add_client(1)
+    return cs, c1, cs.server.log
+
+
+#: system, engine, and the log its records end up in.
+ARCHS = {"sd": sd_engine, "cs": cs_engine}
+
+#: Every entry point that takes a transaction and must refuse one that
+#: is no longer ACTIVE.
+ENTRY_POINTS = {
+    "insert": lambda e, t, page, slot: e.insert(t, page, b"late"),
+    "update": lambda e, t, page, slot: e.update(t, page, slot, b"late"),
+    "delete": lambda e, t, page, slot: e.delete(t, page, slot),
+    "commit": lambda e, t, page, slot: e.commit(t, lazy=True),
+    "rollback": lambda e, t, page, slot: e.rollback(t),
+    "set_savepoint": lambda e, t, page, slot: e.set_savepoint(t, "late"),
+}
+
+
+def kinds_of(log, txn_id):
+    return [record.kind for _, record in log.scan()
+            if record.txn_id == txn_id]
+
+
+class TestLazyCommitLeavesActive:
+    @pytest.mark.parametrize("op", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
+    def test_entry_point_rejects_lazily_committed_txn(self, arch, op):
+        system, engine, log = ARCHS[arch]()
+        page_id, slot = committed_row(engine, b"old")
+        txn = engine.begin()
+        engine.update(txn, page_id, slot, b"lazy")
+        engine.commit(txn, lazy=True)
+        assert txn.state is TxnState.COMMITTED
+        with pytest.raises(ReproError):
+            ENTRY_POINTS[op](engine, txn, page_id, slot)
+        assert engine.sync_commits() == 1
+        assert kinds_of(log, txn.txn_id) == [
+            RecordKind.UPDATE, RecordKind.COMMIT, RecordKind.END]
+        reader = engine.begin()
+        assert engine.read(reader, page_id, slot) == b"lazy"
+        engine.commit(reader)
+
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
+    def test_pending_lazy_commit_holds_commit_lsn_back(self, arch):
+        """Until its force, a lazy commit is not durable: an unlocked
+        Commit_LSN reader must not get past its page."""
+        system, engine, _ = ARCHS[arch]()
+        page_id, slot = committed_row(engine)
+        txn = engine.begin()
+        engine.update(txn, page_id, slot, b"pending")
+        engine.commit(txn, lazy=True)
+        assert txn in list(engine.txns.active())
+        assert system.commit_lsn.global_commit_lsn() <= txn.first_lsn
+        engine.sync_commits()
+        assert list(engine.txns.active()) == []
+        assert system.commit_lsn.global_commit_lsn() > txn.first_lsn
+
+
+class TestReadOnlyTransactions:
+    @staticmethod
+    def _read_only(engine, page_id, slot):
+        txn = engine.begin()
+        engine.read(txn, page_id, slot)
+        return txn
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
+    def test_commit_finishes_at_once_at_zero_log_cost(self, arch, lazy):
+        system, engine, _ = ARCHS[arch]()
+        page_id, slot = committed_row(engine)
+        txn = self._read_only(engine, page_id, slot)
+        before = system.stats.snapshot()
+        engine.commit(txn, lazy=lazy)
+        work = system.stats.diff(before)
+        assert txn.state is TxnState.ENDED
+        assert engine.txns.active_count() == 0
+        assert LOG_RECORDS_WRITTEN not in work
+        assert LOG_FORCES not in work
+        assert message_kind_counter("log_ship") not in work
+        assert message_kind_counter("commit_ack") not in work
+        assert engine.sync_commits() == 0
+
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
+    def test_rollback_writes_no_end(self, arch):
+        system, engine, log = ARCHS[arch]()
+        page_id, slot = committed_row(engine)
+        txn = self._read_only(engine, page_id, slot)
+        before = system.stats.snapshot()
+        engine.rollback(txn)
+        work = system.stats.diff(before)
+        assert txn.state is TxnState.ENDED
+        assert LOG_RECORDS_WRITTEN not in work
+        assert message_kind_counter("log_ship") not in work
+        assert kinds_of(log, txn.txn_id) == []
+
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
+    def test_eager_read_only_commit_leaves_lazy_commits_pending(self, arch):
+        """A reader's commit forces nothing, so it acknowledges
+        nothing: the batch waits for its own sync."""
+        system, engine, _ = ARCHS[arch]()
+        rows = [committed_row(engine, b"r%d" % i) for i in range(3)]
+        for i, (page_id, slot) in enumerate(rows[:2]):
+            txn = engine.begin()
+            engine.update(txn, page_id, slot, b"v%d" % i)
+            engine.commit(txn, lazy=True)
+        forces_before = system.stats.get(LOG_FORCES)
+        engine.commit(self._read_only(engine, *rows[2]))
+        assert system.stats.get(LOG_FORCES) == forces_before
+        assert engine.txns.active_count() == 2
+        assert engine.sync_commits() == 2
+        assert system.stats.get(LOG_FORCES) == forces_before + 1

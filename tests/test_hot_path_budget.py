@@ -15,7 +15,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from repro import SDComplex
+from repro import CsSystem, SDComplex
 from repro.common.errors import DeadlockError, LockWouldBlock
 from repro.common.stats import (
     DISK_PAGE_WRITES,
@@ -55,6 +55,11 @@ def _warm_engine(replicate=None):
     if replicate is not None:
         for system_id in (9, 10):
             sd.replication.add_standby(system_id)
+    return sd, engine, _load_rows(engine)
+
+
+def _load_rows(engine):
+    """Four pages of eight records each, committed in one transaction."""
     txn = engine.begin()
     rows = []
     for _ in range(4):
@@ -63,7 +68,7 @@ def _warm_engine(replicate=None):
                  for r in range(8)]
         rows.append((page_id, slots))
     engine.commit(txn)
-    return sd, engine, rows
+    return rows
 
 
 def _canonical_txn(engine, rows, i):
@@ -75,6 +80,14 @@ def _canonical_txn(engine, rows, i):
     engine.read(txn, rows[2][0], rows[2][1][i % 8])
     engine.update(txn, rows[3][0], rows[3][1][i % 8],
                   bytes([i % 200 + 2]) * PAYLOAD_BYTES)
+    engine.commit(txn)
+
+
+def _read_only_txn(engine, rows, i):
+    """4 reads on four different pages, then commit."""
+    txn = engine.begin()
+    for page_id, slots in rows:
+        engine.read(txn, page_id, slots[i % 8])
     engine.commit(txn)
 
 
@@ -171,6 +184,37 @@ class TestReplicatedCanonicalTransaction:
         assert calls <= REPLICATED_CALL_CEILING, (
             f"{calls} interpreted calls per replicated 4-op transaction "
             f"(budget {REPLICATED_CALL_CEILING})")
+
+
+class TestReadOnlyCanonicalTransaction:
+    """The zero rows: a transaction that only read has nothing to make
+    durable, so no commit path logs, forces, ships or waits for it."""
+
+    @staticmethod
+    def _work(system, engine, rows):
+        for i in range(20):
+            _read_only_txn(engine, rows, i)
+        before = system.stats.snapshot()
+        _read_only_txn(engine, rows, 20)
+        return system.stats.diff(before)
+
+    @pytest.mark.parametrize("ack", [None, ACK_QUORUM, ACK_ALL])
+    def test_sd_logs_forces_and_ships_nothing(self, ack):
+        """Unreplicated and at both synchronous ack levels: a page and
+        a record lock per read; no record, byte, force (standbys'
+        included), batch or message."""
+        sd, engine, rows = _warm_engine(
+            None if ack is None else ReplicationConfig(ack=ack))
+        assert self._work(sd, engine, rows) == {LOCK_REQUESTS: 8}
+
+    def test_cs_sends_no_ship_or_ack_and_forces_nothing(self):
+        cs = CsSystem(n_data_pages=64)
+        client = cs.add_client(1)
+        work = self._work(cs, client, _load_rows(client))
+        assert work.get(message_kind_counter("log_ship"), 0) == 0
+        assert work.get(message_kind_counter("commit_ack"), 0) == 0
+        assert work.get(LOG_FORCES, 0) == 0
+        assert work.get(LOG_RECORDS_WRITTEN, 0) == 0
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from repro import SDComplex
 from repro.common.errors import LockWouldBlock, ReproError
+from repro.common.stats import LOG_FORCES
 from repro.storage.page import PageType
 from repro.txn.transaction import TxnState
 
@@ -46,14 +47,34 @@ class TestTxnStateGuards:
             s1.rollback(txn)
 
     def test_read_only_txn_commit_writes_no_update_records(self, env):
+        """ARIES: a transaction that logged nothing needs neither a
+        COMMIT nor an END record, nor a force — only its locks go."""
+        sd, s1, s2 = env
+        page_id, slot = committed_row(s1)
+        s3 = sd.add_instance(3, isolation="repeatable_read")
+        records_before = s3.log.record_count()
+        forces_before = sd.stats.get(LOG_FORCES)
+        txn = s3.begin()
+        assert s3.read(txn, page_id, slot) == b"v0"   # S held to commit
+        writer = s2.begin()
+        with pytest.raises(LockWouldBlock):
+            s2.update(writer, page_id, slot, b"v1")
+        s3.commit(txn)
+        assert s3.log.record_count() == records_before
+        assert sd.stats.get(LOG_FORCES) == forces_before
+        assert txn.state is TxnState.ENDED
+        s2.update(writer, page_id, slot, b"v1")        # now granted
+        s2.commit(writer)
+
+    def test_rollback_of_txn_that_logged_nothing_writes_no_end(self, env):
         sd, s1, _ = env
         page_id, slot = committed_row(s1)
         records_before = s1.log.record_count()
         txn = s1.begin()
         s1.read(txn, page_id, slot)
-        s1.commit(txn)
-        # Only COMMIT + END control records.
-        assert s1.log.record_count() == records_before + 2
+        s1.rollback(txn)
+        assert s1.log.record_count() == records_before
+        assert txn.state is TxnState.ENDED
 
     def test_ops_on_crashed_system_rejected(self, env):
         sd, s1, _ = env

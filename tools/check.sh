@@ -13,8 +13,8 @@
 #   lint    ruff (when installed) + reprolint (always required)
 #   type    mypy (when installed; skipped otherwise)
 #   test    tier-1 pytest suite
-#   bench   E1/TPS/instant bench smokes + recovery benches (E7, E8,
-#           A5) + bench-suite smoke + span-trace smoke (capture,
+#   bench   E1/TPS/instant bench smokes + recovery benches (E2, E7,
+#           E8, A5) + bench-suite smoke + span-trace smoke (capture,
 #           critical-path, invariant check, Perfetto export) +
 #           perf-lab smoke, traced attribution guard and self-tests
 #   chaos   crash-point torture smoke + failover and restart drill
@@ -219,9 +219,12 @@ stage_bench() {
     run_step "bench-e1 smoke" bench_e1_smoke
     run_step "bench-tps smoke" bench_tps_smoke
     run_step "bench-instant smoke" bench_instant_smoke
-    # The only benches over eager, CS-client and staged recovery.
+    # The only benches over Commit_LSN (whose quiet reader commits a
+    # read-only transaction every round) and over eager, CS-client and
+    # staged recovery.
     run_step "recovery benches smoke" \
-        python -m pytest -q benchmarks/bench_e7_sd_restart.py \
+        python -m pytest -q benchmarks/bench_e2_commit_lsn.py \
+        benchmarks/bench_e7_sd_restart.py \
         benchmarks/bench_e8_cs_recovery.py \
         benchmarks/bench_a5_staged_availability.py
     run_step "bench-suite smoke" bench_suite_smoke
