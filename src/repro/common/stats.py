@@ -138,7 +138,6 @@ NET_DUP_DROPPED = "net.dup_dropped"
 NET_DELAYED = "net.delayed"
 LOCK_RETRIES = "lock.retries"
 LOCK_RETRY_TIMEOUTS = "lock.retry_timeouts"
-CLUSTER_CROSS_SHARD_CHECKS = "cluster.cross_shard_checks"
 BULK_UPDATE_BATCHES = "bulk.update_batches"
 BULK_READ_BATCHES = "bulk.read_batches"
 BULK_OPS_APPLIED = "bulk.ops_applied"
@@ -167,7 +166,3 @@ def message_kind_counter(kind: str) -> str:
     """The per-kind message counter name (``net.messages.<kind>``)."""
     return f"net.messages.{kind}"
 
-
-def glm_shard_counter(shard: int) -> str:
-    """The per-shard GLM request counter (``glm.shard.<n>.requests``)."""
-    return f"glm.shard.{shard}.requests"

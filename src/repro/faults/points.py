@@ -37,10 +37,6 @@ consulted; what happens there is decided by the matching
   client).
 * ``CS_COMMIT``    — :meth:`CsServer.commit_point` entry (hit
   attributed to the committing client).
-* ``GLM_ACQUIRE``  — :meth:`PartitionedLockManager.acquire`, before the
-  request is routed to its shard; the ``shard`` context field names the
-  target shard, so a fault plan can kill exactly one GLM shard (the
-  monolithic single-shard GLM never consults this point).
 * ``REPL_SHIP``    — :meth:`ReplicationManager._ship_to`, before a
   merged-log batch leaves the primary for one standby (hit attributed
   to the standby; ``fail`` is answered with bounded retry/backoff,
@@ -73,7 +69,6 @@ COMMIT_PRE_FORCE = "commit.pre_force"
 COMMIT_POST_FORCE = "commit.post_force"
 CS_SHIP = "cs.ship"
 CS_COMMIT = "cs.commit"
-GLM_ACQUIRE = "glm.acquire"
 REPL_SHIP = "repl.ship"
 REPL_ACK = "repl.ack"
 REPL_APPLY = "repl.apply"
@@ -91,7 +86,6 @@ ALL_POINTS: Tuple[str, ...] = (
     COMMIT_POST_FORCE,
     CS_SHIP,
     CS_COMMIT,
-    GLM_ACQUIRE,
     REPL_SHIP,
     REPL_ACK,
     REPL_APPLY,

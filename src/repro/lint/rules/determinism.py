@@ -17,8 +17,8 @@ Inside an emitting function, the rule flags:
 * the same for raw dict views (``.keys()``/``.values()``/``.items()``)
   not wrapped in ``sorted(...)`` — insertion order is deterministic in
   CPython but depends on arrival order, which is exactly what parallel
-  phases perturb (the parent-side ``sorted(per_page)`` write-back in
-  cluster/redo.py is the canonical fix);
+  phases perturb (the ``for page_id in sorted(chains)`` replay loop in
+  recovery/redo.py is the canonical fix);
 * ``id(...)`` used anywhere in an emitting function — addresses differ
   between runs, so they must never feed keys or sort orders;
 * ``wall_seconds()`` — the sanctioned bench-timing escape hatch must

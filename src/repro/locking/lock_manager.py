@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.common.errors import DeadlockError
 from repro.common.stats import LOCK_REQUESTS, LOCK_WAITS, StatsRegistry
@@ -144,9 +144,6 @@ class LockManager:
         self,
         stats: Optional[StatsRegistry] = None,
         tracer: Optional[NullTracer] = None,
-        shard: Optional[int] = None,
-        blockers_fn: Optional[
-            Callable[[Hashable], List[Hashable]]] = None,
     ) -> None:
         self.stats = stats if stats is not None else StatsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -164,28 +161,13 @@ class LockManager:
         self._queued: Dict[Hashable, _HeadsByResource] = {}
         # owner -> resource currently waited for (for the WFG)
         self._waiting_on: Dict[Hashable, Hashable] = {}
-        # Shard label: a PartitionedLockManager sets this so traces can
-        # be attributed to the shard that emitted them.  None (the
-        # monolithic GLM) keeps the event shape byte-identical to
-        # pre-sharding traces.
-        self.shard = shard
-        # Deadlock seam: when this manager is one shard of a
-        # partitioned GLM, the facade injects a *global* blockers
-        # function here so the DFS in _find_cycle can follow wait-for
-        # edges that cross shard boundaries.  Standalone managers walk
-        # their own table.
-        self._blockers_fn = (
-            blockers_fn if blockers_fn is not None else self._blockers)
 
     def _trace(self, kind: str, **fields: Hashable) -> None:
         """Emit a lock event.  Callers test ``tracer.enabled`` first,
         so an untraced request builds neither the kwargs nor a frame."""
         # The lock table is global, so its events carry system 0 (the
         # GLM in SD, the server in CS).
-        if self.shard is not None:
-            self.tracer.emit(kind, system=0, shard=self.shard, **fields)
-        else:
-            self.tracer.emit(kind, system=0, **fields)
+        self.tracer.emit(kind, system=0, **fields)
 
     # ------------------------------------------------------------------
     def acquire(
@@ -204,12 +186,6 @@ class LockManager:
         if self.tracer.enabled:
             # Guarded span: acquire is the lock hot path (PR 3 fast
             # lane), so the attrs dict only materializes when tracing.
-            if self.shard is not None:
-                with self.tracer.span(
-                    ev.SPAN_LOCK_ACQUIRE, resource=resource,
-                    mode=mode.name, shard=self.shard,
-                ):
-                    return self._acquire(owner, resource, mode)
             with self.tracer.span(
                 ev.SPAN_LOCK_ACQUIRE, resource=resource, mode=mode.name
             ):
@@ -473,10 +449,8 @@ class LockManager:
     def _find_cycle(self, start: Hashable) -> bool:
         """Is ``start`` on a wait-for cycle?  Full DFS over all blocker
         edges (a single-successor walk can miss cycles when a resource
-        has several incompatible holders).  The edges come from
-        ``_blockers_fn`` so a partitioned GLM can supply the global
-        wait-for graph spanning all shards."""
-        stack = list(self._blockers_fn(start))
+        has several incompatible holders)."""
+        stack = list(self._blockers(start))
         seen: Set[Hashable] = set()
         while stack:
             current = stack.pop()
@@ -485,7 +459,7 @@ class LockManager:
             if current in seen:
                 continue
             seen.add(current)
-            stack.extend(self._blockers_fn(current))
+            stack.extend(self._blockers(current))
         return False
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -144,10 +144,6 @@ doing the work):
   restart recovery + flip writable), attribute ``standby``
 * ``SPAN_RECOVER_PAGE``  — one on-demand page recovery under instant
   restart, attributes ``page``, ``via``
-
-Locking events emitted by a sharded GLM additionally carry ``shard``
-(the emitting shard's index); the monolithic GLM omits the field so
-single-shard traces stay byte-identical to pre-sharding runs.
 """
 
 from __future__ import annotations

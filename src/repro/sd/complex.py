@@ -65,7 +65,6 @@ class SDComplex:
         stats: Optional[StatsRegistry] = None,
         tracer: Optional[NullTracer] = None,
         injector: Optional[NullFaultInjector] = None,
-        lock_shards: int = 1,
         replicate: Optional["ReplicationConfig"] = None,
         disk: Optional[SharedDisk] = None,
         restart_mode: str = "eager",
@@ -94,18 +93,7 @@ class SDComplex:
                                piggyback_enabled=piggyback_enabled,
                                tracer=self.tracer,
                                injector=self.injector)
-        self.lock_shards = lock_shards
-        if lock_shards > 1:
-            # Scale-out GLM (lazy import: repro.cluster builds on this
-            # module).  One shard keeps the monolithic manager — and
-            # with it byte-identical traces for every existing scenario.
-            from repro.cluster.glm import PartitionedLockManager
-
-            self.glm = PartitionedLockManager(
-                lock_shards, stats=self.stats, tracer=self.tracer,
-                injector=self.injector)
-        else:
-            self.glm = LockManager(stats=self.stats, tracer=self.tracer)
+        self.glm = LockManager(stats=self.stats, tracer=self.tracer)
         self.transfer_scheme = transfer_scheme
         self.coherency = CoherencyController(self, scheme=transfer_scheme)
         self.commit_lsn = CommitLsnService(stats=self.stats,
@@ -223,14 +211,11 @@ class SDComplex:
     def release_system_locks(self, system_id: int) -> None:
         """Drop the retained locks of a recovered system's transactions."""
         owners = [
-            owner for owner in self._all_lock_owners()
+            owner for owner in self.glm.owners()
             if isinstance(owner, int) and owner // _SYSTEM_STRIDE == system_id
         ]
         for owner in owners:
             self.glm.release_all(owner)
-
-    def _all_lock_owners(self) -> List[Hashable]:
-        return list(self.glm.owners())
 
     # ------------------------------------------------------------------
     # failure / recovery orchestration

@@ -1,12 +1,12 @@
 """Seeded scale-out workload: cross-instance hot-page ping-pong.
 
-The scale-out questions (bench S1, tests) need a workload whose
+The multi-instance tests and the redo golden need a workload whose
 *sharing ratio* is a first-class knob: with N instances each owning a
 private slice of the database, what fraction of operations touch a
-small hot set every instance fights over?  Low sharing is the
-shard-friendly regime (GLM shards and redo partitions stay disjoint);
-high sharing maximises page ping-pong through the coherency layer and
-cross-shard lock traffic.
+small hot set every instance fights over?  Low sharing keeps the
+instances' pages and locks disjoint; high sharing maximises page
+ping-pong through the coherency layer and lock traffic on the one
+GLM.
 
 Built on the primitives of :mod:`repro.workload.generator`: the same
 ``TxnScript``/``Op`` vocabulary, the same round-robin interleaved

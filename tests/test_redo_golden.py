@@ -12,13 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.cluster import ClusterConfig, build_cluster
 from repro.common.errors import FaultInjectedError
 from repro.faults import points as fp
 from repro.faults import scenarios
 from repro.faults.injector import NULL_INJECTOR, FaultInjector, FaultPlan
 from repro.obs import events as ev
 from repro.obs.tracer import Tracer
+from repro.sd.complex import SDComplex
 from repro.workload.scaleout import ScaleoutConfig, run_scaleout
 
 GOLDEN = json.loads(
@@ -31,11 +31,11 @@ SEED = 3
 
 
 def build_scaleout(scheme, injector=NULL_INJECTOR):
-    """The 4-instance cluster with the workload run, about to crash."""
-    sd = build_cluster(
-        ClusterConfig(n_instances=4, lock_shards=1, n_data_pages=256,
-                      transfer_scheme=scheme),
-        tracer=Tracer(), injector=injector)
+    """The 4-instance complex with the workload run, about to crash."""
+    sd = SDComplex(n_data_pages=256, transfer_scheme=scheme,
+                   tracer=Tracer(), injector=injector)
+    for system_id in range(1, 5):
+        sd.add_instance(system_id)
     assert run_scaleout(sd, WORKLOAD).committed > 0
     return sd
 

@@ -1,6 +1,6 @@
 """Tests for the seeded scale-out workload (repro.workload.scaleout)."""
 
-from repro.cluster import ClusterConfig, build_cluster
+from repro.sd.complex import SDComplex
 from repro.workload.scaleout import (
     HIGH_SHARING,
     LOW_SHARING,
@@ -12,8 +12,10 @@ from repro.workload.scaleout import (
 
 
 def build_complex(n_instances=4):
-    return build_cluster(ClusterConfig(
-        n_instances=n_instances, lock_shards=1, n_data_pages=256))
+    sd = SDComplex(n_data_pages=256)
+    for system_id in range(1, n_instances + 1):
+        sd.add_instance(system_id)
+    return sd
 
 
 def script_fingerprint(scripts):

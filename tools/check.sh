@@ -13,9 +13,9 @@
 #   lint    ruff (when installed) + reprolint (always required)
 #   type    mypy (when installed; skipped otherwise)
 #   test    tier-1 pytest suite
-#   bench   E1/TPS/instant bench smokes + recovery benches (E2, E7,
-#           E8, A5) + bench-suite smoke + span-trace smoke (capture,
-#           critical-path, invariant check, Perfetto export) +
+#   bench   E1/TPS/instant bench smokes + recovery and sharing benches
+#           (E2, E7, E8, A5, A4) + bench-suite smoke + span-trace smoke
+#           (capture, critical-path, invariant check, Perfetto export) +
 #           perf-lab smoke, traced attribution guard and self-tests
 #   chaos   crash-point torture smoke + failover and restart drill
 #           smokes (python -m repro.chaos [--drill ...] --smoke)
@@ -221,12 +221,14 @@ stage_bench() {
     run_step "bench-instant smoke" bench_instant_smoke
     # The only benches over Commit_LSN (whose quiet reader commits a
     # read-only transaction every round) and over eager, CS-client and
-    # staged recovery.
-    run_step "recovery benches smoke" \
+    # staged recovery, plus A4: the only 1/2/4-system sweep over the
+    # one GLM.
+    run_step "recovery and sharing benches smoke" \
         python -m pytest -q benchmarks/bench_e2_commit_lsn.py \
         benchmarks/bench_e7_sd_restart.py \
         benchmarks/bench_e8_cs_recovery.py \
-        benchmarks/bench_a5_staged_availability.py
+        benchmarks/bench_a5_staged_availability.py \
+        benchmarks/bench_a4_sharing_profile.py
     run_step "bench-suite smoke" bench_suite_smoke
     run_step "span-trace smoke" span_trace_smoke
     run_step "perflab smoke" perflab_smoke
