@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
+import re
 import sys
-from typing import Callable, List, Optional, Tuple
+from pathlib import Path
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro import SDComplex
-from repro.harness.experiment import ExperimentResult
+from repro.harness.experiment import ExperimentResult, Table
 from repro.sd.instance import DbmsInstance
+
+EXPERIMENTS_MD = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
 
 
 def count_calls(fn: Callable[..., object], *args: object) -> Tuple[int, int]:
@@ -34,6 +39,38 @@ def count_calls(fn: Callable[..., object], *args: object) -> Tuple[int, int]:
     finally:
         sys.setprofile(previous)
     return interpreted - 1, builtin - 1
+
+
+def assert_pinned(experiment_id: str, *tables: Table,
+                  drop: Iterable[str] = ()) -> None:
+    """Fail with a line diff unless ``tables``, without the wall-clock
+    ``drop`` columns, render exactly as the first fenced block under
+    the EXPERIMENTS.md heading that names ``experiment_id``
+    (``## E7 — ...``, ``### S4 — ...``).  Tables are separated by one
+    blank line and every line is right-stripped, so the doc's
+    "Measured" tables are the claims the benches check."""
+    dropped = set(drop)
+    actual: List[str] = []
+    for table in tables:
+        keep = [i for i, name in enumerate(table.columns)
+                if name not in dropped]
+        view = Table([table.columns[i] for i in keep])
+        for row in table.rows:
+            view.add_row(*(row[i] for i in keep))
+        if actual:
+            actual.append("")
+        actual.extend(line.rstrip() for line in view.render().splitlines())
+    heading = re.compile(rf"#+ {re.escape(experiment_id)}\b")
+    lines = EXPERIMENTS_MD.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if heading.match(line))
+    fence = next(i for i in range(start + 1, len(lines))
+                 if lines[i].startswith("```"))
+    expected = lines[fence + 1:lines.index("```", fence + 1)]
+    if actual != expected:
+        diff = difflib.unified_diff(expected, actual, "EXPERIMENTS.md",
+                                    "measured", lineterm="")
+        raise AssertionError(f"{experiment_id} drifted from its pinned "
+                             "block:\n" + "\n".join(diff))
 
 
 def committed_row(engine, payload=b"v0"):

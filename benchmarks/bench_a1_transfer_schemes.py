@@ -19,6 +19,8 @@ from repro.common.stats import (
 )
 from repro.harness import Table, print_banner
 
+from _common import assert_pinned
+
 ROUNDS = 40
 
 
@@ -50,10 +52,7 @@ def run_experiment():
     return {scheme: run(scheme) for scheme in ("medium", "fast")}
 
 
-def test_a1_transfer_schemes(benchmark):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    print_banner("A1", f"transfer schemes under {ROUNDS}-round hot-page "
-                       "ping-pong")
+def tables(results):
     table = Table(["scheme", "disk writes", "page transfers",
                    "log forces", "restart redo records",
                    "restart redo source"])
@@ -62,7 +61,16 @@ def test_a1_transfer_schemes(benchmark):
                       summary.records_redone,
                       "local log only" if scheme == "medium"
                       else "merged local logs")
+    return (table,)
+
+
+def test_a1_transfer_schemes(benchmark):
+    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+    print_banner("A1", f"transfer schemes under {ROUNDS}-round hot-page "
+                       "ping-pong")
+    (table,) = tables(results)
     table.show()
+    assert_pinned("A1", table)
     medium = results["medium"]
     fast = results["fast"]
     assert fast[0] < medium[0], "fast must save the per-transfer writes"

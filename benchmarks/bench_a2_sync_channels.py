@@ -16,6 +16,8 @@ from repro import SDComplex
 from repro.common.stats import COMMIT_LSN_HITS, COMMIT_LSN_MISSES
 from repro.harness import Table, print_banner
 
+from _common import assert_pinned
+
 ROUNDS = 25
 SKEW = 20
 
@@ -67,14 +69,20 @@ def run_experiment():
     }
 
 
+def tables(results):
+    table = Table(["channel", "Commit_LSN hit rate", "final LSN gap"])
+    for label, (rate, gap) in results.items():
+        table.add_row(label, rate, gap)
+    return (table,)
+
+
 def test_a2_sync_channels(benchmark):
     results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     print_banner("A2", f"LSN synchronization channels "
                        f"({SKEW}:1 skew, {ROUNDS} rounds)")
-    table = Table(["channel", "Commit_LSN hit rate", "final LSN gap"])
-    for label, (rate, gap) in results.items():
-        table.add_row(label, rate, gap)
+    (table,) = tables(results)
     table.show()
+    assert_pinned("A2", table)
     assert results["none"][0] < 0.2, "no channel -> the check collapses"
     # Any real channel keeps the check alive...
     for label in ("locks only", "piggyback only", "broadcast"):

@@ -11,7 +11,7 @@ tests/test_group_commit.py.
 from repro.common.stats import LOG_FORCES
 from repro.harness import Table, print_banner
 
-from _common import build_sd, committed_row
+from _common import assert_pinned, build_sd, committed_row
 
 
 def run(batch_size: int, n_txns: int = 60):
@@ -35,13 +35,19 @@ def run_experiment():
     return {batch: run(batch) for batch in (1, 4, 16, 60)}
 
 
-def test_a3_group_commit(benchmark):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    print_banner("A3", "group commit: forces per 60 transactions")
+def tables(results):
     table = Table(["batch size", "log forces", "forces/txn"])
     for batch, forces in sorted(results.items()):
         table.add_row(batch, forces, forces / 60)
+    return (table,)
+
+
+def test_a3_group_commit(benchmark):
+    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+    print_banner("A3", "group commit: forces per 60 transactions")
+    (table,) = tables(results)
     table.show()
+    assert_pinned("A3", table)
     assert results[1] == 60
     assert results[4] <= 16
     assert results[60] <= 2

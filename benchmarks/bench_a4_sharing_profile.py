@@ -20,7 +20,7 @@ from repro.workload.generator import (
     run_interleaved_sd,
 )
 
-from _common import build_sd
+from _common import assert_pinned, build_sd
 
 TXNS_PER_SYSTEM = 12
 
@@ -71,9 +71,7 @@ def run_experiment():
     return out
 
 
-def test_a4_sharing_profile(benchmark):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    print_banner("A4", "data-sharing cost profile vs contention")
+def tables(results):
     table = Table(["systems", "pattern", "committed", "transfers/txn",
                    "invalidations/txn", "lock waits/txn", "deadlocks"])
     for (n_systems, pattern), row in sorted(results.items(),
@@ -81,7 +79,15 @@ def test_a4_sharing_profile(benchmark):
         table.add_row(n_systems, pattern, row["committed"],
                       row["transfers/txn"], row["invalidations/txn"],
                       row["lock waits/txn"], row["deadlock aborts"])
+    return (table,)
+
+
+def test_a4_sharing_profile(benchmark):
+    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+    print_banner("A4", "data-sharing cost profile vs contention")
+    (table,) = tables(results)
     table.show()
+    assert_pinned("A4", table)
     # Partitioned work stays (nearly) coherency-free at any width:
     # the only transfers are each system's first fetch of its slice,
     # no invalidations, and lock waits (intra-system concurrency) do

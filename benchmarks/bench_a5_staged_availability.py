@@ -12,6 +12,8 @@ from repro import SDComplex
 from repro.common.errors import LockWouldBlock, ProtocolError
 from repro.harness import Table, print_banner
 
+from _common import assert_pinned
+
 N_PAGES = 12
 LOSER_PAGES = 3
 
@@ -68,11 +70,8 @@ def run_experiment():
     return (before_one_shot, after_one_shot, during_window, after_staged)
 
 
-def test_a5_staged_availability(benchmark):
-    before, after_one_shot, during, after_staged = benchmark.pedantic(
-        run_experiment, rounds=1, iterations=1)
-    print_banner("A5", "availability during restart "
-                       f"({N_PAGES} pages, {LOSER_PAGES} held by losers)")
+def tables(results):
+    before, after_one_shot, during, after_staged = results
     table = Table(["restart mode", "phase", "records readable",
                    "of total"])
     table.add_row("one-shot", "during recovery", before,
@@ -83,7 +82,17 @@ def test_a5_staged_availability(benchmark):
                   f"{during}/{N_PAGES}")
     table.add_row("staged", "after recovery", after_staged,
                   f"{after_staged}/{N_PAGES}")
+    return (table,)
+
+
+def test_a5_staged_availability(benchmark):
+    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+    before, after_one_shot, during, after_staged = results
+    print_banner("A5", "availability during restart "
+                       f"({N_PAGES} pages, {LOSER_PAGES} held by losers)")
+    (table,) = tables(results)
     table.show()
+    assert_pinned("A5", table)
     assert before == 0, "the fence blocks everything pre-recovery"
     assert during == N_PAGES - LOSER_PAGES, \
         "staged restart exposes all non-loser data during undo"

@@ -23,7 +23,7 @@ from repro.common.stats import (
 )
 from repro.harness import Table, print_banner
 
-from _common import build_sd, committed_row
+from _common import assert_pinned, build_sd, committed_row
 
 
 def run_global_log(n_systems, commits_per_system):
@@ -67,9 +67,7 @@ def run_experiment():
     return rows
 
 
-def test_e10_global_log_cost(benchmark):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    print_banner("E10", "global shared log vs private local logs")
+def tables(rows):
     table = Table(["systems", "commits",
                    "global-log locks", "lock messages",
                    "page writes (force policy)",
@@ -77,7 +75,15 @@ def test_e10_global_log_cost(benchmark):
                    "USN page writes (no-force)"])
     for row in rows:
         table.add_row(*row)
+    return (table,)
+
+
+def test_e10_global_log_cost(benchmark):
+    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+    print_banner("E10", "global shared log vs private local logs")
+    (table,) = tables(rows)
     table.show()
+    assert_pinned("E10", table)
     for (n_systems, commits, glocks, gmsgs, gwrites,
          ulocks, uforces, uwrites) in rows:
         assert glocks == commits, "one global lock per commit force"

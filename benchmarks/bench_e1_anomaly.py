@@ -16,7 +16,13 @@ from repro.harness import Table, print_banner
 from repro.harness.experiment import ExperimentResult
 from repro.sd.instance import DbmsInstance
 
-from _common import bench_main, build_sd, committed_row, section_1_5_scenario
+from _common import (
+    assert_pinned,
+    bench_main,
+    build_sd,
+    committed_row,
+    section_1_5_scenario,
+)
 
 
 def randomized_variant(instance_cls, seed):
@@ -56,6 +62,14 @@ def run_experiment():
     return rows
 
 
+def tables(rows):
+    table = Table(["scheme", "T2 LSN", "T1 LSN (later!)",
+                   "exact scenario", "random variants OK"])
+    for row in rows:
+        table.add_row(*row)
+    return (table,)
+
+
 def build_result():
     """Run E1 and package it as a serializable ExperimentResult."""
     rows = run_experiment()
@@ -64,11 +78,8 @@ def build_result():
         "USN LSN assignment eliminates the Section 1.5 "
         "lost-update anomaly; LSN = log address does not",
     )
-    table = Table(["scheme", "T2 LSN", "T1 LSN (later!)",
-                   "exact scenario", "random variants OK"])
-    for row in rows:
-        table.add_row(*row)
-    result.add_table("naive vs USN on the Section 1.5 scenario", table)
+    result.add_table("naive vs USN on the Section 1.5 scenario",
+                     *tables(rows))
     naive, usn = rows
     result.record("naive_exact", naive[3])
     result.record("usn_exact", usn[3])
@@ -89,11 +100,9 @@ if __name__ == "__main__":
 def test_e1_anomaly(benchmark):
     rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     print_banner("E1", "Section 1.5 lost-update anomaly")
-    table = Table(["scheme", "T2 LSN", "T1 LSN (later!)",
-                   "exact scenario", "random variants OK"])
-    for row in rows:
-        table.add_row(*row)
+    (table,) = tables(rows)
     table.show()
+    assert_pinned("E1", table)
     naive, usn = rows
     assert naive[3] == "LOST", "naive scheme must exhibit the anomaly"
     assert usn[3] == "survives"

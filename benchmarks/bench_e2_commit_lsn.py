@@ -17,6 +17,8 @@ from repro import SDComplex
 from repro.common.stats import COMMIT_LSN_HITS, COMMIT_LSN_MISSES
 from repro.harness import Table, print_banner
 
+from _common import assert_pinned
+
 ROUNDS = 30
 
 
@@ -61,14 +63,20 @@ def run_experiment():
     return results
 
 
-def test_e2_commit_lsn_hit_rate(benchmark):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    print_banner("E2", "Commit_LSN hit rate vs LSN-rate skew")
+def tables(results):
     table = Table(["busy:quiet skew", "hit rate (no exchange)",
                    "hit rate (Lamport exchange)"])
     for skew, (without, with_) in sorted(results.items()):
         table.add_row(f"{skew}:1", without, with_)
+    return (table,)
+
+
+def test_e2_commit_lsn_hit_rate(benchmark):
+    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+    print_banner("E2", "Commit_LSN hit rate vs LSN-rate skew")
+    (table,) = tables(results)
     table.show()
+    assert_pinned("E2", table)
     # Shape: the exchange keeps the check effective at every skew; the
     # skewed no-exchange runs collapse.
     for skew, (without, with_) in results.items():

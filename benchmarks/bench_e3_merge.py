@@ -20,6 +20,8 @@ from repro.wal.log_manager import LogManager
 from repro.wal.merge import lomet_merge, merge_local_logs
 from repro.wal.records import make_update
 
+from _common import assert_pinned
+
 N_PAGES = 64
 
 
@@ -77,14 +79,20 @@ def run_experiment():
     return rows
 
 
-def test_e3_merge_comparisons(benchmark):
-    rows = run_experiment()
-    print_banner("E3", "k-way log merge: LSN-only vs (page, LSN)")
+def tables(rows):
     table = Table(["k logs", "records/log", "USN comparisons",
                    "Lomet comparisons", "factor", "USN ms", "Lomet ms"])
     for row in rows:
         table.add_row(*row)
+    return (table,)
+
+
+def test_e3_merge_comparisons(benchmark):
+    rows = run_experiment()
+    print_banner("E3", "k-way log merge: LSN-only vs (page, LSN)")
+    (table,) = tables(rows)
     table.show()
+    assert_pinned("E3", table, drop=("USN ms", "Lomet ms"))
     for row in rows:
         assert row[3] > row[2], "Lomet merge must cost more comparisons"
     # Wall-time benchmark of the USN merge itself at the largest k.

@@ -19,6 +19,8 @@ from repro.storage.space_map import (
     smp_entries_per_page,
 )
 
+from _common import assert_pinned
+
 
 def smp_pages_needed(n_data_pages, entries_per_page):
     return -(-n_data_pages // entries_per_page)
@@ -36,28 +38,37 @@ def run_experiment():
     return rows
 
 
-def test_e4_smp_space_overhead(benchmark):
-    rows = run_experiment()
-    print_banner("E4", "space map overhead (47-63x claim)")
+def lomet_maps():
+    """The 6-byte and 8-byte LSN Lomet space maps."""
+    return tuple(LometSpaceMap(smp_start=1, data_start=10, n_data_pages=10,
+                               lsn_bytes=lsn_bytes) for lsn_bytes in (6, 8))
+
+
+def tables(rows):
     table = Table(["data pages", "bitmap SMPs", "Lomet SMPs (6B)",
                    "Lomet SMPs (8B)", "factor 6B", "factor 8B"])
     for row in rows:
         table.add_row(*row)
-    table.show()
-
     per_entry = Table(["layout", "bits/entry", "entries/SMP page",
                        "overhead vs 1 bit"])
-    six = LometSpaceMap(smp_start=1, data_start=10, n_data_pages=10,
-                        lsn_bytes=6)
-    eight = LometSpaceMap(smp_start=1, data_start=10, n_data_pages=10,
-                          lsn_bytes=8)
+    six, eight = lomet_maps()
     per_entry.add_row("DB2 bitmap", 1, smp_entries_per_page(), "1.0x")
     per_entry.add_row("Lomet 6-byte LSN", 48, lomet_entries_per_page(6),
                       f"{six.overhead_factor():.0f}x")
     per_entry.add_row("Lomet 8-byte LSN", 64, lomet_entries_per_page(8),
                       f"{eight.overhead_factor():.0f}x")
-    per_entry.show()
+    return table, per_entry
 
+
+def test_e4_smp_space_overhead(benchmark):
+    rows = run_experiment()
+    print_banner("E4", "space map overhead (47-63x claim)")
+    pinned = tables(rows)
+    for table in pinned:
+        table.show()
+    assert_pinned("E4", *pinned)
+
+    six, eight = lomet_maps()
     # The paper counts the *increase*: 47x resp. 63x on top of the bit.
     assert six.overhead_factor() - 1 == 47
     assert eight.overhead_factor() - 1 == 63

@@ -18,7 +18,7 @@ from repro.common.stats import DISK_PAGE_READS, PAGE_READS_AVOIDED
 from repro.harness import Table, print_banner
 from repro.storage.page import PageType
 
-from _common import build_sd
+from _common import assert_pinned, build_sd
 
 ROUNDS = 30
 
@@ -103,17 +103,24 @@ def run_experiment():
     return avoided, data_reads, final_lsn, lomet_reads
 
 
-def test_e5_reallocation(benchmark):
-    avoided, data_reads, final_lsn, lomet_reads = benchmark.pedantic(
-        run_experiment, rounds=1, iterations=1)
-    print_banner("E5", "read-free page reallocation churn "
-                       f"({ROUNDS} cross-system cycles)")
+def tables(results):
+    avoided, _, _, lomet_reads = results
     table = Table(["scheme", "realloc disk reads avoided",
                    "dealloc-time page reads", "crash-safe"])
     table.add_row("USN + SMP LSN rule", avoided, 0, "yes")
     table.add_row("Lomet (exact LSN in SMP)", lomet_reads and ROUNDS,
                   lomet_reads, "yes")
+    return (table,)
+
+
+def test_e5_reallocation(benchmark):
+    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+    avoided, data_reads, final_lsn, lomet_reads = results
+    print_banner("E5", "read-free page reallocation churn "
+                       f"({ROUNDS} cross-system cycles)")
+    (table,) = tables(results)
     table.show()
+    assert_pinned("E5", table)
     assert avoided >= ROUNDS       # every realloc skipped the read
     assert lomet_reads == ROUNDS   # every dealloc paid a read
     assert final_lsn > 0

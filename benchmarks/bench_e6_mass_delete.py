@@ -17,7 +17,7 @@ from repro.common.stats import DISK_PAGE_READS, LOG_RECORDS_WRITTEN
 from repro.harness import Table, format_factor, print_banner
 from repro.storage.page import PageType
 
-from _common import build_sd
+from _common import assert_pinned, build_sd
 
 
 def run_usn(n_pages):
@@ -69,15 +69,21 @@ def run_experiment():
     return rows
 
 
-def test_e6_mass_delete(benchmark):
-    rows = run_experiment()
-    print_banner("E6", "mass delete of a segmented table")
+def tables(rows):
     table = Table(["table pages", "USN page reads", "USN log records",
                    "Lomet page reads", "Lomet log records",
                    "total cost factor"])
     for row in rows:
         table.add_row(*row)
+    return (table,)
+
+
+def test_e6_mass_delete(benchmark):
+    rows = run_experiment()
+    print_banner("E6", "mass delete of a segmented table")
+    (table,) = tables(rows)
     table.show()
+    assert_pinned("E6", table)
     for n_pages, usn_reads, usn_records, lomet_reads, lomet_records, _ in rows:
         assert usn_reads == 0, "USN mass delete must not read data pages"
         # One range record per SMP page touched.

@@ -21,7 +21,7 @@ from repro.workload.generator import (
     run_interleaved_sd,
 )
 
-from _common import build_sd
+from _common import assert_pinned, build_sd
 
 
 def run(checkpoint_every):
@@ -69,9 +69,7 @@ def run_experiment():
     return results
 
 
-def test_e7_sd_restart(benchmark):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    print_banner("E7", "SD instance restart (local log only)")
+def tables(results):
     table = Table(["checkpoint every", "analyzed", "redone",
                    "skipped by LSN", "losers", "CLRs",
                    "redo scan start", "log bytes"])
@@ -80,7 +78,15 @@ def test_e7_sd_restart(benchmark):
                       summary.records_redone, summary.redo_skipped_by_lsn,
                       summary.loser_transactions, summary.clrs_written,
                       summary.redo_scan_start, log_bytes)
+    return (table,)
+
+
+def test_e7_sd_restart(benchmark):
+    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+    print_banner("E7", "SD instance restart (local log only)")
+    (table,) = tables(results)
     table.show()
+    assert_pinned("E7", table)
     never = results[0][1]
     frequent = results[-1][1]
     assert frequent.records_analyzed <= never.records_analyzed, \

@@ -22,6 +22,8 @@ from repro.workload.generator import (
     run_interleaved_cs,
 )
 
+from _common import assert_pinned
+
 
 def run(n_clients):
     cs = CsSystem(n_data_pages=512)
@@ -61,9 +63,7 @@ def run_experiment():
     return {n: run(n) for n in (2, 4, 6)}
 
 
-def test_e8_cs_recovery(benchmark):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    print_banner("E8", "CS client & server failure recovery")
+def tables(results):
     table = Table(["clients", "avg scanned/recovery", "avg redone",
                    "avg skipped (buffer hit)", "losers undone",
                    "CLRs", "server losers"])
@@ -78,7 +78,15 @@ def test_e8_cs_recovery(benchmark):
             sum(s.clrs_written for s in summaries),
             server_summary.loser_transactions,
         )
+    return (table,)
+
+
+def test_e8_cs_recovery(benchmark):
+    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+    print_banner("E8", "CS client & server failure recovery")
+    (table,) = tables(results)
     table.show()
+    assert_pinned("E8", table)
     for n, (summaries, _) in results.items():
         assert sum(s.loser_transactions for s in summaries) >= 1, \
             "in-flight transactions must be undone by the server"

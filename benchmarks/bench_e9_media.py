@@ -19,7 +19,7 @@ from repro.recovery.media import (
 )
 from repro.storage.image_copy import ImageCopy
 
-from _common import build_sd
+from _common import assert_pinned, build_sd
 
 
 def build_history(n_pages=12, rounds=40):
@@ -64,14 +64,22 @@ def run_experiment():
     return rebuilt, stats.get(MERGE_COMPARISONS), total_records
 
 
-def test_e9_media_recovery(benchmark):
-    rebuilt, comparisons, total_records = run_experiment()
-    print_banner("E9", "media recovery from image copy + merged logs")
+def tables(results):
+    rebuilt, comparisons, total_records = results
     table = Table(["pages rebuilt", "log records merged",
                    "LSN comparisons", "comparisons/record"])
     table.add_row(rebuilt, total_records, comparisons,
                   comparisons / max(total_records, 1))
+    return (table,)
+
+
+def test_e9_media_recovery(benchmark):
+    results = run_experiment()
+    rebuilt, comparisons, total_records = results
+    print_banner("E9", "media recovery from image copy + merged logs")
+    (table,) = tables(results)
     table.show()
+    assert_pinned("E9", table)
     assert rebuilt == 6
     # LSN-only merge: O(log k) comparisons per record, k=3 logs.
     assert comparisons <= total_records * 4

@@ -16,7 +16,7 @@ from repro.workload.generator import (
     run_interleaved_sd,
 )
 
-from _common import build_sd
+from _common import assert_pinned, build_sd
 
 N_SYSTEMS = 3
 
@@ -45,18 +45,14 @@ def run_experiment():
     return sd, instances, result, topology
 
 
-def test_f1_architecture(benchmark):
-    sd, instances, result, topology = benchmark.pedantic(
-        run_experiment, rounds=1, iterations=1)
-    print_banner("F1", "the shared disks architecture, executed")
+def tables(results):
+    sd, instances, result, topology = results
     topo = Table(["system", "buffer frames", "local log bytes",
                   "local log records", "Local_Max_LSN", "clock skew"])
     for (name, frames, log_bytes, records, clock), instance in zip(
             topology, instances):
         topo.add_row(name, frames, log_bytes, records,
                      instance.log.local_max_lsn, clock)
-    topo.show()
-    print()
     flows = Table(["flow", "count"])
     snapshot = sd.stats.snapshot()
     for name in sorted(snapshot):
@@ -64,7 +60,18 @@ def test_f1_architecture(benchmark):
             flows.add_row(name, snapshot[name])
     flows.add_row("transactions committed", result.committed)
     flows.add_row("deadlock aborts", result.aborted_deadlock)
+    return topo, flows
+
+
+def test_f1_architecture(benchmark):
+    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+    _, instances, result, _ = results
+    print_banner("F1", "the shared disks architecture, executed")
+    topo, flows = tables(results)
+    topo.show()
+    print()
     flows.show()
+    assert_pinned("F1", topo, flows)
     assert result.committed >= 20
     # Every system kept its own log (private logs, the figure's point).
     assert len({inst.log.system_id for inst in instances}) == N_SYSTEMS

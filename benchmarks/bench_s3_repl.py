@@ -33,7 +33,7 @@ from repro.harness.experiment import ExperimentResult
 from repro.replication import ReplicationConfig
 from repro.sd.complex import SDComplex
 
-from _common import bench_main
+from _common import assert_pinned, bench_main
 
 N_COMMITS = 24
 N_STANDBYS = 2
@@ -105,6 +105,13 @@ def costs_ordered(rows):
             and off[7] == 1 < local[7] < quorum[7] < all_[7] == 1 + N_STANDBYS)
 
 
+def tables(rows):
+    table = Table(COLUMNS)
+    for row in rows:
+        table.add_row(*row)
+    return (table,)
+
+
 def build_result():
     rows = run_experiment()
     result = ExperimentResult(
@@ -112,12 +119,9 @@ def build_result():
         "write-ack levels trade commit-point messages for replication "
         "lag: local lag is window-bounded, quorum/all lag is zero",
     )
-    table = Table(COLUMNS)
-    for row in rows:
-        table.add_row(*row)
     result.add_table(
         f"{N_COMMITS} commits, {N_STANDBYS} standbys, "
-        f"window={WINDOW_RECORDS}, batch={BATCH_RECORDS}", table)
+        f"window={WINDOW_RECORDS}, batch={BATCH_RECORDS}", *tables(rows))
     off, local, quorum, all_ = rows
     result.record("off_messages", off[1])
     result.record("local_lag", local[3])
@@ -142,10 +146,9 @@ if __name__ == "__main__":
 def test_s3_repl(benchmark):
     rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
     print_banner("S3", "log-shipping replication lag and commit cost")
-    table = Table(COLUMNS)
-    for row in rows:
-        table.add_row(*row)
+    (table,) = tables(rows)
     table.show()
+    assert_pinned("S3", table)
     off, local, quorum, all_ = rows
     # Replication off must not send replication traffic at all.
     assert off[5] == 0 and off[6] == 0

@@ -30,7 +30,7 @@ from repro.harness.experiment import ExperimentResult
 from repro.sd.complex import SDComplex
 from repro.workload.generator import populate_pages
 
-from _common import bench_main
+from _common import assert_pinned, bench_main
 
 N_PAGES = 32
 RECORDS_PER_PAGE = 8
@@ -113,6 +113,20 @@ def run_experiment():
     return {mode: run_variant(mode) for mode in MODES}
 
 
+def tables(runs):
+    table = Table(["mode", "txns", "ttft ticks", "redone", "losers",
+                   "CLRs", "lazy pages", "demand", "swept"])
+    for mode in MODES:
+        row = runs[mode]
+        summary = row["summary"]
+        table.add_row(mode, row["committed"], row["ttft_ticks"],
+                      summary.records_redone,
+                      summary.loser_transactions, summary.clrs_written,
+                      row["lazy_after_first_txn"], row["demand"],
+                      row["swept"])
+    return (table,)
+
+
 def build_result():
     runs = run_experiment()
     eager, instant = runs["eager"], runs["instant"]
@@ -124,19 +138,9 @@ def build_result():
         ">= 3x fewer disk ticks than eager restart and, once the "
         "sweeper drains, leaves a SHA-256 identical disk image",
     )
-    table = Table(["mode", "txns", "ttft ticks", "redone", "losers",
-                   "CLRs", "lazy pages", "demand", "swept"])
-    for mode in MODES:
-        row = runs[mode]
-        summary = row["summary"]
-        table.add_row(mode, row["committed"], row["ttft_ticks"],
-                      summary.records_redone,
-                      summary.loser_transactions, summary.clrs_written,
-                      row["lazy_after_first_txn"], row["demand"],
-                      row["swept"])
     result.add_table(
         "time-to-first-transaction (disk ticks, crash -> first commit)",
-        table)
+        *tables(runs))
     result.record("eager_ttft_ticks", eager["ttft_ticks"])
     result.record("instant_ttft_ticks", instant["ttft_ticks"])
     result.record("ttft_speedup", round(speedup, 2))
@@ -162,4 +166,5 @@ def test_s4_instant(benchmark):
     result = benchmark.pedantic(build_result, rounds=1, iterations=1)
     print_banner("S4", "instant restart time-to-first-transaction")
     print(result.render())
+    assert_pinned("S4", *(table for _, table in result.iter_tables()))
     assert result.holds

@@ -3,8 +3,8 @@
 The ``benchmark`` fixture comes from the optional pytest-benchmark
 plugin.  When the plugin is absent — or disabled with
 ``-p no:benchmark`` — collecting these modules must degrade to clean
-skips so ``python -m repro.bench`` and ad-hoc ``pytest benchmarks/``
-runs never hard-fail on a missing optional dependency.
+skips so ad-hoc ``pytest benchmarks/`` runs never hard-fail on a
+missing optional dependency.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Runs a compact end-to-end tour of the reproduction: the shared-disks
 complex with clockless LSNs, a crash/restart, the Section 1.5 anomaly
 under the naive scheme, the client-server deployment, and an invariant
 verification pass.  For the full experiment suite run
-``pytest benchmarks/ --benchmark-only -s``.
+``pytest benchmarks/bench_*.py --benchmark-disable -s``.
 """
 
 from __future__ import annotations
@@ -97,7 +97,8 @@ def main() -> int:
     demo_anomaly()
     demo_cs()
     print("\nAll demos passed.  Next steps: pytest tests/ ; "
-          "pytest benchmarks/ --benchmark-only -s ; see examples/.")
+          "pytest benchmarks/bench_*.py --benchmark-disable -s ; "
+          "see examples/.")
     return 0
 
 

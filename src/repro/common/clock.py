@@ -20,9 +20,9 @@ def wall_seconds() -> float:
 
     The simulation itself must never observe real time (rule R002);
     this module is R002's single allowed home for clock access, and
-    this helper exists so the out-of-simulation tooling (the
-    ``repro.bench`` suite runner, micro-benchmark timing loops) can
-    measure elapsed wall time without re-importing ``time`` elsewhere.
+    this helper exists so the out-of-simulation tooling (bench and
+    micro-benchmark timing loops, the perf lab) can measure elapsed
+    wall time without re-importing ``time`` elsewhere.
     """
     return _time.perf_counter()
 

@@ -13,8 +13,8 @@
 #   lint    ruff (when installed) + reprolint (always required)
 #   type    mypy (when installed; skipped otherwise)
 #   test    tier-1 pytest suite
-#   bench   E1/TPS/instant bench smokes + recovery and sharing benches
-#           (E2, E7, E8, A5, A4) + bench-suite smoke + span-trace smoke
+#   bench   E1 --json smoke + every benchmarks/bench_*.py (each
+#           printed table pinned to EXPERIMENTS.md) + span-trace smoke
 #           (capture, critical-path, invariant check, Perfetto export) +
 #           perf-lab smoke, traced attribution guard and self-tests
 #   chaos   crash-point torture smoke + failover and restart drill
@@ -90,45 +90,6 @@ bench_e1_smoke() {
     tmp="$(mktemp -t bench_e1.XXXXXX.json)"
     python benchmarks/bench_e1_anomaly.py --json "${tmp}" >/dev/null \
         && python -m repro.trace --bench "${tmp}" >/dev/null
-    local status=$?
-    rm -f "${tmp}"
-    return "${status}"
-}
-
-# Bench-suite smoke: run the trimmed parallel suite into a temp file,
-# then prove it round-trips through the --compare reader (a
-# self-compare must load the file twice and report clean).
-bench_suite_smoke() {
-    local tmp
-    tmp="$(mktemp -t bench_suite.smoke.XXXXXX.json)"
-    python -m repro.bench --smoke -o "${tmp}" >/dev/null \
-        && python -m repro.bench --compare-only "${tmp}" "${tmp}" >/dev/null
-    local status=$?
-    rm -f "${tmp}"
-    return "${status}"
-}
-
-# TPS smoke: run the S2 headline bench standalone (bulk-op lane vs the
-# per-call baseline) and require its claim to hold —
-# equivalence and the bulk lane's interpreted-call budgets at batch 64
-# and 256 (no timer decides this gate).
-bench_tps_smoke() {
-    local tmp
-    tmp="$(mktemp -t bench_s2.XXXXXX.json)"
-    python benchmarks/bench_s2_tps.py --json "${tmp}" >/dev/null
-    local status=$?
-    rm -f "${tmp}"
-    return "${status}"
-}
-
-# Instant-restart smoke: run the S4 bench standalone and require its
-# claim to hold — the instant path's time-to-first-transaction gates
-# at >= 3x below eager restart's, with SHA-256 identical disk images
-# once the sweeper drains.
-bench_instant_smoke() {
-    local tmp
-    tmp="$(mktemp -t bench_s4.XXXXXX.json)"
-    python benchmarks/bench_s4_instant.py --json "${tmp}" >/dev/null
     local status=$?
     rm -f "${tmp}"
     return "${status}"
@@ -217,19 +178,14 @@ perflab_trace_guard() {
 
 stage_bench() {
     run_step "bench-e1 smoke" bench_e1_smoke
-    run_step "bench-tps smoke" bench_tps_smoke
-    run_step "bench-instant smoke" bench_instant_smoke
-    # The only benches over Commit_LSN (whose quiet reader commits a
-    # read-only transaction every round) and over eager, CS-client and
-    # staged recovery, plus A4: the only 1/2/4-system sweep over the
-    # one GLM.
-    run_step "recovery and sharing benches smoke" \
-        python -m pytest -q benchmarks/bench_e2_commit_lsn.py \
-        benchmarks/bench_e7_sd_restart.py \
-        benchmarks/bench_e8_cs_recovery.py \
-        benchmarks/bench_a5_staged_availability.py \
-        benchmarks/bench_a4_sharing_profile.py
-    run_step "bench-suite smoke" bench_suite_smoke
+    # Every bench, each asserting its claim's shape and its printed
+    # tables equal to the pinned block in EXPERIMENTS.md (wall-clock
+    # columns excepted), plus the proof that the recovery pins fail
+    # with redo screening sabotaged.  S2 also gates the bulk lane's
+    # interpreted-call budget, S4 instant restart's >= 3x TTFT and
+    # identical disk images, bench_micro the hot lanes' call counts.
+    run_step "benches (pinned tables)" \
+        python -m pytest -q benchmarks/bench_*.py --benchmark-disable
     run_step "span-trace smoke" span_trace_smoke
     run_step "perflab smoke" perflab_smoke
     run_step "perflab trace guard" perflab_trace_guard
