@@ -32,7 +32,7 @@ def run(n_clients):
     cfg = WorkloadConfig(n_transactions=6 * n_clients, ops_per_txn=3,
                          read_fraction=0.3, seed=23)
     scripts = build_scripts(cfg, n_clients, handles)
-    run_interleaved_cs(clients, scripts, commit_lsn_service=cs.commit_lsn)
+    run_interleaved_cs(clients, scripts)
     for client in clients:
         client.checkpoint()
 

@@ -4,7 +4,9 @@ Clients own no disk.  They cache server pages, update them locally
 under server-granted locks, assign LSNs locally with the USN rule
 (Section 3.2.1 — no server round trip per log record), and ship their
 buffered log records to the server when a dirty page goes back or a
-transaction commits, whichever happens first (Section 3.3).
+transaction commits, whichever happens first (Section 3.3).  The
+transaction front end (:mod:`repro.txn.front`) runs every record and
+page operation, commit and rollback over this module's hooks.
 
 Per Section 3.2.2, the client's buffer manager associates a **RecLSN**
 with each dirty page — the LSN bounding the first update that dirtied
@@ -15,30 +17,19 @@ in the single log.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.common.clock import SkewedClock
 from repro.common.config import NULL_LSN
-from repro.common.errors import LockWouldBlock, ReproError
+from repro.common.errors import ReproError
 from repro.common.lsn import Lsn
-from repro.common.stats import PAGE_READS_AVOIDED
-from repro.faults import points as fp
-from repro.locking.lock_manager import LockMode, LockStatus, record_lock
-from repro.obs import events as ev
-from repro.recovery.apply import compensate, stamp_page_lsn
-from repro.storage.page import Page, PageType
-from repro.storage.space_map import SpaceMap
+from repro.locking.lock_manager import LockMode, record_lock
+from repro.storage.page import Page
+from repro.txn.front import TransactionFrontEnd
 from repro.txn.manager import TransactionManager
-from repro.txn.transaction import Transaction, TxnState
+from repro.txn.transaction import Transaction, TxnState, UndoEntry
 from repro.wal.client_log import ClientLogManager
-from repro.wal.records import (
-    LogRecord,
-    PageOp,
-    RecordKind,
-    encode_op,
-    make_format,
-    make_update,
-)
+from repro.wal.records import LogRecord, RecordKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cs.server import CsServer
@@ -51,8 +42,15 @@ class _CachedPage:
     rec_lsn: Lsn = NULL_LSN   # LSN of first dirtying update (RecLSN)
 
 
-class CsClient:
+class CsClient(TransactionFrontEnd):
     """One client workstation of the CS architecture."""
+
+    ROLE = "client"
+    #: A client has no log device to lose: a failed force degrades the
+    #: server, and every client's commits then fail there.
+    degraded = False
+    #: Lock conflicts always surface as LockWouldBlock.
+    lock_retry = None
 
     def __init__(
         self,
@@ -79,7 +77,9 @@ class CsClient:
                 "isolation must be 'cursor_stability' or 'repeatable_read'"
             )
         self.client_id = client_id
+        self.system_id = client_id
         self.server = server
+        self.shared = server
         self.cache_capacity = cache_capacity
         self.isolation = isolation
         self.stats = server.stats
@@ -95,60 +95,84 @@ class CsClient:
         self.tracer.register_clock(client_id, self.clock)
         self.crashed = False
         # Lazy (group) commits awaiting their covering ship + force.
-        self._pending_commits: list = []
+        self._pending_commits: List[Transaction] = []
         server.attach_client(self)
 
-    # CommitLsnService duck-type.
-    @property
-    def system_id(self) -> int:
-        return self.client_id
-
     # ------------------------------------------------------------------
-    # transaction control
-    # ------------------------------------------------------------------
-    def begin(self) -> Transaction:
-        self._check_up()
-        txn = self.txns.begin()
-        if self.tracer.enabled:
-            self.tracer.emit(ev.TXN_BEGIN, system=self.client_id,
-                             txn=txn.txn_id)
-        return txn
-
-    def commit(self, txn: Transaction, lazy: bool = False) -> None:
-        """Commit: buffer the commit record, ship everything, server
-        forces its log and releases the locks, then the client ends.
-
-        ``lazy=True`` is client-side group commit: the commit record is
-        buffered but nothing ships — one later :meth:`sync_commits`
-        (or eager commit) pays a single log-ship round trip and a
-        single server force for the whole batch.  A lazy commit is not
-        acknowledged until then: locks stay held at the server, and a
-        client crash first loses the batch consistently (the records
-        never reached the server, and neither did any covered page —
-        dirty pages always ship *with* the log records).  It does leave
-        ACTIVE at once, so every further operation on it is rejected.
-
-        A transaction that logged nothing just has the server drop its
-        locks and ends, lazy or not: no COMMIT or END record, no log
-        ship, no server force, no ``commit_ack`` — so a degraded server
-        still lets readers finish.
-        """
-        if self.tracer.enabled:
-            with self.tracer.span(ev.SPAN_COMMIT, system=self.client_id,
-                                  txn=txn.txn_id, lazy=lazy):
-                self._commit(txn, lazy)
-        else:
-            self._commit(txn, lazy)
-
-    def _commit(self, txn: Transaction, lazy: bool) -> None:
+    def read(self, txn: Transaction, page_id: int, slot: int,
+             use_commit_lsn: bool = False) -> Optional[bytes]:
+        """Cursor-stability read, optionally via the Commit_LSN check
+        (the server's complex-wide service, as in SD)."""
         self._check_active(txn)
-        if not txn.is_update_transaction():
-            if self.tracer.enabled:
-                self.tracer.emit(ev.TXN_COMMIT, system=self.client_id,
-                                 txn=txn.txn_id, lazy=lazy)
-            self.server.release_txn_locks(txn.txn_id)
-            self._finish_commit(txn)
-            return
+        page = self._fix(page_id, False)
+        if use_commit_lsn and self.server.commit_lsn.check(page.page_lsn):
+            return page.read_record(slot)
+        resource = record_lock(page_id, slot)
+        held_before = self.server.glm.holds(txn.txn_id, resource)
+        self._lock(txn, resource, LockMode.S)
+        try:
+            return page.read_record(slot)
+        finally:
+            # Degree 2 releases the read lock immediately — but never a
+            # lock the transaction held already for other reasons.
+            if self.isolation == "cursor_stability" and not held_before:
+                self.server.unlock(self, txn.txn_id, resource)
+
+    # ------------------------------------------------------------------
+    # front-end hooks: lock, fix, log, make durable, undo source
+    # ------------------------------------------------------------------
+    def _lock_for_write(self, txn: Transaction, page_id: int,
+                        slot: int) -> None:
+        self._lock(txn, record_lock(page_id, slot), LockMode.X)
+
+    def _fix(self, page_id: int, for_update: bool) -> Page:
+        """The cached copy of a page, fetched from the server on a miss
+        (or when an update needs the write token).
+
+        Client caches have no pin counts — virtual storage holds pages
+        until eviction — so :meth:`_unfix` is a no-op.
+        """
+        if self.crashed:
+            raise self._down_error()
+        cache = self.cache
+        entry = cache.get(page_id)
+        if entry is None or (for_update and
+                             self.server._writer.get(page_id) != self.client_id):
+            page = self.server.fetch_page(self, page_id, for_update)
+            entry = cache.get(page_id)
+            if entry is None or not entry.dirty:
+                # fetch_page recalls a dirty copy only from another
+                # client, so a dirty entry here is our own: keep it.
+                self._evict_if_needed(exclude=page_id)
+                entry = _CachedPage(page=page)
+        # Move to the LRU tail (dicts keep insertion order).
+        cache.pop(page_id, None)
+        cache[page_id] = entry
+        return entry.page
+
+    def _unfix(self, page_id: int) -> None:
+        """Nothing to release (see :meth:`_fix`)."""
+
+    def _install_new_page(self, page: Page, addr: Lsn) -> None:
+        """Cache a freshly formatted page as dirty, its format record's
+        LSN the RecLSN, and purge other clients' stale copies."""
+        self._evict_if_needed(exclude=page.page_id)
+        self.cache[page.page_id] = _CachedPage(page=page, dirty=True,
+                                               rec_lsn=page.page_lsn)
+        self.server.note_new_page(self, page.page_id)
+
+    def _note_page_update(self, page_id: int, lsn: Lsn, addr: Lsn) -> int:
+        """The first update since the page was clean sets its RecLSN.
+        Undo finds records by LSN here, so the offset is always 0."""
+        entry = self.cache[page_id]
+        if not entry.dirty:
+            entry.dirty = True
+            entry.rec_lsn = lsn
+        return 0
+
+    def _log_commit(self, txn: Transaction) -> None:
+        """COMMIT and END together: they ship to the server as one
+        batch, and the server's force covers both."""
         commit = LogRecord(kind=RecordKind.COMMIT, txn_id=txn.txn_id,
                            prev_lsn=txn.last_lsn)
         self.log.append(commit)
@@ -156,300 +180,50 @@ class CsClient:
         end = LogRecord(kind=RecordKind.END, txn_id=txn.txn_id,
                         prev_lsn=txn.last_lsn)
         self.log.append(end)
-        if self.tracer.enabled:
-            self.tracer.emit(ev.TXN_COMMIT, system=self.client_id,
-                             txn=txn.txn_id, lazy=lazy)
-        if lazy:
-            txn.state = TxnState.COMMITTED
-            self._pending_commits.append(txn)
+
+    def _make_durable(self, txn: Optional[Transaction]) -> None:
+        """Ship the buffered records and have the server force them.
+
+        For an eager commit that is the server's commit point, which
+        also releases ``txn``'s locks and acknowledges it; a
+        group-commit sync is a plain ship plus the same server
+        force-or-degrade.  Either way every pending lazy commit's
+        records go out with the batch.
+        """
+        if txn is None:
+            self.server.receive_log_records(self)
+            self.server.force_or_degrade()
             return
         self.server.commit_point(self, txn.txn_id)
-        self._finish_commit(txn)
-        self._finish_pending()
-
-    def sync_commits(self) -> int:
-        """Group-commit sync: one ship + one server force acknowledges
-        every pending lazy commit.  Returns transactions completed."""
-        self._check_up()
-        if not self._pending_commits:
-            return 0
-        self.server.receive_log_records(self)
-        self.server.log.force()
-        return self._finish_pending()
-
-    def _finish_pending(self) -> int:
-        pending = self._pending_commits
-        finished = 0
-        try:
-            for txn in pending:
-                self.server.release_txn_locks(txn.txn_id)
-                self._finish_commit(txn)
-                finished += 1
-        finally:
-            # One slice delete instead of a pop(0) per transaction; a
-            # transaction whose release failed stays pending with the
-            # tail behind it.
-            del pending[:finished]
-        return finished
-
-    def _finish_commit(self, txn: Transaction) -> None:
-        txn.state = TxnState.COMMITTED
         self.log.forget_txn(txn.txn_id)
         self.txns.end(txn)
 
-    def rollback(self, txn: Transaction,
-                 to_savepoint: Optional[str] = None) -> None:
-        """Roll back using the client's retained record copies
-        (Section 3.1: undo never needs a merged or remote log)."""
-        self._check_up()
-        if txn.state not in (TxnState.ACTIVE, TxnState.ABORTING):
-            raise ReproError(f"cannot roll back txn in state {txn.state}")
-        txn.state = TxnState.ABORTING
-        if self.tracer.enabled:
-            self.tracer.emit(ev.TXN_ROLLBACK, system=self.client_id,
-                             txn=txn.txn_id, savepoint=to_savepoint)
-        records = self.log.records_of_txn(txn.txn_id)
-        # Safe to key by LSN alone: one live transaction's retained
-        # records, all stamped by this client since it last came up.
-        by_lsn = {record.lsn: record for record in records}
-        stop_at = 0
-        if to_savepoint is not None:
-            stop_at = txn.savepoints[to_savepoint]
-        # Entries are consumed as compensated so a midway-failed
-        # rollback can be retried without double-compensation.
-        while len(txn.undo_entries) > stop_at:
-            entry = txn.undo_entries[-1]
-            self._undo_one(txn, by_lsn[entry.lsn])
-            txn.undo_entries.pop()
-        if to_savepoint is not None:
-            txn.truncate_to_savepoint(to_savepoint)
-            txn.state = TxnState.ACTIVE
-            return
-        if txn.is_update_transaction():
+    def _end(self, txn: Transaction) -> None:
+        """Release the locks and forget the transaction.  A rollback
+        that logged something first writes END and ships its CLRs; a
+        commit's END already went with its COMMIT."""
+        if txn.state is TxnState.ABORTING and txn.is_update_transaction():
             end = LogRecord(kind=RecordKind.END, txn_id=txn.txn_id,
                             prev_lsn=txn.last_lsn)
             self.log.append(end)
-            # Ship the rollback's CLRs (a transaction that logged
-            # nothing has nothing to ship).
             self.server.receive_log_records(self)
         self.server.release_txn_locks(txn.txn_id)
         self.log.forget_txn(txn.txn_id)
         self.txns.end(txn)
 
-    def _undo_one(self, txn: Transaction, record: LogRecord) -> None:
-        entry = self._require_cached(record.page_id, for_update=True)
-        clr, _, page_lsn_prev = compensate(
-            self.log, entry.page, record, txn.txn_id, txn.last_lsn)
-        self._note_dirty(entry, clr.lsn)
-        txn.note_logged(clr.lsn, 0, undoable=False)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                ev.PAGE_UPDATE, system=self.client_id,
-                page=record.page_id, slot=record.slot, txn=txn.txn_id,
-                lsn=int(clr.lsn), page_lsn_prev=int(page_lsn_prev),
-                kind=RecordKind.CLR.name,
-            )
-
-    def set_savepoint(self, txn: Transaction, name: str) -> None:
-        self._check_active(txn)
-        txn.set_savepoint(name)
-
-    # ------------------------------------------------------------------
-    # record operations
-    # ------------------------------------------------------------------
-    def insert(self, txn: Transaction, page_id: int, payload: bytes) -> int:
-        self._check_active(txn)
-        entry = self._require_cached(page_id, for_update=True)
-        slot = entry.page.insert_record(payload)
-        try:
-            self._lock(txn, record_lock(page_id, slot), LockMode.X)
-        except LockWouldBlock:
-            entry.page.delete_record(slot)
-            raise
-        record = make_update(
-            txn_id=txn.txn_id, system_id=self.client_id,
-            page_id=page_id, slot=slot,
-            redo=encode_op(PageOp.INSERT, payload),
-            undo=encode_op(PageOp.DELETE),
-            prev_lsn=txn.last_lsn,
-        )
-        self._log_applied_update(txn, entry, record)
-        return slot
-
-    def update(self, txn: Transaction, page_id: int, slot: int,
-               payload: bytes) -> None:
-        self._check_active(txn)
-        self._lock(txn, record_lock(page_id, slot), LockMode.X)
-        entry = self._require_cached(page_id, for_update=True)
-        old = entry.page.read_record(slot)
-        if old is None:
-            raise ReproError(f"page {page_id} slot {slot} is empty")
-        record = make_update(
-            txn_id=txn.txn_id, system_id=self.client_id,
-            page_id=page_id, slot=slot,
-            redo=encode_op(PageOp.SET, payload),
-            undo=encode_op(PageOp.SET, old),
-            prev_lsn=txn.last_lsn,
-        )
-        entry.page.update_record(slot, payload)
-        self._log_applied_update(txn, entry, record)
-
-    def delete(self, txn: Transaction, page_id: int, slot: int) -> None:
-        self._check_active(txn)
-        self._lock(txn, record_lock(page_id, slot), LockMode.X)
-        entry = self._require_cached(page_id, for_update=True)
-        old = entry.page.read_record(slot)
-        if old is None:
-            raise ReproError(f"page {page_id} slot {slot} is empty")
-        record = make_update(
-            txn_id=txn.txn_id, system_id=self.client_id,
-            page_id=page_id, slot=slot,
-            redo=encode_op(PageOp.DELETE),
-            undo=encode_op(PageOp.INSERT, old),
-            prev_lsn=txn.last_lsn,
-        )
-        entry.page.delete_record(slot)
-        self._log_applied_update(txn, entry, record)
-
-    def read(self, txn: Transaction, page_id: int, slot: int,
-             use_commit_lsn: bool = False,
-             commit_lsn_service=None) -> Optional[bytes]:
-        """Cursor-stability read, optionally via the Commit_LSN check."""
-        self._check_active(txn)
-        entry = self._require_cached(page_id, for_update=False)
-        if use_commit_lsn and commit_lsn_service is not None:
-            if commit_lsn_service.check(entry.page.page_lsn):
-                return entry.page.read_record(slot)
-        resource = record_lock(page_id, slot)
-        held_before = self.server.glm.holds(txn.txn_id, resource)
-        self._lock(txn, resource, LockMode.S)
-        try:
-            return entry.page.read_record(slot)
-        finally:
-            # Degree 2 releases the read lock immediately — but never a
-            # lock the transaction held already for other reasons.
-            if self.isolation == "cursor_stability" and not held_before:
-                self.server.unlock(self.client_id, txn.txn_id, resource)
-
-    # ------------------------------------------------------------------
-    # page allocation (same Section 3.4 rule as SD)
-    # ------------------------------------------------------------------
-    def allocate_page(self, txn: Transaction,
-                      page_type: PageType = PageType.DATA,
-                      page_id: Optional[int] = None) -> int:
-        self._check_active(txn)
-        geometry = self.server.space_map
-        chosen = page_id if page_id is not None else self._find_free_page()
-        if chosen is None:
-            raise ReproError("no free pages left")
-        slot = geometry.slot_for(chosen)
-        smp_entry = self._require_cached(slot.smp_page_id, for_update=True)
-        if SpaceMap.read_allocated(smp_entry.page, slot.index):
-            raise ReproError(f"page {chosen} is already allocated")
-        smp_record = LogRecord(
-            kind=RecordKind.SMP_UPDATE, txn_id=txn.txn_id,
-            page_id=slot.smp_page_id, slot=0,
-            redo=encode_op(PageOp.SMP_SET,
-                           SpaceMap.encode_entry_update(slot.index, True)),
-            undo=encode_op(PageOp.SMP_SET,
-                           SpaceMap.encode_entry_update(slot.index, False)),
-            prev_lsn=txn.last_lsn,
-        )
-        SpaceMap.write_allocated(smp_entry.page, slot.index, True)
-        self._log_applied_update(txn, smp_entry, smp_record)
-        fmt = make_format(
-            txn_id=txn.txn_id, system_id=self.client_id,
-            page_id=chosen, page_type=int(page_type), prev_lsn=txn.last_lsn,
-        )
-        # The SMP's LSN is the lower bound that makes read-free
-        # reallocation safe (Section 3.4) — in CS exactly as in SD.
-        self.log.append(fmt, page_lsn=smp_entry.page.page_lsn)
-        txn.note_logged(fmt.lsn, 0, undoable=False)
-        fresh = Page()
-        fresh.format(chosen, page_type, page_lsn=fmt.lsn)
-        self._evict_if_needed(exclude=chosen)
-        self.cache[chosen] = _CachedPage(page=fresh, dirty=True,
-                                         rec_lsn=fmt.lsn)
-        self.server.note_new_page(self, chosen)
-        self.stats.incr(PAGE_READS_AVOIDED)
-        return chosen
-
-    def deallocate_page(self, txn: Transaction, page_id: int) -> None:
-        self._check_active(txn)
-        slot = self.server.space_map.slot_for(page_id)
-        entry = self._require_cached(page_id, for_update=True)
-        if not entry.page.is_empty():
-            raise ReproError(f"page {page_id} is not empty")
-        dead_page_lsn = entry.page.page_lsn
-        smp_entry = self._require_cached(slot.smp_page_id, for_update=True)
-        if not SpaceMap.read_allocated(smp_entry.page, slot.index):
-            raise ReproError(f"page {page_id} is not allocated")
-        record = LogRecord(
-            kind=RecordKind.SMP_UPDATE, txn_id=txn.txn_id,
-            page_id=slot.smp_page_id, slot=0,
-            redo=encode_op(PageOp.SMP_SET,
-                           SpaceMap.encode_entry_update(slot.index, False)),
-            undo=encode_op(PageOp.SMP_SET,
-                           SpaceMap.encode_entry_update(slot.index, True)),
-            prev_lsn=txn.last_lsn,
-        )
-        SpaceMap.write_allocated(smp_entry.page, slot.index, False)
-        hint = max(smp_entry.page.page_lsn, dead_page_lsn)
-        self._log_applied_update(txn, smp_entry, record, lsn_hint=hint)
-
-    def _find_free_page(self) -> Optional[int]:
-        geometry = self.server.space_map
-        for smp_page_id in geometry.smp_page_ids():
-            smp_entry = self._require_cached(smp_page_id, for_update=False)
-            first_page_id, limit = geometry.coverage(smp_page_id)
-            index = SpaceMap.first_free(smp_entry.page, limit)
-            if index is not None:
-                return first_page_id + index
-        return None
-
-    # ------------------------------------------------------------------
-    # page-access protocol (shared with DbmsInstance, used by access
-    # methods like the B-tree)
-    # ------------------------------------------------------------------
-    def fix_page(self, page_id: int, for_update: bool = False) -> Page:
-        """Pin a page in the cache (fetching from the server on a miss).
-
-        Client caches have no pin counts — virtual storage holds pages
-        until eviction — so :meth:`unfix_page` is a no-op; the pair
-        exists to satisfy the access-method page protocol.
-        """
-        return self._require_cached(page_id, for_update).page
-
-    def unfix_page(self, page_id: int) -> None:
-        """Counterpart of :meth:`fix_page`; nothing to release."""
+    def _undo_records(
+            self, txn: Transaction) -> Callable[[UndoEntry], LogRecord]:
+        """Undo reads the client's retained record copies (Section 3.1:
+        undo never needs a merged or remote log)."""
+        # Safe to key by LSN alone: one live transaction's retained
+        # records, all stamped by this client since it last came up.
+        by_lsn = {record.lsn: record
+                  for record in self.log.records_of_txn(txn.txn_id)}
+        return lambda entry: by_lsn[entry.lsn]
 
     # ------------------------------------------------------------------
     # cache & shipping
     # ------------------------------------------------------------------
-    def _require_cached(self, page_id: int, for_update: bool) -> _CachedPage:
-        self._check_up()
-        entry = self.cache.get(page_id)
-        if entry is None or (for_update and
-                             self.server._writer.get(page_id) != self.client_id):
-            page = self.server.fetch_page(self, page_id, for_update)
-            if entry is not None and entry.dirty:
-                # fetch_page recalls our own dirty copy only when someone
-                # else held it, which cannot be us; keep our copy.
-                pass
-            entry = self.cache.get(page_id)
-            if entry is None or not entry.dirty:
-                self._evict_if_needed(exclude=page_id)
-                entry = _CachedPage(page=page)
-                self.cache[page_id] = entry
-        self._touch(page_id)
-        return entry
-
-    def _touch(self, page_id: int) -> None:
-        """Move a page to the LRU tail (dicts keep insertion order)."""
-        entry = self.cache.pop(page_id, None)
-        if entry is not None:
-            self.cache[page_id] = entry
-
     def _evict_if_needed(self, exclude: int) -> None:
         """Make room under a bounded cache, shipping dirty victims back."""
         if not self.cache_capacity:
@@ -462,38 +236,11 @@ class CsClient:
                 return
             self.send_page_back(victim)
 
-    def _note_dirty(self, entry: _CachedPage, lsn: Lsn) -> None:
-        if not entry.dirty:
-            entry.dirty = True
-            entry.rec_lsn = lsn
-
-    def _log_applied_update(self, txn: Transaction, entry: _CachedPage,
-                            record: LogRecord,
-                            lsn_hint: Optional[Lsn] = None) -> None:
-        if self.injector.enabled:
-            # Mid-operation crash point (see DbmsInstance._log_update):
-            # the applied cache mutation is volatile and dies with the
-            # client; the record below never reaches the client log.
-            self.injector.fire(fp.INSTANCE_UPDATE, system=self.client_id,
-                               page=record.page_id, txn=txn.txn_id)
-        page_lsn_prev = entry.page.page_lsn
-        hint = page_lsn_prev if lsn_hint is None else lsn_hint
-        self.log.append(record, page_lsn=hint)
-        stamp_page_lsn(entry.page, record.lsn)
-        self._note_dirty(entry, record.lsn)
-        txn.note_logged(record.lsn, 0, undoable=record.is_undoable())
-        if self.tracer.enabled:
-            self.tracer.emit(
-                ev.PAGE_UPDATE, system=self.client_id,
-                page=record.page_id, slot=record.slot, txn=txn.txn_id,
-                lsn=int(record.lsn), page_lsn_prev=int(page_lsn_prev),
-                kind=record.kind.name,
-            )
-
     def send_page_back(self, page_id: int) -> None:
         """Ship a dirty page (and all buffered log records) to the
         server; the cached copy becomes clean."""
-        self._check_up()
+        if self.crashed:
+            raise self._down_error()
         entry = self.cache.get(page_id)
         if entry is None:
             return
@@ -522,7 +269,8 @@ class CsClient:
     def checkpoint(self) -> None:
         """Client checkpoint (Section 3.1): report the dirty-page table
         and active transactions to the server."""
-        self._check_up()
+        if self.crashed:
+            raise self._down_error()
         dirty = {
             page_id: entry.rec_lsn
             for page_id, entry in self.cache.items() if entry.dirty
@@ -532,12 +280,6 @@ class CsClient:
             for txn in self.txns.active() if txn.is_update_transaction()
         }
         self.server.client_checkpoint(self, dirty, txns)
-
-    # ------------------------------------------------------------------
-    def _lock(self, txn: Transaction, resource, mode: LockMode) -> None:
-        status = self.server.lock(self.client_id, txn.txn_id, resource, mode)
-        if status is LockStatus.WAITING:
-            raise LockWouldBlock(txn.txn_id, resource)
 
     def crash(self) -> None:
         """Client failure: cache, buffered records, transactions gone."""
@@ -552,17 +294,6 @@ class CsClient:
         if not self.crashed:
             raise ReproError(f"client {self.client_id} is not down")
         self.crashed = False
-
-    def _check_up(self) -> None:
-        if self.crashed:
-            raise ReproError(f"client {self.client_id} is down")
-
-    def _check_active(self, txn: Transaction) -> None:
-        self._check_up()
-        if txn.state != TxnState.ACTIVE:
-            raise ReproError(
-                f"txn {txn.txn_id} is {txn.state.value}, not active"
-            )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -53,6 +53,7 @@ from repro.recovery.aries import (
     _undo_pass,
     restart_recovery,
 )
+from repro.recovery.commit_lsn import CommitLsnService
 from repro.recovery.instant import InstantRecoveryManager
 from repro.recovery.redo import collect_local_redo, redo_chain
 from repro.storage.disk import SharedDisk
@@ -133,6 +134,9 @@ class CsServer:
         #: recovering pages (None on the classic path).
         self.instant: Optional[InstantRecoveryManager] = None
         self.glm = LockManager(stats=self.stats, tracer=self.tracer)
+        #: The complex-wide Commit_LSN over every attached client.
+        self.commit_lsn = CommitLsnService(stats=self.stats,
+                                           tracer=self.tracer)
         self.space_map = SpaceMap(smp_start=SMP_START, data_start=DATA_START,
                                   n_data_pages=n_data_pages)
         self.network.register(SERVER_ID, self.log)
@@ -173,20 +177,22 @@ class CsServer:
             raise ReproError(f"bad client id {client.client_id}")
         self._clients[client.client_id] = client
         self.network.register(client.client_id, client.log)
+        self.commit_lsn.register(client)
 
     # ------------------------------------------------------------------
     # locking service
     # ------------------------------------------------------------------
-    def lock(self, client_id: int, txn_id: int, resource: Hashable,
+    def lock(self, client: "CsClient", txn_id: int, resource: Hashable,
              mode: LockMode) -> LockStatus:
         self._check_up()
-        self.network.message(client_id, SERVER_ID, "lock_request")
+        self.network.message(client.client_id, SERVER_ID, "lock_request")
         status = self.glm.acquire(txn_id, resource, mode)
-        self.network.message(SERVER_ID, client_id, "lock_reply")
+        self.network.message(SERVER_ID, client.client_id, "lock_reply")
         return status
 
-    def unlock(self, client_id: int, txn_id: int, resource: Hashable) -> None:
-        self.network.message(client_id, SERVER_ID, "unlock")
+    def unlock(self, client: "CsClient", txn_id: int,
+               resource: Hashable) -> None:
+        self.network.message(client.client_id, SERVER_ID, "unlock")
         self.glm.release(txn_id, resource)
 
     def release_txn_locks(self, txn_id: int) -> None:
@@ -360,6 +366,24 @@ class CsServer:
             self.injector.fire(fp.CS_COMMIT, system=client.client_id,
                                txn=txn_id)
         self.receive_log_records(client)
+        self.force_or_degrade()
+        self.release_txn_locks(txn_id)
+        self.network.message(SERVER_ID, client.client_id, "commit_ack")
+        if self.tracer.enabled:
+            self.tracer.emit(
+                ev.CS_COMMIT_POINT, system=SERVER_ID,
+                client=client.client_id, txn=txn_id,
+            )
+
+    def force_or_degrade(self) -> None:
+        """Force the single log for a client commit or group-commit
+        sync; a log-device failure degrades the server.
+
+        An injected ``fail`` at the ``log.force`` point raises
+        :class:`DegradedModeError`: the commits are not acknowledged and
+        the server turns read-only.  Crash-flavoured injections
+        propagate untouched.
+        """
         try:
             self.log.force()
         except FaultInjectedError as exc:
@@ -369,13 +393,6 @@ class CsServer:
             raise DegradedModeError(
                 "server: commit not durable, log device failed"
             ) from exc
-        self.release_txn_locks(txn_id)
-        self.network.message(SERVER_ID, client.client_id, "commit_ack")
-        if self.tracer.enabled:
-            self.tracer.emit(
-                ev.CS_COMMIT_POINT, system=SERVER_ID,
-                client=client.client_id, txn=txn_id,
-            )
 
     def client_checkpoint(self, client: "CsClient",
                           dirty_pages: Dict[int, Lsn],

@@ -11,12 +11,11 @@ from repro.faults.injector import NULL_INJECTOR, NullFaultInjector
 from repro.net.network import Network
 from repro.obs import events as ev
 from repro.obs.tracer import NULL_TRACER, NullTracer
-from repro.recovery.commit_lsn import CommitLsnService
 
 
 class CsSystem:
-    """Convenience wrapper wiring server, clients, network and the
-    complex-wide Commit_LSN service together."""
+    """Convenience wrapper wiring server, clients and network together;
+    ``commit_lsn`` is the server's complex-wide Commit_LSN service."""
 
     def __init__(
         self,
@@ -39,13 +38,11 @@ class CsSystem:
                                injector=self.injector,
                                restart_mode=restart_mode)
         self.clients: Dict[int, CsClient] = {}
-        self.commit_lsn = CommitLsnService(stats=self.stats,
-                                           tracer=self.tracer)
+        self.commit_lsn = self.server.commit_lsn
 
     def add_client(self, client_id: int, **kwargs) -> CsClient:
         client = CsClient(client_id, self.server, **kwargs)
         self.clients[client_id] = client
-        self.commit_lsn.register(client)
         return client
 
     # ------------------------------------------------------------------

@@ -25,9 +25,10 @@ consulted; what happens there is decided by the matching
 * ``BUFFER_WRITE`` — :meth:`BufferPool._write_stable`, between the WAL
   force and the disk write (the classic "page write in flight" crash
   window).
-* ``INSTANCE_UPDATE`` — :meth:`DbmsInstance._log_update` /
-  :meth:`CsClient._log_update`, before the update's log record is
-  appended (mid-operation crash point).
+* ``INSTANCE_UPDATE`` — :meth:`TransactionFrontEnd._log_update
+  <repro.txn.front.TransactionFrontEnd._log_update>` (one body for SD
+  instances and CS clients) and the SD bulk lane, before the update's
+  log record is appended (mid-operation crash point).
 * ``COMMIT_PRE_FORCE`` / ``COMMIT_POST_FORCE`` — bracketing the commit
   log force in :meth:`DbmsInstance.commit`: a crash before the force
   makes the transaction a loser, one after makes it a winner whose END

@@ -152,6 +152,5 @@ def run_cs_workload(cs: CsSystem, seed: int) -> List[Tuple[int, int]]:
             # screening has disk versions to screen against.
             cs.server.pool.flush_all()
 
-    run_interleaved_cs(clients, scripts, commit_lsn_service=cs.commit_lsn,
-                       between_txns=flusher)
+    run_interleaved_cs(clients, scripts, between_txns=flusher)
     return handles

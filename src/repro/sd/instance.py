@@ -2,10 +2,12 @@
 
 An instance bundles the four per-system components of Figure 1 — a
 local log manager (with USN LSN assignment), a private buffer pool, a
-transaction manager, and an unsynchronized clock — and implements the
-data operations the experiments drive: record insert/update/delete/read,
+transaction manager, and an unsynchronized clock.  The transaction
+front end (:mod:`repro.txn.front`) runs record insert/update/delete,
 page allocation and deallocation (including the read-free reallocation
-of Section 3.4), mass delete (Section 4.2), commit and rollback.
+of Section 3.4), commit and rollback over this module's hooks; reads,
+the bulk-op lane, mass delete (Section 4.2), degraded mode and log
+filler are SD-only and live here.
 
 Locking goes through the complex's global lock manager; page access
 goes through the coherency controller so cross-system transfers follow
@@ -14,47 +16,49 @@ the medium page-transfer scheme.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.buffer.buffer_pool import BufferPool
 from repro.common.clock import SkewedClock
 from repro.common.errors import (
     DegradedModeError,
     FaultInjectedError,
-    LockTimeoutError,
-    LockWouldBlock,
     ReproError,
 )
-from repro.common.lsn import Lsn
+from repro.common.lsn import LogAddress, Lsn
 from repro.common.stats import (
     BULK_OPS_APPLIED,
     BULK_READ_BATCHES,
     BULK_UPDATE_BATCHES,
     DEGRADED_ENTRIES,
-    DEGRADED_REJECTIONS,
     LOCK_ESCALATIONS,
-    LOCK_RETRIES,
-    LOCK_RETRY_TIMEOUTS,
-    PAGE_READS_AVOIDED,
 )
 from repro.faults import points as fp
 from repro.faults.injector import FAIL
-from repro.faults.policy import RetryPolicy, run_with_lock_retry
+from repro.faults.policy import RetryPolicy
 from repro.locking.lock_manager import LockMode, LockStatus, page_lock, record_lock
 from repro.obs import events as ev
-from repro.recovery.apply import apply_op, compensate, stamp_page_lsn
-from repro.storage.page import Page, PageType
+from repro.recovery.apply import stamp_page_lsn
+from repro.storage.page import Page
 from repro.storage.space_map import SpaceMap
+from repro.txn.front import TransactionFrontEnd
 from repro.txn.manager import TransactionManager
-from repro.txn.transaction import Transaction, TxnState
+from repro.txn.transaction import Transaction, UndoEntry
 from repro.wal.log_manager import LogManager
 from repro.wal.records import (
     LogRecord,
     PageOp,
     RecordKind,
-    decode_op,
     encode_op,
-    make_format,
     make_update,
 )
 
@@ -62,7 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sd.complex import SDComplex
 
 
-class DbmsInstance:
+class DbmsInstance(TransactionFrontEnd):
     """A DBMS instance: private log + private buffer pool, shared disks."""
 
     def __init__(
@@ -92,6 +96,7 @@ class DbmsInstance:
             raise ValueError("escalation threshold must be >= 2")
         self.system_id = system_id
         self.complex = sd_complex
+        self.shared = sd_complex
         self.stats = sd_complex.stats
         self.tracer = sd_complex.tracer
         self.injector = sd_complex.injector
@@ -124,269 +129,8 @@ class DbmsInstance:
         self._pending_commits: List[Transaction] = []
 
     # ------------------------------------------------------------------
-    # transaction control
+    # record reads (the per-call lane; writes are the front end's)
     # ------------------------------------------------------------------
-    def begin(self) -> Transaction:
-        if self.crashed:
-            raise self._down_error()
-        txn = self.txns.begin()
-        if self.tracer.enabled:
-            self.tracer.emit(ev.TXN_BEGIN, system=self.system_id,
-                             txn=txn.txn_id)
-        return txn
-
-    def commit(self, txn: Transaction, lazy: bool = False) -> None:
-        """Commit: force the log through the commit record (WAL commit
-        rule), then release locks and end the transaction.
-
-        ``lazy=True`` enables group commit: the commit record is
-        appended but the force is deferred until :meth:`sync_commits`
-        (or a later eager commit) flushes the log — one force then
-        covers a whole batch.  A lazy commit is **not acknowledged**
-        until synced: its locks stay held, and a crash before the sync
-        rolls it back like any in-flight transaction.  It does leave
-        ACTIVE at once, so every further operation on it is rejected.
-
-        A transaction that logged nothing (ARIES: no update, no commit
-        record) just releases its locks and ends, lazy or not: no
-        COMMIT or END record, no force, no standby ack, and so no
-        writable log — a degraded instance lets its readers finish.
-        """
-        if self.tracer.enabled:
-            with self.tracer.span(ev.SPAN_COMMIT, system=self.system_id,
-                                  txn=txn.txn_id, lazy=lazy):
-                self._commit(txn, lazy)
-        else:
-            self._commit(txn, lazy)
-
-    def _commit(self, txn: Transaction, lazy: bool) -> None:
-        if not txn.is_update_transaction():
-            self._check_active(txn)
-            if self.tracer.enabled:
-                self.tracer.emit(ev.TXN_COMMIT, system=self.system_id,
-                                 txn=txn.txn_id, lazy=lazy)
-            self._end(txn)
-            return
-        self._check_writable()
-        self._check_active(txn)
-        commit = LogRecord(kind=RecordKind.COMMIT, txn_id=txn.txn_id,
-                           prev_lsn=txn.last_lsn)
-        addr = self.log.append(commit)
-        txn.note_logged(commit.lsn, addr.offset, undoable=False)
-        if self.tracer.enabled:
-            self.tracer.emit(ev.TXN_COMMIT, system=self.system_id,
-                             txn=txn.txn_id, lazy=lazy)
-        if lazy:
-            txn.state = TxnState.COMMITTED
-            self._pending_commits.append(txn)
-            return
-        if self.injector.enabled:
-            self.injector.fire(fp.COMMIT_PRE_FORCE, system=self.system_id,
-                               txn=txn.txn_id)
-        self._force_or_degrade()
-        if self.injector.enabled:
-            self.injector.fire(fp.COMMIT_POST_FORCE, system=self.system_id,
-                               txn=txn.txn_id)
-        if self.complex.replication.enabled:
-            # The commit point of the configured write-ack level: ship
-            # the stable stream and wait for standby acks before the
-            # commit is acknowledged.  The local force above already
-            # made it locally durable, so a missed ack degrades rather
-            # than rolls back.
-            self._replicate_acks([txn] + list(self._pending_commits))
-        self._finish_commit(txn)
-        self._finish_pending()
-
-    def sync_commits(self) -> int:
-        """Group-commit sync: one log force acknowledges every pending
-        lazy commit.  Returns the number of transactions completed."""
-        self._check_writable()
-        if not self._pending_commits:
-            return 0
-        self._force_or_degrade()
-        if self.complex.replication.enabled:
-            self._replicate_acks(list(self._pending_commits))
-        return self._finish_pending()
-
-    def _replicate_acks(self, txns: List[Transaction]) -> None:
-        """Run the replication commit point for each newly-forced txn."""
-        for txn in txns:
-            self.complex.replication.on_commit(
-                self.system_id, txn.txn_id, txn.last_lsn)
-
-    def _force_or_degrade(self) -> None:
-        """Force the log; a log-device failure degrades the instance.
-
-        An injected ``fail`` at the ``log.force`` point means the
-        commit record never reached stable storage: the commit is *not*
-        acknowledged (the caller sees :class:`DegradedModeError`), the
-        instance flips to read-only degraded mode, and the rest of the
-        complex keeps running.  Crash-flavoured injections propagate
-        untouched — they are the campaign's kill signal, not a device
-        error.
-        """
-        try:
-            self.log.force()
-        except FaultInjectedError as exc:
-            if exc.action != FAIL:
-                raise
-            self._enter_degraded("log device failure")
-            raise DegradedModeError(
-                f"system {self.system_id}: commit not durable, "
-                f"log device failed"
-            ) from exc
-
-    def _finish_pending(self) -> int:
-        pending = self._pending_commits
-        finished = 0
-        try:
-            for txn in pending:
-                finished += 1
-                self._finish_commit(txn)
-        finally:
-            # One slice delete instead of a pop(0) per transaction; a
-            # failure still leaves the untouched tail pending.
-            del pending[:finished]
-        return finished
-
-    def _finish_commit(self, txn: Transaction) -> None:
-        txn.state = TxnState.COMMITTED
-        self._end(txn)
-
-    def _end(self, txn: Transaction) -> None:
-        """Write END (only a transaction that logged something has a
-        chain to close), release the locks, forget the transaction."""
-        if txn.is_update_transaction():
-            end = LogRecord(kind=RecordKind.END, txn_id=txn.txn_id,
-                            prev_lsn=txn.last_lsn)
-            self.log.append(end)
-        self.complex.release_txn_locks(self, txn.txn_id)
-        self.txns.end(txn)
-
-    def rollback(self, txn: Transaction, to_savepoint: Optional[str] = None) -> None:
-        """Undo the transaction's updates (all of them, or back to a
-        savepoint), writing CLRs so the rollback itself is redoable.
-
-        Undo entries are consumed as they are compensated, so a
-        rollback that fails midway (e.g. a loser's page is fenced
-        behind another system's crash) can simply be retried without
-        double-compensation.
-        """
-        if self.crashed:
-            raise self._down_error()
-        if txn.state not in (TxnState.ACTIVE, TxnState.ABORTING):
-            raise ReproError(f"cannot roll back txn in state {txn.state}")
-        txn.state = TxnState.ABORTING
-        if self.tracer.enabled:
-            self.tracer.emit(ev.TXN_ROLLBACK, system=self.system_id,
-                             txn=txn.txn_id, savepoint=to_savepoint)
-        stop_at = 0
-        if to_savepoint is not None:
-            stop_at = txn.savepoints[to_savepoint]
-        while len(txn.undo_entries) > stop_at:
-            entry = txn.undo_entries[-1]
-            record = self.log.read_record_at(entry.offset)
-            self._undo_one(txn, record)
-            txn.undo_entries.pop()
-        if to_savepoint is not None:
-            txn.truncate_to_savepoint(to_savepoint)
-            txn.state = TxnState.ACTIVE
-            return
-        self._end(txn)
-
-    def _undo_one(self, txn: Transaction, record: LogRecord) -> None:
-        """Undo a single update record, logging a CLR first."""
-        page = self._access(record.page_id, for_update=True)
-        try:
-            clr, addr, page_lsn_prev = compensate(
-                self.log, page, record, txn.txn_id, txn.last_lsn)
-            self.pool.note_update(record.page_id, clr.lsn, addr.offset,
-                                  self.log.end_offset)
-            txn.note_logged(clr.lsn, addr.offset, undoable=False)
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    ev.PAGE_UPDATE, system=self.system_id,
-                    page=record.page_id, slot=record.slot, txn=txn.txn_id,
-                    lsn=int(clr.lsn), page_lsn_prev=int(page_lsn_prev),
-                    kind=RecordKind.CLR.name,
-                )
-        finally:
-            self.pool.unfix(record.page_id)
-
-    def set_savepoint(self, txn: Transaction, name: str) -> None:
-        self._check_active(txn)
-        txn.set_savepoint(name)
-
-    # ------------------------------------------------------------------
-    # record operations
-    # ------------------------------------------------------------------
-    def insert(self, txn: Transaction, page_id: int, payload: bytes) -> int:
-        """Insert a record; returns its slot number."""
-        self._check_writable()
-        self._check_active(txn)
-        page = self._access(page_id, for_update=True)
-        try:
-            slot = page.insert_record(payload)
-            # Undo the optimistic insert before locking: the lock may
-            # block and the caller will retry the whole operation.
-            self._lock_for_write(txn, page_id, slot, unfix_first=page)
-            record = make_update(
-                txn_id=txn.txn_id, system_id=self.system_id,
-                page_id=page_id, slot=slot,
-                redo=encode_op(PageOp.INSERT, payload),
-                undo=encode_op(PageOp.DELETE),
-                prev_lsn=txn.last_lsn,
-            )
-            self._log_update(txn, page, record, already_applied=True)
-            return slot
-        finally:
-            self.pool.unfix(page_id)
-
-    def update(self, txn: Transaction, page_id: int, slot: int,
-               payload: bytes) -> None:
-        """Overwrite the record in ``slot`` with ``payload``."""
-        self._check_writable()
-        self._check_active(txn)
-        self._lock_for_write(txn, page_id, slot)
-        page = self._access(page_id, for_update=True)
-        try:
-            old = page.read_record(slot)
-            if old is None:
-                raise ReproError(f"page {page_id} slot {slot} is empty")
-            record = make_update(
-                txn_id=txn.txn_id, system_id=self.system_id,
-                page_id=page_id, slot=slot,
-                redo=encode_op(PageOp.SET, payload),
-                undo=encode_op(PageOp.SET, old),
-                prev_lsn=txn.last_lsn,
-            )
-            page.update_record(slot, payload)
-            self._log_update(txn, page, record, already_applied=True)
-        finally:
-            self.pool.unfix(page_id)
-
-    def delete(self, txn: Transaction, page_id: int, slot: int) -> None:
-        """Delete the record in ``slot``."""
-        self._check_writable()
-        self._check_active(txn)
-        self._lock_for_write(txn, page_id, slot)
-        page = self._access(page_id, for_update=True)
-        try:
-            old = page.read_record(slot)
-            if old is None:
-                raise ReproError(f"page {page_id} slot {slot} is empty")
-            record = make_update(
-                txn_id=txn.txn_id, system_id=self.system_id,
-                page_id=page_id, slot=slot,
-                redo=encode_op(PageOp.DELETE),
-                undo=encode_op(PageOp.INSERT, old),
-                prev_lsn=txn.last_lsn,
-            )
-            page.delete_record(slot)
-            self._log_update(txn, page, record, already_applied=True)
-        finally:
-            self.pool.unfix(page_id)
-
     def read(self, txn: Transaction, page_id: int, slot: int,
              use_commit_lsn: bool = False) -> Optional[bytes]:
         """Read a record with cursor-stability semantics.
@@ -403,7 +147,7 @@ class DbmsInstance:
             # locking.  Without it the order is lock, fix, read — as in
             # update() — so a reader about to block never pulls the
             # page across systems first.
-            page = self._access(page_id, for_update=False)
+            page = self._fix(page_id, for_update=False)
             try:
                 if self.complex.commit_lsn.check(page.page_lsn):
                     return page.read_record(slot)
@@ -412,7 +156,7 @@ class DbmsInstance:
         # Lock hierarchically, fetch, read; under cursor stability the
         # record-level lock is released right after.
         releasable = self._lock_for_read(txn, page_id, slot)
-        page = self._access(page_id, for_update=False)
+        page = self._fix(page_id, for_update=False)
         try:
             return page.read_record(slot)
         finally:
@@ -452,8 +196,7 @@ class DbmsInstance:
         applied prefix is logged before the error surfaces — no page
         mutation is ever left unlogged, so rollback stays correct.
         """
-        self._check_writable()
-        self._check_active(txn)
+        self._check_active(txn, write=True)
         if not updates:
             return
         page_order: List[int] = list(
@@ -465,7 +208,7 @@ class DbmsInstance:
         pages: Dict[int, Page] = {}
         try:
             for page_id in page_order:
-                pages[page_id] = self._access(page_id, for_update=True)
+                pages[page_id] = self._fix(page_id, for_update=True)
             if self.injector.enabled:
                 for page_id, _, _ in updates:
                     self.injector.fire(fp.INSTANCE_UPDATE,
@@ -573,7 +316,7 @@ class DbmsInstance:
         releasable: List[Tuple] = []
         try:
             for page_id in page_order:
-                page = self._access(page_id, for_update=False)
+                page = self._fix(page_id, for_update=False)
                 pages[page_id] = page
                 if use_commit_lsn and \
                         self.complex.commit_lsn.check(page.page_lsn):
@@ -598,109 +341,8 @@ class DbmsInstance:
         return results
 
     # ------------------------------------------------------------------
-    # page allocation / deallocation (Section 3.4)
+    # mass delete (Section 4.2)
     # ------------------------------------------------------------------
-    def allocate_page(self, txn: Transaction,
-                      page_type: PageType = PageType.DATA,
-                      page_id: Optional[int] = None) -> int:
-        """Allocate a data page **without reading its old version**.
-
-        The format record's LSN is derived from the covering SMP's
-        page_LSN (which the deallocation already pushed above the dead
-        page's final LSN), so the reallocated page's LSN sequence keeps
-        increasing even though we never saw the old image.
-        """
-        self._check_writable()
-        self._check_active(txn)
-        geometry = self.complex.space_map
-        chosen = page_id
-        if chosen is None:
-            chosen = self._find_free_page()
-            if chosen is None:
-                raise ReproError("no free pages left")
-        slot = geometry.slot_for(chosen)
-        smp_page = self._access(slot.smp_page_id, for_update=True)
-        try:
-            if SpaceMap.read_allocated(smp_page, slot.index):
-                raise ReproError(f"page {chosen} is already allocated")
-            smp_record = LogRecord(
-                kind=RecordKind.SMP_UPDATE, txn_id=txn.txn_id,
-                page_id=slot.smp_page_id,
-                slot=0,
-                redo=encode_op(PageOp.SMP_SET,
-                               SpaceMap.encode_entry_update(slot.index, True)),
-                undo=encode_op(PageOp.SMP_SET,
-                               SpaceMap.encode_entry_update(slot.index, False)),
-                prev_lsn=txn.last_lsn,
-            )
-            SpaceMap.write_allocated(smp_page, slot.index, True)
-            self._log_update(txn, smp_page, smp_record, already_applied=True)
-            # The paper's trick: pass the SMP's (fresh) LSN as the hint
-            # for the format record, guaranteeing it exceeds any LSN the
-            # deallocated disk version may carry.
-            fmt = make_format(
-                txn_id=txn.txn_id, system_id=self.system_id,
-                page_id=chosen, page_type=int(page_type),
-                prev_lsn=txn.last_lsn,
-            )
-            addr = self.log.append(fmt, page_lsn=smp_page.page_lsn)
-            txn.note_logged(fmt.lsn, addr.offset, undoable=False)
-            fresh = Page()
-            fresh.format(chosen, page_type, page_lsn=fmt.lsn)
-            if self.pool.contains(chosen):
-                # A stale cached copy of the dead page may linger, even
-                # dirty; its content is moot once deallocated.
-                self.pool.drop_page(chosen, allow_dirty=True)
-            self.pool.install_page(fresh, dirty=False)
-            # note_update performs the clean->dirty transition so the
-            # format record becomes the page's RecAddr.
-            self.pool.note_update(chosen, fmt.lsn, addr.offset,
-                                  self.log.end_offset)
-            self.pool.unfix(chosen)
-            self.complex.coherency.note_new_page(self, chosen)
-            self.stats.incr(PAGE_READS_AVOIDED)
-            return chosen
-        finally:
-            self.pool.unfix(slot.smp_page_id)
-
-    def deallocate_page(self, txn: Transaction, page_id: int) -> None:
-        """Deallocate an (empty) page.
-
-        The SMP update's LSN hint is the max of the SMP's LSN and the
-        dead page's current LSN; the USN rule then guarantees the SMP
-        LSN ends up above everything ever written to the page — the
-        property reallocation relies on.
-        """
-        self._check_writable()
-        self._check_active(txn)
-        slot = self.complex.space_map.slot_for(page_id)
-        page = self._access(page_id, for_update=True)
-        try:
-            if not page.is_empty():
-                raise ReproError(f"page {page_id} is not empty")
-            dead_page_lsn = page.page_lsn
-        finally:
-            self.pool.unfix(page_id)
-        smp_page = self._access(slot.smp_page_id, for_update=True)
-        try:
-            if not SpaceMap.read_allocated(smp_page, slot.index):
-                raise ReproError(f"page {page_id} is not allocated")
-            record = LogRecord(
-                kind=RecordKind.SMP_UPDATE, txn_id=txn.txn_id,
-                page_id=slot.smp_page_id, slot=0,
-                redo=encode_op(PageOp.SMP_SET,
-                               SpaceMap.encode_entry_update(slot.index, False)),
-                undo=encode_op(PageOp.SMP_SET,
-                               SpaceMap.encode_entry_update(slot.index, True)),
-                prev_lsn=txn.last_lsn,
-            )
-            SpaceMap.write_allocated(smp_page, slot.index, False)
-            hint = max(smp_page.page_lsn, dead_page_lsn)
-            self._log_update(txn, smp_page, record, already_applied=True,
-                             lsn_hint=hint)
-        finally:
-            self.pool.unfix(slot.smp_page_id)
-
     def mass_delete(self, txn: Transaction, page_ids: Iterable[int]) -> int:
         """Deallocate many pages by visiting **only** their SMPs.
 
@@ -712,12 +354,11 @@ class DbmsInstance:
         updates of these pages carried the updater's Local_Max_LSN to
         us, so our SMP record's LSN exceeds every page's final LSN.
         """
-        self._check_writable()
-        self._check_active(txn)
+        self._check_active(txn, write=True)
         runs = self._contiguous_smp_runs(sorted(set(page_ids)))
         records = 0
         for smp_page_id, start, count in runs:
-            smp_page = self._access(smp_page_id, for_update=True)
+            smp_page = self._fix(smp_page_id, for_update=True)
             try:
                 record = LogRecord(
                     kind=RecordKind.SMP_UPDATE, txn_id=txn.txn_id,
@@ -731,7 +372,7 @@ class DbmsInstance:
                     prev_lsn=txn.last_lsn,
                 )
                 SpaceMap.write_range(smp_page, start, count, False)
-                self._log_update(txn, smp_page, record, already_applied=True)
+                self._log_update(txn, smp_page, record)
                 records += 1
             finally:
                 self.pool.unfix(smp_page_id)
@@ -756,90 +397,28 @@ class DbmsInstance:
     def is_allocated(self, page_id: int) -> bool:
         """Current allocation status of ``page_id`` (reads the SMP)."""
         slot = self.complex.space_map.slot_for(page_id)
-        smp_page = self._access(slot.smp_page_id, for_update=False)
+        smp_page = self._fix(slot.smp_page_id, for_update=False)
         try:
             return SpaceMap.read_allocated(smp_page, slot.index)
         finally:
             self.pool.unfix(slot.smp_page_id)
 
-    def _find_free_page(self) -> Optional[int]:
-        geometry = self.complex.space_map
-        for smp_page_id in geometry.smp_page_ids():
-            smp_page = self._access(smp_page_id, for_update=False)
-            try:
-                first_page_id, limit = geometry.coverage(smp_page_id)
-                index = SpaceMap.first_free(smp_page, limit)
-                if index is not None:
-                    return first_page_id + index
-            finally:
-                self.pool.unfix(smp_page_id)
-        return None
-
     # ------------------------------------------------------------------
-    # shared helpers
+    # front-end hooks: lock, fix, log, make durable, undo source
     # ------------------------------------------------------------------
-    def _log_update(
-        self,
-        txn: Transaction,
-        page: Page,
-        record: LogRecord,
-        already_applied: bool = False,
-        lsn_hint: Optional[Lsn] = None,
-    ) -> None:
-        """Log ``record`` against ``page`` and do the USN bookkeeping.
-
-        Implements the normal-processing steps of Section 3.2.1: pass
-        the current page_LSN to the log manager, then place the returned
-        LSN into the page header and the BCB.
-        """
-        if self.injector.enabled:
-            # Mid-operation crash point: fired before the log append, so
-            # a kill here leaves the log without the record while the
-            # (volatile) page copy may already carry the change — the
-            # change simply evaporates with the pool.
-            self.injector.fire(fp.INSTANCE_UPDATE, system=self.system_id,
-                               page=page.page_id, txn=txn.txn_id)
-        page_lsn_prev = page.page_lsn
-        hint = page_lsn_prev if lsn_hint is None else lsn_hint
-        addr = self.log.append(record, page_lsn=hint)
-        if not already_applied:
-            op, data = decode_op(record.redo)
-            apply_op(page, record.slot, op, data)
-        stamp_page_lsn(page, record.lsn)
-        self.pool.note_update(record.page_id, record.lsn, addr.offset,
-                              self.log.end_offset)
-        txn.note_logged(record.lsn, addr.offset,
-                        undoable=record.is_undoable())
-        if self.tracer.enabled:
-            self.tracer.emit(
-                ev.PAGE_UPDATE, system=self.system_id,
-                page=record.page_id, slot=record.slot, txn=txn.txn_id,
-                lsn=int(record.lsn), page_lsn_prev=int(page_lsn_prev),
-                kind=record.kind.name,
-            )
-
-    def _lock_for_write(self, txn: Transaction, page_id: int, slot: int,
-                        unfix_first: Optional[Page] = None) -> None:
+    def _lock_for_write(self, txn: Transaction, page_id: int,
+                        slot: int) -> None:
         """Hierarchical write locking: page IX then record X (or one
         page X in page-granularity mode / after escalation)."""
-        try:
-            if self.lock_granularity == "page":
-                self._lock(txn, page_lock(page_id), LockMode.X)
-                return
-            if page_id in txn.escalated_pages:
-                return  # the page X lock covers every record
-            self._lock(txn, page_lock(page_id), LockMode.IX)
-            self._lock(txn, record_lock(page_id, slot), LockMode.X)
+        if self.lock_granularity == "page":
+            self._lock(txn, page_lock(page_id), LockMode.X)
+            return
+        if page_id in txn.escalated_pages:
+            return  # the page X lock covers every record
+        self._lock(txn, page_lock(page_id), LockMode.IX)
+        self._lock(txn, record_lock(page_id, slot), LockMode.X)
+        if self.escalation_threshold is not None:
             self._maybe_escalate(txn, page_id)
-        except LockWouldBlock:
-            if unfix_first is not None:
-                # Roll back the uncommitted in-page insert so the retry
-                # starts clean (nothing was logged yet).
-                if unfix_first.read_record(slot) is not None:
-                    # reprolint: disable=R001 -- compensates an optimistic
-                    # in-page insert that was never logged (see caller).
-                    unfix_first.delete_record(slot)
-            raise
 
     def _lock_for_read(self, txn: Transaction, page_id: int,
                        slot: int) -> List:
@@ -870,10 +449,9 @@ class DbmsInstance:
         After ``escalation_threshold`` record locks on one page, try to
         convert the page intention lock to X; on success further record
         locks on the page are unnecessary.  Never waits — a conflicting
-        reader simply postpones escalation.
+        reader simply postpones escalation.  Called only when a
+        threshold is set.
         """
-        if self.escalation_threshold is None:
-            return
         count = txn.record_lock_counts.get(page_id, 0) + 1
         txn.record_lock_counts[page_id] = count
         if count < self.escalation_threshold:
@@ -884,54 +462,109 @@ class DbmsInstance:
             txn.escalated_pages.add(page_id)
             self.stats.incr(LOCK_ESCALATIONS)
 
-    def _lock(self, txn: Transaction, resource, mode: LockMode) -> None:
-        if self.lock_retry is None:
-            status = self.complex.lock(self, txn.txn_id, resource, mode)
-            if status is LockStatus.WAITING:
-                raise LockWouldBlock(txn.txn_id, resource)
-            return
-
-        def attempt() -> None:
-            status = self.complex.lock(self, txn.txn_id, resource, mode)
-            if status is LockStatus.WAITING:
-                raise LockWouldBlock(txn.txn_id, resource)
-
-        def note_retry(_attempt: int) -> None:
-            self.stats.incr(LOCK_RETRIES)
-
-        try:
-            run_with_lock_retry(self.lock_retry, attempt,
-                                on_retry=note_retry)
-        except LockTimeoutError:
-            self.stats.incr(LOCK_RETRY_TIMEOUTS)
-            raise
-
-    def _access(self, page_id: int, for_update: bool) -> Page:
+    def _fix(self, page_id: int, for_update: bool) -> Page:
+        """Fix a page in this pool through the coherency layer."""
         if self.crashed:
             raise self._down_error()
         return self.complex.coherency.access(self, page_id, for_update)
 
-    def _down_error(self) -> ReproError:
-        """The error every entry point raises while ``crashed`` (they
-        test the flag inline: the checks run several times per op)."""
-        return ReproError(f"system {self.system_id} is down")
+    def _unfix(self, page_id: int) -> None:
+        self.pool.unfix(page_id)
 
-    def _check_writable(self) -> None:
-        """Reject log-appending operations while in degraded mode.
+    def _install_new_page(self, page: Page, addr: LogAddress) -> None:
+        """Install a freshly formatted page as dirty in the pool, with
+        its format record (at ``addr``) as the page's RecAddr."""
+        page_id = page.page_id
+        if self.pool.contains(page_id):
+            # A stale cached copy of the dead page may linger, even
+            # dirty; its content is moot once deallocated.
+            self.pool.drop_page(page_id, allow_dirty=True)
+        self.pool.install_page(page, dirty=False)
+        # note_update performs the clean->dirty transition so the
+        # format record becomes the page's RecAddr.
+        self.pool.note_update(page_id, page.page_lsn, addr.offset,
+                              self.log.end_offset)
+        self.pool.unfix(page_id)
+        self.complex.coherency.note_new_page(self, page_id)
 
-        Reads, and the commit of a transaction that only read, are
-        deliberately *not* gated: a log-device failure leaves stable
-        state intact, so serving committed data read-only is safe —
-        that is the whole point of degrading instead of failing.
+    def _note_page_update(self, page_id: int, lsn: Lsn,
+                          addr: LogAddress) -> int:
+        """Place the update's LSN and log address in the page's BCB."""
+        self.pool.note_update(page_id, lsn, addr.offset, self.log.end_offset)
+        return addr.offset
+
+    def _log_commit(self, txn: Transaction) -> None:
+        """COMMIT now; END follows once the commit is durable."""
+        commit = LogRecord(kind=RecordKind.COMMIT, txn_id=txn.txn_id,
+                           prev_lsn=txn.last_lsn)
+        self.log.append(commit)
+        txn.note_logged(commit.lsn, 0, undoable=False)
+
+    def _make_durable(self, txn: Optional[Transaction]) -> None:
+        """Force the log, run the replication commit point for every
+        newly durable commit, then acknowledge ``txn`` (the eager
+        committer, None for a group-commit sync).
+
+        An injected ``fail`` at the ``log.force`` point means the
+        commit record never reached stable storage: the commit is *not*
+        acknowledged (the caller sees :class:`DegradedModeError`), the
+        instance flips to read-only degraded mode, and the rest of the
+        complex keeps running.  Crash-flavoured injections propagate
+        untouched — they are the campaign's kill signal, not a device
+        error.
         """
-        if self.crashed:
-            raise self._down_error()
-        if self.degraded:
-            self.stats.incr(DEGRADED_REJECTIONS)
+        injector = self.injector
+        if txn is not None and injector.enabled:
+            injector.fire(fp.COMMIT_PRE_FORCE, system=self.system_id,
+                          txn=txn.txn_id)
+        try:
+            self.log.force()
+        except FaultInjectedError as exc:
+            if exc.action != FAIL:
+                raise
+            self._enter_degraded("log device failure")
             raise DegradedModeError(
-                f"system {self.system_id} is read-only (degraded)"
-            )
+                f"system {self.system_id}: commit not durable, "
+                f"log device failed"
+            ) from exc
+        if txn is not None and injector.enabled:
+            injector.fire(fp.COMMIT_POST_FORCE, system=self.system_id,
+                          txn=txn.txn_id)
+        replication = self.complex.replication
+        if replication.enabled:
+            # The commit point of the configured write-ack level: ship
+            # the stable stream and wait for standby acks before the
+            # commit is acknowledged.  The local force above already
+            # made it locally durable, so a missed ack degrades rather
+            # than rolls back.
+            durable = self._pending_commits
+            if txn is not None:
+                durable = [txn] + durable
+            for each in durable:
+                replication.on_commit(self.system_id, each.txn_id,
+                                      each.last_lsn)
+        if txn is not None:
+            self._finish_commit(txn)
 
+    def _end(self, txn: Transaction) -> None:
+        """Write END (only a transaction that logged something has a
+        chain to close), release the locks, forget the transaction."""
+        if txn.is_update_transaction():
+            end = LogRecord(kind=RecordKind.END, txn_id=txn.txn_id,
+                            prev_lsn=txn.last_lsn)
+            self.log.append(end)
+        self.complex.release_txn_locks(self, txn.txn_id)
+        self.txns.end(txn)
+
+    def _undo_records(
+            self, txn: Transaction) -> Callable[[UndoEntry], LogRecord]:
+        """Undo reads each record back from the local log by offset."""
+        read_record_at = self.log.read_record_at
+        return lambda entry: read_record_at(entry.offset)
+
+    # ------------------------------------------------------------------
+    # degraded mode
+    # ------------------------------------------------------------------
     def _enter_degraded(self, reason: str) -> None:
         if self.degraded:
             return
@@ -940,24 +573,6 @@ class DbmsInstance:
         if self.tracer.enabled:
             self.tracer.emit(ev.DEGRADED_ENTER, system=self.system_id,
                              reason=reason)
-
-    def _check_active(self, txn: Transaction) -> None:
-        if self.crashed:
-            raise self._down_error()
-        if txn.state is not TxnState.ACTIVE:
-            raise ReproError(
-                f"txn {txn.txn_id} is {txn.state.value}, not active"
-            )
-
-    def fix_page(self, page_id: int, for_update: bool = False) -> Page:
-        """Fix a page through the coherency layer (public accessor for
-        access methods like the B-tree that need page-level traversal).
-        Pair with :meth:`unfix_page`."""
-        return self._access(page_id, for_update)
-
-    def unfix_page(self, page_id: int) -> None:
-        """Release a pin taken by :meth:`fix_page`."""
-        self.pool.unfix(page_id)
 
     def write_filler(self, n_records: int, payload_bytes: int = 64) -> None:
         """Grow this system's log without touching the database.

@@ -229,35 +229,30 @@ def run_interleaved_sd(
                             _execute_sd_op, max_concurrent, between_txns)
 
 
-def _make_cs_executor(commit_lsn_service):
-    def _execute(client, txn, op: Op, result: RunResult) -> None:
-        if op.kind is OpKind.READ:
-            client.read(txn, op.page_id, op.slot,
-                        use_commit_lsn=op.use_commit_lsn,
-                        commit_lsn_service=commit_lsn_service)
-            result.reads += 1
-        elif op.kind is OpKind.UPDATE:
-            client.update(txn, op.page_id, op.slot, op.payload)
-            result.updates += 1
-        elif op.kind is OpKind.INSERT:
-            client.insert(txn, op.page_id, op.payload)
-            result.updates += 1
-        elif op.kind is OpKind.FILLER:
-            for _ in range(op.filler_records):
-                # Clients have no filler path in the log; model unrelated
-                # work as extra LSN consumption via a scratch record.
-                client.log.local_max_lsn += 1
-    return _execute
+def _execute_cs_op(client, txn, op: Op, result: RunResult) -> None:
+    if op.kind is OpKind.READ:
+        client.read(txn, op.page_id, op.slot,
+                    use_commit_lsn=op.use_commit_lsn)
+        result.reads += 1
+    elif op.kind is OpKind.UPDATE:
+        client.update(txn, op.page_id, op.slot, op.payload)
+        result.updates += 1
+    elif op.kind is OpKind.INSERT:
+        client.insert(txn, op.page_id, op.payload)
+        result.updates += 1
+    elif op.kind is OpKind.FILLER:
+        for _ in range(op.filler_records):
+            # Clients have no filler path in the log; model unrelated
+            # work as extra LSN consumption via a scratch record.
+            client.log.local_max_lsn += 1
 
 
 def run_interleaved_cs(
     clients: Sequence,
     scripts: Sequence[TxnScript],
-    commit_lsn_service=None,
     max_concurrent: int = 4,
     between_txns: Optional[Callable] = None,
 ) -> RunResult:
     """Drive transaction scripts against CS clients, interleaved."""
-    return _run_interleaved(clients, scripts, RunResult(),
-                            _make_cs_executor(commit_lsn_service),
+    return _run_interleaved(clients, scripts, RunResult(), _execute_cs_op,
                             max_concurrent, between_txns)

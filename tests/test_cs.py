@@ -293,12 +293,27 @@ class TestCommitLsnInCs:
         cs.broadcast_max_lsns()
         locks_before = cs.stats.get(LOCK_REQUESTS)
         txn = c2.begin()
-        value = c2.read(txn, page_id, slot, use_commit_lsn=True,
-                        commit_lsn_service=cs.commit_lsn)
+        value = c2.read(txn, page_id, slot, use_commit_lsn=True)
         c2.commit(txn)
         assert value == b"data"
         assert cs.stats.get(COMMIT_LSN_HITS) == 1
         assert cs.stats.get(LOCK_REQUESTS) == locks_before
+
+    def test_reader_on_a_bare_server_finds_its_service(self):
+        """``read(..., use_commit_lsn=True)`` needs no service argument:
+        the server's Commit_LSN covers every attached client, as an SD
+        complex's covers its instances."""
+        from repro.common.stats import LOCK_REQUESTS
+        from repro.cs.client import CsClient
+        from repro.cs.server import CsServer
+        server = CsServer(n_data_pages=64)
+        writer, reader = CsClient(1, server), CsClient(2, server)
+        page_id, slot = committed_row(writer, b"data")
+        txn = reader.begin()
+        before = server.stats.snapshot()
+        assert reader.read(txn, page_id, slot, use_commit_lsn=True) == b"data"
+        assert server.stats.diff(before).get(LOCK_REQUESTS, 0) == 0
+        reader.commit(txn)
 
 
 class TestCsReallocStaleCopies:

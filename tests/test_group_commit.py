@@ -3,12 +3,14 @@
 import pytest
 
 from repro import CsSystem, SDComplex
-from repro.common.errors import LockWouldBlock, ReproError
+from repro.common.errors import DegradedModeError, LockWouldBlock, ReproError
 from repro.common.stats import (
     LOG_FORCES,
     LOG_RECORDS_WRITTEN,
     message_kind_counter,
 )
+from repro.faults import points as fp
+from repro.faults.injector import FaultInjector, FaultPlan
 from repro.txn.transaction import TxnState
 from repro.wal.records import RecordKind
 
@@ -242,14 +244,14 @@ class TestCsGroupCommit:
 # a lazily committed transaction has left ACTIVE; one that logged
 # nothing commits (lazily or not) and rolls back at zero log cost
 # ----------------------------------------------------------------------
-def sd_engine():
-    sd = SDComplex(n_data_pages=256)
+def sd_engine(injector=None):
+    sd = SDComplex(n_data_pages=256, injector=injector)
     s1 = sd.add_instance(1)
     return sd, s1, s1.log
 
 
-def cs_engine():
-    cs = CsSystem(n_data_pages=256)
+def cs_engine(injector=None):
+    cs = CsSystem(n_data_pages=256, injector=injector)
     c1 = cs.add_client(1)
     return cs, c1, cs.server.log
 
@@ -266,6 +268,9 @@ ENTRY_POINTS = {
     "commit": lambda e, t, page, slot: e.commit(t, lazy=True),
     "rollback": lambda e, t, page, slot: e.rollback(t),
     "set_savepoint": lambda e, t, page, slot: e.set_savepoint(t, "late"),
+    "read": lambda e, t, page, slot: e.read(t, page, slot),
+    "allocate_page": lambda e, t, page, slot: e.allocate_page(t),
+    "deallocate_page": lambda e, t, page, slot: e.deallocate_page(t, page),
 }
 
 
@@ -362,3 +367,25 @@ class TestReadOnlyTransactions:
         assert engine.txns.active_count() == 2
         assert engine.sync_commits() == 2
         assert system.stats.get(LOG_FORCES) == forces_before + 1
+
+
+class TestSyncUnderLogDeviceFailure:
+    @pytest.mark.parametrize("arch", sorted(ARCHS))
+    def test_failed_force_degrades_and_keeps_the_batch_pending(self, arch):
+        """A group-commit sync reaches the same force-or-degrade step
+        as an eager commit: a failed force degrades the node that owns
+        the log, and nothing in the batch is acknowledged."""
+        injector = FaultInjector(FaultPlan(seed=0))
+        system, engine, _ = ARCHS[arch](injector)
+        page_id, slot = committed_row(engine)
+        txn = engine.begin()
+        engine.update(txn, page_id, slot, b"lazy")
+        engine.commit(txn, lazy=True)
+        injector.plan.at(fp.LOG_FORCE).on_hit(
+            injector.hit_count(fp.LOG_FORCE) + 1).fail()
+        with pytest.raises(DegradedModeError):
+            engine.sync_commits()
+        log_owner = engine if arch == "sd" else system.server
+        assert log_owner.degraded
+        assert txn.state is TxnState.COMMITTED
+        assert txn in list(engine.txns.active())

@@ -23,6 +23,7 @@ from repro.common.stats import (
     LOG_BYTES_WRITTEN,
     LOG_FORCES,
     LOG_RECORDS_WRITTEN,
+    MESSAGE_BYTES,
     MESSAGES_SENT,
     message_kind_counter,
 )
@@ -37,6 +38,10 @@ PAYLOAD_BYTES = 64
 #: ~185 after it on CPython 3.11.  The ceiling leaves room for the
 #: frame-accounting differences between 3.10 and 3.12.
 CALL_CEILING = 230
+#: The same transaction on a CS client: 217 before SD and CS shared one
+#: transaction front end, 207 after it on CPython 3.11; the same slack
+#: as CALL_CEILING.
+CS_CALL_CEILING = 250
 #: The same transaction with ``ReplicationConfig()`` and two standbys:
 #: 491 before the ship-path diet, 340 after it on CPython 3.11.
 REPLICATED_CALL_CEILING = 370
@@ -136,6 +141,48 @@ class TestCanonicalTransaction:
             LOG_BYTES_WRITTEN: TXN_LOG_BYTES,
             LOG_FORCES: 1,
         }
+
+
+class TestCsCanonicalTransaction:
+    """The same transaction on one client of a CS system: the log work
+    moves to the server's single log, and every lock is a round trip."""
+
+    @staticmethod
+    def _steady():
+        cs = CsSystem(n_data_pages=64)
+        client = cs.add_client(1)
+        rows = _load_rows(client)
+        for i in range(20):
+            _canonical_txn(client, rows, i)
+        return cs, client, rows
+
+    def test_logical_work_is_pinned(self):
+        cs, client, rows = self._steady()
+        before = cs.stats.snapshot()
+        _canonical_txn(client, rows, 20)
+        work = cs.stats.diff(before)
+        assert work == {
+            # one record lock per op; the readers' go back at once
+            LOCK_REQUESTS: 4,
+            message_kind_counter("lock_request"): 4,
+            message_kind_counter("lock_reply"): 4,
+            message_kind_counter("unlock"): 2,
+            # 2 updates, COMMIT and END: one ship, one server force
+            LOG_RECORDS_WRITTEN: 4,
+            LOG_BYTES_WRITTEN: TXN_LOG_BYTES,
+            LOG_FORCES: 1,
+            message_kind_counter("log_ship"): 1,
+            message_kind_counter("commit_ack"): 1,
+            MESSAGES_SENT: 12,
+            MESSAGE_BYTES: 1096,
+        }
+
+    def test_interpreted_calls_within_budget(self):
+        _, client, rows = self._steady()
+        calls = _count_calls(_canonical_txn, client, rows, 20)
+        assert calls <= CS_CALL_CEILING, (
+            f"{calls} interpreted calls per CS 4-op transaction "
+            f"(budget {CS_CALL_CEILING})")
 
 
 class TestReplicatedCanonicalTransaction:

@@ -107,8 +107,7 @@ class TestDrivers:
         handles = populate_pages(clients[0], 4, 4)
         cfg = WorkloadConfig(n_transactions=10, ops_per_txn=3, seed=3)
         scripts = build_scripts(cfg, 2, handles)
-        result = run_interleaved_cs(clients, scripts,
-                                    commit_lsn_service=cs.commit_lsn)
+        result = run_interleaved_cs(clients, scripts)
         assert result.committed == 10
 
     def test_hot_page_contention_generates_retries(self):

@@ -124,17 +124,20 @@ span_trace_smoke() {
     return "${status}"
 }
 
-# Perf-lab smoke: one epoch of both restart schedules of the shared
-# redo kernel (eager, instant), the replicated-commit and
-# client-server workloads, and of the two per-call lanes
-# (sd-percall-fit, sd-shared-2sys), with their full oracle (every read
-# checked, every record read back from disk, standby images, durability
-# after each crash cycle).  A non-zero exit or "correct": false on the
-# result line fails the stage; timings are not gated here.
+# Perf-lab smoke: one epoch of all eight workloads — both restart
+# schedules of the shared redo kernel (eager, instant), the
+# replicated-commit and client-server workloads, the per-call lane in
+# and out of the pool (sd-percall-fit, sd-percall-miss), the bulk lane
+# (sd-bulk-miss) and two sharing systems (sd-shared-2sys) — with their
+# full oracle (every read checked, every record read back from disk,
+# standby images, durability after each crash cycle).  A non-zero exit
+# or "correct": false on the result line fails the stage; timings are
+# not gated here.
 perflab_smoke() {
     local workload result
     for workload in restart-eager restart-instant repl-quorum-2sb \
-            cs-commit-2cl sd-percall-fit sd-shared-2sys; do
+            cs-commit-2cl sd-percall-fit sd-percall-miss sd-bulk-miss \
+            sd-shared-2sys; do
         result="$(python benchmarks/perflab/run.py --workload "${workload}" \
             --seed 1992 --epochs 1 --trace 0 | tail -n 1)" || return 1
         case "${result}" in
