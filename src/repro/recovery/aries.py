@@ -78,12 +78,12 @@ def restart_recovery(instance, fix_page=None, unfix_page=None,
     Redo replays per-page chains straight against the shared disk
     (:mod:`repro.recovery.redo`), in ascending page id; the pool only
     sees the pages undo touches.  The chains come from the failed
-    system's log alone (medium scheme, CS server, standby promote)
-    unless the caller passes ``plan``: under the fast transfer scheme a
-    page lost with the failed buffers may carry several systems'
-    updates, so the caller's plan replays the **merged** local logs
-    ([MoNa91]; the paper's Section 5) and the run is labelled
-    ``"fast"``.
+    system's log alone (medium scheme, CS server) unless the caller
+    passes ``plan``: under the fast transfer scheme a page lost with
+    the failed buffers may carry several systems' updates, and so may
+    a promoted standby's page whose unapplied chain spans replica logs,
+    so the caller's plan replays the **merged** logs ([MoNa91]; the
+    paper's Sections 3.2.2 and 5) and the run is labelled ``"fast"``.
 
     ``fix_page``/``unfix_page`` override how the **undo** pass reaches
     pages.  In the multi-system architectures they must go through the

@@ -15,7 +15,7 @@ pieces they share:
   chain sources: one log bounded by the dirty page table's RecAddr
   (medium transfer scheme, CS server, CS client recovery), or the
   LSN-merged local logs filtered to a target set (fast scheme, media
-  recovery, reconstruction behind a crashed owner).
+  recovery, reconstruction behind a crashed owner, standby promote).
 * :func:`replay_to_disk` — one chain against the shared disk: eager
   restart runs it over every page in ascending page id, instant
   restart on first touch or from the sweeper.

@@ -89,7 +89,12 @@ _Pending = Tuple[int, int, bytes, int, int]
 
 
 class ReplicationConfig:
-    """Tuning knobs for one primary's log shipping."""
+    """Tuning knobs for one primary's log shipping.
+
+    ``window_records`` bounds the unshipped stable tail in ``local``
+    mode and, on every standby, the records absorbed but unforced and
+    the page records waiting to be applied.
+    """
 
     def __init__(
         self,
@@ -278,7 +283,10 @@ class ReplicationManager(NullReplication):
             # bounded by window_records.
             self._flush(limit=self.config.window_records)
             satisfied = True
-            self._note_link_health()
+            for link in self._by_id:
+                # No vote is awaited: only a lost link is behind.
+                if link.degraded == link.connected:
+                    self._set_degraded(link, not link.connected)
         else:
             votes = self._votes_needed()
             self._flush(limit=0, forcing=votes)
@@ -300,7 +308,8 @@ class ReplicationManager(NullReplication):
         The between-commits pump (benchmarks call it to simulate an
         idle-time shipper tick; ``local`` mode relies on it to keep lag
         near zero when commits are sparse).  It leaves every connected
-        standby forced and applied through the last record shipped.
+        standby forced, applied and written back through the last
+        record shipped, so its disk is current.
         """
         self._collect()
         shipped = len(self._pending)
@@ -309,6 +318,10 @@ class ReplicationManager(NullReplication):
         for link in self._by_id:
             if link.connected and link.durable != self._shipped_lsn:
                 self._ack(link, force=True)
+            # A lost ack leaves the standby as it is: nothing unforced
+            # may be applied, let alone written back.
+            if link.connected and link.durable == self._shipped_lsn:
+                link.standby.harden(write_back=True)
         return shipped
 
     # ------------------------------------------------------------------
@@ -327,8 +340,13 @@ class ReplicationManager(NullReplication):
                 offsets[source_id] = start + len(data)
                 windows.append([(lsn, source_id, data, begin, end)
                                 for lsn, begin, end in record_spans(data)])
-        # (lsn, source) is unique, so the merge never compares further.
-        self._pending.extend(heapq.merge(*windows))
+        if len(windows) == 1:
+            # One log moved (every commit's case): already in order.
+            self._pending.extend(windows[0])
+        elif windows:
+            # (lsn, source) is unique, so the merge never compares
+            # further.
+            self._pending.extend(heapq.merge(*windows))
 
     def _flush(self, limit: int, forcing: int = 0) -> None:
         """Ship pending records until at most ``limit`` remain.
@@ -345,21 +363,21 @@ class ReplicationManager(NullReplication):
         while len(pending) > limit:
             # One item per run: records adjacent in merged order that
             # come from the same stable window are adjacent in it.
-            runs: List[List] = []
-            run_data = None
-            records = nbytes = 0
+            batch: List[ShipItem] = []
+            run_source = run_begin = run_end = records = nbytes = 0
+            run_data = b""
             while pending and records < batch_records:
                 lsn, source_id, data, begin, end = pending.popleft()
-                if data is run_data:
-                    runs[-1][3] = end
-                else:
-                    runs.append([source_id, data, begin, end])
-                    run_data = data
+                if data is not run_data:
+                    if records:
+                        batch.append(
+                            (run_source, run_data[run_begin:run_end]))
+                    run_source, run_data, run_begin = source_id, data, begin
+                run_end = end
                 records += 1
                 nbytes += end - begin
                 shipped_lsn[source_id] = lsn
-            batch = [(source_id, data[begin:end])
-                     for source_id, data, begin, end in runs]
+            batch.append((run_source, run_data[run_begin:run_end]))
             last = len(pending) <= limit
             for position, link in enumerate(links):
                 if link.connected:
@@ -472,54 +490,43 @@ class ReplicationManager(NullReplication):
         """
         holders = 0
         for link in self._by_id:
-            if not link.connected:
-                continue
-            if holders < votes:
-                if link.durable.get(system, 0) < commit_lsn:
-                    self._ack(link, force=True)
-            elif link.absorbed.get(system, 0) < commit_lsn:
-                self._ack(link)
-            if link.durable.get(system, 0) >= commit_lsn:
-                holders += 1
-        self._note_link_health(system, commit_lsn)
+            # Health is judged on what a standby *holds*: one that
+            # absorbed the commit record without forcing it is a
+            # laggard by design.
+            behind = True
+            if link.connected:
+                if holders < votes:
+                    if link.durable.get(system, 0) < commit_lsn:
+                        self._ack(link, force=True)
+                elif link.absorbed.get(system, 0) < commit_lsn:
+                    self._ack(link)
+                if link.durable.get(system, 0) >= commit_lsn:
+                    holders += 1
+                behind = link.absorbed.get(system, 0) < commit_lsn
+            if behind != link.degraded:
+                self._set_degraded(link, behind)
         return holders >= votes
 
-    def _note_link_health(self, system: int = 0,
-                          commit_lsn: int = 0) -> None:
-        """Flip per-standby ack-degraded state and emit the events.
-
-        Health is judged on what a standby *holds*: one that absorbed
-        the commit record without forcing it is a laggard by design.
-        """
-        for link in self._by_id:
-            behind = (not link.connected
-                      or link.absorbed.get(system, 0) < commit_lsn)
-            if behind and not link.degraded:
-                link.degraded = True
-                self.stats.incr(REPL_DEGRADED_ENTRIES)
-                if self.tracer.enabled:
-                    reason = ("disconnected" if not link.connected
-                              else "ack behind commit")
-                    self.tracer.emit(
-                        ev.REPL_DEGRADED_ENTER, system=0,
-                        standby=link.system_id, reason=reason,
-                    )
-            elif not behind and link.degraded:
-                link.degraded = False
-                if self.tracer.enabled:
-                    self.tracer.emit(ev.REPL_DEGRADED_EXIT, system=0,
-                                     standby=link.system_id)
-
-    def _disconnect(self, link: _StandbyLink, reason: str) -> None:
-        if not link.connected:
-            return
-        link.connected = False
-        if not link.degraded:
-            link.degraded = True
+    def _set_degraded(self, link: _StandbyLink, degraded: bool,
+                      reason: str = "") -> None:
+        """Flip one standby's ack-degraded state and emit the event."""
+        link.degraded = degraded
+        if degraded:
             self.stats.incr(REPL_DEGRADED_ENTRIES)
             if self.tracer.enabled:
+                reason = reason or ("disconnected" if not link.connected
+                                    else "ack behind commit")
                 self.tracer.emit(ev.REPL_DEGRADED_ENTER, system=0,
                                  standby=link.system_id, reason=reason)
+        elif self.tracer.enabled:
+            self.tracer.emit(ev.REPL_DEGRADED_EXIT, system=0,
+                             standby=link.system_id)
+
+    def _disconnect(self, link: _StandbyLink, reason: str) -> None:
+        if link.connected:
+            link.connected = False
+            if not link.degraded:
+                self._set_degraded(link, True, reason)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -3,26 +3,35 @@
 A :class:`StandbyComplex` owns its own disk (same geometry as the
 primary, space maps formatted by the same volume-initialisation step)
 and one **replica log** per primary instance.  A shipped record passes
-through three states, in this order and never another:
+through four states, in this order and never another:
 
 * **absorbed** — appended verbatim to its source's replica log
   (:meth:`~repro.wal.log_manager.LogManager.append_parsed`, the
-  Section 3.1 "append them, as they are" discipline);
+  Section 3.1 "append them, as they are" discipline).  Only the
+  headers are read (:func:`~repro.wal.records.record_spans`, for the
+  duplicate screen and the log's LSN); a record is parsed only if it
+  can carry a page, and COMMIT/ABORT/END never are;
 * **durable** — that replica log forced.  The shipper asks for the
   force where the ack level needs this standby's vote; otherwise the
   standby forces by itself once ``window_records`` records are
   absorbed and unforced, so what a crash can take stays bounded;
 * **applied** — page-oriented records replayed through the standard
-  redo test ``record.LSN > page_LSN`` (Section 3.2.1) against the
-  standby's disk, as per-page chains: one read and one write per page
-  however many records of the window touch it.
+  redo test ``record.LSN > page_LSN`` (Section 3.2.1), as per-page
+  chains, against a page cache of at most
+  :data:`~repro.common.config.DEFAULT_BUFFER_POOL_PAGES` pages.  Chains
+  accumulate until ``window_records`` page records wait (checked at
+  each force) or :meth:`harden` is asked to write back, so an ack
+  never waits for an apply;
+* **written back** — a dirty cached page reaches the standby's disk
+  when it is evicted, or, for every dirty page in one
+  ``write_many``, when the shipper drains or the standby is promoted.
 
-Log, force, apply is write-ahead logging on the standby: no page
-reaches its disk ahead of the log record that would undo it at
-promotion.  The apply step *is* restart recovery's redo pass run as a
-steady state, so the standby emits the same ``RECOVERY_REDO`` /
-``RECOVERY_SKIP`` events and stays under the trace checker's
-redo-screening invariant.
+Log, force, apply is write-ahead logging on the standby: only forced
+records are ever applied, so no cached image holds a change its replica
+log could lose, and write-back needs no log force.  The apply step *is*
+restart recovery's redo pass run as a steady state, so the standby
+emits the same ``RECOVERY_REDO`` / ``RECOVERY_SKIP`` events and stays
+under the trace checker's redo-screening invariant.
 
 Records arrive in the primary's merged LSN order, which is sufficient:
 per-page LSNs are strictly increasing across the complex (invariant
@@ -30,11 +39,13 @@ I1), so each page's chain is in increasing-LSN order, and chains of
 different pages commute.
 
 :meth:`promote` is failover: an optional final catch-up from whatever
-stable primary logs survived, then ARIES restart recovery *per replica
-log* (redo is a no-op thanks to continuous apply; undo compensates the
-in-flight transactions the dead primary left behind), and finally a
-fresh writable :class:`~repro.sd.complex.SDComplex` is built over the
-standby's disk with its Lamport clock seeded above every applied LSN.
+stable primary logs survived, then ARIES restart recovery per replica
+log whose redo replays the **merged** replica logs (Section 3.2.2: a
+page's durable-but-unapplied chain may span sources, and only the LSN
+merge orders it), undo compensating the in-flight transactions the
+dead primary left behind; finally a fresh writable
+:class:`~repro.sd.complex.SDComplex` is built over the standby's disk
+with its Lamport clock seeded above every applied LSN.
 """
 
 from __future__ import annotations
@@ -53,11 +64,11 @@ from repro.faults import points as fp
 from repro.faults.injector import NullFaultInjector
 from repro.obs import events as ev
 from repro.obs.tracer import NullTracer
-from repro.recovery.redo import redo_chain
+from repro.recovery.redo import collect_merged_redo, redo_chain
 from repro.storage.disk import SharedDisk
 from repro.storage.page import Page, PageType
 from repro.wal.log_manager import LogManager
-from repro.wal.records import NO_PAGE, LogRecord
+from repro.wal.records import CONTROL_KINDS, NO_PAGE, LogRecord, record_spans
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sd.complex import SDComplex
@@ -98,9 +109,16 @@ class StandbyComplex:
         self.tracer = tracer if tracer is not None else primary.tracer
         self.injector = (injector if injector is not None
                          else primary.injector)
-        self.disk = SharedDisk(capacity=primary.disk.capacity,
-                               stats=self.stats, tracer=self.tracer,
-                               injector=self.injector)
+        #: The applied page images over the standby's volume.  Only
+        #: forced records are ever applied, so writing one back never
+        #: needs a log force: the pool's own log stays empty and its
+        #: WAL forcing is off.
+        self._cache = BufferPool(
+            SharedDisk(capacity=primary.disk.capacity, stats=self.stats,
+                       tracer=self.tracer, injector=self.injector),
+            LogManager(system_id, stats=self.stats, tracer=self.tracer,
+                       injector=self.injector),
+            enforce_wal=False, tracer=self.tracer, injector=self.injector)
         self._format_space_maps(primary)
         #: One replica log per primary instance, keyed by source id.
         self._replica_logs: Dict[int, LogManager] = {}
@@ -109,7 +127,9 @@ class StandbyComplex:
         #: and highest LSN forced per source — what an ack carries.
         #: Per source because only *within* one local log do LSNs
         #: order the stream: a log forced late ships LSNs below what
-        #: another log's records already reached here.
+        #: another log's records already reached here.  Both dicts are
+        #: replaced, never changed in place, so an ack can hand them
+        #: out as they are.
         self._last_lsn: Dict[int, int] = {}
         self._durable_lsn: Dict[int, int] = {}
         #: Records absorbed since the last force, and the bound at
@@ -117,9 +137,19 @@ class StandbyComplex:
         self._unforced = 0
         self._window_records = primary.replication.config.window_records
         #: Absorbed page-oriented records not yet applied, one chain
-        #: per page in arrival (= LSN) order.
+        #: per page in arrival (= LSN) order, and how many they are.
         self._unapplied: Dict[int, List[LogRecord]] = {}
+        self._unapplied_records = 0
         self.promoted = False
+
+    @property
+    def disk(self) -> SharedDisk:
+        """The standby's volume, which its page cache writes back to."""
+        return self._cache.disk
+
+    @disk.setter
+    def disk(self, disk: SharedDisk) -> None:
+        self._cache.disk = disk
 
     @property
     def absorbed_lsn(self) -> Lsn:
@@ -138,8 +168,8 @@ class StandbyComplex:
 
     def progress(self) -> Tuple[Dict[int, int], Dict[int, int]]:
         """What an ack carries: per source, the highest LSN absorbed
-        and the highest LSN forced."""
-        return dict(self._last_lsn), dict(self._durable_lsn)
+        and the highest LSN forced (snapshots; do not mutate)."""
+        return self._last_lsn, self._durable_lsn
 
     def _format_space_maps(self, primary: "SDComplex") -> None:
         """Run the volume-initialisation step the primary ran.
@@ -188,18 +218,17 @@ class StandbyComplex:
         """Absorb one shipped batch; returns records newly absorbed.
 
         Each item is ``(source system id, serialized records)`` — one
-        run of one source's log, parsed once and appended in one piece.
-        ``force`` is the shipper saying this standby's vote is needed:
-        the replica logs are forced and the durable records applied
-        before returning.  Without it the batch is only absorbed,
-        unless that fills the unforced window.
+        run of one source's log, appended in one piece.  ``force`` is
+        the shipper saying this standby's vote is needed: the replica
+        logs are forced before returning.  Without it the batch is only
+        absorbed, unless that fills the unforced window.
         """
-        items = list(batch)
         if self.injector.enabled:
+            batch = list(batch)
             self.injector.fire(fp.REPL_APPLY, system=self.system_id,
-                               standby=self.system_id, items=len(items))
+                               standby=self.system_id, items=len(batch))
         absorbed = 0
-        for source_id, data in items:
+        for source_id, data in batch:
             absorbed += self._absorb(source_id, data)
         self._unforced += absorbed
         if force or self._unforced >= self._window_records:
@@ -208,60 +237,71 @@ class StandbyComplex:
 
     def _absorb(self, source_id: int, data: bytes) -> int:
         """Append the new records of one run to its replica log."""
-        # Safe to screen by LSN alone: one source's local log is
-        # strictly increasing in LSN (the USN rule), so the duplicates
-        # of a re-shipped run are a prefix of it.
+        spans = record_spans(data)
         last = self._last_lsn.get(source_id, 0)
+        if spans and spans[0][0] <= last:
+            # A re-ship.  Safe to screen by LSN alone: one source's
+            # local log is strictly increasing in LSN (the USN rule).
+            spans = [span for span in spans if span[0] > last]
+        if not spans:
+            return 0
         unapplied = self._unapplied
-        fresh_from = -1
-        count = 0
-        for offset, record in LogRecord.parse_stream(data):
-            if record.lsn <= last:
-                continue  # duplicate re-ship
-            if fresh_from < 0:
-                fresh_from = offset
-            count += 1
-            last = record.lsn
+        pages = 0
+        for _, begin, _ in spans:
+            if data[begin] in CONTROL_KINDS:
+                continue
+            record = LogRecord.from_bytes(data, begin)[0]
             page_id = record.page_id
             if page_id != NO_PAGE:
+                pages += 1
                 chain = unapplied.get(page_id)
                 if chain is None:
                     unapplied[page_id] = [record]
                 else:
                     chain.append(record)
-        if count:
-            # Verbatim, and parsed only here: the shipped bytes go into
-            # the replica log as they are.
-            self._replica_log(source_id).append_parsed(
-                data[fresh_from:], last)
-            self._last_lsn[source_id] = last
-        return count
+        self._unapplied_records += pages
+        # The run's last record carries its highest LSN.
+        last = spans[-1][0]
+        start = spans[0][1]
+        self._replica_log(source_id).append_parsed(
+            data[start:] if start else data, last)
+        self._last_lsn = {**self._last_lsn, source_id: last}
+        return len(spans)
 
-    def harden(self) -> None:
-        """Force every replica log, then apply what that made durable.
+    def harden(self, write_back: bool = False) -> None:
+        """Force every replica log, then apply what that made durable
+        once ``window_records`` page records wait for it.
 
-        The order is the point (log, force, apply); a failed force
-        leaves every page of the window unwritten.
+        With ``write_back`` (drain, promote) every chain is applied and
+        every dirty cached page written to disk.  The order is the
+        point (log, force, apply); a failed force leaves every page of
+        the window unapplied.
         """
         for log in self._replica_logs.values():
             log.force()
         self._unforced = 0
-        self._durable_lsn.update(self._last_lsn)
-        unapplied = self._unapplied
-        while unapplied:
-            page_id = next(iter(unapplied))
-            self._apply_chain(page_id, unapplied[page_id])
-            del unapplied[page_id]
+        self._durable_lsn = self._last_lsn
+        if write_back or self._unapplied_records >= self._window_records:
+            unapplied = self._unapplied
+            while unapplied:
+                page_id = next(iter(unapplied))
+                self._apply_chain(page_id, unapplied[page_id])
+                del unapplied[page_id]
+            self._unapplied_records = 0
+        if write_back:
+            self._cache.flush_all()
 
     def _apply_chain(self, page_id: int, records: List[LogRecord]) -> None:
         """The standing redo pass: one page's chain against its image."""
-        page = self.disk.read_page(page_id)
-        outcome = redo_chain(page, records)
+        cache = self._cache
+        outcome = redo_chain(cache.fix(page_id), records)
+        cache.unfix(page_id)
         redone = 0
         for applied, _ in outcome:
             redone += applied
         if redone:
-            self.disk.write_page(page)
+            # Dirty, with no WAL boundary: the records are forced.
+            cache.note_update(page_id, records[0].lsn, 0, 0)
             self.stats.incr(REPL_RECORDS_APPLIED, redone)
         if redone < len(outcome):
             self.stats.incr(REPL_APPLY_SKIPPED, len(outcome) - redone)
@@ -281,20 +321,23 @@ class StandbyComplex:
                     )
 
     def crash(self) -> None:
-        """Lose the volatile state: every replica log's unforced tail
-        and every record absorbed but not yet applied.
+        """Lose the volatile state: every replica log's unforced tail,
+        every record absorbed but not yet applied and the page cache.
 
         What remains is what the durable LSNs promised.  The next
         step for a crashed standby is :meth:`promote`, whose restart
-        redo over the replica logs re-applies any durable record the
-        crash caught between force and apply.
+        redo over the merged replica logs re-applies every durable
+        record the disk lacks.
         """
         self._unapplied.clear()
+        self._unapplied_records = 0
+        self._cache.crash()
         self._unforced = 0
-        for source_id, log in self._replica_logs.items():
+        for log in self._replica_logs.values():
             log.crash()
-            self._last_lsn[source_id] = int(log.recover_local_max())
-        self._durable_lsn.update(self._last_lsn)
+        self._durable_lsn = self._last_lsn = {
+            source_id: int(log.recover_local_max())
+            for source_id, log in self._replica_logs.items()}
 
     # ------------------------------------------------------------------
     # failover
@@ -322,15 +365,21 @@ class StandbyComplex:
                               standby=self.system_id):
             if salvaged_logs is not None:
                 self._final_catch_up(salvaged_logs)
-            self.harden()
-            for sid in sorted(self._replica_logs):
-                log = self._replica_logs[sid]
+            self.harden(write_back=True)
+            logs = self.replica_logs()
+
+            def merged_plan(dpt):
+                return collect_merged_redo(logs, dpt, stats=self.stats)
+
+            for log in logs:
                 pool = BufferPool(self.disk, log, tracer=self.tracer,
                                   injector=self.injector)
-                site = _RecoverySite(sid, log, pool, self.tracer)
+                site = _RecoverySite(log.system_id, log, pool, self.tracer)
                 # Undo resolves loser records by (txn, LSN), and a
-                # replica log holds one source's records only.
-                restart_recovery(site)
+                # replica log holds one source's records only; redo
+                # replays the merged logs, the one order in which a
+                # page's chain across sources is increasing.
+                restart_recovery(site, plan=merged_plan)
                 pool.flush_all()
             seed = self.absorbed_lsn
             for log in self._replica_logs.values():

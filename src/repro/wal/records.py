@@ -94,10 +94,13 @@ assert (_CONTROL.size, _PAGE.size, _FULL.size) == (27, 39, 48)
 #: so the parse and encode lanes pay one index, not a call.
 _KINDS: Tuple[Optional[RecordKind], ...] = tuple(
     map({kind.value: kind for kind in RecordKind}.get, range(256)))
+#: The kinds with the payload-free control header: a transaction's
+#: fate, never a page (a kind byte tests against it as an int).
+CONTROL_KINDS = frozenset((RecordKind.COMMIT, RecordKind.ABORT,
+                           RecordKind.END))
 _SHAPES: Tuple[Optional[struct.Struct], ...] = tuple(
     None if kind is None
-    else _CONTROL if kind in (RecordKind.COMMIT, RecordKind.ABORT,
-                              RecordKind.END)
+    else _CONTROL if kind in CONTROL_KINDS
     else _PAGE if kind in (RecordKind.UPDATE, RecordKind.SMP_UPDATE,
                            RecordKind.FORMAT_PAGE)
     else _FULL

@@ -673,6 +673,7 @@ def _restarted_standby():
     sd, tracer = scenarios.build_replicated_sd(NULL_INJECTOR, seed=3,
                                                ack="quorum")
     scenarios.run_sd_workload(sd, 3)
+    sd.replication.drain()   # the volume is current after a drain
     standby = sd.replication.standbys()[scenarios.STANDBY_BASE_ID]
     restarted = StandbyComplex(scenarios.STANDBY_BASE_ID, sd)
     restarted.disk = standby.disk

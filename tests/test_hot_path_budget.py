@@ -18,6 +18,7 @@ from hypothesis import given, strategies as st
 from repro import CsSystem, SDComplex
 from repro.common.errors import DeadlockError, LockWouldBlock
 from repro.common.stats import (
+    DISK_PAGE_READS,
     DISK_PAGE_WRITES,
     LOCK_REQUESTS,
     LOG_BYTES_WRITTEN,
@@ -25,6 +26,7 @@ from repro.common.stats import (
     LOG_RECORDS_WRITTEN,
     MESSAGE_BYTES,
     MESSAGES_SENT,
+    REPL_RECORDS_APPLIED,
     message_kind_counter,
 )
 from repro.locking import lock_manager as lock_manager_module
@@ -43,7 +45,8 @@ CALL_CEILING = 230
 #: as CALL_CEILING.
 CS_CALL_CEILING = 250
 #: The same transaction with ``ReplicationConfig()`` and two standbys:
-#: 491 before the ship-path diet, 340 after it on CPython 3.11.
+#: 491 before the ship-path diet, 340 after it, 247 once the standbys
+#: apply off the commit path, on CPython 3.11.
 REPLICATED_CALL_CEILING = 370
 #: What the canonical transaction writes to one log: two updates (a
 #: 39-byte page header each) and a COMMIT and an END (27-byte control
@@ -224,6 +227,31 @@ class TestReplicatedCanonicalTransaction:
         # once per window_records of them.
         assert sd.stats.get(LOG_FORCES) - before == \
             2 * commits + 4 * commits // window == 132
+
+    def test_warm_commits_touch_no_standby_disk(self):
+        """The standbys apply into their page caches: a window of warm
+        commits, applies included, reads and writes no page."""
+        sd, engine, rows = self._steady()
+        before = sd.stats.snapshot()
+        for i in range(20, 84):
+            _canonical_txn(engine, rows, i)
+        work = sd.stats.diff(before)
+        assert work[REPL_RECORDS_APPLIED] > 0
+        assert work.get(DISK_PAGE_READS, 0) == 0
+        assert work.get(DISK_PAGE_WRITES, 0) == 0
+
+    def test_drain_writes_each_dirty_cached_page_once(self):
+        """Two pages updated on each of two standbys: one write each,
+        and a second drain writes nothing."""
+        sd, engine, rows = self._steady()
+        for i in range(20, 84):
+            _canonical_txn(engine, rows, i)
+        before = sd.stats.snapshot()
+        sd.replication.drain()
+        assert sd.stats.diff(before).get(DISK_PAGE_WRITES, 0) == 2 * 2
+        before = sd.stats.snapshot()
+        sd.replication.drain()
+        assert sd.stats.diff(before).get(DISK_PAGE_WRITES, 0) == 0
 
     def test_interpreted_calls_within_budget(self):
         _, engine, rows = self._steady()

@@ -110,9 +110,12 @@ class TestShipping:
                 sd.instances[1].log.local_max_lsn
 
     def test_standby_disk_mirrors_committed_page(self):
+        """Apply and write-back run off the commit path; after a drain
+        the standby's disk mirrors the primary's."""
         sd, standbys = build(ack=ACK_ALL)
         page_id = commit_one(sd.instances[1], b"mirrored row")
         sd.instances[1].pool.flush_all()
+        sd.replication.drain()
         primary_lsn = sd.disk.page_lsn_on_disk(page_id)
         for standby in standbys:
             assert standby.disk.page_lsn_on_disk(page_id) == primary_lsn
@@ -233,8 +236,10 @@ class TestStandbyCrash:
         forcer, laggard = standbys
         assert laggard.absorbed_lsn == forcer.absorbed_lsn
         assert laggard.durable_lsn < forcer.durable_lsn
-        assert forcer.disk.page_exists(page_id)
-        assert not laggard.disk.page_exists(page_id)   # not durable yet
+        # Durable on the forcer, but applied only once a window of page
+        # records waits: neither disk has the page yet.
+        assert not forcer.disk.page_exists(page_id)
+        assert not laggard.disk.page_exists(page_id)
         laggard.crash()
         assert laggard.absorbed_lsn == laggard.durable_lsn == \
             stable_lsn(laggard)
@@ -242,6 +247,54 @@ class TestStandbyCrash:
         forcer.crash()
         assert forcer.durable_lsn == stable_lsn(forcer) >= \
             sd.replication.commit_acks[-1].lsn
+        # Promotion's redo brings the durable, never-applied row back.
+        reader = forcer.promote().instances[forcer.system_id]
+        txn = reader.begin()
+        assert reader.read(txn, page_id, 0) == b"held, not forced"
+        reader.commit(txn)
+
+    def test_crash_with_dirty_cache_and_unapplied_chains(self):
+        """A standby that dies holding applied-but-unwritten pages and
+        durable-but-unapplied chains promotes to the reference image."""
+        sd, (forcer, _) = build(ack=ACK_QUORUM, window=8, batch=8)
+        for index in range(7):
+            commit_one(sd.instances[1 + index % 2], b"row %02d" % index)
+        assert forcer._cache.dirty_page_table() and forcer._unapplied
+        forcer.crash()
+        snapshot = forcer.replica_snapshot()
+        promoted = forcer.promote()
+        assert promoted.disk.digest() == _reference_failover_digest(
+            forcer.system_id, sd, snapshot)
+
+    def test_promote_redoes_a_chain_spanning_sources_in_lsn_order(self):
+        """A page's durable, unapplied chain spans two replica logs and
+        its higher LSN sits in the lower-id log: promotion must redo
+        the merged logs, not one log after the other."""
+        sd, (_, laggard) = build(ack=ACK_QUORUM, window=64)
+        one, two = sd.instances[1], sd.instances[2]
+        txn = one.begin()
+        page_id = one.allocate_page(txn)
+        one.insert(txn, page_id, b"a0")
+        one.insert(txn, page_id, b"b0")
+        one.commit(txn)
+        txn = two.begin()
+        two.update(txn, page_id, 0, b"a2")
+        two.commit(txn)
+        txn = one.begin()
+        one.update(txn, page_id, 1, b"b1")
+        one.commit(txn)
+        for log in laggard.replica_logs():
+            log.force()
+        laggard.crash()
+        snapshot = laggard.replica_snapshot()
+        promoted = laggard.promote()
+        reader = promoted.instances[laggard.system_id]
+        txn = reader.begin()
+        assert reader.read(txn, page_id, 0) == b"a2"
+        assert reader.read(txn, page_id, 1) == b"b1"
+        reader.commit(txn)
+        assert promoted.disk.digest() == _reference_failover_digest(
+            laggard.system_id, sd, snapshot)
 
 
 class TestStandbyApply:
