@@ -33,7 +33,7 @@ from repro.common.stats import StatsRegistry
 from repro.storage.disk import SharedDisk
 from repro.storage.image_copy import ImageCopy
 from repro.storage.page import Page, PageType
-from repro.storage.space_map import LometSpaceMap
+from repro.storage.space_map import LometSpaceMap, format_volume
 from repro.wal.log_manager import LogManager
 from repro.wal.merge import lomet_merge
 from repro.wal.records import (
@@ -92,10 +92,7 @@ class LometComplex:
             n_data_pages=n_data_pages, lsn_bytes=lsn_bytes,
         )
         self.systems: Dict[int, "LometSystem"] = {}
-        for smp_page_id in self.space_map.smp_page_ids():
-            page = Page()
-            page.format(smp_page_id, PageType.LOMET_SPACE_MAP)
-            self.disk.write_page(page)
+        format_volume(self.disk, self.space_map)
 
     def add_system(self, system_id: int, **kwargs) -> "LometSystem":
         if system_id in self.systems:

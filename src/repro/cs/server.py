@@ -27,18 +27,12 @@ from typing import (
     Tuple,
 )
 
-from repro.buffer.buffer_pool import BufferPool
 from repro.common.config import NULL_LSN, PAGE_SIZE
-from repro.common.errors import (
-    DegradedModeError,
-    FaultInjectedError,
-    ProtocolError,
-    ReproError,
-)
+from repro.common.errors import DegradedModeError, ProtocolError, ReproError
 from repro.common.lsn import Lsn
-from repro.common.stats import DEGRADED_ENTRIES, DEGRADED_REJECTIONS, StatsRegistry
+from repro.common.stats import DEGRADED_REJECTIONS, StatsRegistry
 from repro.faults import points as fp
-from repro.faults.injector import FAIL, NULL_INJECTOR, NullFaultInjector
+from repro.faults.injector import NULL_INJECTOR, NullFaultInjector
 from repro.locking.lock_manager import LockManager, LockMode, LockStatus
 from repro.net.network import Network
 from repro.obs import events as ev
@@ -51,16 +45,14 @@ from repro.recovery.aries import (
     _fold_txn,
     _losers_of,
     _undo_pass,
-    restart_recovery,
 )
 from repro.recovery.commit_lsn import CommitLsnService
-from repro.recovery.instant import InstantRecoveryManager
-from repro.recovery.redo import collect_local_redo, redo_chain
+from repro.recovery.owner import LogOwner, RestartRegistry
+from repro.recovery.redo import collect_local_redo, redo_chain, trace_outcome
 from repro.storage.disk import SharedDisk
-from repro.storage.page import Page, PageType
-from repro.storage.space_map import SpaceMap
+from repro.storage.page import Page
+from repro.storage.space_map import SpaceMap, format_volume
 from repro.txn.manager import _SYSTEM_STRIDE
-from repro.wal.log_manager import LogManager
 from repro.wal.records import CheckpointData, LogRecord, RecordKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -94,8 +86,9 @@ class ClientRecoverySummary:
     clrs_written: int = 0
 
 
-class CsServer:
-    """The server of Figure 1's client-server sibling."""
+class CsServer(LogOwner, RestartRegistry):
+    """The server of Figure 1's client-server sibling: the log owner of
+    its clients' records."""
 
     def __init__(
         self,
@@ -106,11 +99,7 @@ class CsServer:
         injector: Optional[NullFaultInjector] = None,
         restart_mode: str = "eager",
     ) -> None:
-        if restart_mode not in ("eager", "instant"):
-            raise ValueError(
-                f"restart_mode must be 'eager' or 'instant', "
-                f"got {restart_mode!r}"
-            )
+        self._init_restart(restart_mode)
         self.stats = stats if stats is not None else StatsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.injector = injector if injector is not None else NULL_INJECTOR
@@ -122,17 +111,8 @@ class CsServer:
         self.disk = SharedDisk(capacity=DATA_START + n_data_pages + 64,
                                stats=self.stats, tracer=self.tracer,
                                injector=self.injector)
-        self.log = LogManager(SERVER_ID, stats=self.stats,
-                              tracer=self.tracer, injector=self.injector)
-        self.pool = BufferPool(self.disk, self.log, capacity=POOL_FRAMES,
-                               tracer=self.tracer, injector=self.injector)
-        #: ``"eager"`` (classic, default) or ``"instant"`` — see
-        #: :mod:`repro.recovery.instant`; the classic path is
-        #: byte-identical to pre-instant behaviour.
-        self.restart_mode = restart_mode
-        #: The active instant-restart manager, if a restart is lazily
-        #: recovering pages (None on the classic path).
-        self.instant: Optional[InstantRecoveryManager] = None
+        super().__init__(SERVER_ID, self.disk, self.stats, self.tracer,
+                         self.injector, capacity=POOL_FRAMES)
         self.glm = LockManager(stats=self.stats, tracer=self.tracer)
         #: The complex-wide Commit_LSN over every attached client.
         self.commit_lsn = CommitLsnService(stats=self.stats,
@@ -140,12 +120,6 @@ class CsServer:
         self.space_map = SpaceMap(smp_start=SMP_START, data_start=DATA_START,
                                   n_data_pages=n_data_pages)
         self.network.register(SERVER_ID, self.log)
-        self.system_id = SERVER_ID  # duck-type for the generic ARIES passes
-        self.crashed = False
-        # Read-only degraded mode after a log-device failure: fetches
-        # still served, everything that must append or force is
-        # rejected until restart.
-        self.degraded = False
         # Coherency: which client may hold each page dirty; who caches it.
         self._writer: Dict[int, int] = {}
         self._readers: Dict[int, Set[int]] = {}
@@ -161,13 +135,7 @@ class CsServer:
         self._txn_table: Dict[int, Tuple[Lsn, int]] = {}
         # Per-client latest checkpoint: (server log offset, data).
         self._client_checkpoints: Dict[int, Tuple[int, CheckpointData]] = {}
-        self._initialize_database()
-
-    def _initialize_database(self) -> None:
-        for smp_page_id in self.space_map.smp_page_ids():
-            page = Page()
-            page.format(smp_page_id, PageType.SPACE_MAP)
-            self.disk.write_page(page)
+        format_volume(self.disk, self.space_map)
 
     # ------------------------------------------------------------------
     # membership
@@ -375,25 +343,6 @@ class CsServer:
                 client=client.client_id, txn=txn_id,
             )
 
-    def force_or_degrade(self) -> None:
-        """Force the single log for a client commit or group-commit
-        sync; a log-device failure degrades the server.
-
-        An injected ``fail`` at the ``log.force`` point raises
-        :class:`DegradedModeError`: the commits are not acknowledged and
-        the server turns read-only.  Crash-flavoured injections
-        propagate untouched.
-        """
-        try:
-            self.log.force()
-        except FaultInjectedError as exc:
-            if exc.action != FAIL:
-                raise
-            self._enter_degraded("log device failure")
-            raise DegradedModeError(
-                "server: commit not durable, log device failed"
-            ) from exc
-
     def client_checkpoint(self, client: "CsClient",
                           dirty_pages: Dict[int, Lsn],
                           transactions: Dict[int, Lsn]) -> None:
@@ -518,28 +467,22 @@ class CsServer:
             page = self.pool.fix(page_id)
             try:
                 outcome = redo_chain(page, chain.records)
-                for offset, record, (applied, seen) in zip(
+                redone = 0
+                for offset, record, (applied, _) in zip(
                         chain.offsets, chain.records, outcome):
                     if applied:
                         self.pool.note_update(page_id, record.lsn, offset,
                                               self.log.end_offset)
-                        summary.records_redone += 1
-                        if self.tracer.enabled:
-                            self.tracer.emit(
-                                ev.RECOVERY_REDO, system=SERVER_ID,
-                                page=page_id, lsn=int(record.lsn),
-                                page_lsn_prev=int(seen),
-                            )
-                    elif buffered:
-                        summary.redo_skipped_buffer_hit += 1
-                    else:
-                        summary.redo_skipped_by_lsn += 1
-                        if self.tracer.enabled:
-                            self.tracer.emit(
-                                ev.RECOVERY_SKIP, system=SERVER_ID,
-                                page=page_id, lsn=int(record.lsn),
-                                page_lsn=int(seen),
-                            )
+                        redone += 1
+                summary.records_redone += redone
+                # A buffered page's skip is a buffer hit, not traced.
+                if buffered:
+                    summary.redo_skipped_buffer_hit += len(outcome) - redone
+                else:
+                    summary.redo_skipped_by_lsn += len(outcome) - redone
+                if self.tracer.enabled:
+                    trace_outcome(self.tracer, SERVER_ID, page_id,
+                                  chain.records, outcome, skips=not buffered)
             finally:
                 self.pool.unfix(page_id)
 
@@ -547,34 +490,19 @@ class CsServer:
     # server checkpoint & server failure (handled like SD-complex failure)
     # ------------------------------------------------------------------
     def take_checkpoint(self) -> int:
-        """Server checkpoint covering its pool and the global txn table."""
+        """Server checkpoint covering its pool and the global txn table;
+        returns the BEGIN record's offset."""
         self._check_up()
-        begin = LogRecord(kind=RecordKind.BEGIN_CHECKPOINT)
-        begin_addr = self.log.append(begin)
-        data = CheckpointData(
-            dirty_pages=dict(self.pool.dirty_page_table()),
-            transactions={
-                txn_id: entry
-                for txn_id, entry in self._txn_table.items()
-                if entry[1] != _COMMITTED
-            },
-        )
-        end = LogRecord(kind=RecordKind.END_CHECKPOINT, extra=data.to_bytes())
-        self.log.append(end)
-        self.log.force()
-        self.log.master_record_offset = begin_addr.offset
-        return begin_addr.offset
+        return self.write_checkpoint().offset
+
+    def _checkpoint_transactions(self) -> Dict[int, Tuple[Lsn, int]]:
+        return {txn_id: entry for txn_id, entry in self._txn_table.items()
+                if entry[1] != _COMMITTED}
 
     def crash(self) -> None:
         """Server failure takes the complex down: every client's cached
         state is unusable without the server, so all clients fail too."""
-        if self.degraded:
-            self.degraded = False
-            if self.tracer.enabled:
-                self.tracer.emit(ev.DEGRADED_EXIT, system=SERVER_ID)
-        self.crashed = True
-        self.pool.crash()
-        self.log.crash()
+        super().crash()
         self._writer.clear()
         self._readers.clear()
         self._batches.clear()
@@ -599,47 +527,14 @@ class CsServer:
         """
         if not self.crashed:
             raise ReproError("server is not down")
-        self.crashed = False
-        with self.tracer.span(ev.SPAN_RESTART, system=SERVER_ID,
-                              target="server"):
-            if self.restart_mode == "instant":
-                manager = InstantRecoveryManager(
-                    self, mode="cs", stats=self.stats,
-                    injector=self.injector, on_drained=self._instant_drained,
-                )
-                self.instant = manager
-                # Install the intercept before undo: the undo pass
-                # reaches loser pages through the plain pool fixer, and
-                # the intercept applies a pending page's chain before
-                # the frame fills.
-                self.pool.recovery_intercept = self._instant_intercept
-                with self.tracer.span(ev.SPAN_RECOVERY, system=SERVER_ID,
-                                      mode="instant"):
-                    manager.analyze()
-                    summary = manager.open()
-            else:
-                summary = restart_recovery(self)
-            self.pool.flush_all()
-            # A fresh lock service: retained-lock release is explicit.
-            self.glm = LockManager(stats=self.stats, tracer=self.tracer)
-        return summary
+        return self._restart(self, "server", "cs")
 
-    def _instant_intercept(self, page_id: int) -> None:
-        manager = self.instant
-        if manager is not None:
-            manager.recover_page(page_id)
+    def _after_restart(self, owner: LogOwner) -> None:
+        # A fresh lock service: retained-lock release is explicit.
+        self.glm = LockManager(stats=self.stats, tracer=self.tracer)
 
-    def _instant_drained(self, manager) -> None:
-        if self.instant is manager:
-            self.instant = None
-            self.pool.recovery_intercept = None
-
-    def instant_drain(self) -> int:
-        """Run the active manager's sweeper to completion; returns the
-        number of pages recovered (0 when none is active)."""
-        if self.instant is None:
-            return 0
-        return self.instant.drain()
+    def _log_owners(self) -> Tuple[LogOwner]:
+        return (self,)
 
     # ------------------------------------------------------------------
     def _check_up(self) -> None:
@@ -653,14 +548,8 @@ class CsServer:
             self.stats.incr(DEGRADED_REJECTIONS)
             raise DegradedModeError("server is read-only (degraded)")
 
-    def _enter_degraded(self, reason: str) -> None:
-        if self.degraded:
-            return
-        self.degraded = True
-        self.stats.incr(DEGRADED_ENTRIES)
-        if self.tracer.enabled:
-            self.tracer.emit(ev.DEGRADED_ENTER, system=SERVER_ID,
-                             reason=reason)
+    def _label(self) -> str:
+        return "server"
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -587,19 +587,12 @@ def _drain_instant(system, arch: str) -> int:
     paths.  Returns how many pages restart left for lazy recovery (0
     after an eager restart).
     """
-    if arch == ARCH_SD:
-        managers = [system.instant[sid] for sid in sorted(system.instant)]
-    else:
-        managers = [system.server.instant] if system.server.instant else []
-    pending = sorted({page for manager in managers
+    registry = system if arch == ARCH_SD else system.server
+    pending = sorted({page for manager in registry.instant.values()
                       for page in manager.pending_pages()})
     if pending:
-        if arch == ARCH_SD:
-            system.ensure_instant_recovered(pending[0])
-            system.instant_drain()
-        else:
-            system.server.instant.recover_page(pending[0])
-            system.server.instant_drain()
+        registry.ensure_instant_recovered(pending[0])
+        registry.instant_drain()
     return len(pending)
 
 

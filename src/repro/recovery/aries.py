@@ -36,7 +36,6 @@ from typing import Callable, Dict, Iterable, Optional, Tuple
 from repro.common.config import NULL_LSN
 from repro.common.lsn import Lsn
 from repro.obs import events as ev
-from repro.obs.tracer import NULL_TRACER, NullTracer
 from repro.recovery.apply import compensate
 from repro.recovery.redo import Chain, collect_local_redo, replay_chains
 from repro.wal.records import CheckpointData, LogRecord, RecordKind
@@ -61,19 +60,15 @@ class RestartSummary:
     redo_scan_start: int = 0
 
 
-def _tracer_of(instance) -> NullTracer:
-    """The instance's tracer (instances are duck-typed here)."""
-    return getattr(instance, "tracer", NULL_TRACER)
-
-
 def restart_recovery(instance, fix_page=None, unfix_page=None,
                      plan: Optional[RedoPlan] = None) -> RestartSummary:
     """Recover one failed system from its own local log.
 
-    ``instance`` is duck-typed: it needs ``log``, ``pool`` and
-    ``system_id``.  On return, all committed updates are reflected in
-    the buffer pool / disk, all loser transactions are undone with CLRs
-    and closed with END records.
+    ``instance`` is a log owner (:class:`~repro.recovery.owner.LogOwner`:
+    an SD instance, the CS server, or one replica log of a promoting
+    standby).  On return, all committed updates are reflected in the
+    buffer pool / disk, all loser transactions are undone with CLRs and
+    closed with END records.
 
     Redo replays per-page chains straight against the shared disk
     (:mod:`repro.recovery.redo`), in ascending page id; the pool only
@@ -96,7 +91,7 @@ def restart_recovery(instance, fix_page=None, unfix_page=None,
     needs no override: the medium transfer scheme guarantees the disk
     version lacks only this system's own tail of updates.
     """
-    tracer = _tracer_of(instance)
+    tracer = instance.tracer
     system_id = instance.system_id
     mode = "restart" if plan is None else "fast"
     summary = RestartSummary()
@@ -124,7 +119,7 @@ def _prologue(instance, summary: RestartSummary,
     """
     log = instance.log
     log.recover_local_max()
-    with _tracer_of(instance).span(ev.SPAN_ANALYSIS,
+    with instance.tracer.span(ev.SPAN_ANALYSIS,
                                    system=instance.system_id):
         dpt, losers = analysis_pass(log, summary)
     summary.dirty_pages_at_crash = len(dpt)
@@ -204,7 +199,7 @@ def _losers_of(txn_table: Dict[int, Tuple[Lsn, int]]) -> Dict[int, Lsn]:
 # ----------------------------------------------------------------------
 def _redo(instance, chains: Dict[int, Chain],
           summary: RestartSummary) -> None:
-    with _tracer_of(instance).span(ev.SPAN_REDO, system=instance.system_id):
+    with instance.tracer.span(ev.SPAN_REDO, system=instance.system_id):
         replay_chains(instance, chains, summary)
 
 
@@ -227,7 +222,7 @@ def _undo_pass(instance, losers: Dict[int, Lsn], summary,
     chain first leaves the window.  The archive-truncation rule keeps
     every active transaction's records on the active log.
     """
-    with _tracer_of(instance).span(ev.SPAN_UNDO, system=instance.system_id):
+    with instance.tracer.span(ev.SPAN_UNDO, system=instance.system_id):
         if not losers:
             return
         log = instance.log
@@ -292,7 +287,7 @@ def _compensate(instance, txn_id: int, record: LogRecord,
                                               txn_id, prev_lsn)
         pool.note_update(record.page_id, clr.lsn, addr.offset,
                          instance.log.end_offset)
-        tracer = _tracer_of(instance)
+        tracer = instance.tracer
         if tracer.enabled:
             tracer.emit(
                 ev.RECOVERY_CLR, system=instance.system_id,
@@ -311,7 +306,7 @@ def _finish(instance, summary) -> None:
     """Force the CLRs and END records, then close the recovery bracket
     (``summary`` needs the redo/skip/loser/CLR counts)."""
     instance.log.force()
-    tracer = _tracer_of(instance)
+    tracer = instance.tracer
     if tracer.enabled:
         tracer.emit(
             ev.RECOVERY_END, system=instance.system_id,

@@ -9,13 +9,15 @@ checkpoint time so restart redo knows where to start scanning.
 
 The "master record" (the stable pointer to the latest complete
 checkpoint) is modelled by ``LogManager.master_record_offset``, updated
-only after the checkpoint records are forced.
+only after the checkpoint records are forced.  The writer is
+:meth:`LogOwner.write_checkpoint
+<repro.recovery.owner.LogOwner.write_checkpoint>`, one for SD
+instances and the CS server; this module adds log truncation.
 """
 
 from __future__ import annotations
 
 from repro.common.lsn import LogAddress
-from repro.wal.records import CheckpointData, LogRecord, RecordKind
 
 
 def log_truncation_point(instance) -> int:
@@ -45,21 +47,7 @@ def archive_log(instance) -> int:
 
 
 def take_checkpoint(instance) -> LogAddress:
-    """Take a fuzzy checkpoint on ``instance``; returns the address of
+    """Take a fuzzy checkpoint on ``instance`` (a
+    :class:`~repro.recovery.owner.LogOwner`); returns the address of
     the BEGIN_CHECKPOINT record (the new master record)."""
-    log = instance.log
-    begin = LogRecord(kind=RecordKind.BEGIN_CHECKPOINT)
-    begin_addr = log.append(begin)
-    data = CheckpointData(
-        dirty_pages=dict(instance.pool.dirty_page_table()),
-        transactions={
-            txn.txn_id: (txn.last_lsn, 0)
-            for txn in instance.txns.active()
-            if txn.is_update_transaction()
-        },
-    )
-    end = LogRecord(kind=RecordKind.END_CHECKPOINT, extra=data.to_bytes())
-    log.append(end)
-    log.force()
-    log.master_record_offset = begin_addr.offset
-    return begin_addr
+    return instance.write_checkpoint()

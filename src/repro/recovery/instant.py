@@ -71,13 +71,14 @@ from repro.recovery.redo import Chain, replay_to_disk
 class InstantRecoveryManager:
     """Open-for-business restart: eager analysis + undo, lazy redo.
 
-    ``instance`` is duck-typed like everywhere in ``repro.recovery``:
-    it needs ``log``, ``pool``, ``system_id`` and (optionally) a
-    ``tracer``.  ``mode`` names the chain source for the trace stream:
-    ``"medium"`` / ``"fast"`` for SD instances, ``"cs"`` for the
-    server.  The wiring (``SDComplex`` / ``CsServer``) owns the
-    buffer-pool intercept and any cross-manager routing; ``on_drained``
-    is its deregistration callback, invoked exactly once when the last
+    ``instance`` is the recovering log owner
+    (:class:`~repro.recovery.owner.LogOwner`).  ``mode`` names the
+    chain source for the trace stream: ``"medium"`` / ``"fast"`` for SD
+    instances, ``"cs"`` for the server.  The restart entry
+    (:class:`~repro.recovery.owner.RestartRegistry`, shared by
+    ``SDComplex`` and ``CsServer``) registers the manager, installs the
+    buffer-pool intercept and routes across managers; ``on_drained`` is
+    its deregistration callback, invoked exactly once when the last
     pending page has been recovered.
     """
 
@@ -92,7 +93,7 @@ class InstantRecoveryManager:
     ) -> None:
         self.instance = instance
         self.mode = mode
-        self.tracer = aries._tracer_of(instance)
+        self.tracer = instance.tracer
         self.stats = stats
         self.injector = injector if injector is not None else NULL_INJECTOR
         self.on_drained = on_drained

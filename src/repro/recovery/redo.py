@@ -4,7 +4,7 @@ Redo order only matters *within* a page — the page_LSN test and
 ``apply_redo`` touch nothing but the page image and the record — so
 every recovery flavour is the same algorithm at a different schedule
 (Sauer/Haerder): gather each page's redo candidates in log order (a
-*chain*), then replay chain by chain.  This module holds the three
+*chain*), then replay chain by chain.  This module holds the four
 pieces they share:
 
 * :func:`redo_chain` — the Section 3.2.1 rule, apply iff
@@ -19,6 +19,10 @@ pieces they share:
 * :func:`replay_to_disk` — one chain against the shared disk: eager
   restart runs it over every page in ascending page id, instant
   restart on first touch or from the sweeper.
+* :func:`trace_outcome` — the ``RECOVERY_REDO`` / ``RECOVERY_SKIP``
+  events of one replayed chain, for every caller of
+  :func:`redo_chain` (the standby's steady-state apply and CS client
+  recovery included).
 
 WAL holds throughout: a chain read from a post-crash log is stable, so
 writing a chain-applied image needs no log force first.  Callers whose
@@ -42,7 +46,7 @@ from typing import (
 from repro.common.lsn import Lsn
 from repro.common.stats import StatsRegistry
 from repro.obs import events as ev
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.tracer import NullTracer
 from repro.recovery.apply import apply_redo
 from repro.storage.page import Page
 from repro.wal.records import LogRecord
@@ -87,6 +91,22 @@ def redo_chain(page: Page,
             apply_redo(page, record)
         outcome.append((applied, page_lsn))
     return outcome
+
+
+def trace_outcome(tracer: NullTracer, system_id: int, page_id: int,
+                  records: Iterable[LogRecord],
+                  outcome: List[Tuple[bool, Lsn]],
+                  skips: bool = True) -> None:
+    """Emit :func:`redo_chain`'s outcome: a ``RECOVERY_REDO`` per
+    applied record and, unless ``skips`` is off, a ``RECOVERY_SKIP``
+    per screened one, in chain order."""
+    for record, (applied, seen) in zip(records, outcome):
+        if applied:
+            tracer.emit(ev.RECOVERY_REDO, system=system_id, page=page_id,
+                        lsn=int(record.lsn), page_lsn_prev=int(seen))
+        elif skips:
+            tracer.emit(ev.RECOVERY_SKIP, system=system_id, page=page_id,
+                        lsn=int(record.lsn), page_lsn=int(seen))
 
 
 def _add(chains: Dict[int, Chain], offset: int, record: LogRecord) -> None:
@@ -143,8 +163,7 @@ def replay_to_disk(instance, page_id: int, chain: Chain,
 
     The image is read as a copy-on-write view, so a chain that screens
     out entirely copies nothing and leaves the page unwritten.
-    ``instance`` is duck-typed: ``pool.disk``, ``system_id`` and
-    (optionally) ``tracer``.
+    ``instance`` is the recovering log owner.
     """
     disk = instance.pool.disk
     page = disk.read_page_view(page_id)
@@ -153,18 +172,10 @@ def replay_to_disk(instance, page_id: int, chain: Chain,
     skipped = len(outcome) - redone
     if redone:
         disk.write_page(page)
-    tracer = getattr(instance, "tracer", NULL_TRACER)
+    tracer = instance.tracer
     if tracer.enabled:
-        system_id = instance.system_id
-        for record, (applied, seen) in zip(chain.records, outcome):
-            if applied:
-                tracer.emit(ev.RECOVERY_REDO, system=system_id,
-                            page=page_id, lsn=int(record.lsn),
-                            page_lsn_prev=int(seen))
-            else:
-                tracer.emit(ev.RECOVERY_SKIP, system=system_id,
-                            page=page_id, lsn=int(record.lsn),
-                            page_lsn=int(seen))
+        trace_outcome(tracer, instance.system_id, page_id, chain.records,
+                      outcome)
     summary.records_redone += redone
     summary.redo_skipped_by_lsn += skipped
     return redone, skipped

@@ -207,6 +207,10 @@ class ReplicationManager(NullReplication):
         #: The links in ascending standby id — the order votes are
         #: asked for.
         self._by_id: Tuple[_StandbyLink, ...] = ()
+        #: Standbys that must have forced a commit record for the
+        #: level to hold: fixed by the ack level and the standby count,
+        #: so counted when a standby attaches.
+        self._votes = 0
         #: Every commit-point ack decision, in commit order (the
         #: failover drill's loss audit reads this).
         self.commit_acks: List[CommitAck] = []
@@ -224,6 +228,11 @@ class ReplicationManager(NullReplication):
         standby = StandbyComplex(system_id, self.primary)
         self._links[system_id] = _StandbyLink(standby)
         self._by_id = tuple(link for _, link in sorted(self._links.items()))
+        # Every standby under ``all``; under ``quorum`` a majority of
+        # {primary} ∪ standbys, the primary's log force being its vote.
+        attached = len(self._links)
+        self._votes = {ACK_ALL: attached,
+                       ACK_QUORUM: (attached + 1) // 2}.get(self.config.ack, 0)
         return standby
 
     def standbys(self) -> Dict[int, StandbyComplex]:
@@ -249,18 +258,6 @@ class ReplicationManager(NullReplication):
         """Collected records not yet shipped (the replication lag, in
         records, against the primary's stable log boundary)."""
         return len(self._pending)
-
-    def _votes_needed(self) -> int:
-        """Standbys that must have forced a commit record, beyond the
-        primary's own force, for the configured level to hold."""
-        level = self.config.ack
-        if level == ACK_ALL:
-            return len(self._links)
-        if level == ACK_QUORUM:
-            # A majority of {primary} ∪ standbys, the primary's log
-            # force being its vote.
-            return (len(self._links) + 1) // 2
-        return 0
 
     # ------------------------------------------------------------------
     # the commit hook
@@ -288,7 +285,7 @@ class ReplicationManager(NullReplication):
                 if link.degraded == link.connected:
                     self._set_degraded(link, not link.connected)
         else:
-            votes = self._votes_needed()
+            votes = self._votes
             self._flush(limit=0, forcing=votes)
             satisfied = self._await_acks(system, commit_lsn, votes)
         self.commit_acks.append(
@@ -329,7 +326,16 @@ class ReplicationManager(NullReplication):
     # ------------------------------------------------------------------
     def _collect(self) -> None:
         """Queue the newly stable records of every local log, ordered
-        by the LSN in their headers; nothing is parsed or re-encoded."""
+        by the LSN in their headers; nothing is parsed or re-encoded.
+
+        Every commit point and drain starts here, so this is also where
+        a crashed standby is disconnected: it lost its unforced tail
+        and unapplied chains, so it takes no more batches and casts no
+        more votes until it is promoted.
+        """
+        for link in self._by_id:
+            if link.connected and link.standby.crashed:
+                self._disconnect(link, "standby crashed")
         offsets = self._shipped_offsets
         windows: List[List[_Pending]] = []
         for log in self.primary.local_logs():

@@ -40,7 +40,8 @@ different pages commute.
 
 :meth:`promote` is failover: an optional final catch-up from whatever
 stable primary logs survived, then ARIES restart recovery per replica
-log whose redo replays the **merged** replica logs (Section 3.2.2: a
+log (each a plain :class:`~repro.recovery.owner.LogOwner`) whose redo
+replays the **merged** replica logs, merged once (Section 3.2.2: a
 page's durable-but-unapplied chain may span sources, and only the LSN
 merge orders it), undo compensating the in-flight transactions the
 dead primary left behind; finally a fresh writable
@@ -64,28 +65,16 @@ from repro.faults import points as fp
 from repro.faults.injector import NullFaultInjector
 from repro.obs import events as ev
 from repro.obs.tracer import NullTracer
-from repro.recovery.redo import collect_merged_redo, redo_chain
+from repro.recovery.aries import restart_recovery
+from repro.recovery.owner import LogOwner
+from repro.recovery.redo import collect_merged_redo, redo_chain, trace_outcome
 from repro.storage.disk import SharedDisk
-from repro.storage.page import Page, PageType
+from repro.storage.space_map import format_volume
 from repro.wal.log_manager import LogManager
 from repro.wal.records import CONTROL_KINDS, NO_PAGE, LogRecord, record_spans
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sd.complex import SDComplex
-
-
-class _RecoverySite:
-    """Duck-typed instance for :func:`restart_recovery` over one
-    replica log: the log, a pool on the standby's disk, the *source*
-    system's id (so CLRs land in the right replica log with the right
-    attribution), and the standby's tracer."""
-
-    def __init__(self, system_id: int, log: LogManager, pool: BufferPool,
-                 tracer: NullTracer) -> None:
-        self.system_id = system_id
-        self.log = log
-        self.pool = pool
-        self.tracer = tracer
 
 
 class StandbyComplex:
@@ -119,7 +108,9 @@ class StandbyComplex:
             LogManager(system_id, stats=self.stats, tracer=self.tracer,
                        injector=self.injector),
             enforce_wal=False, tracer=self.tracer, injector=self.injector)
-        self._format_space_maps(primary)
+        # The primary's volume format is not logged, so it cannot
+        # arrive through the shipped stream: run the same step here.
+        format_volume(self.disk, primary.space_map)
         #: One replica log per primary instance, keyed by source id.
         self._replica_logs: Dict[int, LogManager] = {}
         #: Highest LSN absorbed per source (duplicate screen: a
@@ -140,6 +131,9 @@ class StandbyComplex:
         #: per page in arrival (= LSN) order, and how many they are.
         self._unapplied: Dict[int, List[LogRecord]] = {}
         self._unapplied_records = 0
+        #: Set by :meth:`crash`: the shipper disconnects a crashed
+        #: standby, whose next step is :meth:`promote`.
+        self.crashed = False
         self.promoted = False
 
     @property
@@ -170,18 +164,6 @@ class StandbyComplex:
         """What an ack carries: per source, the highest LSN absorbed
         and the highest LSN forced (snapshots; do not mutate)."""
         return self._last_lsn, self._durable_lsn
-
-    def _format_space_maps(self, primary: "SDComplex") -> None:
-        """Run the volume-initialisation step the primary ran.
-
-        The primary's SMP formatting is *not* logged (volume init
-        predates the log), so it cannot arrive through the shipped
-        stream; the standby formats its own volume identically.
-        """
-        for smp_page_id in primary.space_map.smp_page_ids():
-            page = Page()
-            page.format(smp_page_id, PageType.SPACE_MAP)
-            self.disk.write_page(page)
 
     def _replica_log(self, source_id: int) -> LogManager:
         log = self._replica_logs.get(source_id)
@@ -306,19 +288,8 @@ class StandbyComplex:
         if redone < len(outcome):
             self.stats.incr(REPL_APPLY_SKIPPED, len(outcome) - redone)
         if self.tracer.enabled:
-            for record, (applied, page_lsn_seen) in zip(records, outcome):
-                if applied:
-                    self.tracer.emit(
-                        ev.RECOVERY_REDO, system=self.system_id,
-                        page=page_id, lsn=int(record.lsn),
-                        page_lsn_prev=int(page_lsn_seen),
-                    )
-                else:
-                    self.tracer.emit(
-                        ev.RECOVERY_SKIP, system=self.system_id,
-                        page=page_id, lsn=int(record.lsn),
-                        page_lsn=int(page_lsn_seen),
-                    )
+            trace_outcome(self.tracer, self.system_id, page_id, records,
+                          outcome)
 
     def crash(self) -> None:
         """Lose the volatile state: every replica log's unforced tail,
@@ -327,8 +298,10 @@ class StandbyComplex:
         What remains is what the durable LSNs promised.  The next
         step for a crashed standby is :meth:`promote`, whose restart
         redo over the merged replica logs re-applies every durable
-        record the disk lacks.
+        record the disk lacks; the shipper stops feeding it and stops
+        counting its vote.
         """
+        self.crashed = True
         self._unapplied.clear()
         self._unapplied_records = 0
         self._cache.crash()
@@ -358,7 +331,6 @@ class StandbyComplex:
         id) whose Lamport clock is seeded above every LSN the standby
         ever absorbed.
         """
-        from repro.recovery.aries import restart_recovery
         from repro.sd.complex import SDComplex
 
         with self.tracer.span(ev.SPAN_PROMOTE, system=self.system_id,
@@ -367,25 +339,29 @@ class StandbyComplex:
                 self._final_catch_up(salvaged_logs)
             self.harden(write_back=True)
             logs = self.replica_logs()
+            # Redo replays the merged logs, the one order in which a
+            # page's chain across sources is increasing.  They are
+            # merged once, before any undo appends a CLR, and each
+            # replica log's restart takes its DPT's chains from that.
+            chains = collect_merged_redo(logs, range(self.disk.capacity),
+                                         stats=self.stats)
 
             def merged_plan(dpt):
-                return collect_merged_redo(logs, dpt, stats=self.stats)
+                return {page_id: chains[page_id]
+                        for page_id in dpt if page_id in chains}
 
             for log in logs:
-                pool = BufferPool(self.disk, log, tracer=self.tracer,
-                                  injector=self.injector)
-                site = _RecoverySite(log.system_id, log, pool, self.tracer)
                 # Undo resolves loser records by (txn, LSN), and a
-                # replica log holds one source's records only; redo
-                # replays the merged logs, the one order in which a
-                # page's chain across sources is increasing.
+                # replica log holds one source's records only: each
+                # log is restarted by its own owner, under the source's
+                # id, so CLRs land in it with the right attribution.
+                site = LogOwner(log.system_id, self.disk, self.stats,
+                                self.tracer, self.injector, log=log)
                 restart_recovery(site, plan=merged_plan)
-                pool.flush_all()
-            seed = self.absorbed_lsn
-            for log in self._replica_logs.values():
-                log.force()
-                if log.local_max_lsn > seed:
-                    seed = log.local_max_lsn
+                site.pool.flush_all()
+            # Each restart ended by forcing its CLRs and END records.
+            seed = max([self.absorbed_lsn]
+                       + [log.local_max_lsn for log in logs])
             promoted = SDComplex(
                 n_data_pages=self._n_data_pages,
                 disk=self.disk,

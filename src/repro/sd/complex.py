@@ -30,9 +30,8 @@ from repro.locking.lock_manager import LockManager, LockMode, LockStatus
 from repro.net.network import Network
 from repro.obs import events as ev
 from repro.obs.tracer import NULL_TRACER, NullTracer
-from repro.recovery.aries import restart_recovery
 from repro.recovery.commit_lsn import CommitLsnService
-from repro.recovery.instant import InstantRecoveryManager
+from repro.recovery.owner import LogOwner, RestartRegistry
 from repro.recovery.redo import collect_merged_redo, redo_chain
 from repro.recovery.staged import StagedRestart
 from repro.replication.shipper import (
@@ -43,8 +42,7 @@ from repro.replication.shipper import (
 from repro.sd.coherency import CoherencyController
 from repro.sd.instance import DbmsInstance
 from repro.storage.disk import SharedDisk
-from repro.storage.page import Page, PageType
-from repro.storage.space_map import SpaceMap
+from repro.storage.space_map import SpaceMap, format_volume
 from repro.txn.manager import _SYSTEM_STRIDE
 
 # Default database geometry: SMPs first, data pages after.
@@ -53,7 +51,7 @@ DEFAULT_DATA_START = 64
 DEFAULT_DATA_PAGES = 4096
 
 
-class SDComplex:
+class SDComplex(RestartRegistry):
     """A complete shared-disks data sharing complex."""
 
     def __init__(
@@ -69,11 +67,7 @@ class SDComplex:
         disk: Optional[SharedDisk] = None,
         restart_mode: str = "eager",
     ) -> None:
-        if restart_mode not in ("eager", "instant"):
-            raise ValueError(
-                f"restart_mode must be 'eager' or 'instant', "
-                f"got {restart_mode!r}"
-            )
+        self._init_restart(restart_mode)
         self.stats = stats if stats is not None else StatsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.injector = injector if injector is not None else NULL_INJECTOR
@@ -102,31 +96,15 @@ class SDComplex:
                                   data_start=DEFAULT_DATA_START,
                                   n_data_pages=n_data_pages)
         self.instances: Dict[int, DbmsInstance] = {}
-        #: ``"eager"`` (classic full restart, the default — byte-
-        #: identical to the pre-instant code path) or ``"instant"``
-        #: (open after analysis + undo, recover pages on first touch;
-        #: :mod:`repro.recovery.instant`).
-        self.restart_mode = restart_mode
-        #: Active instant-restart managers, keyed by recovering system.
-        #: Empty on the classic path — every guard on it is a single
-        #: truthiness test, keeping eager traces byte-identical.
-        self.instant: Dict[int, InstantRecoveryManager] = {}
         self.lock_value_blocks = lock_value_blocks
         self._lock_values: Dict[Hashable, Lsn] = {}
         if disk is None:
-            self._initialize_database()
+            format_volume(self.disk, self.space_map)
         # The replication seam follows the NULL-object discipline: with
         # ``replicate=None`` the manager is NULL_REPLICATION
         # (enabled=False) and every call site stays byte-identical.
         self.replication = (ReplicationManager(self, replicate)
                             if replicate is not None else NULL_REPLICATION)
-
-    def _initialize_database(self) -> None:
-        """Format the space map pages (volume initialisation utility)."""
-        for smp_page_id in self.space_map.smp_page_ids():
-            page = Page()
-            page.format(smp_page_id, PageType.SPACE_MAP)
-            self.disk.write_page(page)
 
     # ------------------------------------------------------------------
     # membership
@@ -239,42 +217,22 @@ class SDComplex:
         instance = self.instances[system_id]
         if not instance.crashed:
             raise ReproError(f"system {system_id} is not down")
-        instance.crashed = False
-        with self.tracer.span(ev.SPAN_RESTART, system=system_id,
-                              target="instance"):
-            plan, fix_page = self._restart_plan(system_id, instance)
-            if self.restart_mode == "instant":
-                manager = InstantRecoveryManager(
-                    instance, mode=self.transfer_scheme, stats=self.stats,
-                    injector=self.injector,
-                    on_drained=self._instant_drained,
-                )
-                # Register before open: the eager undo reaches pages
-                # through the coherency layer, whose instant guard (and
-                # the pool's intercept) recovers a pending page first,
-                # so CLR order, LSN hints and the final disk image
-                # match the eager path byte for byte.
-                self.instant[system_id] = manager
-                instance.pool.recovery_intercept = \
-                    self.ensure_instant_recovered
-                with self.tracer.span(ev.SPAN_RECOVERY, system=system_id,
-                                      mode="instant"):
-                    manager.analyze(plan)
-                    summary = manager.open(fix_page=fix_page,
-                                           unfix_page=instance.pool.unfix)
-            else:
-                summary = restart_recovery(instance, fix_page,
-                                           instance.pool.unfix, plan)
-            instance.pool.flush_all()
-            # Cold cache after recovery: keeping reconstructed pages
-            # around would require re-registering every copy with the
-            # coherency layer and invites stale-read hazards; dropping
-            # them is simple and what a real restart does anyway.
-            for bcb in list(instance.pool.pages()):
-                instance.pool.drop_page(bcb.page_id)
-            self.coherency.note_recovered(system_id)
-            self.release_system_locks(system_id)
-            return summary
+        plan, fix_page = self._restart_plan(system_id, instance)
+        return self._restart(instance, "instance", self.transfer_scheme,
+                             plan, fix_page)
+
+    def _after_restart(self, owner: LogOwner) -> None:
+        # Cold cache after recovery: keeping reconstructed pages
+        # around would require re-registering every copy with the
+        # coherency layer and invites stale-read hazards; dropping
+        # them is simple and what a real restart does anyway.
+        for bcb in list(owner.pool.pages()):
+            owner.pool.drop_page(bcb.page_id)
+        self.coherency.note_recovered(owner.system_id)
+        self.release_system_locks(owner.system_id)
+
+    def _log_owners(self) -> Iterable[DbmsInstance]:
+        return self.instances.values()
 
     def _restart_plan(self, system_id: int, instance: DbmsInstance):
         """``(redo plan, undo fixer)`` of a recovering instance.
@@ -310,47 +268,6 @@ class SDComplex:
                 return instance.pool.fix(page_id)
 
         return plan, fix_fast
-
-    def ensure_instant_recovered(self, page_id: int) -> None:
-        """Apply every active instant manager's pending chain for
-        ``page_id`` before anyone reads or writes the page.
-
-        Managers run in ascending system order — the same order
-        ``restart_complex`` recovers instances in.  Under the medium
-        scheme at most one system's chain can actually apply (the
-        surrender disk write screens the others out), and under the
-        fast scheme every manager's chain for a shared page is the same
-        merged record list, so cross-manager order never changes the
-        final bytes.
-        """
-        for system_id in sorted(self.instant):
-            manager = self.instant.get(system_id)
-            if manager is not None:
-                manager.recover_page(page_id)
-
-    def _instant_drained(self, manager: InstantRecoveryManager) -> None:
-        """Deregister a drained manager; drop the fix intercepts once
-        the last one is gone."""
-        drained = [
-            system_id
-            for system_id, registered in self.instant.items()
-            if registered is manager
-        ]
-        for system_id in drained:
-            del self.instant[system_id]
-        if not self.instant:
-            for instance in self.instances.values():
-                instance.pool.recovery_intercept = None
-
-    def instant_drain(self) -> int:
-        """Run every active manager's sweeper to completion (ascending
-        system order); returns the number of pages recovered."""
-        total = 0
-        for system_id in sorted(self.instant):
-            manager = self.instant.get(system_id)
-            if manager is not None:
-                total += manager.drain()
-        return total
 
     def recovery_page_fixer(self, instance: DbmsInstance):
         """Page accessor for a recovering instance's **undo** pass.

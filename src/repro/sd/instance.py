@@ -6,8 +6,10 @@ transaction manager, and an unsynchronized clock.  The transaction
 front end (:mod:`repro.txn.front`) runs record insert/update/delete,
 page allocation and deallocation (including the read-free reallocation
 of Section 3.4), commit and rollback over this module's hooks; reads,
-the bulk-op lane, mass delete (Section 4.2), degraded mode and log
-filler are SD-only and live here.
+the bulk-op lane, mass delete (Section 4.2) and log filler are SD-only
+and live here.  The log, the pool, checkpoints, degraded mode and the
+crash step are the log owner's (:class:`~repro.recovery.owner.LogOwner`,
+shared with the CS server).
 
 Locking goes through the complex's global lock manager; page access
 goes through the coherency controller so cross-system transfers follow
@@ -27,33 +29,26 @@ from typing import (
     Tuple,
 )
 
-from repro.buffer.buffer_pool import BufferPool
 from repro.common.clock import SkewedClock
-from repro.common.errors import (
-    DegradedModeError,
-    FaultInjectedError,
-    ReproError,
-)
+from repro.common.errors import ReproError
 from repro.common.lsn import LogAddress, Lsn
 from repro.common.stats import (
     BULK_OPS_APPLIED,
     BULK_READ_BATCHES,
     BULK_UPDATE_BATCHES,
-    DEGRADED_ENTRIES,
     LOCK_ESCALATIONS,
 )
 from repro.faults import points as fp
-from repro.faults.injector import FAIL
 from repro.faults.policy import RetryPolicy
 from repro.locking.lock_manager import LockMode, LockStatus, page_lock, record_lock
 from repro.obs import events as ev
 from repro.recovery.apply import stamp_page_lsn
+from repro.recovery.owner import LogOwner
 from repro.storage.page import Page
 from repro.storage.space_map import SpaceMap
 from repro.txn.front import TransactionFrontEnd
 from repro.txn.manager import TransactionManager
 from repro.txn.transaction import Transaction, UndoEntry
-from repro.wal.log_manager import LogManager
 from repro.wal.records import (
     LogRecord,
     PageOp,
@@ -66,7 +61,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sd.complex import SDComplex
 
 
-class DbmsInstance(TransactionFrontEnd):
+class DbmsInstance(LogOwner, TransactionFrontEnd):
     """A DBMS instance: private log + private buffer pool, shared disks."""
 
     def __init__(
@@ -94,18 +89,11 @@ class DbmsInstance(TransactionFrontEnd):
             )
         if escalation_threshold is not None and escalation_threshold < 2:
             raise ValueError("escalation threshold must be >= 2")
-        self.system_id = system_id
+        super().__init__(system_id, sd_complex.disk, sd_complex.stats,
+                         sd_complex.tracer, sd_complex.injector,
+                         capacity=buffer_capacity)
         self.complex = sd_complex
         self.shared = sd_complex
-        self.stats = sd_complex.stats
-        self.tracer = sd_complex.tracer
-        self.injector = sd_complex.injector
-        self.log = LogManager(system_id, stats=self.stats,
-                              tracer=self.tracer, injector=self.injector)
-        self.pool = BufferPool(
-            sd_complex.disk, self.log, capacity=buffer_capacity,
-            tracer=self.tracer, injector=self.injector,
-        )
         self.txns = TransactionManager(system_id)
         self.lock_granularity = lock_granularity
         self.isolation = isolation
@@ -115,12 +103,6 @@ class DbmsInstance(TransactionFrontEnd):
             offset=37.0 * system_id, rate=1.0 + 0.13 * system_id
         )
         self.tracer.register_clock(system_id, self.clock)
-        self.crashed = False
-        # Read-only degraded mode: entered when the log device fails
-        # (an injected ``log.force`` fault); reads and read-only commits
-        # keep working, every log-appending operation is rejected until
-        # restart.
-        self.degraded = False
         # Optional bounded lock-wait policy; None keeps the raw
         # LockWouldBlock behaviour the interleaved workload driver
         # round-robins on.
@@ -505,28 +487,15 @@ class DbmsInstance(TransactionFrontEnd):
         newly durable commit, then acknowledge ``txn`` (the eager
         committer, None for a group-commit sync).
 
-        An injected ``fail`` at the ``log.force`` point means the
-        commit record never reached stable storage: the commit is *not*
-        acknowledged (the caller sees :class:`DegradedModeError`), the
-        instance flips to read-only degraded mode, and the rest of the
-        complex keeps running.  Crash-flavoured injections propagate
-        untouched — they are the campaign's kill signal, not a device
-        error.
+        The force is :meth:`force_or_degrade`: a log-device failure
+        leaves the commit unacknowledged and this instance read-only,
+        and the rest of the complex keeps running.
         """
         injector = self.injector
         if txn is not None and injector.enabled:
             injector.fire(fp.COMMIT_PRE_FORCE, system=self.system_id,
                           txn=txn.txn_id)
-        try:
-            self.log.force()
-        except FaultInjectedError as exc:
-            if exc.action != FAIL:
-                raise
-            self._enter_degraded("log device failure")
-            raise DegradedModeError(
-                f"system {self.system_id}: commit not durable, "
-                f"log device failed"
-            ) from exc
+        self.force_or_degrade()
         if txn is not None and injector.enabled:
             injector.fire(fp.COMMIT_POST_FORCE, system=self.system_id,
                           txn=txn.txn_id)
@@ -562,18 +531,14 @@ class DbmsInstance(TransactionFrontEnd):
         read_record_at = self.log.read_record_at
         return lambda entry: read_record_at(entry.offset)
 
-    # ------------------------------------------------------------------
-    # degraded mode
-    # ------------------------------------------------------------------
-    def _enter_degraded(self, reason: str) -> None:
-        if self.degraded:
-            return
-        self.degraded = True
-        self.stats.incr(DEGRADED_ENTRIES)
-        if self.tracer.enabled:
-            self.tracer.emit(ev.DEGRADED_ENTER, system=self.system_id,
-                             reason=reason)
+    def _checkpoint_transactions(self) -> Dict[int, Tuple[Lsn, int]]:
+        """A checkpoint records the live transactions that logged."""
+        return {txn.txn_id: (txn.last_lsn, 0) for txn in self.txns.active()
+                if txn.is_update_transaction()}
 
+    # ------------------------------------------------------------------
+    # log filler
+    # ------------------------------------------------------------------
     def write_filler(self, n_records: int, payload_bytes: int = 64) -> None:
         """Grow this system's log without touching the database.
 
@@ -594,16 +559,8 @@ class DbmsInstance(TransactionFrontEnd):
         """System failure: buffers, transaction state and the unforced
         log tail all evaporate.  Locks of in-flight transactions are
         *retained* by the global lock manager until restart recovery."""
-        if self.degraded:
-            # A restart replaces the failed log device; degraded mode
-            # does not survive the crash/recovery cycle.
-            self.degraded = False
-            if self.tracer.enabled:
-                self.tracer.emit(ev.DEGRADED_EXIT, system=self.system_id)
-        self.crashed = True
-        self.pool.crash()
+        super().crash()
         self.txns.crash()
-        self.log.crash()
         self._pending_commits.clear()
         self.complex.coherency.note_crash(self.system_id)
 

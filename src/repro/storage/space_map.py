@@ -24,11 +24,14 @@ state of their own beyond the geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.common.config import PAGE_DATA_SIZE
 from repro.common.lsn import Lsn
 from repro.storage.page import Page, PageType
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.storage.disk import SharedDisk
 
 # The space-overhead comparison in the paper considers both LSN widths.
 LOMET_LSN_BYTES_CHOICES = (6, 8)
@@ -56,6 +59,9 @@ class SmpSlot:
 
 class _Geometry:
     """Shared id arithmetic for both SMP layouts."""
+
+    #: The page type the layout's SMP pages are formatted with.
+    page_type: PageType
 
     def __init__(
         self,
@@ -98,6 +104,20 @@ class _Geometry:
         base = (smp_page_id - self.smp_start) * self.entries_per_page
         return (self.data_start + base,
                 min(self.entries_per_page, self.n_data_pages - base))
+
+
+def format_volume(disk: "SharedDisk", space_map: _Geometry) -> None:
+    """Volume initialisation: write every SMP page of ``space_map`` to
+    ``disk``, formatted with its layout's page type.
+
+    Not logged (volume initialisation predates the log), so whatever
+    builds a volume runs this one step: an SD complex, the CS server,
+    a standby mirroring its primary, the Lomet baseline.
+    """
+    for smp_page_id in space_map.smp_page_ids():
+        page = Page()
+        page.format(smp_page_id, space_map.page_type)
+        disk.write_page(page)
 
 
 def _first_non_ff(smp_page: Page, nbytes: int) -> Optional[int]:

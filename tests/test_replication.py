@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.errors import ReproError
 from repro.common.stats import (
+    MERGE_COMPARISONS,
     RETRY_EXHAUSTED,
     REPL_DEGRADED_ENTRIES,
     REPL_RECORDS_SHIPPED,
@@ -24,6 +25,7 @@ from repro.replication import (
     StandbyComplex,
 )
 from repro.sd.complex import SDComplex
+from repro.wal.merge import merge_local_logs
 from repro.wal.records import LogRecord, RecordKind
 
 
@@ -295,6 +297,63 @@ class TestStandbyCrash:
         reader.commit(txn)
         assert promoted.disk.digest() == _reference_failover_digest(
             laggard.system_id, sd, snapshot)
+
+    def test_promote_merges_the_replica_logs_once(self):
+        """Two sources with a shipped loser cost one merge of the
+        replica logs, not one per source (whose second pass also read
+        the first restart's CLRs)."""
+        sd, (standby, _) = build(ack=ACK_QUORUM, window=64, batch=8)
+        for index in range(12):
+            commit_one(sd.instances[1 + index % 2], b"row %02d" % index)
+        one = sd.instances[1]
+        loser = one.begin()
+        one.insert(loser, one.allocate_page(loser), b"in flight")
+        one.log.force()
+        sd.replication.drain()
+        sd.crash_complex()
+        snapshot = standby.replica_snapshot()
+        merge_once = StatsRegistry()
+        for _ in merge_local_logs(standby.replica_logs(), stats=merge_once):
+            pass
+        before = sd.stats.get(MERGE_COMPARISONS)
+        promoted = standby.promote()
+        assert sd.stats.get(MERGE_COMPARISONS) - before == \
+            merge_once.get(MERGE_COMPARISONS) > 0
+        assert promoted.disk.digest() == _reference_failover_digest(
+            standby.system_id, sd, snapshot)
+
+    def test_crashed_standby_takes_no_batches_and_no_vote(self):
+        """Four commits on one page, the forcer crashes, three more
+        commits, a drain: the crashed standby is disconnected instead
+        of absorbing onto images its crash made stale, and it still
+        promotes to the reference image of what it held."""
+        sd = SDComplex(n_data_pages=64, replicate=ReplicationConfig(
+            ack=ACK_QUORUM, window_records=64))
+        instance = sd.add_instance(1)
+        forcer, _ = [sd.replication.add_standby(9 + i) for i in range(2)]
+        txn = instance.begin()
+        page_id = instance.allocate_page(txn)
+        slot = instance.insert(txn, page_id, b"row 0")
+        instance.commit(txn)
+
+        def commit(payload):
+            txn = instance.begin()
+            instance.update(txn, page_id, slot, payload)
+            instance.commit(txn)
+
+        for index in range(1, 4):
+            commit(b"row %d" % index)
+        forcer.crash()
+        snapshot = forcer.replica_snapshot()
+        for index in range(4, 7):
+            commit(b"row %d" % index)
+        sd.replication.drain()
+        assert not sd.replication.connected(forcer.system_id)
+        assert all(ack.satisfied for ack in sd.replication.commit_acks)
+        assert forcer.replica_snapshot() == snapshot
+        promoted = forcer.promote()
+        assert promoted.disk.digest() == _reference_failover_digest(
+            forcer.system_id, sd, snapshot)
 
 
 class TestStandbyApply:

@@ -18,7 +18,8 @@
 #           (capture, critical-path, invariant check, Perfetto export) +
 #           perf-lab smoke, traced attribution guard and self-tests
 #   chaos   crash-point torture smoke + failover and restart drill
-#           smokes (python -m repro.chaos [--drill ...] --smoke)
+#           smokes (python -m repro.chaos [--drill ...] --smoke) + the
+#           full CS restart drill (--drill restart --arch cs)
 #
 # Every stage runs even after an earlier one fails; each step's result
 # is captured, a PASS/FAIL/SKIP summary table prints at the end, and
@@ -220,6 +221,9 @@ stage_chaos() {
         python -m repro.chaos --drill failover --smoke
     run_step "restart drill (smoke)" \
         python -m repro.chaos --drill restart --smoke
+    # The smoke rows are SD only; the full CS rows are eight restarts.
+    run_step "restart drill (cs)" \
+        python -m repro.chaos --drill restart --arch cs
 }
 
 # ----------------------------------------------------------------------
