@@ -49,9 +49,10 @@ consulted; what happens there is decided by the matching
 * ``REPL_APPLY``   — :meth:`StandbyComplex.receive`, before a shipped
   batch is absorbed into the replica logs (hit attributed to the
   standby).
-* ``INSTANT_RECOVER`` — :meth:`InstantRecoveryManager.recover_page`,
-  before a pending page's redo chain is applied under instant restart
-  (hit attributed to the recovering system); a ``fail`` here models a
+* ``INSTANT_RECOVER`` — :meth:`InstantRecoveryManager._replay`, the
+  pending set's apply step under instant restart, before a pending
+  page's redo chain is applied (hit attributed to the recovering
+  system); a ``fail`` here models a
   crash during lazy recovery — the page stays pending and the next
   touch retries from the same stable chain.
 """

@@ -17,7 +17,7 @@ schedules):
 
 * :func:`_prologue` — re-seed the Lamport clock, run analysis, plan
   the per-page redo chains;
-* :func:`_redo` — replay the chains in ascending page id;
+* :func:`_redo` — drain the chains, in ascending page id;
 * :func:`_undo_pass` — roll the losers back with CLRs;
 * :func:`_finish` — force the log and close the ``recovery.end``
   bracket.
@@ -37,7 +37,7 @@ from repro.common.config import NULL_LSN
 from repro.common.lsn import Lsn
 from repro.obs import events as ev
 from repro.recovery.apply import compensate
-from repro.recovery.redo import Chain, collect_local_redo, replay_chains
+from repro.recovery.redo import Chain, PendingChains, collect_local_redo, replay_to_disk
 from repro.wal.records import CheckpointData, LogRecord, RecordKind
 
 _COMMITTED = 1
@@ -199,8 +199,12 @@ def _losers_of(txn_table: Dict[int, Tuple[Lsn, int]]) -> Dict[int, Lsn]:
 # ----------------------------------------------------------------------
 def _redo(instance, chains: Dict[int, Chain],
           summary: RestartSummary) -> None:
+    """The eager schedule: every chain, in ascending page id."""
     with instance.tracer.span(ev.SPAN_REDO, system=instance.system_id):
-        replay_chains(instance, chains, summary)
+        PendingChains(
+            lambda page_id, records, _via: replay_to_disk(
+                instance, page_id, records, summary),
+            chains).drain()
 
 
 # ----------------------------------------------------------------------

@@ -23,16 +23,17 @@ that mode over the paper's multi-system substrate:
    the equivalence guarantee below hold by construction: the CLRs are
    appended in the same order, against the same page images, with the
    same ``page_lsn`` hints, as under eager restart.
-3. Everything else recovers **on demand**: the buffer pool's
-   ``recovery_intercept`` seam (and, in the SD complex, a guard at the
-   top of coherency access) routes the first touch of a still-pending
-   page through :meth:`InstantRecoveryManager.recover_page`, which
-   applies the page's chain straight to the shared disk
-   (:func:`repro.recovery.redo.replay_to_disk`, the eager path's own
-   per-page step).  A
-   deterministic **sweeper** (:meth:`~InstantRecoveryManager.sweep`)
-   drains the remaining pages in sorted page-id order in tick-driven
-   increments.
+3. Everything else recovers **on demand**: the chains wait in the
+   manager's :class:`~repro.recovery.redo.PendingChains` (the set
+   eager restart drains at once), whose apply step is the eager
+   path's own per-page step (:func:`repro.recovery.redo.replay_to_disk`)
+   inside this module's span, fault point and counters.  The buffer
+   pool's ``recovery_intercept`` seam (and, in the SD complex, a guard
+   at the top of coherency access) routes the first touch of a
+   still-pending page to the set's ``recover``; a deterministic
+   **sweeper** (:meth:`~InstantRecoveryManager.sweep`) drains the
+   remaining pages in ascending page-id order, the order they were
+   inserted in, in tick-driven increments.
 
 Equivalence discipline (the property the chaos ``restart`` drill
 enforces with SHA-256 disk digests): per page, instant restart runs
@@ -61,11 +62,11 @@ from repro.common.stats import (
     StatsRegistry,
 )
 from repro.faults import points as fp
-from repro.faults.injector import NULL_INJECTOR, NullFaultInjector
+from repro.faults.injector import NullFaultInjector
 from repro.obs import events as ev
 from repro.recovery import aries
 from repro.recovery.aries import RedoPlan, RestartSummary
-from repro.recovery.redo import Chain, replay_to_disk
+from repro.recovery.redo import PendingChains, replay_to_disk
 
 
 class InstantRecoveryManager:
@@ -86,37 +87,29 @@ class InstantRecoveryManager:
         self,
         instance,
         mode: str,
-        stats: Optional[StatsRegistry] = None,
-        injector: Optional[NullFaultInjector] = None,
-        on_drained: Optional[Callable[["InstantRecoveryManager"], None]]
-        = None,
+        stats: StatsRegistry,
+        injector: NullFaultInjector,
+        on_drained: Callable[["InstantRecoveryManager"], None],
     ) -> None:
         self.instance = instance
         self.mode = mode
         self.tracer = instance.tracer
         self.stats = stats
-        self.injector = injector if injector is not None else NULL_INJECTOR
+        self.injector = injector
         self.on_drained = on_drained
         self.summary = RestartSummary()
         self.losers: Dict[int, int] = {}
-        self._chains: Dict[int, Chain] = {}
-        self._opened = False
-        self._drained = False
+        #: The pending pages' chains; empty until :meth:`open`.
+        self.pending = PendingChains(self._replay)
+        self.drained = False
         self.demand_recoveries = 0
         self.sweep_recoveries = 0
 
-    # ------------------------------------------------------------------
-    # open sequence
-    # ------------------------------------------------------------------
-    def analyze(self, plan: Optional[RedoPlan] = None) -> None:
-        """The restart prologue: clock, analysis and the redo plan
-        (single-log unless the wiring passes ``plan``); every page with
-        a chain becomes *pending*."""
-        self._chains, self.losers = aries._prologue(
-            self.instance, self.summary, plan)
-
-    def open(self, fix_page=None, unfix_page=None) -> RestartSummary:
-        """Declare the pending set, then roll back the losers eagerly.
+    def open(self, plan: Optional[RedoPlan] = None, fix_page=None,
+             unfix_page=None) -> RestartSummary:
+        """The restart prologue — clock, analysis and the redo plan
+        (single-log unless the wiring passes ``plan``), every page with
+        a chain becoming *pending* — then roll back the losers eagerly.
 
         ``fix_page``/``unfix_page`` are the *eager* undo fixers for
         this system (coherency-mediated for SD, the plain pool for the
@@ -126,20 +119,21 @@ class InstantRecoveryManager:
         """
         instance = self.instance
         system_id = instance.system_id
+        chains, self.losers = aries._prologue(instance, self.summary, plan)
+        self.pending = PendingChains(self._replay, chains,
+                                     on_drained=self._finish)
         tracer = self.tracer
         if tracer.enabled:
             tracer.emit(ev.RECOVERY_BEGIN, system=system_id, mode="instant")
             tracer.emit(
                 ev.INSTANT_OPEN, system=system_id, mode=self.mode,
-                pages=sorted(self._chains), losers=len(self.losers),
+                pages=self.pending.pages(), losers=len(self.losers),
             )
-        if self.stats is not None:
-            self.stats.incr(INSTANT_OPENS)
-        self._opened = True
+        self.stats.incr(INSTANT_OPENS)
         aries._undo_pass(instance, self.losers, self.summary,
                          fix_page=fix_page, unfix_page=unfix_page)
         instance.log.force()
-        if not self._chains:
+        if not self.pending:
             self._finish()
         return self.summary
 
@@ -148,24 +142,14 @@ class InstantRecoveryManager:
     # ------------------------------------------------------------------
     def pending_pages(self) -> List[int]:
         """Page ids whose redo chain has not been applied yet, sorted."""
-        return sorted(self._chains)
+        return self.pending.pages()
 
-    @property
-    def drained(self) -> bool:
-        """True once every pending page has been recovered."""
-        return self._drained
-
-    def recover_page(self, page_id: int, via: str = "demand") -> bool:
-        """Apply ``page_id``'s redo chain to the shared disk, if pending.
-
-        Returns True when the page was pending and is now recovered.
-        Exception-safe against an injected fault at ``instant.recover``:
-        the chain is consumed only after the write-back, so the next
-        touch retries from the same stable records.
-        """
-        chain = self._chains.get(page_id)
-        if chain is None:
-            return False
+    def _replay(self, page_id: int, records, via: str) -> None:
+        """The pending set's apply step: :func:`replay_to_disk` inside
+        the ``recover_page`` span, behind the ``instant.recover`` fault
+        point (which fires before the write-back, so the chain stays
+        pending and the next touch retries from the same stable
+        records), then the instant counters and event."""
         instance = self.instance
         system_id = instance.system_id
         tracer = self.tracer
@@ -174,8 +158,7 @@ class InstantRecoveryManager:
             self.injector.fire(fp.INSTANT_RECOVER, system=system_id,
                                page=page_id)
             redone, skipped = replay_to_disk(
-                instance, page_id, chain, self.summary)
-            del self._chains[page_id]
+                instance, page_id, records, self.summary)
             if via == "demand":
                 self.demand_recoveries += 1
             else:
@@ -185,18 +168,14 @@ class InstantRecoveryManager:
                     ev.INSTANT_PAGE, system=system_id, page=page_id,
                     redone=redone, skipped=skipped, via=via,
                 )
-            if self.stats is not None:
-                self.stats.incr(INSTANT_PAGES_RECOVERED)
-                self.stats.incr(
-                    INSTANT_DEMAND_RECOVERIES if via == "demand"
-                    else INSTANT_SWEEP_RECOVERIES)
-                if redone:
-                    self.stats.incr(INSTANT_RECORDS_REDONE, redone)
-                if skipped:
-                    self.stats.incr(INSTANT_RECORDS_SKIPPED, skipped)
-        if not self._chains:
-            self._finish()
-        return True
+            stats = self.stats
+            stats.incr(INSTANT_PAGES_RECOVERED)
+            stats.incr(INSTANT_DEMAND_RECOVERIES if via == "demand"
+                       else INSTANT_SWEEP_RECOVERIES)
+            if redone:
+                stats.incr(INSTANT_RECORDS_REDONE, redone)
+            if skipped:
+                stats.incr(INSTANT_RECORDS_SKIPPED, skipped)
 
     # ------------------------------------------------------------------
     # background sweeper
@@ -205,26 +184,21 @@ class InstantRecoveryManager:
         """One deterministic sweeper tick: recover up to ``max_pages``
         pending pages in ascending page-id order.  Returns how many
         pages this tick recovered."""
-        if self.stats is not None:
-            self.stats.incr(INSTANT_SWEEP_TICKS)
-        recovered = 0
-        for page_id in sorted(self._chains)[:max_pages]:
-            if self.recover_page(page_id, via="sweep"):
-                recovered += 1
-        return recovered
+        self.stats.incr(INSTANT_SWEEP_TICKS)
+        return self.pending.sweep(max_pages)
 
     def drain(self) -> int:
         """Sweep until no page is pending; returns the total recovered."""
-        total = 0
-        while self._chains:
-            total += self.sweep(max_pages=len(self._chains))
-        return total
+        pages = len(self.pending)
+        return self.sweep(pages) if pages else 0
 
     # ------------------------------------------------------------------
     def _finish(self) -> None:
-        if self._drained or not self._opened:
+        """Every pending page is recovered: close the recovery bracket,
+        once (undo may drain the set before :meth:`open` checks it)."""
+        if self.drained:
             return
-        self._drained = True
+        self.drained = True
         tracer = self.tracer
         if tracer.enabled:
             system_id = self.instance.system_id
@@ -241,5 +215,4 @@ class InstantRecoveryManager:
                 losers=self.summary.loser_transactions,
                 clrs=self.summary.clrs_written,
             )
-        if self.on_drained is not None:
-            self.on_drained(self)
+        self.on_drained(self)

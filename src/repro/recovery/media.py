@@ -10,16 +10,24 @@ Records with equal LSNs from different logs can be emitted in either
 order because they necessarily describe different pages (per-page
 monotonicity); for a single page's recovery the filtered stream is
 strictly increasing.
+
+One body serves both entry points: restore the images, build their
+chains with :func:`~repro.recovery.redo.collect_merged_redo`, drain
+them through a :class:`~repro.recovery.redo.PendingChains` whose apply
+step is :func:`~repro.recovery.redo.redo_chain` on the restored image,
+write the images back.  A single page starts its scan at the image
+copy's dump offsets when it can; the database path scans from the
+start of every log, the cost experiment E9 measures.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.common.stats import StatsRegistry
 from repro.obs import events as ev
 from repro.obs.tracer import NULL_TRACER, NullTracer
-from repro.recovery.redo import collect_merged_redo, redo_chain
+from repro.recovery.redo import PendingChains, collect_merged_redo, redo_chain
 from repro.storage.disk import SharedDisk
 from repro.storage.image_copy import ImageCopy
 from repro.storage.page import Page, PageType
@@ -43,30 +51,12 @@ def recover_page_from_media(
     (``use_dump_offsets=False`` forces a full scan, e.g. for pages born
     after the dump).  Returns the page.
     """
-    if tracer is None:
-        tracer = NULL_TRACER
-    with tracer.span(ev.SPAN_RECOVERY, mode="media", page=page_id):
-        from_offsets = None
-        if image_copy is not None and image_copy.has_page(page_id):
-            page = image_copy.restore_page(page_id)
-            if use_dump_offsets and image_copy.log_offsets:
-                from_offsets = image_copy.log_offsets
-        else:
-            # Page was born after the dump: recovery starts from a blank
-            # page and the page's FORMAT record will rebuild it, so the
-            # scan must cover the full logs.
-            page = Page()
-            page.format(page_id, PageType.FREE)
-        # No LSN-keyed index here or below: LSNs are only ever compared
-        # with the page_LSN of the record's own page, where they are
-        # unique and increasing across all logs.
-        chains = collect_merged_redo(logs, {page_id}, stats=stats,
-                                     from_offsets=from_offsets)
-        if page_id in chains:
-            redo_chain(page, chains[page_id].records)
-        if disk is not None:
-            disk.write_page(page)
-    return page
+    from_offsets = None
+    if (use_dump_offsets and image_copy is not None
+            and image_copy.has_page(page_id)):
+        from_offsets = image_copy.log_offsets or None
+    return _recover(image_copy, logs, disk, [page_id], stats, tracer,
+                    from_offsets, page=page_id)[page_id]
 
 
 def recover_database_from_media(
@@ -83,21 +73,40 @@ def recover_database_from_media(
     shape a real media-recovery utility uses, and what experiment E9
     measures for merge cost.
     """
+    wanted = set(page_ids)
+    return len(_recover(image_copy, logs, disk, wanted, stats, tracer,
+                        None, pages=len(wanted)))
+
+
+def _recover(image_copy: Optional[ImageCopy], logs: Iterable[LogManager],
+             disk: Optional[SharedDisk], page_ids: Iterable[int],
+             stats: Optional[StatsRegistry], tracer: Optional[NullTracer],
+             from_offsets: Optional[Dict[int, int]],
+             **span: int) -> Dict[int, Page]:
+    """The one body: restore, drain the merged chains, write back."""
     if tracer is None:
         tracer = NULL_TRACER
-    wanted = set(page_ids)
-    with tracer.span(ev.SPAN_RECOVERY, mode="media", pages=len(wanted)):
-        pages = {}
-        for page_id in sorted(wanted):
+    with tracer.span(ev.SPAN_RECOVERY, mode="media", **span):
+        pages: Dict[int, Page] = {}
+        for page_id in sorted(page_ids):
             if image_copy is not None and image_copy.has_page(page_id):
                 pages[page_id] = image_copy.restore_page(page_id)
             else:
-                blank = Page()
+                # Born after the dump: a blank page, which the page's
+                # FORMAT record rebuilds (the scan covers the full
+                # logs).
+                pages[page_id] = blank = Page()
                 blank.format(page_id, PageType.FREE)
-                pages[page_id] = blank
-        chains = collect_merged_redo(logs, pages, stats=stats)
-        for page_id in sorted(pages):
-            if page_id in chains:
-                redo_chain(pages[page_id], chains[page_id].records)
-            disk.write_page(pages[page_id])
-    return len(pages)
+        # No LSN-keyed index here or below: LSNs are only ever compared
+        # with the page_LSN of the record's own page, where they are
+        # unique and increasing across all logs.
+        chains = collect_merged_redo(logs, pages, stats=stats,
+                                     from_offsets=from_offsets)
+        PendingChains(
+            lambda page_id, records, _via: redo_chain(pages[page_id],
+                                                      records),
+            chains).drain()
+        if disk is not None:
+            for page in pages.values():
+                disk.write_page(page)
+    return pages

@@ -26,7 +26,7 @@ from repro.buffer.buffer_pool import BufferPool
 from repro.common.config import DEFAULT_BUFFER_POOL_PAGES
 from repro.common.errors import DegradedModeError, FaultInjectedError
 from repro.common.lsn import LogAddress, Lsn
-from repro.common.stats import DEGRADED_ENTRIES, StatsRegistry
+from repro.common.stats import DEGRADED_ENTRIES, DEGRADED_REJECTIONS, StatsRegistry
 from repro.faults.injector import FAIL, NullFaultInjector
 from repro.obs import events as ev
 from repro.obs.tracer import NullTracer
@@ -75,7 +75,15 @@ class LogOwner:
     def write_checkpoint(self) -> LogAddress:
         """Take a fuzzy checkpoint: BEGIN, END carrying the dirty page
         table and :meth:`_checkpoint_transactions`, force, then the
-        master record.  Returns the BEGIN record's address."""
+        master record.  Returns the BEGIN record's address.
+
+        Degraded mode rejects it before anything is appended: the
+        force would make stable whatever the failed force left behind
+        (a commit just reported not durable included).
+        """
+        if self.degraded:
+            self.stats.incr(DEGRADED_REJECTIONS)
+            raise DegradedModeError(f"{self._label()} is read-only (degraded)")
         log = self.log
         begin_addr = log.append(LogRecord(kind=RecordKind.BEGIN_CHECKPOINT))
         data = CheckpointData(dict(self.pool.dirty_page_table()),
@@ -204,9 +212,7 @@ class RestartRegistry:
                 pool.recovery_intercept = self.ensure_instant_recovered
                 with self.tracer.span(ev.SPAN_RECOVERY, system=system_id,
                                       mode="instant"):
-                    manager.analyze(plan)
-                    summary = manager.open(fix_page=fix_page,
-                                           unfix_page=pool.unfix)
+                    summary = manager.open(plan, fix_page, pool.unfix)
             else:
                 summary = restart_recovery(owner, fix_page, pool.unfix,
                                            plan)
@@ -226,20 +232,14 @@ class RestartRegistry:
         merged record list, so cross-manager order never changes the
         final bytes.
         """
-        for system_id in sorted(self.instant):
-            manager = self.instant.get(system_id)
-            if manager is not None:
-                manager.recover_page(page_id)
+        for _, manager in sorted(self.instant.items()):
+            manager.pending.recover(page_id)
 
     def _instant_drained(self, manager: InstantRecoveryManager) -> None:
         """Deregister a drained manager; drop the fix intercepts once
         the last one is gone."""
-        drained = [
-            system_id
-            for system_id, registered in self.instant.items()
-            if registered is manager
-        ]
-        for system_id in drained:
+        system_id = manager.instance.system_id
+        if self.instant.get(system_id) is manager:
             del self.instant[system_id]
         if not self.instant:
             for owner in self._log_owners():
@@ -248,9 +248,5 @@ class RestartRegistry:
     def instant_drain(self) -> int:
         """Run every active manager's sweeper to completion (ascending
         system order); returns the number of pages recovered."""
-        total = 0
-        for system_id in sorted(self.instant):
-            manager = self.instant.get(system_id)
-            if manager is not None:
-                total += manager.drain()
-        return total
+        return sum(manager.drain()
+                   for _, manager in sorted(self.instant.items()))

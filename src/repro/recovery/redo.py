@@ -4,8 +4,8 @@ Redo order only matters *within* a page — the page_LSN test and
 ``apply_redo`` touch nothing but the page image and the record — so
 every recovery flavour is the same algorithm at a different schedule
 (Sauer/Haerder): gather each page's redo candidates in log order (a
-*chain*), then replay chain by chain.  This module holds the four
-pieces they share:
+*chain*), hold them, then apply chain by chain on the flavour's
+schedule.  This module holds the five pieces they share:
 
 * :func:`redo_chain` — the Section 3.2.1 rule, apply iff
   ``record.LSN > page_LSN``.  It is the only place in ``src/repro``
@@ -16,13 +16,16 @@ pieces they share:
   (medium transfer scheme, CS server, CS client recovery), or the
   LSN-merged local logs filtered to a target set (fast scheme, media
   recovery, reconstruction behind a crashed owner, standby promote).
-* :func:`replay_to_disk` — one chain against the shared disk: eager
-  restart runs it over every page in ascending page id, instant
-  restart on first touch or from the sweeper.
+* :class:`PendingChains` — the one set of chains waiting to be
+  applied, and the schedules over it: ``drain()`` (eager restart,
+  the standby after a force, media recovery), ``recover(page)`` on
+  first touch and ``sweep(k)`` (instant restart).
+* :func:`replay_to_disk` — the restart apply step: one chain against
+  the shared disk.
 * :func:`trace_outcome` — the ``RECOVERY_REDO`` / ``RECOVERY_SKIP``
   events of one replayed chain, for every caller of
-  :func:`redo_chain` (the standby's steady-state apply and CS client
-  recovery included).
+  :func:`redo_chain` (the standby's apply and CS client recovery
+  included).
 
 WAL holds throughout: a chain read from a post-crash log is stable, so
 writing a chain-applied image needs no log force first.  Callers whose
@@ -32,8 +35,10 @@ instead and ``note_update`` each applied record from its chain offset.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Collection,
     Dict,
     Iterable,
@@ -156,10 +161,11 @@ def collect_merged_redo(
     return chains
 
 
-def replay_to_disk(instance, page_id: int, chain: Chain,
+def replay_to_disk(instance, page_id: int, records: List[LogRecord],
                    summary: "RestartSummary") -> Tuple[int, int]:
-    """Apply ``chain`` to ``page_id``'s disk image; returns ``(redone,
-    skipped)`` and folds both into ``summary``.
+    """Apply ``records`` (``page_id``'s chain) to the page's disk
+    image; returns ``(redone, skipped)`` and folds both into
+    ``summary``.
 
     The image is read as a copy-on-write view, so a chain that screens
     out entirely copies nothing and leaves the page unwritten.
@@ -167,22 +173,86 @@ def replay_to_disk(instance, page_id: int, chain: Chain,
     """
     disk = instance.pool.disk
     page = disk.read_page_view(page_id)
-    outcome = redo_chain(page, chain.records)
+    outcome = redo_chain(page, records)
     redone = sum(applied for applied, _ in outcome)
     skipped = len(outcome) - redone
     if redone:
         disk.write_page(page)
     tracer = instance.tracer
     if tracer.enabled:
-        trace_outcome(tracer, instance.system_id, page_id, chain.records,
-                      outcome)
+        trace_outcome(tracer, instance.system_id, page_id, records, outcome)
     summary.records_redone += redone
     summary.redo_skipped_by_lsn += skipped
     return redone, skipped
 
 
-def replay_chains(instance, chains: Dict[int, Chain],
-                  summary: "RestartSummary") -> None:
-    """The eager schedule: every chain, in ascending page id."""
-    for page_id in sorted(chains):
-        replay_to_disk(instance, page_id, chains[page_id], summary)
+class PendingChains:
+    """Per-page chains waiting for their apply step: page -> records
+    in log order, kept in insertion order.
+
+    Every schedule drains this one set with the step it was built
+    with, ``apply(page_id, records, via)``, where ``via`` names the
+    schedule that reached the page (``"demand"`` or ``"sweep"``).
+    Eager restart drains it right after analysis; instant restart
+    recovers a page on first touch and sweeps the rest; the standby
+    adds each absorbed run and drains after the force; media recovery
+    drains it over the restored images.
+
+    ``chains`` (a plan's ``page -> Chain``) are inserted in ascending
+    page id, so a sweep takes pages in that order without sorting;
+    pages that :meth:`add` brings queue behind them in arrival order.
+    A chain leaves the set only after its apply returns, so an apply
+    that raises leaves the page pending for a retry.  ``on_drained``
+    runs whenever an apply empties the set.
+    """
+
+    def __init__(self, apply: Callable[[int, List[LogRecord], str], object],
+                 chains: Optional[Dict[int, Chain]] = None,
+                 on_drained: Optional[Callable[[], None]] = None) -> None:
+        self._apply = apply
+        self._chains: Dict[int, List[LogRecord]] = {
+            page_id: chains[page_id].records
+            for page_id in sorted(chains or ())}
+        self.on_drained = on_drained
+        #: Records added since the set was last empty.
+        self.added = 0
+
+    def __len__(self) -> int:
+        return len(self._chains)
+
+    def pages(self) -> List[int]:
+        """The pending pages, in insertion order."""
+        return list(self._chains)
+
+    def add(self, records: List[LogRecord]) -> None:
+        """Append page-oriented ``records``, in log order, to their
+        pages' chains."""
+        chains = self._chains
+        for record in records:
+            chains.setdefault(record.page_id, []).append(record)
+        self.added += len(records)
+
+    def recover(self, page_id: int, via: str = "demand") -> bool:
+        """Apply ``page_id``'s chain if it is pending; returns whether
+        it was."""
+        return page_id in self._chains and self._run([page_id], via) > 0
+
+    def sweep(self, k: int) -> int:
+        """Apply the next ``k`` chains in insertion order; returns how
+        many were applied."""
+        return self._run(list(islice(self._chains, k)), "sweep")
+
+    def drain(self) -> int:
+        """Apply every pending chain; returns how many were applied."""
+        return self._run(list(self._chains), "sweep")
+
+    def _run(self, pages: List[int], via: str) -> int:
+        chains = self._chains
+        for page_id in pages:
+            self._apply(page_id, chains[page_id], via)
+            del chains[page_id]
+        if pages and not chains:
+            self.added = 0
+            if self.on_drained is not None:
+                self.on_drained()
+        return len(pages)

@@ -219,9 +219,19 @@ class ReplicationManager(NullReplication):
     # membership
     # ------------------------------------------------------------------
     def add_standby(self, system_id: int) -> StandbyComplex:
-        """Attach a new standby complex mirroring the primary geometry."""
+        """Attach a new standby complex mirroring the primary geometry.
+
+        Only before the first record ships: a link starts at the ship
+        cursor over a freshly formatted volume, so a late standby would
+        miss everything already shipped and still vote as a full
+        replica.
+        """
         if system_id in self._links:
             raise ReproError(f"standby {system_id} already attached")
+        if self._shipped_offsets:
+            raise ReproError(
+                f"standby {system_id} attached after records shipped: "
+                f"a late standby cannot be seeded")
         if system_id in self.primary.instances:
             raise ReproError(
                 f"system {system_id} is a primary instance, not a standby")

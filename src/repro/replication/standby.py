@@ -18,10 +18,12 @@ through four states, in this order and never another:
 * **applied** — page-oriented records replayed through the standard
   redo test ``record.LSN > page_LSN`` (Section 3.2.1), as per-page
   chains, against a page cache of at most
-  :data:`~repro.common.config.DEFAULT_BUFFER_POOL_PAGES` pages.  Chains
-  accumulate until ``window_records`` page records wait (checked at
-  each force) or :meth:`harden` is asked to write back, so an ack
-  never waits for an apply;
+  :data:`~repro.common.config.DEFAULT_BUFFER_POOL_PAGES` pages.  The
+  chains wait in the :class:`~repro.recovery.redo.PendingChains` set
+  restart drains, one chain per page in arrival order, until
+  ``window_records`` page records wait (checked at each force) or
+  :meth:`harden` is asked to write back; then the set is drained, so
+  an ack never waits for an apply;
 * **written back** — a dirty cached page reaches the standby's disk
   when it is evicted, or, for every dirty page in one
   ``write_many``, when the shipper drains or the standby is promoted.
@@ -67,7 +69,12 @@ from repro.obs import events as ev
 from repro.obs.tracer import NullTracer
 from repro.recovery.aries import restart_recovery
 from repro.recovery.owner import LogOwner
-from repro.recovery.redo import collect_merged_redo, redo_chain, trace_outcome
+from repro.recovery.redo import (
+    PendingChains,
+    collect_merged_redo,
+    redo_chain,
+    trace_outcome,
+)
 from repro.storage.disk import SharedDisk
 from repro.storage.space_map import format_volume
 from repro.wal.log_manager import LogManager
@@ -128,9 +135,9 @@ class StandbyComplex:
         self._unforced = 0
         self._window_records = primary.replication.config.window_records
         #: Absorbed page-oriented records not yet applied, one chain
-        #: per page in arrival (= LSN) order, and how many they are.
-        self._unapplied: Dict[int, List[LogRecord]] = {}
-        self._unapplied_records = 0
+        #: per page in arrival (= LSN) order; pages apply in the order
+        #: they first arrived.
+        self._pending = PendingChains(self._apply_to_cache)
         #: Set by :meth:`crash`: the shipper disconnects a crashed
         #: standby, whose next step is :meth:`promote`.
         self.crashed = False
@@ -164,14 +171,6 @@ class StandbyComplex:
         """What an ack carries: per source, the highest LSN absorbed
         and the highest LSN forced (snapshots; do not mutate)."""
         return self._last_lsn, self._durable_lsn
-
-    def _replica_log(self, source_id: int) -> LogManager:
-        log = self._replica_logs.get(source_id)
-        if log is None:
-            log = LogManager(source_id, stats=self.stats,
-                             tracer=self.tracer, injector=self.injector)
-            self._replica_logs[source_id] = log
-        return log
 
     def replica_logs(self) -> List[LogManager]:
         """The replica logs in source-id order (verification input)."""
@@ -227,26 +226,23 @@ class StandbyComplex:
             spans = [span for span in spans if span[0] > last]
         if not spans:
             return 0
-        unapplied = self._unapplied
-        pages = 0
+        records = []
         for _, begin, _ in spans:
             if data[begin] in CONTROL_KINDS:
                 continue
             record = LogRecord.from_bytes(data, begin)[0]
-            page_id = record.page_id
-            if page_id != NO_PAGE:
-                pages += 1
-                chain = unapplied.get(page_id)
-                if chain is None:
-                    unapplied[page_id] = [record]
-                else:
-                    chain.append(record)
-        self._unapplied_records += pages
+            if record.page_id != NO_PAGE:
+                records.append(record)
+        self._pending.add(records)
         # The run's last record carries its highest LSN.
         last = spans[-1][0]
         start = spans[0][1]
-        self._replica_log(source_id).append_parsed(
-            data[start:] if start else data, last)
+        log = self._replica_logs.get(source_id)
+        if log is None:
+            log = self._replica_logs[source_id] = LogManager(
+                source_id, stats=self.stats, tracer=self.tracer,
+                injector=self.injector)
+        log.append_parsed(data[start:] if start else data, last)
         self._last_lsn = {**self._last_lsn, source_id: last}
         return len(spans)
 
@@ -263,18 +259,15 @@ class StandbyComplex:
             log.force()
         self._unforced = 0
         self._durable_lsn = self._last_lsn
-        if write_back or self._unapplied_records >= self._window_records:
-            unapplied = self._unapplied
-            while unapplied:
-                page_id = next(iter(unapplied))
-                self._apply_chain(page_id, unapplied[page_id])
-                del unapplied[page_id]
-            self._unapplied_records = 0
+        if write_back or self._pending.added >= self._window_records:
+            self._pending.drain()
         if write_back:
             self._cache.flush_all()
 
-    def _apply_chain(self, page_id: int, records: List[LogRecord]) -> None:
-        """The standing redo pass: one page's chain against its image."""
+    def _apply_to_cache(self, page_id: int, records: List[LogRecord],
+                        _via: str) -> None:
+        """The pending set's apply step, the standing redo pass: one
+        page's chain against its cached image."""
         cache = self._cache
         outcome = redo_chain(cache.fix(page_id), records)
         cache.unfix(page_id)
@@ -302,8 +295,7 @@ class StandbyComplex:
         counting its vote.
         """
         self.crashed = True
-        self._unapplied.clear()
-        self._unapplied_records = 0
+        self._pending = PendingChains(self._apply_to_cache)
         self._cache.crash()
         self._unforced = 0
         for log in self._replica_logs.values():

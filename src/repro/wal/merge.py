@@ -166,21 +166,3 @@ def lomet_merge(
                 heap, (_PageLsnKey(nxt.page_id, nxt.lsn, stats), idx, pos + 1)
             )
 
-
-def merged_records_for_page(
-    logs: Iterable[LogManager],
-    page_id: int,
-    stats: Optional[StatsRegistry] = None,
-    from_offsets: Optional[Dict[int, int]] = None,
-) -> List[MergedEntry]:
-    """All records describing ``page_id`` in complex-wide LSN order.
-
-    This is the media-recovery input for one page: the filtered merged
-    stream.  Per-page monotonicity (invariant I1) makes the result's
-    LSNs strictly increasing.
-    """
-    return [
-        entry
-        for entry in merge_local_logs(logs, stats=stats, from_offsets=from_offsets)
-        if entry[1].page_id == page_id
-    ]

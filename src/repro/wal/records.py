@@ -137,11 +137,20 @@ def encode_op(op: PageOp, data: bytes = b"") -> bytes:
     return bytes([int(op)]) + data
 
 
+#: Operation byte -> :class:`PageOp` (``None`` for no operation): one
+#: index per decode, where ``PageOp(byte)`` is two interpreted calls.
+_OPS: Tuple[Optional[PageOp], ...] = tuple(
+    map({op.value: op for op in PageOp}.get, range(256)))
+
+
 def decode_op(payload: bytes) -> Tuple[PageOp, bytes]:
     """Inverse of :func:`encode_op`."""
     if not payload:
         raise ValueError("empty operation payload")
-    return PageOp(payload[0]), payload[1:]
+    op = _OPS[payload[0]]
+    if op is None:
+        raise ValueError(f"{payload[0]} is not a valid PageOp")
+    return op, payload[1:]
 
 
 @dataclass(init=False)

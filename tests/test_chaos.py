@@ -74,6 +74,7 @@ from repro.obs.capture import capture_e1
 from repro.obs.invariants import check_trace
 from repro.obs.tracer import Tracer
 from repro.recovery import redo
+from repro.recovery.checkpoint import take_checkpoint
 from repro.recovery.media import recover_page_from_media
 from repro.replication import StandbyComplex
 from repro.sd.complex import SDComplex
@@ -358,6 +359,31 @@ class TestDegradedModeSd:
         verdict = s1.begin()
         assert s1.read(verdict, page_a, slot_a) == b"safe"
 
+    def test_checkpoint_while_degraded_appends_nothing(self):
+        """A checkpoint is log work: it is rejected before its BEGIN, so
+        the COMMIT the failed force left behind never becomes stable."""
+        injector = FaultInjector(FaultPlan(seed=0))
+        sd = SDComplex(n_data_pages=64, injector=injector)
+        s1 = sd.add_instance(1)
+        page_a, slot_a = committed_row(s1, b"safe")
+        arm_next_hit(injector, fp.LOG_FORCE).fail()
+        txn = s1.begin()
+        s1.update(txn, page_a, slot_a, b"doomed")
+        with pytest.raises(DegradedModeError):
+            s1.commit(txn)
+        log = s1.log
+        before = (log.end_offset, log.flushed_offset,
+                  log.master_record_offset)
+        with pytest.raises(DegradedModeError,
+                           match="system 1 is read-only"):
+            take_checkpoint(s1)
+        assert (log.end_offset, log.flushed_offset,
+                log.master_record_offset) == before
+        sd.crash_instance(1)
+        sd.restart_instance(1)
+        verdict = s1.begin()
+        assert s1.read(verdict, page_a, slot_a) == b"safe"
+
 
 class TestDegradedModeCs:
     def test_log_force_failure_degrades_server(self):
@@ -397,6 +423,29 @@ class TestDegradedModeCs:
         verdict = c1.begin()
         assert c1.read(verdict, page_a, slot_a) == b"safe"
         committed_row(c1, b"post-repair")  # log device works again
+
+    def test_checkpoint_while_degraded_appends_nothing(self):
+        """The server's checkpoint is rejected like its log work."""
+        injector = FaultInjector(FaultPlan(seed=0))
+        cs = CsSystem(n_data_pages=64, injector=injector)
+        c1 = cs.add_client(1)
+        page_a, slot_a = committed_row(c1, b"safe")
+        arm_next_hit(injector, fp.LOG_FORCE).fail()
+        txn = c1.begin()
+        c1.update(txn, page_a, slot_a, b"doomed")
+        with pytest.raises(DegradedModeError):
+            c1.commit(txn)
+        log = cs.server.log
+        before = (log.end_offset, log.flushed_offset,
+                  log.master_record_offset)
+        with pytest.raises(DegradedModeError, match="server is read-only"):
+            cs.server.take_checkpoint()
+        assert (log.end_offset, log.flushed_offset,
+                log.master_record_offset) == before
+        cs.crash_server()
+        cs.restart_server()
+        verdict = c1.begin()
+        assert c1.read(verdict, page_a, slot_a) == b"safe"
 
 
 # ----------------------------------------------------------------------

@@ -260,6 +260,24 @@ class TestReplicatedCanonicalTransaction:
             f"{calls} interpreted calls per replicated 4-op transaction "
             f"(budget {REPLICATED_CALL_CEILING})")
 
+    def test_warm_window_calls_within_budget(self):
+        """64 warm commits, the standbys' window applies included: 296.1
+        interpreted calls per commit before the standby applied through
+        the pending-chain set, 288.25 with it and a table-driven
+        ``decode_op``, on CPython 3.11."""
+        _, engine, rows = self._steady()
+        commits = 64
+
+        def window():
+            for i in range(20, 20 + commits):
+                _canonical_txn(engine, rows, i)
+
+        # Less the window's own calls of _canonical_txn.
+        per_commit = (_count_calls(window) - commits) / commits
+        assert per_commit <= REPLICATED_CALL_CEILING, (
+            f"{per_commit:.1f} interpreted calls per replicated commit "
+            f"over {commits} (budget {REPLICATED_CALL_CEILING})")
+
 
 class TestReadOnlyCanonicalTransaction:
     """The zero rows: a transaction that only read has nothing to make

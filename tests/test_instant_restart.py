@@ -9,13 +9,15 @@ undone at open, redo deferred to demand/sweeper), the wiring knob
 
 import pytest
 
+from repro.common.errors import FaultInjectedError
 from repro.common.stats import (
     INSTANT_DEMAND_RECOVERIES,
     INSTANT_PAGES_RECOVERED,
     INSTANT_SWEEP_RECOVERIES,
 )
 from repro.cs.system import CsSystem
-from repro.faults.injector import NULL_INJECTOR
+from repro.faults import points as fp
+from repro.faults.injector import NULL_INJECTOR, FaultInjector, FaultPlan
 from repro.faults.scenarios import (
     build_cs,
     build_sd,
@@ -146,6 +148,30 @@ class TestLazyRecovery:
         assert manager.demand_recoveries >= 1
         assert sd.stats.get(INSTANT_DEMAND_RECOVERIES) >= 1
 
+    def test_failed_recovery_leaves_the_page_pending(self):
+        """A chain leaves the pending set only after its apply returns:
+        a ``fail`` at ``instant.recover`` keeps the page pending, and
+        the retry applies the same stable chain."""
+        injector = FaultInjector(FaultPlan(seed=0))
+        sd = SDComplex(n_data_pages=64, restart_mode="instant",
+                       injector=injector)
+        s1, s2 = sd.add_instance(1), sd.add_instance(2)
+        handles = seed_pages(s1)
+        sd.crash_instance(1)
+        sd.restart_instance(1)
+        manager = sd.instant[1]
+        page_id, slot = handles[0]
+        injector.plan.at(fp.INSTANT_RECOVER).on_hit(
+            injector.hit_count(fp.INSTANT_RECOVER) + 1).fail()
+        with pytest.raises(FaultInjectedError):
+            manager.pending.recover(page_id)
+        assert page_id in manager.pending_pages()
+        txn = s2.begin()
+        assert s2.read(txn, page_id, slot) == b"v0"
+        s2.commit(txn)
+        assert page_id not in manager.pending_pages()
+        assert manager.demand_recoveries == 1
+
     def test_sweeper_recovers_in_sorted_deterministic_increments(self):
         sd, s1, _ = small_sd(mode="instant")
         seed_pages(s1, n=5)
@@ -200,8 +226,8 @@ class TestLazyRecovery:
         sd.restart_instance(1)
         manager = sd.instant[1]
         page_id = handles[0][0]
-        assert manager.recover_page(page_id) is True
-        assert manager.recover_page(page_id) is False
+        assert manager.pending.recover(page_id) is True
+        assert manager.pending.recover(page_id) is False
 
 
 # ----------------------------------------------------------------------

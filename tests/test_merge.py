@@ -3,8 +3,9 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.common.stats import MERGE_COMPARISONS, StatsRegistry
+from repro.recovery.redo import collect_merged_redo
 from repro.wal.log_manager import LogManager
-from repro.wal.merge import lomet_merge, merge_local_logs, merged_records_for_page
+from repro.wal.merge import lomet_merge, merge_local_logs
 from repro.wal.records import make_update
 from repro.baselines.lomet import LometLogManager
 
@@ -61,9 +62,11 @@ class TestUsnMerge:
 
     def test_per_page_filter(self):
         logs = usn_logs({1: [(10, 0), (11, 0), (10, 50)], 2: [(10, 5)]})
-        entries = merged_records_for_page(logs, 10)
-        lsns = [r.lsn for _, r in entries]
-        assert all(r.page_id == 10 for _, r in entries)
+        chains = collect_merged_redo(logs, {10})
+        assert list(chains) == [10]
+        records = chains[10].records
+        lsns = [r.lsn for r in records]
+        assert all(r.page_id == 10 for r in records)
         assert lsns == sorted(lsns)
         assert len(lsns) == 3
 

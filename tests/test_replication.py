@@ -261,7 +261,7 @@ class TestStandbyCrash:
         sd, (forcer, _) = build(ack=ACK_QUORUM, window=8, batch=8)
         for index in range(7):
             commit_one(sd.instances[1 + index % 2], b"row %02d" % index)
-        assert forcer._cache.dirty_page_table() and forcer._unapplied
+        assert forcer._cache.dirty_page_table() and forcer._pending.pages()
         forcer.crash()
         snapshot = forcer.replica_snapshot()
         promoted = forcer.promote()
@@ -478,6 +478,25 @@ class TestStandbyGuards:
         sd, _ = build()
         with pytest.raises(ReproError):
             sd.replication.add_standby(1)
+
+    def test_rejects_a_standby_attached_after_records_shipped(self):
+        """A late standby would start at the ship cursor, missing the
+        rows already shipped, and still vote under ``all``."""
+        sd = SDComplex(n_data_pages=64,
+                       replicate=ReplicationConfig(ack=ACK_ALL))
+        instance = sd.add_instance(1)
+        early = sd.replication.add_standby(9)
+        rows = [commit_one(instance, b"row %d" % i) for i in range(3)]
+        with pytest.raises(ReproError, match="after records shipped"):
+            sd.replication.add_standby(10)
+        rows += [commit_one(instance, b"row %d" % i) for i in range(3, 6)]
+        sd.replication.drain()
+        assert list(sd.replication.standbys()) == [9]
+        reader = early.promote().instances[9]
+        txn = reader.begin()
+        assert [reader.read(txn, page_id, 0) for page_id in rows] == [
+            b"row %d" % i for i in range(6)]
+        reader.commit(txn)
 
     def test_standby_formats_space_maps(self):
         sd, standbys = build()

@@ -227,6 +227,42 @@ class TestReallocation:
         s1.rollback(txn)
 
 
+class TestExchangeOffReallocation:
+    """The Section 3.4 guarantee with the Local_Max_LSN exchange off:
+    the system that deallocates and reallocates never logged against
+    the page and its LSNs lag far behind, so only the deallocation's
+    LSN hint (the dead page's page_LSN) carries the new life's LSNs
+    above the dead version still on disk."""
+
+    @pytest.mark.parametrize("scheme", ["medium", "fast"])
+    def test_remote_dealloc_realloc_survives_restart(self, scheme):
+        sd = SDComplex(n_data_pages=64, piggyback_enabled=False,
+                       lock_value_blocks=False, transfer_scheme=scheme)
+        s1, s2 = sd.add_instance(1), sd.add_instance(2)
+        page_id, slot = committed_row(s1, b"old")
+        filler, filler_slot = committed_row(s1, b"f")
+        for i in range(500):
+            txn = s1.begin()
+            s1.update(txn, filler, filler_slot, b"f%03d" % i)
+            s1.commit(txn)
+        txn = s1.begin()
+        s1.delete(txn, page_id, slot)
+        s1.commit(txn)
+        s1.pool.flush_all()
+        dead_lsn = sd.disk.page_lsn_on_disk(page_id)
+        assert s2.log.local_max_lsn < dead_lsn
+        txn = s2.begin()
+        s2.deallocate_page(txn, page_id)
+        assert s2.allocate_page(txn, page_id=page_id) == page_id
+        new_slot = s2.insert(txn, page_id, b"new")
+        s2.commit(txn)
+        sd.crash_instance(2)
+        sd.restart_instance(2)
+        page = sd.disk.read_page(page_id)
+        assert page.page_lsn > dead_lsn
+        assert page.read_record(new_slot) == b"new"
+
+
 class TestMassDelete:
     def test_smp_only_logging(self, sd):
         s1 = sd.instances[1]

@@ -154,7 +154,10 @@ perflab_smoke() {
 # green and silently zeroes the per-layer metrics; one traced epoch of
 # sd-percall-fit must still see lock requests and buffer fixes, and one
 # of repl-quorum-2sb the three replication wraps (shipper.on_commit,
-# shipper.drain, standby.receive returning the records it absorbed).
+# shipper.drain, standby.receive returning the records it absorbed),
+# and one of restart-instant the demand and sweep recoveries
+# (ensure_instant_recovered, instant_drain returning the pages it
+# recovered) and the pages pending at open.
 # A NAME=0 argument demands zero instead: the repl-quorum-2sb standbys
 # apply into their page caches, so its warm commits do no page I/O.
 perflab_traced_check() {
@@ -185,7 +188,11 @@ perflab_trace_guard() {
         replication.shipper.batches_per_txn \
         replication.shipper.on_commit_us_p50 \
         replication.standby.receive_us_per_record \
-        storage.disk.page_io_per_txn=0
+        storage.disk.page_io_per_txn=0 \
+    && perflab_traced_check restart-instant \
+        recovery.instant.demand_us_p50 \
+        recovery.instant.pending_pages_at_open \
+        recovery.instant.sweep_pages_per_ms
 }
 
 stage_bench() {
