@@ -20,15 +20,15 @@ Consequences the paper points out, both modelled here:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.buffer.buffer_pool import BufferPool
 from repro.common.errors import ReproError
+from repro.common.seams import Seams
 from repro.common.stats import (
     GLOBAL_LOG_LOCK_MESSAGES,
     GLOBAL_LOG_LOCKS,
     MESSAGES_SENT,
-    StatsRegistry,
 )
 from repro.storage.disk import SharedDisk
 from repro.storage.page import Page, PageType
@@ -39,9 +39,9 @@ from repro.wal.records import LogRecord, PageOp, RecordKind, encode_op
 class _GlobalLog:
     """The single shared log file, guarded by a global lock."""
 
-    def __init__(self, stats: StatsRegistry) -> None:
-        self.stats = stats
-        self.log = LogManager(system_id=0, stats=stats)
+    def __init__(self, seams: Seams) -> None:
+        self.stats = seams.stats
+        self.log = LogManager(0, seams)
 
     def transfer(self, from_system: int, records: List[LogRecord]) -> None:
         """Move a system's cached records into the global log.
@@ -66,12 +66,11 @@ class GlobalLogComplex:
         self,
         n_data_pages: int = 1024,
         data_start: int = 8,
-        stats: Optional[StatsRegistry] = None,
     ) -> None:
-        self.stats = stats if stats is not None else StatsRegistry()
-        self.disk = SharedDisk(capacity=data_start + n_data_pages,
-                               stats=self.stats)
-        self.global_log = _GlobalLog(self.stats)
+        self.seams = Seams.of()
+        self.stats = self.seams.stats
+        self.disk = SharedDisk(data_start + n_data_pages, self.seams)
+        self.global_log = _GlobalLog(self.seams)
         self.systems: Dict[int, "GlobalLogSystem"] = {}
         self.data_start = data_start
         self.n_data_pages = n_data_pages
@@ -100,8 +99,9 @@ class GlobalLogSystem:
         # A throwaway local log manager exists only to satisfy the
         # buffer pool's WAL plumbing; the force path is overridden by
         # the force-before-commit discipline below.
-        self._wal_stub = LogManager(system_id, stats=self.stats)
-        self.pool = BufferPool(complex_.disk, self._wal_stub, capacity=64)
+        self._wal_stub = LogManager(system_id, complex_.seams)
+        self.pool = BufferPool(complex_.disk, self._wal_stub, capacity=64,
+                               seams=complex_.seams)
         self._log_cache: List[LogRecord] = []
         self._txn_dirty: Dict[int, List[int]] = {}
         self._usn = 0  # their page "USN" used only for buffer coherency
@@ -152,9 +152,6 @@ class GlobalLogSystem:
         finally:
             self.pool.unfix(page_id)
 
-    def note_dirty(self, txn_id: int, page_id: int) -> None:
-        self._txn_dirty.setdefault(txn_id, []).append(page_id)
-
     def commit(self, txn_id: int) -> None:
         """Force-before-commit: flush the transaction's pages to disk,
         then force the cached records plus the commit record to the
@@ -167,6 +164,3 @@ class GlobalLogSystem:
         )
         self.complex.global_log.transfer(self.system_id, self._log_cache)
         self._log_cache = []
-
-    def cached_record_count(self) -> int:
-        return len(self._log_cache)

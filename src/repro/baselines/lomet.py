@@ -29,6 +29,7 @@ from repro.buffer.buffer_pool import BufferPool
 from repro.common.config import NULL_LSN
 from repro.common.errors import ReproError
 from repro.common.lsn import LogAddress, Lsn
+from repro.common.seams import Seams
 from repro.common.stats import StatsRegistry
 from repro.storage.disk import SharedDisk
 from repro.storage.image_copy import ImageCopy
@@ -67,7 +68,8 @@ class LometLogManager(LogManager):
         record.system_id = self.system_id
         if record.lsn > self.local_max_lsn:
             self.local_max_lsn = record.lsn
-        return self._append_bytes(record.to_bytes())
+        offset = self._append_bytes(record.to_bytes())
+        return LogAddress(self.system_id, offset)
 
     def observe_remote_max(self, remote_max_lsn: Lsn) -> None:
         """Lomet's scheme has no cross-system LSN exchange."""
@@ -82,11 +84,10 @@ class LometComplex:
         data_start: int = 64,
         smp_start: int = 1,
         lsn_bytes: int = 8,
-        stats: Optional[StatsRegistry] = None,
     ) -> None:
-        self.stats = stats if stats is not None else StatsRegistry()
-        self.disk = SharedDisk(capacity=data_start + n_data_pages + 64,
-                               stats=self.stats)
+        self.seams = Seams.of()
+        self.stats = self.seams.stats
+        self.disk = SharedDisk(data_start + n_data_pages + 64, self.seams)
         self.space_map = LometSpaceMap(
             smp_start=smp_start, data_start=data_start,
             n_data_pages=n_data_pages, lsn_bytes=lsn_bytes,
@@ -121,9 +122,9 @@ class LometSystem:
         self.system_id = system_id
         self.complex = complex_
         self.stats = complex_.stats
-        self.log = LometLogManager(system_id, stats=self.stats)
+        self.log = LometLogManager(system_id, complex_.seams)
         self.pool = BufferPool(complex_.disk, self.log,
-                               capacity=buffer_capacity)
+                               capacity=buffer_capacity, seams=complex_.seams)
 
     # ------------------------------------------------------------------
     # data operations

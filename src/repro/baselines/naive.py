@@ -35,14 +35,14 @@ class NaiveLogManager(LogManager):
         record.lsn = self.end_offset + 1
         record.system_id = self.system_id
         self.local_max_lsn = record.lsn
-        addr = self._append_bytes(record.to_bytes())
+        offset = self._append_bytes(record.to_bytes())
         if self.tracer.enabled:
             self.tracer.emit(
                 ev.LOG_APPEND, system=self.system_id, lsn=int(record.lsn),
                 kind=record.kind.name, txn=record.txn_id,
-                page=record.page_id, offset=addr.offset,
+                page=record.page_id, offset=offset,
             )
-        return addr
+        return LogAddress(self.system_id, offset)
 
     def observe_remote_max(self, remote_max_lsn: Lsn) -> None:
         """Naive systems do not exchange LSN maxima."""
@@ -59,7 +59,6 @@ class NaiveDbmsInstance(DbmsInstance):
 
     def __init__(self, system_id, sd_complex, **kwargs) -> None:
         super().__init__(system_id, sd_complex, **kwargs)
-        naive = NaiveLogManager(system_id, stats=self.stats,
-                                tracer=self.tracer)
+        naive = NaiveLogManager(system_id, self.seams)
         self.log = naive
         self.pool.log = naive

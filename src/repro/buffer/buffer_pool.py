@@ -19,12 +19,11 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.common.config import DEFAULT_BUFFER_POOL_PAGES, NULL_LSN
 from repro.common.errors import BufferPoolFullError, WALViolationError
 from repro.common.lsn import Lsn
+from repro.common.seams import Seams
 from repro.common.stats import BUFFER_BATCH_FLUSHES
 from repro.buffer.bcb import BufferControlBlock
 from repro.faults import points as fp
-from repro.faults.injector import NULL_INJECTOR, NullFaultInjector
 from repro.obs import events as ev
-from repro.obs.tracer import NULL_TRACER, NullTracer
 from repro.storage.disk import SharedDisk
 from repro.storage.page import Page
 from repro.wal.log_manager import LogManager
@@ -45,8 +44,7 @@ class BufferPool:
         capacity: int = DEFAULT_BUFFER_POOL_PAGES,
         enforce_wal: bool = True,
         on_before_write: Optional[Callable[[BufferControlBlock], None]] = None,
-        tracer: Optional[NullTracer] = None,
-        injector: Optional[NullFaultInjector] = None,
+        seams: Optional[Seams] = None,
     ) -> None:
         if capacity <= 0:
             raise ValueError("buffer pool needs at least one frame")
@@ -55,8 +53,7 @@ class BufferPool:
         self.capacity = capacity
         self.enforce_wal = enforce_wal
         self.on_before_write = on_before_write
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._injector = injector if injector is not None else NULL_INJECTOR
+        _, self.tracer, self._injector = seams or Seams.of()
         self._frames: "OrderedDict[int, BufferControlBlock]" = OrderedDict()
         #: Instant-restart seam: when set, called with the page id on
         #: every frame miss *before* the disk read, so a lazily
@@ -306,40 +303,6 @@ class BufferPool:
         raise BufferPoolFullError(
             f"all {self.capacity} frames fixed; cannot evict"
         )
-
-    def shrink_to(self, target_frames: int) -> int:
-        """Batch-evict LRU unfixed pages down to ``target_frames``.
-
-        The eviction fast lane for quiesce/checkpoint pressure: all
-        dirty victims are flushed through :meth:`flush_pages` (one
-        coalesced log force), then every victim is dropped.  Pinned
-        pages are skipped, so the pool may stay above the target when
-        too many frames are fixed.  Returns the number of evictions.
-        """
-        if target_frames < 0:
-            raise ValueError("target_frames must be >= 0")
-        victims: List[int] = []
-        excess = len(self._frames) - target_frames
-        for page_id, bcb in self._frames.items():  # LRU order
-            if len(victims) >= excess:
-                break
-            if bcb.fix_count == 0:
-                victims.append(page_id)
-        dirty = [
-            page_id for page_id in victims if self._frames[page_id].dirty
-        ]
-        if dirty:
-            self.flush_pages(dirty)
-        for page_id in victims:
-            del self._frames[page_id]
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    ev.PAGE_EVICT,
-                    system=self.log.system_id,
-                    page=page_id,
-                    dirty=page_id in dirty,
-                )
-        return len(victims)
 
     # ------------------------------------------------------------------
     # checkpoint & crash support

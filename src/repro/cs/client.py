@@ -82,11 +82,8 @@ class CsClient(TransactionFrontEnd):
         self.shared = server
         self.cache_capacity = cache_capacity
         self.isolation = isolation
-        self.stats = server.stats
-        self.tracer = server.tracer
-        self.injector = server.injector
-        self.log = ClientLogManager(client_id, stats=self.stats,
-                                    tracer=self.tracer)
+        self.stats, self.tracer, self.injector = server.seams
+        self.log = ClientLogManager(client_id, server.seams)
         self.txns = TransactionManager(client_id)
         self.cache: Dict[int, _CachedPage] = {}
         self.clock = clock if clock is not None else SkewedClock(

@@ -30,13 +30,12 @@ from typing import (
 from repro.common.config import NULL_LSN, PAGE_SIZE
 from repro.common.errors import DegradedModeError, ProtocolError, ReproError
 from repro.common.lsn import Lsn
-from repro.common.stats import DEGRADED_REJECTIONS, StatsRegistry
+from repro.common.seams import Seams
+from repro.common.stats import DEGRADED_REJECTIONS
 from repro.faults import points as fp
-from repro.faults.injector import NULL_INJECTOR, NullFaultInjector
 from repro.locking.lock_manager import LockManager, LockMode, LockStatus
 from repro.net.network import Network
 from repro.obs import events as ev
-from repro.obs.tracer import NULL_TRACER, NullTracer
 from repro.recovery.aries import (
     _ACTIVE,
     _COMMITTED,
@@ -93,30 +92,18 @@ class CsServer(LogOwner, RestartRegistry):
     def __init__(
         self,
         n_data_pages: int = 2048,
-        stats: Optional[StatsRegistry] = None,
+        seams: Optional[Seams] = None,
         network: Optional[Network] = None,
-        tracer: Optional[NullTracer] = None,
-        injector: Optional[NullFaultInjector] = None,
         restart_mode: str = "eager",
     ) -> None:
         self._init_restart(restart_mode)
-        self.stats = stats if stats is not None else StatsRegistry()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.injector = injector if injector is not None else NULL_INJECTOR
-        if self.injector.enabled:
-            self.injector.attach(stats=self.stats, tracer=self.tracer)
-        self.network = network if network is not None else Network(
-            stats=self.stats, tracer=self.tracer, injector=self.injector
-        )
-        self.disk = SharedDisk(capacity=DATA_START + n_data_pages + 64,
-                               stats=self.stats, tracer=self.tracer,
-                               injector=self.injector)
-        super().__init__(SERVER_ID, self.disk, self.stats, self.tracer,
-                         self.injector, capacity=POOL_FRAMES)
-        self.glm = LockManager(stats=self.stats, tracer=self.tracer)
+        seams = seams or Seams.of()
+        self.network = network if network is not None else Network(seams)
+        self.disk = SharedDisk(DATA_START + n_data_pages + 64, seams)
+        super().__init__(SERVER_ID, self.disk, seams, capacity=POOL_FRAMES)
+        self.glm = LockManager(seams)
         #: The complex-wide Commit_LSN over every attached client.
-        self.commit_lsn = CommitLsnService(stats=self.stats,
-                                           tracer=self.tracer)
+        self.commit_lsn = CommitLsnService(seams)
         self.space_map = SpaceMap(smp_start=SMP_START, data_start=DATA_START,
                                   n_data_pages=n_data_pages)
         self.network.register(SERVER_ID, self.log)
@@ -251,23 +238,23 @@ class CsServer(LogOwner, RestartRegistry):
         records = [rec for _, rec in LogRecord.parse_stream(data)]
         # A client's LSNs increase, so the batch's last is its highest.
         first_lsn, last_lsn = records[0].lsn, records[-1].lsn
-        addr = self.log.append_parsed(data, last_lsn)
+        offset = self.log.append_parsed(data, last_lsn)
         self.network.message(client.client_id, SERVER_ID, "log_ship",
                              nbytes=len(data))
         batches = self._batches.setdefault(client.client_id, [])
         if not batches or first_lsn <= batches[-1].last_lsn:
             self._run_starts.setdefault(client.client_id, []).append(
                 len(batches))
-        batches.append(_Batch(first_lsn, last_lsn, addr.offset))
+        batches.append(_Batch(first_lsn, last_lsn, offset))
         for record in records:
             _fold_txn(self._txn_table, record)
         if self.tracer.enabled:
             self.tracer.emit(
                 ev.CS_SHIP, system=SERVER_ID,
                 client=client.client_id, nbytes=len(data),
-                offset=addr.offset,
+                offset=offset,
             )
-        return addr.offset
+        return offset
 
     def map_rec_lsn(self, client_id: int, rec_lsn: Lsn) -> int:
         """RecLSN -> RecAddr: offset of the batch containing ``rec_lsn``.
@@ -531,7 +518,7 @@ class CsServer(LogOwner, RestartRegistry):
 
     def _after_restart(self, owner: LogOwner) -> None:
         # A fresh lock service: retained-lock release is explicit.
-        self.glm = LockManager(stats=self.stats, tracer=self.tracer)
+        self.glm = LockManager(self.seams)
 
     def _log_owners(self) -> Tuple[LogOwner]:
         return (self,)

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.common.seams import Seams
 from repro.common.stats import StatsRegistry
 from repro.cs.client import CsClient
 from repro.cs.server import SERVER_ID, ClientRecoverySummary, CsServer
-from repro.faults.injector import NULL_INJECTOR, NullFaultInjector
+from repro.faults.injector import NullFaultInjector
 from repro.net.network import Network
 from repro.obs import events as ev
-from repro.obs.tracer import NULL_TRACER, NullTracer
+from repro.obs.tracer import NullTracer
 
 
 class CsSystem:
@@ -26,16 +27,11 @@ class CsSystem:
         injector: Optional[NullFaultInjector] = None,
         restart_mode: str = "eager",
     ) -> None:
-        self.stats = stats if stats is not None else StatsRegistry()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.injector = injector if injector is not None else NULL_INJECTOR
-        self.network = Network(stats=self.stats,
-                               piggyback_enabled=piggyback_enabled,
-                               tracer=self.tracer,
-                               injector=self.injector)
-        self.server = CsServer(n_data_pages=n_data_pages, stats=self.stats,
-                               network=self.network, tracer=self.tracer,
-                               injector=self.injector,
+        #: The one seams value the server, fabric and clients take.
+        self.seams = seams = Seams.of(stats, tracer, injector)
+        self.stats, self.tracer, self.injector = seams
+        self.network = Network(seams, piggyback_enabled=piggyback_enabled)
+        self.server = CsServer(n_data_pages, seams, self.network,
                                restart_mode=restart_mode)
         self.clients: Dict[int, CsClient] = {}
         self.commit_lsn = self.server.commit_lsn

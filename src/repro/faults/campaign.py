@@ -51,15 +51,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.wal.log_manager import LogManager
 
 from repro.common.errors import FaultInjectedError, MediaError, ReproError
-from repro.common.stats import StatsRegistry
+from repro.common.seams import Seams
 from repro.faults import points as fpoints
 from repro.faults import scenarios
-from repro.faults.injector import (CRASH, CRASH_COMPLEX, NULL_INJECTOR, TORN,
-                                   FaultInjector, FaultPlan, FaultRule)
+from repro.faults.injector import (CRASH, CRASH_COMPLEX, TORN, FaultInjector,
+                                   FaultPlan, FaultRule)
 from repro.harness.verifier import verify_cs_system, verify_sd_complex
 from repro.obs import events as ev
 from repro.obs.invariants import check_trace
-from repro.obs.tracer import NULL_TRACER
 from repro.recovery import redo
 from repro.recovery.media import recover_page_from_media
 from repro.replication import ACK_LEVELS, StandbyComplex
@@ -507,8 +506,7 @@ def _reference_failover_digest(system_id: int, sd: "SDComplex",
         for _, record in LogRecord.parse_stream(snapshot[source_id]):
             entries.append((int(record.lsn), source_id, record.to_bytes()))
     entries.sort(key=lambda entry: (entry[0], entry[1]))
-    reference = StandbyComplex(system_id, sd, stats=StatsRegistry(),
-                               tracer=NULL_TRACER, injector=NULL_INJECTOR)
+    reference = StandbyComplex(system_id, sd, Seams.of())
     reference.receive((source_id, data) for _, source_id, data in entries)
     reference.promote()
     return reference.disk.digest()
@@ -698,26 +696,6 @@ RESTART = Drill(
 def run_campaign(arch: str, seed: int = 0, smoke: bool = False) -> Report:
     """Survey, enumerate, and torture one architecture."""
     return run_drill(CAMPAIGN, seed, smoke, (arch,))[0]
-
-
-def run_failover_drill(seed: int = 0, smoke: bool = False) -> Report:
-    """Kill the replicated primary at every reachable fault point (mid
-    hit) per write-ack level, promote the best standby, and check: the
-    promoted image equals a from-scratch reference recovery of the
-    shipped stream; ``quorum``/``all``-acked commits are never lost;
-    ``local`` loss stays within the in-flight window; the promoted
-    complex accepts new transactions; the trace passes the invariant
-    checker."""
-    return run_drill(FAILOVER, seed, smoke)[0]
-
-
-def run_restart_drill(seed: int = 0, smoke: bool = False) -> Report:
-    """Rehearse instant restart against the eager reference at every
-    reachable fault point (mid hit), both architectures (smoke: three
-    SD points).  A rehearsal passes only if both legs end with SHA-256
-    identical disk images and the instant leg satisfies the harness
-    verifier and the trace invariant checker."""
-    return run_drill(RESTART, seed, smoke)[0]
 
 
 # ----------------------------------------------------------------------

@@ -10,10 +10,11 @@ Two structures back the interprocedural halves of the flow-aware rules:
   module keeps the analysis cheap and the findings explainable.
 
 * :class:`ProjectIndex` — the cross-file half: for every class in the
-  linted tree, which observability/fault seams (``tracer=`` /
-  ``injector=``) its ``__init__`` accepts, and at which positional
-  index.  R008 uses it to demand that a seam-holding constructor
-  threads the seams into every subsystem it builds.  The engine builds
+  linted tree, whether its ``__init__`` accepts the one ``seams``
+  argument (stats, tracer and fault injector as one value,
+  :mod:`repro.common.seams`), and at which positional index.  R008
+  uses it to demand that a seam-holding constructor threads the seams
+  into every subsystem it builds.  The engine builds
   one index per run (over *all* files handed to ``lint_paths``) so the
   rule sees callees defined in other modules.
 """
@@ -29,9 +30,9 @@ from repro.lint.engine import (
     walk_functions,
 )
 
-#: The constructor seams the ROADMAP conventions require every new
-#: subsystem to thread (observability PR 2, fault injection PR 4).
-SEAM_NAMES = frozenset({"tracer", "injector"})
+#: The constructor argument every subsystem threads: one world's
+#: stats, tracer and fault injector (:class:`repro.common.seams.Seams`).
+SEAM_NAMES = frozenset({"seams"})
 
 
 def _param_names(func: ast.AST) -> List[str]:

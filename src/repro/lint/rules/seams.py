@@ -1,21 +1,21 @@
-"""R008 — seam threading for observability and fault injection.
+"""R008 — seam threading for stats, observability and fault injection.
 
-ROADMAP "Conventions for new subsystems" requires that every subsystem
-accept the ``tracer=`` (PR 2) and ``injector=`` (PR 4) seams and pass
-them down to every subsystem it constructs.  A constructor chain that
-drops a seam silently defaults the child to ``NULL_TRACER`` /
-``NULL_INJECTOR``: traces lose a whole subtree of events and fault
-campaigns can never reach the child — and nothing fails, the coverage
-just quietly shrinks.
+Every component of a world takes the world's stats registry, tracer and
+fault injector as one ``seams`` value (:mod:`repro.common.seams`) and
+passes it down to every component it constructs.  A constructor chain
+that drops it silently gives the child fresh, silent seams (its own
+registry, ``NULL_TRACER``, ``NULL_INJECTOR``): counters go missing,
+traces lose a whole subtree of events and fault campaigns can never
+reach the child — and nothing fails, the coverage just quietly shrinks.
 
 The rule is interprocedural via the cross-file
 :class:`~repro.lint.callgraph.ProjectIndex`: for every function that
-has a seam in scope (its own ``tracer``/``injector`` parameter, or a
-method of a class whose ``__init__`` accepts one), each constructor
-call to a seam-accepting class must pass every seam that both sides
-share — by keyword (``tracer=self.tracer`` *or* an explicit
-``tracer=NULL_TRACER``, which is a visible decision), by a covering
-positional argument, or by a ``*args``/``**kwargs`` splat.
+has ``seams`` in scope (its own parameter, or a method of a class whose
+``__init__`` accepts it), each constructor call to a class whose
+``__init__`` accepts ``seams`` must pass it — by keyword
+(``seams=self.seams`` *or* an explicit ``seams=Seams.of()``, which is a
+visible decision), by a covering positional argument, or by a
+``*args``/``**kwargs`` splat.
 """
 
 from __future__ import annotations
@@ -61,9 +61,9 @@ class SeamThreadingRule(Rule):
     id = "R008"
     name = "seam-threading"
     description = (
-        "a scope that holds a tracer=/injector= seam must pass it to "
-        "every seam-accepting subsystem it constructs (no silently "
-        "defaulted NULL_TRACER/NULL_INJECTOR mid-stack)"
+        "a scope that holds the seams value must pass it to every "
+        "seams-accepting subsystem it constructs (no silently fresh "
+        "stats/NULL_TRACER/NULL_INJECTOR mid-stack)"
     )
     applies_to_tests = False  # fixtures construct bare subsystems freely
 
@@ -93,7 +93,7 @@ class SeamThreadingRule(Rule):
                         call,
                         f"'{class_name}(...)' in "
                         f"'{getattr(func, 'name', '?')}' does not pass "
-                        f"'{seam}=' although the enclosing scope holds "
-                        f"one — the child silently defaults to the null "
-                        f"{seam} and drops its whole event/fault subtree",
+                        f"'{seam}' although the enclosing scope holds "
+                        f"it — the child silently resolves fresh, silent "
+                        f"seams and drops its counters, events and faults",
                     )

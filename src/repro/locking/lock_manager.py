@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.common.errors import DeadlockError
-from repro.common.stats import LOCK_REQUESTS, LOCK_WAITS, StatsRegistry
+from repro.common.seams import Seams
+from repro.common.stats import LOCK_REQUESTS, LOCK_WAITS
 from repro.obs import events as ev
-from repro.obs.tracer import NULL_TRACER, NullTracer
 
 
 class LockMode(enum.IntEnum):
@@ -140,13 +140,8 @@ _HeadsByResource = Dict[Hashable, _LockHead]
 class LockManager:
     """Global lock table shared by all systems/clients."""
 
-    def __init__(
-        self,
-        stats: Optional[StatsRegistry] = None,
-        tracer: Optional[NullTracer] = None,
-    ) -> None:
-        self.stats = stats if stats is not None else StatsRegistry()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+    def __init__(self, seams: Optional[Seams] = None) -> None:
+        self.stats, self.tracer, _ = seams or Seams.of()
         # Pre-resolved handle: LOCK_REQUESTS is bumped on every single
         # acquire, so it skips the registry's per-call string hashing.
         self._requests = self.stats.handle(LOCK_REQUESTS)

@@ -17,7 +17,7 @@ Participants register an object exposing ``local_max_lsn`` and
 ``observe_remote_max`` (both :class:`~repro.wal.log_manager.LogManager`
 and :class:`~repro.wal.client_log.ClientLogManager` qualify).
 
-Fault handling (the ``injector=`` seam, :mod:`repro.faults`): the
+Fault handling (the injector in ``seams``, :mod:`repro.faults`): the
 ``net.msg`` point can *drop*, *duplicate* or *delay* a message.  Drops
 are answered by bounded retransmission under the configured
 :class:`~repro.faults.policy.RetryPolicy`; duplicates are filtered by a
@@ -33,6 +33,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Protocol, Set, Tuple
 
 from repro.common.lsn import Lsn
+from repro.common.seams import Seams
 from repro.common.stats import (
     MESSAGES_SENT,
     MESSAGE_BYTES,
@@ -44,20 +45,12 @@ from repro.common.stats import (
     NET_PARKED_FAILED,
     NET_RETRANSMITS,
     CounterHandle,
-    StatsRegistry,
     message_kind_counter,
 )
 from repro.faults import points as fp
-from repro.faults.injector import (
-    DELAY,
-    DROP,
-    DUPLICATE,
-    NULL_INJECTOR,
-    NullFaultInjector,
-)
+from repro.faults.injector import DELAY, DROP, DUPLICATE
 from repro.faults.policy import RetryPolicy
 from repro.obs import events as ev
-from repro.obs.tracer import NULL_TRACER, NullTracer
 
 
 class LamportParticipant(Protocol):
@@ -73,16 +66,12 @@ class Network:
 
     def __init__(
         self,
-        stats: Optional[StatsRegistry] = None,
+        seams: Optional[Seams] = None,
         piggyback_enabled: bool = True,
-        tracer: Optional[NullTracer] = None,
-        injector: Optional[NullFaultInjector] = None,
         retry: Optional[RetryPolicy] = None,
     ) -> None:
-        self.stats = stats if stats is not None else StatsRegistry()
+        self.stats, self.tracer, self._injector = seams or Seams.of()
         self.piggyback_enabled = piggyback_enabled
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._injector = injector if injector is not None else NULL_INJECTOR
         self.retry = retry if retry is not None else RetryPolicy()
         self._participants: Dict[int, LamportParticipant] = {}
         # Pre-resolved counter handles: _deliver runs once per message

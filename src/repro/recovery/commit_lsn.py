@@ -25,13 +25,9 @@ from __future__ import annotations
 from typing import Dict, Optional, Protocol
 
 from repro.common.lsn import Lsn
-from repro.common.stats import (
-    COMMIT_LSN_HITS,
-    COMMIT_LSN_MISSES,
-    StatsRegistry,
-)
+from repro.common.seams import Seams
+from repro.common.stats import COMMIT_LSN_HITS, COMMIT_LSN_MISSES
 from repro.obs import events as ev
-from repro.obs.tracer import NULL_TRACER, NullTracer
 
 
 class CommitLsnMember(Protocol):
@@ -50,13 +46,8 @@ class CommitLsnMember(Protocol):
 class CommitLsnService:
     """Computes and checks the complex-wide Commit_LSN."""
 
-    def __init__(
-        self,
-        stats: Optional[StatsRegistry] = None,
-        tracer: Optional[NullTracer] = None,
-    ) -> None:
-        self.stats = stats if stats is not None else StatsRegistry()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+    def __init__(self, seams: Optional[Seams] = None) -> None:
+        self.stats, self.tracer, _ = seams or Seams.of()
         self._members: Dict[int, CommitLsnMember] = {}
         self._frozen: Dict[int, Lsn] = {}
 

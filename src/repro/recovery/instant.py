@@ -59,10 +59,8 @@ from repro.common.stats import (
     INSTANT_RECORDS_SKIPPED,
     INSTANT_SWEEP_RECOVERIES,
     INSTANT_SWEEP_TICKS,
-    StatsRegistry,
 )
 from repro.faults import points as fp
-from repro.faults.injector import NullFaultInjector
 from repro.obs import events as ev
 from repro.recovery import aries
 from repro.recovery.aries import RedoPlan, RestartSummary
@@ -73,7 +71,8 @@ class InstantRecoveryManager:
     """Open-for-business restart: eager analysis + undo, lazy redo.
 
     ``instance`` is the recovering log owner
-    (:class:`~repro.recovery.owner.LogOwner`).  ``mode`` names the
+    (:class:`~repro.recovery.owner.LogOwner`); the manager reports
+    into the owner's stats, tracer and injector.  ``mode`` names the
     chain source for the trace stream: ``"medium"`` / ``"fast"`` for SD
     instances, ``"cs"`` for the server.  The restart entry
     (:class:`~repro.recovery.owner.RestartRegistry`, shared by
@@ -87,15 +86,11 @@ class InstantRecoveryManager:
         self,
         instance,
         mode: str,
-        stats: StatsRegistry,
-        injector: NullFaultInjector,
         on_drained: Callable[["InstantRecoveryManager"], None],
     ) -> None:
         self.instance = instance
         self.mode = mode
-        self.tracer = instance.tracer
-        self.stats = stats
-        self.injector = injector
+        self.stats, self.tracer, self.injector = instance.seams
         self.on_drained = on_drained
         self.summary = RestartSummary()
         self.losers: Dict[int, int] = {}

@@ -26,8 +26,9 @@ from repro.buffer.buffer_pool import BufferPool
 from repro.common.config import DEFAULT_BUFFER_POOL_PAGES
 from repro.common.errors import DegradedModeError, FaultInjectedError
 from repro.common.lsn import LogAddress, Lsn
-from repro.common.stats import DEGRADED_ENTRIES, DEGRADED_REJECTIONS, StatsRegistry
-from repro.faults.injector import FAIL, NullFaultInjector
+from repro.common.seams import Seams
+from repro.common.stats import DEGRADED_ENTRIES, DEGRADED_REJECTIONS
+from repro.faults.injector import FAIL
 from repro.obs import events as ev
 from repro.obs.tracer import NullTracer
 from repro.recovery.aries import RedoPlan, RestartSummary, restart_recovery
@@ -38,26 +39,22 @@ from repro.wal.records import CheckpointData, LogRecord, RecordKind
 
 
 class LogOwner:
-    """A log, the buffer pool over ``disk`` that it guards, the seams,
-    and the two failure flags.
+    """A log, the buffer pool over ``disk`` that it guards, the world's
+    seams, and the two failure flags.
 
     ``log`` defaults to a fresh :class:`LogManager` for ``system_id``;
     a promoting standby passes a replica log instead.
     """
 
-    def __init__(self, system_id: int, disk: SharedDisk,
-                 stats: StatsRegistry, tracer: NullTracer,
-                 injector: NullFaultInjector,
+    def __init__(self, system_id: int, disk: SharedDisk, seams: Seams,
                  capacity: int = DEFAULT_BUFFER_POOL_PAGES,
                  log: Optional[LogManager] = None) -> None:
         self.system_id = system_id
-        self.stats = stats
-        self.tracer = tracer
-        self.injector = injector
-        self.log = log if log is not None else LogManager(
-            system_id, stats=stats, tracer=tracer, injector=injector)
+        self.seams = seams
+        self.stats, self.tracer, self.injector = seams
+        self.log = log if log is not None else LogManager(system_id, seams)
         self.pool = BufferPool(disk, self.log, capacity=capacity,
-                               tracer=tracer, injector=injector)
+                               seams=seams)
         self.crashed = False
         # Read-only degraded mode: entered when the log device fails
         # (an injected ``log.force`` fault); what needs no log append
@@ -151,14 +148,11 @@ class RestartRegistry:
     managers it registers, keyed by recovering system.
 
     The registry is empty on the eager path, so every guard on it is a
-    single truthiness test.  Needs ``restart_mode``, ``stats``,
-    ``tracer`` and ``injector``; the hooks are :meth:`_log_owners` and
-    :meth:`_after_restart`.
+    single truthiness test.  Needs ``tracer``; the hooks are
+    :meth:`_log_owners` and :meth:`_after_restart`.
     """
 
-    stats: StatsRegistry
     tracer: NullTracer
-    injector: NullFaultInjector
 
     def _init_restart(self, restart_mode: str) -> None:
         if restart_mode not in ("eager", "instant"):
@@ -198,10 +192,7 @@ class RestartRegistry:
                               target=target):
             if self.restart_mode == "instant":
                 manager = InstantRecoveryManager(
-                    owner, mode=mode, stats=self.stats,
-                    injector=self.injector,
-                    on_drained=self._instant_drained,
-                )
+                    owner, mode=mode, on_drained=self._instant_drained)
                 # Register, and install the intercept, before undo: the
                 # undo pass reaches loser pages through the pool (or
                 # coherency, whose instant guard consults the registry),

@@ -192,9 +192,7 @@ class ReplicationManager(NullReplication):
                  config: Optional[ReplicationConfig] = None) -> None:
         self.primary = primary
         self.config = config if config is not None else ReplicationConfig()
-        self.stats = primary.stats
-        self.tracer = primary.tracer
-        self.injector = primary.injector
+        self.stats, self.tracer, self.injector = primary.seams
         self.network = primary.network
         #: Per-source byte offset already collected into the pending
         #: queue (the ship cursor into each local log).

@@ -57,16 +57,14 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.buffer.buffer_pool import BufferPool
 from repro.common.lsn import Lsn
+from repro.common.seams import Seams
 from repro.common.stats import (
     REPL_APPLY_SKIPPED,
     REPL_PROMOTIONS,
     REPL_RECORDS_APPLIED,
-    StatsRegistry,
 )
 from repro.faults import points as fp
-from repro.faults.injector import NullFaultInjector
 from repro.obs import events as ev
-from repro.obs.tracer import NullTracer
 from repro.recovery.aries import restart_recovery
 from repro.recovery.owner import LogOwner
 from repro.recovery.redo import (
@@ -91,9 +89,7 @@ class StandbyComplex:
         self,
         system_id: int,
         primary: "SDComplex",
-        stats: Optional[StatsRegistry] = None,
-        tracer: Optional[NullTracer] = None,
-        injector: Optional[NullFaultInjector] = None,
+        seams: Optional[Seams] = None,
     ) -> None:
         if system_id <= 0:
             raise ValueError("system ids must be positive")
@@ -101,20 +97,15 @@ class StandbyComplex:
         # Geometry is copied, seams are shared (overridable so a
         # reference replay can run silently next to the real standby).
         self._n_data_pages = primary.space_map.n_data_pages
-        self.stats = stats if stats is not None else primary.stats
-        self.tracer = tracer if tracer is not None else primary.tracer
-        self.injector = (injector if injector is not None
-                         else primary.injector)
+        self.seams = seams = seams or primary.seams
+        self.stats, self.tracer, self.injector = seams
         #: The applied page images over the standby's volume.  Only
         #: forced records are ever applied, so writing one back never
         #: needs a log force: the pool's own log stays empty and its
         #: WAL forcing is off.
         self._cache = BufferPool(
-            SharedDisk(capacity=primary.disk.capacity, stats=self.stats,
-                       tracer=self.tracer, injector=self.injector),
-            LogManager(system_id, stats=self.stats, tracer=self.tracer,
-                       injector=self.injector),
-            enforce_wal=False, tracer=self.tracer, injector=self.injector)
+            SharedDisk(primary.disk.capacity, seams),
+            LogManager(system_id, seams), enforce_wal=False, seams=seams)
         # The primary's volume format is not logged, so it cannot
         # arrive through the shipped stream: run the same step here.
         format_volume(self.disk, primary.space_map)
@@ -240,8 +231,7 @@ class StandbyComplex:
         log = self._replica_logs.get(source_id)
         if log is None:
             log = self._replica_logs[source_id] = LogManager(
-                source_id, stats=self.stats, tracer=self.tracer,
-                injector=self.injector)
+                source_id, self.seams)
         log.append_parsed(data[start:] if start else data, last)
         self._last_lsn = {**self._last_lsn, source_id: last}
         return len(spans)
@@ -347,8 +337,8 @@ class StandbyComplex:
                 # replica log holds one source's records only: each
                 # log is restarted by its own owner, under the source's
                 # id, so CLRs land in it with the right attribution.
-                site = LogOwner(log.system_id, self.disk, self.stats,
-                                self.tracer, self.injector, log=log)
+                site = LogOwner(log.system_id, self.disk, self.seams,
+                                log=log)
                 restart_recovery(site, plan=merged_plan)
                 site.pool.flush_all()
             # Each restart ended by forcing its CLRs and END records.

@@ -24,12 +24,13 @@ from typing import Dict, Hashable, Iterable, List, Optional
 
 from repro.common.errors import ProtocolError, ReproError
 from repro.common.lsn import Lsn
+from repro.common.seams import Seams
 from repro.common.stats import StatsRegistry
-from repro.faults.injector import NULL_INJECTOR, NullFaultInjector
+from repro.faults.injector import NullFaultInjector
 from repro.locking.lock_manager import LockManager, LockMode, LockStatus
 from repro.net.network import Network
 from repro.obs import events as ev
-from repro.obs.tracer import NULL_TRACER, NullTracer
+from repro.obs.tracer import NullTracer
 from repro.recovery.commit_lsn import CommitLsnService
 from repro.recovery.owner import LogOwner, RestartRegistry
 from repro.recovery.redo import collect_merged_redo, redo_chain
@@ -68,30 +69,21 @@ class SDComplex(RestartRegistry):
         restart_mode: str = "eager",
     ) -> None:
         self._init_restart(restart_mode)
-        self.stats = stats if stats is not None else StatsRegistry()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.injector = injector if injector is not None else NULL_INJECTOR
-        if self.injector.enabled:
-            # A campaign-made injector reports into the same registries
-            # the stack under test uses.
-            self.injector.attach(stats=self.stats, tracer=self.tracer)
+        #: The one seams value every component of the complex takes.
+        self.seams = seams = Seams.of(stats, tracer, injector)
+        self.stats, self.tracer, self.injector = seams
         if disk is not None:
             # Promotion path: adopt an already-populated disk (e.g. a
             # standby's replica image) instead of formatting a fresh one.
             self.disk = disk
         else:
             self.disk = SharedDisk(
-                capacity=DEFAULT_DATA_START + n_data_pages + 64,
-                stats=self.stats, tracer=self.tracer, injector=self.injector)
-        self.network = Network(stats=self.stats,
-                               piggyback_enabled=piggyback_enabled,
-                               tracer=self.tracer,
-                               injector=self.injector)
-        self.glm = LockManager(stats=self.stats, tracer=self.tracer)
+                DEFAULT_DATA_START + n_data_pages + 64, seams)
+        self.network = Network(seams, piggyback_enabled=piggyback_enabled)
+        self.glm = LockManager(seams)
         self.transfer_scheme = transfer_scheme
         self.coherency = CoherencyController(self, scheme=transfer_scheme)
-        self.commit_lsn = CommitLsnService(stats=self.stats,
-                                           tracer=self.tracer)
+        self.commit_lsn = CommitLsnService(seams)
         self.space_map = SpaceMap(smp_start=DEFAULT_SMP_START,
                                   data_start=DEFAULT_DATA_START,
                                   n_data_pages=n_data_pages)

@@ -89,8 +89,7 @@ class DbmsInstance(LogOwner, TransactionFrontEnd):
             )
         if escalation_threshold is not None and escalation_threshold < 2:
             raise ValueError("escalation threshold must be >= 2")
-        super().__init__(system_id, sd_complex.disk, sd_complex.stats,
-                         sd_complex.tracer, sd_complex.injector,
+        super().__init__(system_id, sd_complex.disk, sd_complex.seams,
                          capacity=buffer_capacity)
         self.complex = sd_complex
         self.shared = sd_complex

@@ -5,11 +5,12 @@ Figure 1: in the shared-disks architecture every DBMS instance reads and
 writes it directly; in client-server only the server touches it.
 
 The disk maintains CRC32 checksums on write and verifies them on read,
-counts I/Os in a :class:`~repro.common.stats.StatsRegistry`, emits
-disk-level trace events through the ``tracer=`` obs seam, and offers
+counts I/Os in its world's :class:`~repro.common.stats.StatsRegistry`,
+emits disk-level trace events through the world's tracer (both from
+the one ``seams`` argument, :mod:`repro.common.seams`), and offers
 fault hooks on two levels: the ad-hoc :meth:`lose_page` /
 :meth:`corrupt_page` pokes the media-recovery experiment (E9) uses,
-and the plan-driven ``injector=`` seam (:mod:`repro.faults`) consulted
+and the world's plan-driven fault injector (:mod:`repro.faults`) consulted
 at the ``disk.write`` / ``disk.read`` fault points — a torn write
 persists a half-old/half-new image whose checksum check fails on the
 next read, exactly how real torn writes are discovered.
@@ -34,15 +35,11 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.common.config import PAGE_SIZE
 from repro.common.errors import FaultInjectedError, MediaError, TornPageError
-from repro.common.stats import (
-    DISK_PAGE_READS,
-    DISK_PAGE_WRITES,
-    StatsRegistry,
-)
+from repro.common.seams import Seams
+from repro.common.stats import DISK_PAGE_READS, DISK_PAGE_WRITES
 from repro.faults import points as fp
-from repro.faults.injector import FAIL, NULL_INJECTOR, NullFaultInjector
+from repro.faults.injector import FAIL
 from repro.obs import events as ev
-from repro.obs.tracer import NULL_TRACER, NullTracer
 from repro.storage.page import Page, PageType
 
 # Checksum covers everything except the 4-byte checksum field itself
@@ -72,16 +69,12 @@ class SharedDisk:
     def __init__(
         self,
         capacity: int = 1 << 20,
-        stats: Optional[StatsRegistry] = None,
-        tracer: Optional[NullTracer] = None,
-        injector: Optional[NullFaultInjector] = None,
+        seams: Optional[Seams] = None,
     ) -> None:
         if capacity <= 0:
             raise ValueError("disk capacity must be positive")
         self.capacity = capacity
-        self.stats = stats if stats is not None else StatsRegistry()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._injector = injector if injector is not None else NULL_INJECTOR
+        self.stats, self.tracer, self._injector = seams or Seams.of()
         self._extents: List[bytearray] = []
         # page_id -> cached windows, in first-write order.
         self._views: Dict[int, _Windows] = {}

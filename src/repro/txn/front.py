@@ -198,9 +198,15 @@ class TransactionFrontEnd:
         rollback that fails midway (e.g. a loser's page is fenced
         behind another system's crash) can simply be retried without
         double-compensation.
+
+        A degraded log takes no CLR: the rollback is rejected before
+        any undo, and the transaction keeps its state and its locks
+        until restart rolls it back (§3 retained locks).
         """
         if self.crashed:
             raise self._down_error()
+        if self.degraded:
+            self._check_writable()
         if txn.state not in (TxnState.ACTIVE, TxnState.ABORTING):
             raise ReproError(f"cannot roll back txn in state {txn.state}")
         txn.state = TxnState.ABORTING

@@ -17,9 +17,9 @@ from typing import Dict, List, Optional
 
 from repro.common.config import NULL_LSN
 from repro.common.lsn import Lsn
-from repro.common.stats import LOG_RECORDS_WRITTEN, StatsRegistry
+from repro.common.seams import Seams
+from repro.common.stats import LOG_RECORDS_WRITTEN
 from repro.obs import events as ev
-from repro.obs.tracer import NULL_TRACER, NullTracer
 from repro.wal.records import LogRecord, RecordKind, stamp_and_encode
 
 
@@ -32,15 +32,10 @@ class ClientLogManager:
     get complex-wide per-page monotonicity.
     """
 
-    def __init__(
-        self,
-        client_id: int,
-        stats: Optional[StatsRegistry] = None,
-        tracer: Optional[NullTracer] = None,
-    ) -> None:
+    def __init__(self, client_id: int,
+                 seams: Optional[Seams] = None) -> None:
         self.client_id = client_id
-        self.stats = stats if stats is not None else StatsRegistry()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.stats, self.tracer, _ = seams or Seams.of()
         self.local_max_lsn: Lsn = NULL_LSN
         # Records appended since the last ship, in order.
         self._pending: List[LogRecord] = []

@@ -2,14 +2,13 @@
 
 Debugging multi-system recovery means reading logs; this module renders
 a local log (or the CS server's interleaved log) as a table, decodes
-operation payloads, and summarises per-transaction / per-page activity.
+operation payloads, and lists one transaction's or one page's records.
 Used by developers and a handful of tests; never by recovery itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.wal.log_manager import LogManager
 from repro.wal.records import (
@@ -84,54 +83,6 @@ def dump_log(log: LogManager, from_offset: int = 0,
             break
         lines.append(describe_record(addr.offset, record))
     return "\n".join(lines)
-
-
-@dataclass
-class LogSummary:
-    """Aggregate view of one log's content."""
-
-    records: int = 0
-    by_kind: Dict[str, int] = field(default_factory=dict)
-    #: Encoded bytes (header and payloads) per kind: where the log's
-    #: volume goes.
-    bytes_by_kind: Dict[str, int] = field(default_factory=dict)
-    transactions: Dict[int, int] = field(default_factory=dict)
-    pages: Dict[int, int] = field(default_factory=dict)
-    first_lsn: int = 0
-    last_lsn: int = 0
-
-    def render(self) -> str:
-        kinds = ", ".join(f"{k}={v}" for k, v in sorted(self.by_kind.items()))
-        volume = ", ".join(
-            f"{k}={v}" for k, v in sorted(self.bytes_by_kind.items()))
-        return (
-            f"{self.records} records (LSN {self.first_lsn}..{self.last_lsn}); "
-            f"{len(self.transactions)} txns over {len(self.pages)} pages; "
-            f"{kinds}; bytes {sum(self.bytes_by_kind.values())}: {volume}"
-        )
-
-
-def summarize_log(log: LogManager) -> LogSummary:
-    """Counts (and bytes) per kind, counts per transaction / page, plus
-    the LSN span."""
-    summary = LogSummary()
-    for _, record in log.scan():
-        summary.records += 1
-        abbrev = _KIND_ABBREV.get(record.kind, str(record.kind))
-        summary.by_kind[abbrev] = summary.by_kind.get(abbrev, 0) + 1
-        summary.bytes_by_kind[abbrev] = \
-            summary.bytes_by_kind.get(abbrev, 0) + record.serialized_size()
-        if record.txn_id:
-            summary.transactions[record.txn_id] = \
-                summary.transactions.get(record.txn_id, 0) + 1
-        if record.page_id != NO_PAGE:
-            summary.pages[record.page_id] = \
-                summary.pages.get(record.page_id, 0) + 1
-        if record.lsn:
-            if not summary.first_lsn:
-                summary.first_lsn = record.lsn
-            summary.last_lsn = max(summary.last_lsn, record.lsn)
-    return summary
 
 
 def transaction_history(log: LogManager, txn_id: int) -> List[str]:

@@ -27,6 +27,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.config import NULL_LSN
 from repro.common.lsn import LogAddress, Lsn, addresses_for
+from repro.common.seams import Seams
 from repro.common.stats import (
     LOG_ARCHIVE_SCANS,
     LOG_BYTES_ARCHIVED,
@@ -35,12 +36,9 @@ from repro.common.stats import (
     LOG_FORCES,
     LOG_FORCES_COALESCED,
     LOG_RECORDS_WRITTEN,
-    StatsRegistry,
 )
 from repro.faults import points as fp
-from repro.faults.injector import NULL_INJECTOR, NullFaultInjector
 from repro.obs import events as ev
-from repro.obs.tracer import NULL_TRACER, NullTracer
 from repro.wal.records import (
     LogRecord,
     record_spans,
@@ -52,17 +50,10 @@ from repro.wal.records import (
 class LogManager:
     """One system's local log (SD) or the server's single log (CS)."""
 
-    def __init__(
-        self,
-        system_id: int,
-        stats: Optional[StatsRegistry] = None,
-        tracer: Optional[NullTracer] = None,
-        injector: Optional[NullFaultInjector] = None,
-    ) -> None:
+    def __init__(self, system_id: int,
+                 seams: Optional[Seams] = None) -> None:
         self.system_id = system_id
-        self.stats = stats if stats is not None else StatsRegistry()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._injector = injector if injector is not None else NULL_INJECTOR
+        self.stats, self.tracer, self._injector = seams or Seams.of()
         # Pre-resolved counter handles: the append path bumps these on
         # every record, so skipping the registry's string hashing there
         # is the cheapest real win in the whole hot lane.
@@ -109,7 +100,7 @@ class LogManager:
         # shape raises before the clock moves.
         data = stamp_and_encode(record, lsn, system_id)
         self.local_max_lsn = lsn
-        addr = self._append_bytes(data)
+        offset = self._append_bytes(data)
         if self.tracer.enabled:
             self.tracer.emit(
                 ev.LOG_APPEND,
@@ -118,9 +109,9 @@ class LogManager:
                 kind=record.kind.name,
                 txn=record.txn_id,
                 page=record.page_id,
-                offset=addr.offset,
+                offset=offset,
             )
-        return addr
+        return LogAddress(system_id, offset)
 
     def append_many(
         self,
@@ -175,8 +166,9 @@ class LogManager:
                 )
         return addresses_for(system_id, offsets)
 
-    def append_raw(self, data: bytes) -> LogAddress:
-        """Append pre-serialized records verbatim (CS server path).
+    def append_raw(self, data: bytes) -> int:
+        """Append pre-serialized records verbatim (CS server path);
+        returns the byte offset they start at.
 
         The server "appends them, as they are, to its log file"
         (Section 3.1): LSNs inside the shipped records are untouched.
@@ -186,14 +178,14 @@ class LogManager:
         return self.append_parsed(data, max(
             (lsn for lsn, _, _ in record_spans(data)), default=NULL_LSN))
 
-    def append_parsed(self, data: bytes, max_lsn: Lsn) -> LogAddress:
+    def append_parsed(self, data: bytes, max_lsn: Lsn) -> int:
         """:meth:`append_raw` for a caller that already parsed ``data``
         and knows the highest LSN in it (the standby parses each shipped
         record once, for its duplicate screen and redo test).
         """
         if max_lsn > self.local_max_lsn:
             self.local_max_lsn = max_lsn
-        addr = self._append_bytes(data, count_records=False)
+        offset = self._append_bytes(data, count_records=False)
         if self.tracer.enabled:
             self.tracer.emit(
                 ev.LOG_APPEND_RAW,
@@ -201,15 +193,16 @@ class LogManager:
                 nbytes=len(data),
                 local_max=int(self.local_max_lsn),
             )
-        return addr
+        return offset
 
-    def _append_bytes(self, data: bytes, count_records: bool = True) -> LogAddress:
-        addr = LogAddress(self.system_id, len(self._buffer))
+    def _append_bytes(self, data: bytes, count_records: bool = True) -> int:
+        """Append ``data``; returns the byte offset it starts at."""
+        offset = len(self._buffer)
         self._buffer += data
         if count_records:
             self._records_written.value += 1
         self._bytes_written.value += len(data)
-        return addr
+        return offset
 
     def observe_remote_max(self, remote_max_lsn: Lsn) -> None:
         """Lamport merge of another system's Local_Max_LSN (Section 3.5)."""
@@ -232,11 +225,6 @@ class LogManager:
     def end_offset(self) -> int:
         """Current end-of-log byte offset (one past the last record)."""
         return len(self._buffer)
-
-    @property
-    def end_address(self) -> LogAddress:
-        """Address one past the last record (scan end point)."""
-        return LogAddress(self.system_id, len(self._buffer))
 
     @property
     def flushed_offset(self) -> int:

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.common.errors import BufferPoolFullError, WALViolationError
+from repro.common.seams import Seams
 from repro.common.stats import (
     BUFFER_BATCH_FLUSHES,
     DISK_PAGE_READS,
     DISK_PAGE_WRITES,
     LOG_FORCES,
     LOG_FORCES_COALESCED,
-    StatsRegistry,
 )
 from repro.buffer.buffer_pool import BufferPool
 from repro.storage.disk import SharedDisk
@@ -19,11 +19,11 @@ from repro.wal.records import make_update
 
 
 def setup_pool(capacity=4, enforce_wal=True):
-    stats = StatsRegistry()
-    disk = SharedDisk(capacity=1000, stats=stats)
-    log = LogManager(1, stats=stats)
+    seams = Seams.of()
+    disk = SharedDisk(1000, seams)
+    log = LogManager(1, seams)
     pool = BufferPool(disk, log, capacity=capacity, enforce_wal=enforce_wal)
-    return pool, disk, log, stats
+    return pool, disk, log, seams.stats
 
 
 def seed_page(disk, page_id, payload=b"seed"):
@@ -371,33 +371,3 @@ class TestBatchFlush:
             pool.unfix(page_id)
         pool.flush_pages([1, 2])
         assert stats.get(LOG_FORCES) == 0
-
-
-class TestShrinkTo:
-    def test_shrinks_dirty_pool_with_one_force(self):
-        pool, disk, log, stats = setup_pool(capacity=8)
-        for page_id in (1, 2, 3, 4):
-            seed_page(disk, page_id)
-            pool.fix(page_id)
-            log_an_update(pool, log, page_id)
-            pool.unfix(page_id)
-        evicted = pool.shrink_to(1)
-        assert evicted == 3
-        assert len(pool) == 1
-        assert stats.get(LOG_FORCES) == 1
-
-    def test_skips_fixed_pages(self):
-        pool, disk, _, _ = setup_pool(capacity=4)
-        for page_id in (1, 2, 3):
-            seed_page(disk, page_id)
-            pool.fix(page_id)
-        pool.unfix(2)
-        evicted = pool.shrink_to(0)
-        assert evicted == 1
-        assert pool.contains(1) and pool.contains(3)
-        assert not pool.contains(2)
-
-    def test_negative_target_rejected(self):
-        pool, _, _, _ = setup_pool()
-        with pytest.raises(ValueError):
-            pool.shrink_to(-1)

@@ -48,8 +48,7 @@ from repro.faults.campaign import (
     Spec,
     enumerate_specs,
     run_campaign,
-    run_failover_drill,
-    run_restart_drill,
+    run_drill,
     run_spec,
     run_survey,
     sabotage_redo_screening,
@@ -384,6 +383,35 @@ class TestDegradedModeSd:
         verdict = s1.begin()
         assert s1.read(verdict, page_a, slot_a) == b"safe"
 
+    def test_rollback_while_degraded_appends_nothing(self):
+        """Rolling back the doomed transaction is log work too: no CLR
+        or END follows the COMMIT the failed force left behind, and the
+        transaction keeps its state and locks until restart."""
+        injector = FaultInjector(FaultPlan(seed=0))
+        sd = SDComplex(n_data_pages=64, injector=injector)
+        s1 = sd.add_instance(1)
+        page_a, slot_a = committed_row(s1, b"safe")
+        arm_next_hit(injector, fp.LOG_FORCE).fail()
+        txn = s1.begin()
+        s1.update(txn, page_a, slot_a, b"doomed")
+        with pytest.raises(DegradedModeError):
+            s1.commit(txn)
+        log = s1.log
+        before = (log.end_offset, log.flushed_offset)
+        state, locks = txn.state, set(sd.glm.locks_of(txn.txn_id))
+        assert locks
+        with pytest.raises(DegradedModeError,
+                           match="system 1 is read-only"):
+            s1.rollback(txn)
+        assert (log.end_offset, log.flushed_offset) == before
+        assert sd.stats.get(DEGRADED_REJECTIONS) == 1
+        assert txn.state is state
+        assert set(sd.glm.locks_of(txn.txn_id)) == locks
+        sd.crash_instance(1)
+        sd.restart_instance(1)
+        verdict = s1.begin()
+        assert s1.read(verdict, page_a, slot_a) == b"safe"
+
 
 class TestDegradedModeCs:
     def test_log_force_failure_degrades_server(self):
@@ -517,7 +545,7 @@ def surveys():
 
 @pytest.fixture(scope="module")
 def failover_smoke():
-    return run_failover_drill(seed=0, smoke=True)
+    return run_drill(FAILOVER, seed=0, smoke=True)[0]
 
 
 MATRIX_POINTS = {
@@ -601,7 +629,7 @@ class TestFailoverDrill:
 
 class TestRestartDrill:
     def test_smoke_drill_is_green(self):
-        report = run_restart_drill(seed=0, smoke=True)
+        report = run_drill(RESTART, seed=0, smoke=True)[0]
         assert report.results, "smoke drill produced no rehearsals"
         assert report.ok, report.table()
         assert all(result.image_match for result in report.results)
@@ -610,8 +638,8 @@ class TestRestartDrill:
         assert any(result.lazy_pages > 0 for result in report.results)
 
     def test_same_seed_same_drill(self):
-        first = run_restart_drill(seed=0, smoke=True)
-        again = run_restart_drill(seed=0, smoke=True)
+        first = run_drill(RESTART, seed=0, smoke=True)[0]
+        again = run_drill(RESTART, seed=0, smoke=True)[0]
         assert ([r.to_dict() for r in first.results]
                 == [r.to_dict() for r in again.results])
         assert first.table() == again.table()

@@ -1,6 +1,6 @@
 """Tests for the complex-wide Commit_LSN optimization."""
 
-from repro.common.stats import COMMIT_LSN_HITS, COMMIT_LSN_MISSES, StatsRegistry
+from repro.common.stats import COMMIT_LSN_HITS, COMMIT_LSN_MISSES
 from repro.recovery.commit_lsn import CommitLsnService
 from repro.txn.manager import TransactionManager
 from repro.wal.log_manager import LogManager
@@ -28,7 +28,7 @@ class FakeSystem:
 
 
 def service_with(*systems):
-    svc = CommitLsnService(stats=StatsRegistry())
+    svc = CommitLsnService()
     for system in systems:
         svc.register(system)
     return svc

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.common.errors import MediaError
-from repro.common.stats import DISK_PAGE_READS, DISK_PAGE_WRITES, StatsRegistry
+from repro.common.stats import DISK_PAGE_READS, DISK_PAGE_WRITES
 from repro.storage.disk import SharedDisk
 from repro.storage.page import Page, PageType
 
 
 def make_disk(capacity=100):
-    return SharedDisk(capacity=capacity, stats=StatsRegistry())
+    return SharedDisk(capacity=capacity)
 
 
 def formatted(page_id, payload=b"payload"):

@@ -41,12 +41,14 @@ PAYLOAD_BYTES = 64
 #: frame-accounting differences between 3.10 and 3.12.
 CALL_CEILING = 230
 #: The same transaction on a CS client: 217 before SD and CS shared one
-#: transaction front end, 207 after it on CPython 3.11; the same slack
+#: transaction front end, 207 after it, 206 once a raw append returns
+#: its offset instead of a LogAddress, on CPython 3.11; the same slack
 #: as CALL_CEILING.
 CS_CALL_CEILING = 250
 #: The same transaction with ``ReplicationConfig()`` and two standbys:
 #: 491 before the ship-path diet, 340 after it, 247 once the standbys
-#: apply off the commit path, on CPython 3.11.
+#: apply off the commit path, 245 once their raw appends return an
+#: offset instead of a LogAddress, on CPython 3.11.
 REPLICATED_CALL_CEILING = 370
 #: What the canonical transaction writes to one log: two updates (a
 #: 39-byte page header each) and a COMMIT and an END (27-byte control
@@ -264,7 +266,8 @@ class TestReplicatedCanonicalTransaction:
         """64 warm commits, the standbys' window applies included: 296.1
         interpreted calls per commit before the standby applied through
         the pending-chain set, 288.25 with it and a table-driven
-        ``decode_op``, on CPython 3.11."""
+        ``decode_op``, 286.25 once a raw append returns its offset, on
+        CPython 3.11."""
         _, engine, rows = self._steady()
         commits = 64
 

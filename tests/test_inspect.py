@@ -6,7 +6,6 @@ from repro.wal.inspect import (
     describe_record,
     dump_log,
     page_history,
-    summarize_log,
     transaction_history,
 )
 
@@ -53,28 +52,6 @@ class TestDump:
 
 
 class TestSummaries:
-    def test_summary_counts(self):
-        sd, s1, txn_id, loser_id, page_id = instance_with_history()
-        summary = summarize_log(s1.log)
-        assert summary.records == s1.log.record_count()
-        assert summary.by_kind["CMT"] == 1
-        assert summary.by_kind["CLR"] == 1
-        assert txn_id in summary.transactions
-        assert page_id in summary.pages
-        assert summary.last_lsn >= summary.first_lsn > 0
-        assert "records" in summary.render()
-
-    def test_bytes_by_kind_account_for_the_whole_log(self):
-        sd, s1, *_ = instance_with_history()
-        summary = summarize_log(s1.log)
-        assert set(summary.bytes_by_kind) == set(summary.by_kind)
-        assert sum(summary.bytes_by_kind.values()) == s1.log.end_offset
-        # Control records are header-only: 27 bytes each.
-        assert summary.bytes_by_kind["CMT"] == 27 * summary.by_kind["CMT"]
-        assert summary.bytes_by_kind["END"] == 27 * summary.by_kind["END"]
-        assert f"bytes {s1.log.end_offset}: " in summary.render()
-        assert f"CMT={summary.bytes_by_kind['CMT']}" in summary.render()
-
     def test_transaction_history(self):
         sd, s1, txn_id, loser_id, _ = instance_with_history()
         history = transaction_history(s1.log, loser_id)

@@ -49,6 +49,6 @@ def test_knob_table_lists_exactly_the_constructor_keywords(engine):
 
 def test_engine_keyword_counts():
     assert {name: len(keywords(cls)) for name, cls in ENGINES.items()} == {
-        "SDComplex": 10, "CsSystem": 6, "CsServer": 6}
-    assert len(keywords(SharedDisk)) == 4
-    assert len(keywords(LockManager)) == 2
+        "SDComplex": 10, "CsSystem": 6, "CsServer": 4}
+    assert len(keywords(SharedDisk)) == 2
+    assert len(keywords(LockManager)) == 1

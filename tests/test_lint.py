@@ -429,28 +429,28 @@ class TestR008:
         found = findings_for(
             """
             class Child:
-                def __init__(self, size, tracer=None):
-                    self.tracer = tracer
+                def __init__(self, size, seams=None):
+                    self.stats, self.tracer, self.injector = seams
 
             class Parent:
-                def __init__(self, tracer=None):
+                def __init__(self, seams=None):
                     self.child = Child(4)
             """
         )
         assert ids_of(found) == ["R008"]
-        assert "tracer" in found[0].message
+        assert "seams" in found[0].message
 
     def test_seam_passed_by_keyword_clean(self):
         assert (
             findings_for(
                 """
                 class Child:
-                    def __init__(self, size, tracer=None):
-                        self.tracer = tracer
+                    def __init__(self, size, seams=None):
+                        self.stats, self.tracer, self.injector = seams
 
                 class Parent:
-                    def __init__(self, tracer=None):
-                        self.child = Child(4, tracer=tracer)
+                    def __init__(self, seams=None):
+                        self.child = Child(4, seams=seams)
                 """
             )
             == []
@@ -461,12 +461,12 @@ class TestR008:
             findings_for(
                 """
                 class Child:
-                    def __init__(self, tracer=None):
-                        self.tracer = tracer
+                    def __init__(self, seams=None):
+                        self.stats, self.tracer, self.injector = seams
 
                 class Parent:
-                    def __init__(self, tracer=None):
-                        self.child = Child(tracer=NULL_TRACER)
+                    def __init__(self, seams=None):
+                        self.child = Child(seams=Seams.of())
                 """
             )
             == []
@@ -477,11 +477,11 @@ class TestR008:
             findings_for(
                 """
                 class Child:
-                    def __init__(self, tracer=None):
-                        self.tracer = tracer
+                    def __init__(self, seams=None):
+                        self.stats, self.tracer, self.injector = seams
 
                 class Parent:
-                    def __init__(self, tracer=None, **kw):
+                    def __init__(self, seams=None, **kw):
                         self.child = Child(**kw)
                 """
             )
@@ -489,13 +489,13 @@ class TestR008:
         )
 
     def test_scope_without_seam_clean(self):
-        # A scope that never held the seam cannot drop it.
+        # A scope that never held the seams cannot drop them.
         assert (
             findings_for(
                 """
                 class Child:
-                    def __init__(self, tracer=None):
-                        self.tracer = tracer
+                    def __init__(self, seams=None):
+                        self.stats, self.tracer, self.injector = seams
 
                 def make():
                     return Child()
@@ -508,12 +508,12 @@ class TestR008:
         found = findings_for(
             """
             class Child:
-                def __init__(self, tracer=None):
-                    self.tracer = tracer
+                def __init__(self, seams=None):
+                    self.stats, self.tracer, self.injector = seams
 
             class Parent:
-                def __init__(self, tracer=None):
-                    self.tracer = tracer
+                def __init__(self, seams=None):
+                    self.seams = seams
 
                 def spawn(self):
                     return Child()
@@ -524,9 +524,9 @@ class TestR008:
     def test_tests_exempt(self):
         source = (
             "class Child:\n"
-            "    def __init__(self, tracer=None):\n"
-            "        self.tracer = tracer\n"
-            "def test_make(tracer):\n"
+            "    def __init__(self, seams=None):\n"
+            "        self.seams = seams\n"
+            "def test_make(seams):\n"
             "    return Child()\n"
         )
         assert findings_for(source, path=TST) == []
@@ -1431,10 +1431,10 @@ class TestRealTree:
             ),
             "R008": (
                 "class Child:\n"
-                "    def __init__(self, size, tracer=None):\n"
-                "        self.tracer = tracer\n"
+                "    def __init__(self, size, seams=None):\n"
+                "        self.seams = seams\n"
                 "class Parent:\n"
-                "    def __init__(self, tracer=None):\n"
+                "    def __init__(self, seams=None):\n"
                 "        self.child = Child(4)\n"
             ),
             "R009": (

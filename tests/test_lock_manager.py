@@ -247,10 +247,10 @@ class TestFastPath:
                 assert are_compatible(a, b) is expected, (a, b)
 
     def test_uncontended_acquire_counts_request(self):
-        from repro.common.stats import LOCK_REQUESTS, StatsRegistry
+        from repro.common.stats import LOCK_REQUESTS
 
-        stats = StatsRegistry()
-        lm = LockManager(stats=stats)
+        lm = LockManager()
+        stats = lm.stats
         lm.acquire(1, R, LockMode.X)
         assert stats.get(LOCK_REQUESTS) == 1
         lm.acquire(1, R2, LockMode.S)
@@ -276,11 +276,12 @@ class TestFastPath:
         assert lm.holds(3, R, LockMode.X)
 
     def test_fast_path_emits_grant_trace(self):
+        from repro.common.seams import Seams
         from repro.obs import events as ev
         from repro.obs.tracer import Tracer
 
         tracer = Tracer()
-        lm = LockManager(tracer=tracer)
+        lm = LockManager(Seams.of(tracer=tracer))
         lm.acquire(1, R, LockMode.X)
         grants = [e for e in tracer.events() if e.kind == ev.LOCK_GRANT]
         assert len(grants) == 1

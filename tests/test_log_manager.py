@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.config import NULL_LSN
+from repro.common.seams import Seams
 from repro.common.stats import (
     LOG_FORCES,
     LOG_FORCES_COALESCED,
@@ -130,7 +131,7 @@ class TestStableStorage:
 
     def test_force_counts_only_when_advancing(self):
         stats = StatsRegistry()
-        log = LogManager(1, stats=stats)
+        log = LogManager(1, Seams.of(stats))
         log.append(rec())
         log.force()
         log.force()
@@ -189,7 +190,7 @@ class TestScan:
 
     def test_records_written_counter(self):
         stats = StatsRegistry()
-        log = LogManager(1, stats=stats)
+        log = LogManager(1, Seams.of(stats))
         log.append(rec())
         log.append(rec())
         assert stats.get(LOG_RECORDS_WRITTEN) == 2

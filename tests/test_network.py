@@ -1,5 +1,6 @@
 """Tests for the message fabric and Local_Max_LSN piggybacking."""
 
+from repro.common.seams import Seams
 from repro.common.stats import MESSAGES_SENT, MESSAGE_BYTES, StatsRegistry
 from repro.net.network import Network
 from repro.wal.log_manager import LogManager
@@ -11,13 +12,13 @@ def rec():
 
 
 def setup(piggyback=True):
-    stats = StatsRegistry()
-    net = Network(stats=stats, piggyback_enabled=piggyback)
-    a = LogManager(1, stats=stats)
-    b = LogManager(2, stats=stats)
+    seams = Seams.of()
+    net = Network(seams, piggyback_enabled=piggyback)
+    a = LogManager(1, seams)
+    b = LogManager(2, seams)
     net.register(1, a)
     net.register(2, b)
-    return net, a, b, stats
+    return net, a, b, seams.stats
 
 
 class TestPiggyback:
@@ -109,9 +110,10 @@ class TestParkedMessages:
         stats = StatsRegistry()
         plan = FaultPlan(seed=0)
         plan.at(fp.NET_MSG).on_hit(1).delay()
-        net = Network(stats=stats, injector=FaultInjector(plan))
-        a = LogManager(1, stats=stats)
-        b = LogManager(2, stats=stats)
+        seams = Seams.of(stats, injector=FaultInjector(plan))
+        net = Network(seams)
+        a = LogManager(1, seams)
+        b = LogManager(2, seams)
         net.register(1, a)
         net.register(2, b)
         a.append(rec())
