@@ -208,6 +208,17 @@ class CsClient(TransactionFrontEnd):
         self.log.forget_txn(txn.txn_id)
         self.txns.end(txn)
 
+    def rollback(self, txn: Transaction,
+                 to_savepoint: Optional[str] = None) -> None:
+        """As on a degraded SD instance, a degraded server takes no
+        CLR: the rollback is rejected there before any undo (a commit
+        that degraded it has already dropped the retained records with
+        its END), and the transaction keeps its state and locks until
+        the server restarts."""
+        if self.server.degraded and not self.crashed:
+            self.server._check_writable()
+        super().rollback(txn, to_savepoint)
+
     def _undo_records(
             self, txn: Transaction) -> Callable[[UndoEntry], LogRecord]:
         """Undo reads the client's retained record copies (Section 3.1:

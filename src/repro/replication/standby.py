@@ -10,7 +10,8 @@ through four states, in this order and never another:
   Section 3.1 "append them, as they are" discipline).  Only the
   headers are read (:func:`~repro.wal.records.record_spans`, for the
   duplicate screen and the log's LSN); a record is parsed only if it
-  can carry a page, and COMMIT/ABORT/END never are;
+  can carry a page, and COMMIT/ABORT/END (in either header shape)
+  never are;
 * **durable** — that replica log forced.  The shipper asks for the
   force where the ack level needs this standby's vote; otherwise the
   standby forces by itself once ``window_records`` records are
@@ -76,7 +77,7 @@ from repro.recovery.redo import (
 from repro.storage.disk import SharedDisk
 from repro.storage.space_map import format_volume
 from repro.wal.log_manager import LogManager
-from repro.wal.records import CONTROL_KINDS, NO_PAGE, LogRecord, record_spans
+from repro.wal.records import CONTROL_KIND_BYTES, NO_PAGE, LogRecord, record_spans
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sd.complex import SDComplex
@@ -219,7 +220,7 @@ class StandbyComplex:
             return 0
         records = []
         for _, begin, _ in spans:
-            if data[begin] in CONTROL_KINDS:
+            if data[begin] in CONTROL_KIND_BYTES:
                 continue
             record = LogRecord.from_bytes(data, begin)[0]
             if record.page_id != NO_PAGE:

@@ -43,12 +43,13 @@ from repro.faults.policy import RetryPolicy
 from repro.locking.lock_manager import LockMode, LockStatus, page_lock, record_lock
 from repro.obs import events as ev
 from repro.recovery.apply import stamp_page_lsn
+from repro.recovery.aries import _ACTIVE, _COMMITTED
 from repro.recovery.owner import LogOwner
 from repro.storage.page import Page
 from repro.storage.space_map import SpaceMap
 from repro.txn.front import TransactionFrontEnd
 from repro.txn.manager import TransactionManager
-from repro.txn.transaction import Transaction, UndoEntry
+from repro.txn.transaction import Transaction, TxnState, UndoEntry
 from repro.wal.records import (
     LogRecord,
     PageOp,
@@ -531,9 +532,17 @@ class DbmsInstance(LogOwner, TransactionFrontEnd):
         return lambda entry: read_record_at(entry.offset)
 
     def _checkpoint_transactions(self) -> Dict[int, Tuple[Lsn, int]]:
-        """A checkpoint records the live transactions that logged."""
-        return {txn.txn_id: (txn.last_lsn, 0) for txn in self.txns.active()
-                if txn.is_update_transaction()}
+        """A checkpoint records the live transactions that logged.
+
+        A lazy commit awaiting its sync is recorded committed: the
+        checkpoint's own force makes its COMMIT stable, and restart
+        analysis, which starts at the checkpoint, never reads that
+        record.
+        """
+        return {txn.txn_id: (txn.last_lsn,
+                             _COMMITTED if txn.state is TxnState.COMMITTED
+                             else _ACTIVE)
+                for txn in self.txns.active() if txn.is_update_transaction()}
 
     # ------------------------------------------------------------------
     # log filler

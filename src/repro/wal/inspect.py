@@ -49,12 +49,18 @@ def describe_op(payload: bytes) -> str:
 
 
 def describe_record(offset: int, record: LogRecord) -> str:
-    """One line per record: offset, LSN, kind, txn, page/slot, ops."""
+    """One line per record: offset, LSN, encoded length, kind (marked
+    ``+full`` when a control or page record overflowed its narrow
+    header), txn, page/slot, ops."""
+    data = record.to_bytes()
     kind = _KIND_ABBREV.get(record.kind, str(record.kind))
+    if data[0] != record.kind:
+        kind += "+full"
     page = "" if record.page_id == NO_PAGE else \
         f" p{record.page_id}.{record.slot}"
     txn = f" t{record.txn_id}" if record.txn_id else ""
-    parts = [f"@{offset:<7} lsn={record.lsn:<6} {kind}{txn}{page}"]
+    parts = [f"@{offset:<7} lsn={record.lsn:<6} {len(data):>4}B "
+             f"{kind}{txn}{page}"]
     if record.redo:
         parts.append(f"redo={describe_op(record.redo)}")
     if record.undo:

@@ -1,44 +1,53 @@
 """Binary log record format.
 
-Every record serializes to a fixed packed header followed by three
-variable-length payloads (redo, undo, extra).  The header's shape is a
-function of the record's kind: the kind byte leads every header, and
-one table lookup on it selects one of three layouts, so no record
-carries a field its kind never uses.
+Every record serializes to a packed header followed by its variable-
+length payloads (redo, undo, extra).  The kind byte leads every header,
+and one table lookup on it selects one of three layouts, so the two
+record families written once per update and once per transaction
+carry only what they need:
 
-==============  =====  =======  ====  ====  =================================
-field           bytes  control  page  full  meaning
-==============  =====  =======  ====  ====  =================================
-kind            1      x        x     x     :class:`RecordKind`
-lsn             8      x        x     x     update sequence number assigned
-                                            by the log manager
-prev_lsn        8      x        x     x     this transaction's previous
-                                            record (0 = none)
-txn_id          8      x        x     x     owning transaction
-undo_next_lsn   8                     x     CLRs only: next record of the
-                                            txn to undo (0 = done)
-page_id         4               x     x     page the record describes
-                                            (0xFFFFFFFF = none)
-system_id       2      x        x     x     writer system / client id
-                                            (Section 3.1: client log records
-                                            carry the client's identity)
-slot            2               x     x     record slot within the page
-                                            (0xFFFF = none)
-redo_len        2               x     x
-undo_len        2               x     x
-extra_len       2               x     x
-padding         1                     x
-header size            27       39    48
-==============  =====  =======  ====  ====  =================================
+==============  =======  ====  ====  ===================================
+field           control  page  full  meaning
+==============  =======  ====  ====  ===================================
+kind            1        1     1     :class:`RecordKind`; the high bit
+                                     marks a full-shape fallback
+lsn             8        8     8     update sequence number assigned
+                                     by the log manager
+prev_lsn        4        4     8     this transaction's previous record
+                                     (0 = none); the narrow shapes store
+                                     ``lsn - prev_lsn``
+txn_id          4        4     8     owning transaction
+undo_next_lsn                  8     CLRs only: next record of the txn
+                                     to undo (0 = done)
+page_id                  4     4     page the record describes
+                                     (0xFFFFFFFF = none)
+system_id       2        2     2     writer system / client id
+                                     (Section 3.1: client log records
+                                     carry the client's identity)
+slot                     2     2     record slot within the page
+                                     (0xFFFF = none)
+redo_len                 2     2
+undo_len                 2     2
+extra_len                      2
+padding                        1
+header size     19       29    48
+==============  =======  ====  ====  ===================================
 
 * **control** -- COMMIT, ABORT, END: no page, no payload.
 * **page** -- UPDATE, SMP_UPDATE, FORMAT_PAGE: everything but
-  ``undo_next_lsn`` (Lomet-baseline UPDATEs carry a BSI in ``extra``).
+  ``undo_next_lsn`` and ``extra``.
 * **full** -- CLR, BEGIN/END_CHECKPOINT, DUMMY: every field.
 
-A record whose fields do not fit its kind's shape (a COMMIT with a
-page, an UPDATE with an ``undo_next_lsn``, a slot or a payload
-length too wide for its field, a kind byte that names no kind) raises
+A control or page record whose fields overflow its narrow shape -- a
+``txn_id`` of 2**32 or more, a previous record that is not 1 to
+2**32 - 1 LSNs behind it, or an ``extra`` payload (the Lomet
+baseline's before-state identifier) -- is written in the full shape
+instead, its kind byte's high bit (``kind | 0x80``) set so a reader
+picks the full layout.  The LSN sits at offset 1 in every shape.
+
+A record whose fields fit no shape its kind allows (a COMMIT with a
+page, an UPDATE with an ``undo_next_lsn``, a slot or a payload length
+too wide for its field, a kind byte that names no kind) raises
 :class:`ValueError` when it is encoded; nothing is ever silently
 dropped or truncated.
 
@@ -54,7 +63,7 @@ import enum
 import struct
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.common.lsn import Lsn
 
@@ -84,32 +93,49 @@ class RecordKind(enum.IntEnum):
 
 
 # The three header shapes (see the module docstring).
-_CONTROL = struct.Struct("<BQQQH")
-_PAGE = struct.Struct("<BQQQIHHHHH")
+_CONTROL = struct.Struct("<BQIIH")
+_PAGE = struct.Struct("<BQIIIHHHH")
 _FULL = struct.Struct("<BQQQQIHHHHHx")
-assert (_CONTROL.size, _PAGE.size, _FULL.size) == (27, 39, 48)
+assert (_CONTROL.size, _PAGE.size, _FULL.size) == (19, 29, 48)
+
+#: The kind byte's high bit: a control or page record written in the
+#: full shape because a field overflows its narrow one.
+_FULL_BIT = 0x80
+#: The narrow shape of each kind that has one.
+_NARROW: Dict[RecordKind, struct.Struct] = {
+    **dict.fromkeys((RecordKind.COMMIT, RecordKind.ABORT, RecordKind.END),
+                    _CONTROL),
+    **dict.fromkeys((RecordKind.UPDATE, RecordKind.SMP_UPDATE,
+                     RecordKind.FORMAT_PAGE), _PAGE),
+}
+_BY_VALUE = {kind.value: kind for kind in RecordKind}
 
 #: Kind byte -> :class:`RecordKind` and kind byte -> header shape (None
 #: for a byte that names no kind), as tuples over all 256 byte values
-#: so the parse and encode lanes pay one index, not a call.
+#: so the parse and encode lanes pay one index, not a call.  A byte
+#: with the high bit set names a kind only if that kind has a narrow
+#: shape to fall back from.
 _KINDS: Tuple[Optional[RecordKind], ...] = tuple(
-    map({kind.value: kind for kind in RecordKind}.get, range(256)))
-#: The kinds with the payload-free control header: a transaction's
-#: fate, never a page (a kind byte tests against it as an int).
-CONTROL_KINDS = frozenset((RecordKind.COMMIT, RecordKind.ABORT,
-                           RecordKind.END))
+    _BY_VALUE.get(byte) if byte < _FULL_BIT
+    else _BY_VALUE.get(byte ^ _FULL_BIT) if (byte ^ _FULL_BIT) in _NARROW
+    else None
+    for byte in range(256))
 _SHAPES: Tuple[Optional[struct.Struct], ...] = tuple(
     None if kind is None
-    else _CONTROL if kind in CONTROL_KINDS
-    else _PAGE if kind in (RecordKind.UPDATE, RecordKind.SMP_UPDATE,
-                           RecordKind.FORMAT_PAGE)
-    else _FULL
-    for kind in _KINDS)
+    else _FULL if byte & _FULL_BIT
+    else _NARROW.get(kind, _FULL)
+    for byte, kind in enumerate(_KINDS))
+#: Every kind byte a COMMIT, ABORT or END is written with, narrow or
+#: full: a transaction's fate, never a page.
+CONTROL_KIND_BYTES = frozenset(
+    byte for kind, shape in _NARROW.items() if shape is _CONTROL
+    for byte in (kind, kind | _FULL_BIT))
 
 #: Where a header's LSN and payload lengths sit: what a reader that
 #: only orders and cuts records needs.
 _CONTROL_LSN = struct.Struct("<xQ")
-_SPANS = {_PAGE: struct.Struct("<xQ24xHHH"), _FULL: struct.Struct("<xQ32xHHH")}
+_PAGE_SPAN = struct.Struct("<xQ16xHH")
+_FULL_SPAN = struct.Struct("<xQ32xHHH")
 
 
 def _misfit(record: "LogRecord") -> ValueError:
@@ -227,11 +253,6 @@ class LogRecord:
         format records and control records are not."""
         return self.kind in (RecordKind.UPDATE, RecordKind.SMP_UPDATE)
 
-    def serialized_size(self) -> int:
-        """Encoded length, computed from field lengths (no packing)."""
-        return (_SHAPES[self.kind].size
-                + len(self.redo) + len(self.undo) + len(self.extra))
-
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
         cached: Optional[bytes] = self.__dict__.get("_encoded")
@@ -254,14 +275,17 @@ class LogRecord:
         # __init__ fills __dict__ without the invalidation hook, which
         # recovery scans (records by the thousand) could not afford.
         if shape is _CONTROL:
-            _, lsn, prev_lsn, txn_id, system_id = shape.unpack_from(
+            _, lsn, prev_delta, txn_id, system_id = shape.unpack_from(
                 data, offset)
             return cls(_KINDS[kind], txn_id, system_id, NO_PAGE, NO_SLOT,
-                       lsn, prev_lsn), offset + shape.size
+                       lsn, lsn - prev_delta if prev_delta else 0
+                       ), offset + shape.size
         if shape is _PAGE:
             (_, lsn, prev_lsn, txn_id, page_id, system_id, slot,
-             redo_len, undo_len, extra_len) = shape.unpack_from(data, offset)
-            undo_next_lsn = 0
+             redo_len, undo_len) = shape.unpack_from(data, offset)
+            if prev_lsn:                # stored as lsn - prev_lsn
+                prev_lsn = lsn - prev_lsn
+            undo_next_lsn = extra_len = 0
         elif shape is _FULL:
             (_, lsn, prev_lsn, txn_id, undo_next_lsn, page_id, system_id,
              slot, redo_len, undo_len, extra_len) = shape.unpack_from(
@@ -304,6 +328,7 @@ def record_spans(data: LogBuffer) -> List[Tuple[Lsn, int, int]]:
     note_span = spans.append
     shapes = _SHAPES
     control_lsn = _CONTROL_LSN.unpack_from
+    page_span = _PAGE_SPAN.unpack_from
     offset = 0
     length = len(data)
     while offset < length:
@@ -311,15 +336,34 @@ def record_spans(data: LogBuffer) -> List[Tuple[Lsn, int, int]]:
         if shape is _CONTROL:
             (lsn,) = control_lsn(data, offset)
             end = offset + _CONTROL.size
+        elif shape is _PAGE:
+            lsn, redo_len, undo_len = page_span(data, offset)
+            end = offset + _PAGE.size + redo_len + undo_len
         elif shape is None:
             raise ValueError(f"no record kind {data[offset]} at offset {offset}")
         else:
-            lsn, redo_len, undo_len, extra_len = _SPANS[shape].unpack_from(
+            lsn, redo_len, undo_len, extra_len = _FULL_SPAN.unpack_from(
                 data, offset)
-            end = offset + shape.size + redo_len + undo_len + extra_len
+            end = offset + _FULL.size + redo_len + undo_len + extra_len
         note_span((lsn, offset, end))
         offset = end
     return spans
+
+
+def _encode_full(kind: int, d: Dict[str, Any], lsn: Lsn,
+                 system_id: int) -> bytes:
+    """The full-shape encoding of a record's fields (``d``, its
+    ``__dict__``) under kind byte ``kind``: every full-shape kind, and
+    the fallback of a control or page record its narrow shape cannot
+    hold."""
+    redo = d["redo"]
+    undo = d["undo"]
+    extra = d["extra"]
+    return _FULL.pack(
+        kind, lsn, d["prev_lsn"], d["txn_id"], d["undo_next_lsn"],
+        d["page_id"], system_id, d["slot"], len(redo), len(undo),
+        len(extra),
+    ) + redo + undo + extra
 
 
 def stamp_and_encode(record: LogRecord, lsn: Lsn, system_id: int) -> bytes:
@@ -331,33 +375,47 @@ def stamp_and_encode(record: LogRecord, lsn: Lsn, system_id: int) -> bytes:
     (:meth:`repro.wal.log_manager.LogManager.append`, the CS client log)
     pays one function call per record instead of five.  The encoded
     bytes are cached on the record.  Raises :class:`ValueError`, leaving
-    no encoding cached, if the record does not fit its kind's shape.
+    no encoding cached, if the record fits no shape its kind allows.
     """
     d = record.__dict__
     d["lsn"] = lsn
     d["system_id"] = system_id
     kind = d["kind"]
-    redo = d["redo"]
-    undo = d["undo"]
-    extra = d["extra"]
     try:
         shape = _SHAPES[kind]
         if shape is _PAGE and not d["undo_next_lsn"]:
-            data = shape.pack(
-                kind, lsn, d["prev_lsn"], d["txn_id"], d["page_id"],
-                system_id, d["slot"], len(redo), len(undo), len(extra),
-            ) + redo + undo + extra
+            # The narrow fit rule: prev_lsn is stored as the delta back
+            # from lsn (0 = none); a previous record at or past lsn has
+            # none and maps to -1.  x >> 32 is non-zero exactly when x
+            # is negative or needs more than 32 bits, and so is the OR
+            # of two such fields.
+            prev_lsn = d["prev_lsn"]
+            if prev_lsn:
+                prev_lsn = lsn - prev_lsn or -1
+            txn_id = d["txn_id"]
+            if d["extra"] or (txn_id | prev_lsn) >> 32:
+                data = _encode_full(kind | _FULL_BIT, d, lsn, system_id)
+            else:
+                redo = d["redo"]
+                undo = d["undo"]
+                data = shape.pack(
+                    kind, lsn, prev_lsn, txn_id, d["page_id"], system_id,
+                    d["slot"], len(redo), len(undo),
+                ) + redo + undo
         elif shape is _CONTROL and d["page_id"] == NO_PAGE \
-                and d["slot"] == NO_SLOT \
-                and not (d["undo_next_lsn"] or redo or undo or extra):
-            data = shape.pack(kind, lsn, d["prev_lsn"], d["txn_id"],
-                              system_id)
-        elif shape is _FULL:
-            data = shape.pack(
-                kind, lsn, d["prev_lsn"], d["txn_id"], d["undo_next_lsn"],
-                d["page_id"], system_id, d["slot"], len(redo), len(undo),
-                len(extra),
-            ) + redo + undo + extra
+                and d["slot"] == NO_SLOT and not (
+                    d["undo_next_lsn"] or d["redo"] or d["undo"]
+                    or d["extra"]):
+            prev_lsn = d["prev_lsn"]
+            if prev_lsn:
+                prev_lsn = lsn - prev_lsn or -1
+            txn_id = d["txn_id"]
+            if (txn_id | prev_lsn) >> 32:
+                data = _encode_full(kind | _FULL_BIT, d, lsn, system_id)
+            else:
+                data = shape.pack(kind, lsn, prev_lsn, txn_id, system_id)
+        elif shape is _FULL and kind < _FULL_BIT:
+            data = _encode_full(kind, d, lsn, system_id)
         else:
             raise _misfit(record)
     except (struct.error, IndexError) as err:
@@ -376,8 +434,8 @@ def stamp_and_encode_batch(
 
     The innermost loop of :meth:`LogManager.append_many
     <repro.wal.log_manager.LogManager.append_many>`, kept here next to
-    the header shapes so a 64-record batch pays zero per-record function
-    calls: LSN assignment follows the USN rule
+    the header shapes so a 64-record batch of narrow records pays zero
+    per-record function calls: LSN assignment follows the USN rule
     (``max(page_lsn, running_lsn) + 1``, degenerating to ``+1`` when
     ``page_lsns`` is omitted), fields are stamped through ``__dict__``
     (skipping the invalidation hook — the fresh encoding is installed
@@ -395,27 +453,37 @@ def stamp_and_encode_batch(
         d["lsn"] = lsn
         d["system_id"] = system_id
         kind = d["kind"]
-        redo = d["redo"]
-        undo = d["undo"]
-        extra = d["extra"]
         try:
             shape = _SHAPES[kind]
             if shape is _PAGE and not d["undo_next_lsn"]:
-                data = shape.pack(
-                    kind, lsn, d["prev_lsn"], d["txn_id"], d["page_id"],
-                    system_id, d["slot"], len(redo), len(undo), len(extra),
-                ) + redo + undo + extra
+                prev_lsn = d["prev_lsn"]
+                if prev_lsn:
+                    prev_lsn = lsn - prev_lsn or -1
+                txn_id = d["txn_id"]
+                if d["extra"] or (txn_id | prev_lsn) >> 32:
+                    data = _encode_full(kind | _FULL_BIT, d, lsn, system_id)
+                else:
+                    redo = d["redo"]
+                    undo = d["undo"]
+                    data = shape.pack(
+                        kind, lsn, prev_lsn, txn_id, d["page_id"],
+                        system_id, d["slot"], len(redo), len(undo),
+                    ) + redo + undo
             elif shape is _CONTROL and d["page_id"] == NO_PAGE \
-                    and d["slot"] == NO_SLOT \
-                    and not (d["undo_next_lsn"] or redo or undo or extra):
-                data = shape.pack(kind, lsn, d["prev_lsn"], d["txn_id"],
-                                  system_id)
-            elif shape is _FULL:
-                data = shape.pack(
-                    kind, lsn, d["prev_lsn"], d["txn_id"],
-                    d["undo_next_lsn"], d["page_id"], system_id, d["slot"],
-                    len(redo), len(undo), len(extra),
-                ) + redo + undo + extra
+                    and d["slot"] == NO_SLOT and not (
+                        d["undo_next_lsn"] or d["redo"] or d["undo"]
+                        or d["extra"]):
+                prev_lsn = d["prev_lsn"]
+                if prev_lsn:
+                    prev_lsn = lsn - prev_lsn or -1
+                txn_id = d["txn_id"]
+                if (txn_id | prev_lsn) >> 32:
+                    data = _encode_full(kind | _FULL_BIT, d, lsn, system_id)
+                else:
+                    data = shape.pack(kind, lsn, prev_lsn, txn_id,
+                                      system_id)
+            elif shape is _FULL and kind < _FULL_BIT:
+                data = _encode_full(kind, d, lsn, system_id)
             else:
                 raise _misfit(record)
         except (struct.error, IndexError) as err:
@@ -443,7 +511,8 @@ class CheckpointData:
     bounds where the restart redo scan must begin).
 
     ``transactions`` maps txn_id -> (last_lsn, state) for in-flight
-    transactions, where ``state`` is 0 = active, 1 = committing.
+    transactions, where ``state`` is 0 = active, 1 = committed (its
+    COMMIT logged, its END not yet).
     """
 
     dirty_pages: Dict[int, Tuple[Lsn, int]] = field(default_factory=dict)

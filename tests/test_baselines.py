@@ -24,7 +24,7 @@ class TestNaiveLogManager:
         assert first.lsn == 1
         second = make_update(1, 1, 10, 0, b"r", b"u")
         log.append(second, page_lsn=10_000)   # hint ignored
-        assert second.lsn == first.serialized_size() + 1
+        assert second.lsn == len(first.to_bytes()) + 1
 
     def test_remote_max_ignored(self):
         log = NaiveLogManager(1)

@@ -475,6 +475,39 @@ class TestDegradedModeCs:
         verdict = c1.begin()
         assert c1.read(verdict, page_a, slot_a) == b"safe"
 
+    def test_rollback_while_degraded_appends_nothing(self):
+        """Rolling back the transaction whose commit degraded the
+        server is log work: it is rejected before any undo, nothing
+        reaches the client or the server log, and the transaction keeps
+        its state and locks until the server restarts."""
+        injector = FaultInjector(FaultPlan(seed=0))
+        cs = CsSystem(n_data_pages=64, injector=injector)
+        c1 = cs.add_client(1)
+        page_a, slot_a = committed_row(c1, b"safe")
+        arm_next_hit(injector, fp.LOG_FORCE).fail()
+        txn = c1.begin()
+        c1.update(txn, page_a, slot_a, b"doomed")
+        with pytest.raises(DegradedModeError):
+            c1.commit(txn)
+        log = cs.server.log
+        before = (log.end_offset, log.flushed_offset,
+                  c1.log.local_max_lsn, c1.log.pending_count())
+        state = txn.state
+        locks = set(cs.server.glm.locks_of(txn.txn_id))
+        assert locks
+        rejections = cs.stats.get(DEGRADED_REJECTIONS)
+        with pytest.raises(DegradedModeError, match="server is read-only"):
+            c1.rollback(txn)
+        assert cs.stats.get(DEGRADED_REJECTIONS) == rejections + 1
+        assert (log.end_offset, log.flushed_offset,
+                c1.log.local_max_lsn, c1.log.pending_count()) == before
+        assert txn.state is state
+        assert set(cs.server.glm.locks_of(txn.txn_id)) == locks
+        cs.crash_server()
+        cs.restart_server()
+        verdict = c1.begin()
+        assert c1.read(verdict, page_a, slot_a) == b"safe"
+
 
 # ----------------------------------------------------------------------
 # torn writes + media repair

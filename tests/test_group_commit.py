@@ -11,6 +11,7 @@ from repro.common.stats import (
 )
 from repro.faults import points as fp
 from repro.faults.injector import FaultInjector, FaultPlan
+from repro.recovery.checkpoint import take_checkpoint
 from repro.txn.transaction import TxnState
 from repro.wal.records import RecordKind
 
@@ -130,6 +131,30 @@ class TestAckSemantics:
         summary = sd.restart_instance(1)
         assert summary.loser_transactions == 0
         assert sd.disk.read_page(page_id).read_record(slot) == b"lazy-win"
+
+    @pytest.mark.parametrize("scheme", ["medium", "fast"])
+    @pytest.mark.parametrize("mode", ["eager", "instant"])
+    def test_checkpoint_before_sync_keeps_the_lazy_winner(self, mode,
+                                                           scheme):
+        """A checkpoint between a lazy COMMIT and its sync: the
+        checkpoint's force makes the COMMIT stable, but restart analysis
+        starts after it and the END the sync writes is never forced —
+        the checkpoint's own transaction table must say committed."""
+        sd = SDComplex(n_data_pages=64, transfer_scheme=scheme,
+                       restart_mode=mode)
+        s1 = sd.add_instance(1)
+        page_id, slot = committed_row(s1, b"old")
+        s1.pool.flush_all()
+        txn = s1.begin()
+        s1.update(txn, page_id, slot, b"new")
+        s1.commit(txn, lazy=True)
+        take_checkpoint(s1)
+        assert s1.sync_commits() == 1       # acknowledged
+        sd.crash_instance(1)
+        summary = sd.restart_instance(1)
+        assert (summary.loser_transactions, summary.clrs_written) == (0, 0)
+        verdict = s1.begin()
+        assert s1.read(verdict, page_id, slot) == b"new"
 
 
 class TestCsGroupCommit:

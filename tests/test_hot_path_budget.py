@@ -51,9 +51,9 @@ CS_CALL_CEILING = 250
 #: offset instead of a LogAddress, on CPython 3.11.
 REPLICATED_CALL_CEILING = 370
 #: What the canonical transaction writes to one log: two updates (a
-#: 39-byte page header each) and a COMMIT and an END (27-byte control
+#: 29-byte page header each) and a COMMIT and an END (19-byte control
 #: headers, no payload).
-TXN_LOG_BYTES = 2 * (39 + 2 * (1 + PAYLOAD_BYTES)) + 2 * 27
+TXN_LOG_BYTES = 2 * (29 + 2 * (1 + PAYLOAD_BYTES)) + 2 * 19
 
 
 # ----------------------------------------------------------------------
@@ -179,7 +179,8 @@ class TestCsCanonicalTransaction:
             message_kind_counter("log_ship"): 1,
             message_kind_counter("commit_ack"): 1,
             MESSAGES_SENT: 12,
-            MESSAGE_BYTES: 1096,
+            # the log ship carries the transaction's log bytes
+            MESSAGE_BYTES: 704 + TXN_LOG_BYTES,
         }
 
     def test_interpreted_calls_within_budget(self):
@@ -214,7 +215,7 @@ class TestReplicatedCanonicalTransaction:
         # needs; a ship and an ack per standby; three copies of the log.
         assert work[LOG_FORCES] == forces
         assert work[MESSAGES_SENT] == 4
-        assert work[LOG_BYTES_WRITTEN] == 3 * TXN_LOG_BYTES == 3 * 392
+        assert work[LOG_BYTES_WRITTEN] == 3 * TXN_LOG_BYTES == 3 * 356
         assert work[LOG_RECORDS_WRITTEN] == 4    # replica logs count bytes
 
     def test_laggard_forces_once_per_window(self):

@@ -2,6 +2,14 @@
 
 from repro import SDComplex
 from repro.recovery.checkpoint import take_checkpoint
+from repro.wal.log_manager import LogManager
+from repro.wal.records import (
+    LogRecord,
+    PageOp,
+    RecordKind,
+    encode_op,
+    make_update,
+)
 from repro.wal.inspect import (
     describe_record,
     dump_log,
@@ -43,6 +51,21 @@ class TestDump:
         header = dump_log(s1.log).splitlines()[0]
         assert "system 1" in header
         assert "Local_Max_LSN" in header
+
+    def test_lengths_add_up_and_fallbacks_are_marked(self):
+        sd, s1, *_ = instance_with_history()
+        lines = dump_log(s1.log).splitlines()[1:]
+        sizes = [int(line.split()[2].rstrip("B")) for line in lines]
+        assert sum(sizes) == s1.log.end_offset
+        assert not any("+full" in line for line in lines)
+        redo, undo = encode_op(PageOp.SET, b"r"), encode_op(PageOp.SET, b"u")
+        log = LogManager(1)
+        log.append(make_update(1, 1, 5, 0, redo, undo))
+        log.append(LogRecord(RecordKind.UPDATE, txn_id=2**40, page_id=5,
+                             slot=0, redo=redo, undo=undo))
+        narrow, full = dump_log(log).splitlines()[1:]
+        assert "  33B UPD t1 " in narrow
+        assert "  52B UPD+full t1099511627776 " in full
 
     def test_describe_record_checkpoint_payload(self):
         sd, s1, *_ = instance_with_history()

@@ -82,7 +82,7 @@ class TestUsnAssignment:
                 log.append(misfit, page_lsn=50)
             else:
                 log.append_many([rec(), misfit])
-        assert (log.local_max_lsn, log.end_offset) == (1, 39 + 2)
+        assert (log.local_max_lsn, log.end_offset) == (1, 29 + 2)
         assert log.record_count() == 1
 
 

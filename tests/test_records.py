@@ -1,8 +1,12 @@
 """Tests for log record serialization."""
 
+import re
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.wal import records as records_mod
 from repro.wal.records import (
     CheckpointData,
     LogRecord,
@@ -20,14 +24,38 @@ from repro.wal.records import (
     stamp_and_encode_batch,
 )
 
-#: The header each kind is written with (see the records module
-#: docstring): control 27 B, page 39 B, full 48 B.
+#: The header each kind is written with when its fields fit (see the
+#: records module docstring): control 19 B, page 29 B, full 48 B; the
+#: full shape is also every kind's fallback.
 CONTROL_KINDS = (RecordKind.COMMIT, RecordKind.ABORT, RecordKind.END)
 PAGE_KINDS = (RecordKind.UPDATE, RecordKind.SMP_UPDATE,
               RecordKind.FORMAT_PAGE)
-HEADER_BYTES = {kind: 27 if kind in CONTROL_KINDS
-                else 39 if kind in PAGE_KINDS else 48
+FULL_HEADER = 48
+HEADER_BYTES = {kind: 19 if kind in CONTROL_KINDS
+                else 29 if kind in PAGE_KINDS else FULL_HEADER
                 for kind in RecordKind}
+U32 = 2**32
+
+
+def fits_narrow(record):
+    """The narrow-shape rule, restated: a control or page record whose
+    txn id and prev-LSN delta fit 32 bits and that carries no extra."""
+    return (record.kind in CONTROL_KINDS + PAGE_KINDS
+            and record.txn_id < U32 and not record.extra
+            and (not record.prev_lsn
+                 or 0 < record.lsn - record.prev_lsn < U32))
+
+
+def header_bytes(record):
+    """The header ``record`` is written with."""
+    return HEADER_BYTES[record.kind] if fits_narrow(record) else FULL_HEADER
+
+
+def kind_byte(record):
+    """The kind byte ``record`` is written with: the high bit marks a
+    control or page record in its full-shape fallback."""
+    narrow = record.kind in CONTROL_KINDS + PAGE_KINDS
+    return record.kind | (0x80 if narrow and not fits_narrow(record) else 0)
 
 
 class TestOpCodec:
@@ -55,21 +83,22 @@ class TestRecordSerialization:
         )
         clone, offset = LogRecord.from_bytes(record.to_bytes())
         assert clone == record
-        assert offset == record.serialized_size()
+        assert offset == len(record.to_bytes())
 
     def test_serialized_size(self):
         record = make_update(1, 1, 5, 0, redo=b"1234", undo=b"56")
-        assert record.serialized_size() == 39 + 6
-        assert len(record.to_bytes()) == record.serialized_size()
+        assert len(record.to_bytes()) == 29 + 6
 
     @pytest.mark.parametrize("kind", list(RecordKind))
     def test_serialized_size_is_the_encoding_for_every_kind(self, kind):
         payload = {} if kind in CONTROL_KINDS else dict(
-            page_id=3, slot=1, redo=b"redo", undo=b"un", extra=b"x")
+            page_id=3, slot=1, redo=b"redo", undo=b"un")
+        if kind not in CONTROL_KINDS + PAGE_KINDS:
+            payload["extra"] = b"x"
         record = LogRecord(kind=kind, txn_id=5, lsn=9, **payload)
-        payload_bytes = 7 if payload else 0
-        assert record.serialized_size() == len(record.to_bytes())
-        assert record.serialized_size() == HEADER_BYTES[kind] + payload_bytes
+        payload_bytes = sum(len(payload.get(name, b""))
+                            for name in ("redo", "undo", "extra"))
+        assert len(record.to_bytes()) == HEADER_BYTES[kind] + payload_bytes
 
     def test_defaults(self):
         record = LogRecord(kind=RecordKind.COMMIT, txn_id=9)
@@ -88,7 +117,7 @@ class TestRecordSerialization:
         assert [r for _, r in parsed] == records
         offsets = [o for o, _ in parsed]
         assert offsets[0] == 0
-        assert offsets[1] == records[0].serialized_size()
+        assert offsets[1] == len(records[0].to_bytes())
 
     def test_undoable_classification(self):
         assert make_update(1, 1, 5, 0, b"a", b"b").is_undoable()
@@ -139,7 +168,10 @@ class TestRecordSerialization:
         data = record.to_bytes()
         clone, offset = LogRecord.from_bytes(data)
         assert clone == record
-        assert offset == len(data) == record.serialized_size()
+        assert offset == len(data) == header_bytes(record) + len(
+            redo + undo + extra)
+        assert data[0] == kind_byte(record)
+        assert record_spans(data) == [(lsn, 0, len(data))]
 
 
 class TestHeaderShapes:
@@ -211,6 +243,160 @@ class TestHeaderShapes:
         assert record_spans(memoryview(data)) == record_spans(data)
 
 
+def _record(kind, wide=False, **fields):
+    """A record of ``kind`` with every field its shape carries set;
+    ``wide`` puts its txn id out of the narrow shapes' reach."""
+    base = dict(txn_id=2**40 if wide else 7, system_id=2, prev_lsn=40)
+    if kind not in CONTROL_KINDS:
+        base.update(page_id=9, slot=1, redo=b"redo", undo=b"un")
+    if kind not in CONTROL_KINDS + PAGE_KINDS:
+        base.update(undo_next_lsn=3, extra=b"x")
+    base.update(fields)
+    return LogRecord(kind, **base)
+
+
+class TestNarrowAndFullShapes:
+    """Control and page records take their narrow header whenever the
+    fields fit and the full shape, kind byte | 0x80, when they do not;
+    every encoder agrees byte for byte, and every reader follows."""
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["fits", "wide"])
+    @pytest.mark.parametrize("kind", list(RecordKind),
+                             ids=[kind.name for kind in RecordKind])
+    def test_three_encoders_agree(self, kind, wide):
+        by_to_bytes, by_stamp, by_batch = (
+            _record(kind, wide) for _ in range(3))
+        by_to_bytes.lsn = 50
+        by_to_bytes.system_id = 4
+        slow = by_to_bytes.to_bytes()
+        assert stamp_and_encode(by_stamp, 50, 4) == slow
+        assert stamp_and_encode_batch([by_batch], 49, 4) == ([slow], 50)
+        assert by_to_bytes == by_stamp == by_batch
+        payload = len(by_to_bytes.redo + by_to_bytes.undo
+                      + by_to_bytes.extra)
+        expected = FULL_HEADER if wide else HEADER_BYTES[kind]
+        assert len(slow) == expected + payload
+        narrow = kind in CONTROL_KINDS + PAGE_KINDS
+        assert slow[0] == kind | (0x80 if wide and narrow else 0)
+        assert LogRecord.from_bytes(slow) == (by_to_bytes, len(slow))
+        assert record_spans(slow) == [(50, 0, len(slow))]
+
+    @pytest.mark.parametrize("fields", [
+        dict(txn_id=U32 - 1),
+        dict(prev_lsn=0),
+        dict(lsn=U32 + 5, prev_lsn=6),          # delta 2**32 - 1
+        dict(lsn=2**63, prev_lsn=2**63 - 1),    # delta 1, LSN past u32
+    ], ids=["widest-txn", "no-prev", "widest-delta", "wide-lsn"])
+    @pytest.mark.parametrize("kind", CONTROL_KINDS + PAGE_KINDS,
+                             ids=lambda kind: kind.name)
+    def test_narrow_whenever_the_fields_fit(self, kind, fields):
+        record = _record(kind, **{"lsn": 50, **fields})
+        data = record.to_bytes()
+        assert data[0] == kind
+        assert len(data) == HEADER_BYTES[kind] + len(record.redo
+                                                     + record.undo)
+        assert LogRecord.from_bytes(data)[0] == record
+
+    @pytest.mark.parametrize("fields", [
+        dict(txn_id=2**40),
+        dict(lsn=2**33 + 50, prev_lsn=50),      # delta 2**33
+        dict(lsn=U32 + 6, prev_lsn=6),          # delta 2**32
+        dict(lsn=50, prev_lsn=50),              # prev_lsn >= lsn
+        dict(lsn=50, prev_lsn=51),
+    ], ids=["txn-2**40", "delta-2**33", "delta-2**32", "prev-equal",
+            "prev-after"])
+    @pytest.mark.parametrize("kind", CONTROL_KINDS + PAGE_KINDS,
+                             ids=lambda kind: kind.name)
+    def test_overflow_falls_back_to_the_full_shape(self, kind, fields):
+        record = _record(kind, **fields)
+        data = record.to_bytes()
+        assert data[0] == kind | 0x80
+        assert len(data) == FULL_HEADER + len(record.redo + record.undo)
+        assert LogRecord.from_bytes(data) == (record, len(data))
+        assert record_spans(data) == [(record.lsn, 0, len(data))]
+
+    def test_lomet_bsi_update_falls_back_to_the_full_shape(self):
+        bsi = (1234).to_bytes(8, "little")
+        record = LogRecord(RecordKind.UPDATE, txn_id=2, page_id=8, slot=1,
+                           lsn=9, redo=b"new", undo=b"old", extra=bsi)
+        data = record.to_bytes()
+        assert data[0] == RecordKind.UPDATE | 0x80
+        assert len(data) == FULL_HEADER + 6 + len(bsi)
+        assert LogRecord.from_bytes(data) == (record, len(data))
+
+    def test_mixed_stream_parses_and_spans(self):
+        """Narrow and fallback records of the same kinds, interleaved,
+        through the batch encoder, ``parse_stream`` and
+        ``record_spans``."""
+        records = [
+            _record(RecordKind.UPDATE, prev_lsn=0),
+            _record(RecordKind.UPDATE, wide=True),
+            _record(RecordKind.COMMIT),
+            _record(RecordKind.COMMIT, prev_lsn=2**40),   # prev >= lsn
+            _record(RecordKind.CLR),
+            _record(RecordKind.UPDATE, extra=b"bsi"),
+            _record(RecordKind.END, wide=True),
+            _record(RecordKind.SMP_UPDATE),
+            _record(RecordKind.FORMAT_PAGE, prev_lsn=1),  # delta > 2**32
+            _record(RecordKind.ABORT),
+        ]
+        parts, _ = stamp_and_encode_batch(records, U32 + 40, 3)
+        assert [part[0] for part in parts] == [
+            kind_byte(record) for record in records]
+        assert {part[0] >= 0x80 for part in parts} == {False, True}
+        data = b"".join(parts)
+        parsed = list(LogRecord.parse_stream(data))
+        assert [record for _, record in parsed] == records
+        ends = [offset for offset, _ in parsed[1:]] + [len(data)]
+        assert record_spans(data) == [
+            (record.lsn, offset, end)
+            for (offset, record), end in zip(parsed, ends)]
+
+    def test_high_bit_names_only_kinds_with_a_narrow_shape(self):
+        clr = bytearray(_record(RecordKind.CLR, lsn=50).to_bytes())
+        clr[0] |= 0x80
+        with pytest.raises(ValueError, match="no record kind"):
+            LogRecord.from_bytes(clr)
+        with pytest.raises(ValueError, match="no record kind"):
+            record_spans(clr)
+        with pytest.raises(ValueError, match="header shape"):
+            LogRecord(RecordKind.UPDATE | 0x80, page_id=1, slot=0).to_bytes()
+
+
+def _docstring_table():
+    """Field -> (control, page, full) byte widths, from the records
+    module docstring's shape table."""
+    lines = records_mod.__doc__.splitlines()
+    rules = [i for i, line in enumerate(lines) if line.startswith("=" * 14)]
+    widths = {}
+    for line in lines[rules[1] + 1:rules[2]]:
+        name = line[:16].strip()
+        if name:
+            widths[name] = tuple(
+                int(cell) if cell.strip() else 0
+                for cell in (line[16:25], line[25:31], line[31:37]))
+    return widths
+
+
+def test_docstring_shape_table_is_the_codec():
+    """The module docstring's table lists the three header layouts
+    field by field, in order, with the sizes the codec packs."""
+    table = _docstring_table()
+    sizes = table.pop("header size")
+    shapes = (records_mod._CONTROL, records_mod._PAGE, records_mod._FULL)
+    assert sizes == tuple(shape.size for shape in shapes) == (19, 29, 48)
+    for column, shape in enumerate(shapes):
+        listed = [width[column] for width in table.values() if width[column]]
+        packed = [struct.calcsize("<" + code)
+                  for code in re.findall(r"[A-Za-z]", shape.format[1:])]
+        assert listed == packed
+        assert sum(listed) == sizes[column]
+    assert list(table) == [
+        "kind", "lsn", "prev_lsn", "txn_id", "undo_next_lsn", "page_id",
+        "system_id", "slot", "redo_len", "undo_len", "extra_len",
+        "padding"]
+
+
 class TestCheckpointData:
     def test_roundtrip(self):
         data = CheckpointData(
@@ -268,7 +454,7 @@ class TestZeroCopyParsing:
 
     def test_from_bytes_accepts_memoryview_at_offset(self):
         records, data = self._stream()
-        offset = records[0].serialized_size()
+        offset = len(records[0].to_bytes())
         clone, _ = LogRecord.from_bytes(memoryview(data), offset)
         assert clone == records[1]
 
@@ -312,8 +498,7 @@ _BASES = {
     "control": dict(kind=RecordKind.COMMIT, txn_id=7, system_id=2, lsn=5,
                     prev_lsn=4),
     "page": dict(kind=RecordKind.UPDATE, txn_id=7, system_id=2, page_id=9,
-                 slot=1, lsn=5, prev_lsn=4, redo=b"r", undo=b"u",
-                 extra=b"e"),
+                 slot=1, lsn=5, prev_lsn=4, redo=b"r", undo=b"u"),
     "full": dict(kind=RecordKind.CLR, txn_id=7, system_id=2, page_id=9,
                  slot=1, lsn=5, prev_lsn=4, undo_next_lsn=3, redo=b"r",
                  undo=b"u", extra=b"e"),
@@ -343,11 +528,13 @@ _FRESH_VALUES = {
 #: A fresh kind keeps the record in its shape.
 _FRESH_KIND = {"control": RecordKind.ABORT, "page": RecordKind.SMP_UPDATE,
                "full": RecordKind.DUMMY}
-#: Every field of every shape; the full shape keeps the bare field id.
+#: Every field of every shape, and ``extra`` on a page record (which
+#: moves it to the full shape); the full shape keeps the bare field id.
 _SHAPE_FIELDS = [
     pytest.param(shape, field,
                  id=field if shape == "full" else f"{shape}-{field}")
-    for shape, base in _BASES.items() for field in sorted(base)]
+    for shape, base in _BASES.items()
+    for field in sorted({*base, "extra"} if shape == "page" else base)]
 
 
 class TestEncodingCache:

@@ -68,7 +68,7 @@ def holds_durably(standby, ack):
         for addr, record in log.scan():
             if (record.kind == RecordKind.COMMIT
                     and record.txn_id == ack.txn):
-                return log.is_stable(addr.offset + record.serialized_size())
+                return log.is_stable(addr.offset + len(record.to_bytes()))
     return False
 
 

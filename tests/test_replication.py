@@ -26,7 +26,7 @@ from repro.replication import (
 )
 from repro.sd.complex import SDComplex
 from repro.wal.merge import merge_local_logs
-from repro.wal.records import LogRecord, RecordKind
+from repro.wal.records import LogRecord, RecordKind, stamp_and_encode_batch
 
 
 def build(ack=ACK_QUORUM, n_standbys=2, window=4, batch=2, injector=None,
@@ -366,6 +366,25 @@ class TestStandbyApply:
         applied = standby.receive(sorted(snapshot.items()))
         assert applied == 0
         assert standby.applied_max_lsn == before
+
+    def test_control_records_are_never_parsed(self, monkeypatch):
+        """The absorb screen knows a COMMIT, ABORT or END by its kind
+        byte, in the narrow and in the full header shape alike."""
+        sd, standbys = build(ack=ACK_ALL)
+        commit_one(sd.instances[1])
+        standby = standbys[0]
+        records = [LogRecord(RecordKind.COMMIT, txn_id=7),
+                   LogRecord(RecordKind.ABORT, txn_id=2**40),
+                   LogRecord(RecordKind.END, txn_id=2**40)]
+        parts, _ = stamp_and_encode_batch(records, 10_000, 1)
+        assert [part[0] for part in parts] == [3, 4 | 0x80, 5 | 0x80]
+        parsed = []
+        from_bytes = LogRecord.from_bytes.__func__
+        monkeypatch.setattr(LogRecord, "from_bytes", classmethod(
+            lambda cls, data, offset=0:
+            parsed.append(offset) or from_bytes(cls, data, offset)))
+        assert standby.receive([(1, b"".join(parts))]) == 3
+        assert parsed == []
 
     def test_quorum_vs_all_differ_with_lost_standby(self):
         """One unreachable standby of two: quorum (2 of 3 votes with
