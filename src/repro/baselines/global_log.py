@@ -33,7 +33,13 @@ from repro.common.stats import (
 from repro.storage.disk import SharedDisk
 from repro.storage.page import Page, PageType
 from repro.wal.log_manager import LogManager
-from repro.wal.records import LogRecord, PageOp, RecordKind, encode_op
+from repro.wal.records import (
+    LogRecord,
+    PageOp,
+    RecordKind,
+    encode_op,
+    encode_overwrite,
+)
 
 
 class _GlobalLog:
@@ -120,11 +126,10 @@ class GlobalLogSystem:
             # reprolint: disable=R001 -- baseline abuses page_lsn as a
             # coherency USN; its recovery never consults the field.
             page.page_lsn = self._usn
+            redo, undo = encode_overwrite(old, payload)
             record = LogRecord(
                 kind=RecordKind.UPDATE, txn_id=txn_id,
-                page_id=page_id, slot=slot,
-                redo=encode_op(PageOp.SET, payload),
-                undo=encode_op(PageOp.SET, old),
+                page_id=page_id, slot=slot, redo=redo, undo=undo,
             )
             self._log_cache.append(record)
             self.pool.bcb(page_id).dirty = True

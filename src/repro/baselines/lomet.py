@@ -42,6 +42,7 @@ from repro.wal.records import (
     PageOp,
     RecordKind,
     encode_op,
+    encode_overwrite,
 )
 from repro.recovery.apply import apply_redo, stamp_page_lsn
 
@@ -147,9 +148,8 @@ class LometSystem:
             if old is None:
                 raise ReproError(f"page {page_id} slot {slot} is empty")
             page.update_record(slot, payload)
-            self._log(page, RecordKind.UPDATE, slot,
-                      redo=encode_op(PageOp.SET, payload),
-                      undo=encode_op(PageOp.SET, old))
+            redo, undo = encode_overwrite(old, payload)
+            self._log(page, RecordKind.UPDATE, slot, redo=redo, undo=undo)
         finally:
             self.pool.unfix(page_id)
 

@@ -46,9 +46,6 @@ class CsClient(TransactionFrontEnd):
     """One client workstation of the CS architecture."""
 
     ROLE = "client"
-    #: A client has no log device to lose: a failed force degrades the
-    #: server, and every client's commits then fail there.
-    degraded = False
     #: Lock conflicts always surface as LockWouldBlock.
     lock_retry = None
 
@@ -208,16 +205,21 @@ class CsClient(TransactionFrontEnd):
         self.log.forget_txn(txn.txn_id)
         self.txns.end(txn)
 
-    def rollback(self, txn: Transaction,
-                 to_savepoint: Optional[str] = None) -> None:
-        """As on a degraded SD instance, a degraded server takes no
-        CLR: the rollback is rejected there before any undo (a commit
-        that degraded it has already dropped the retained records with
-        its END), and the transaction keeps its state and locks until
-        the server restarts."""
-        if self.server.degraded and not self.crashed:
+    @property
+    def degraded(self) -> bool:
+        """A client has no log device to lose: it is read-only while
+        its server is degraded, so an update, a rollback or a commit
+        that logged is rejected here before it appends to the client
+        log (a rollback would need CLRs, and a commit that degraded
+        the server has already dropped its retained records with its
+        END)."""
+        return self.server.degraded
+
+    def _check_writable(self) -> None:
+        """While the server is degraded, its verdict: ``server is
+        read-only (degraded)``."""
+        if self.server.degraded:
             self.server._check_writable()
-        super().rollback(txn, to_savepoint)
 
     def _undo_records(
             self, txn: Transaction) -> Callable[[UndoEntry], LogRecord]:

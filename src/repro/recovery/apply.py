@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from typing import Any, Tuple
 
+from repro.common.errors import CorruptPageError
 from repro.common.lsn import Lsn
 from repro.storage.page import Page, PageType
 from repro.storage.space_map import SpaceMap
-from repro.wal.records import LogRecord, PageOp, decode_op, encode_op, make_clr
+from repro.wal.records import LogRecord, PageOp, decode_op, make_clr
 
 
 def stamp_page_lsn(page: Page, lsn: Lsn) -> None:
@@ -28,9 +29,27 @@ def stamp_page_lsn(page: Page, lsn: Lsn) -> None:
     page.page_lsn = lsn
 
 
-def apply_op(page: Page, slot: int, op: PageOp, data: bytes) -> None:
-    """Apply one operation to ``page`` (no LSN bookkeeping here)."""
-    if op == PageOp.INSERT:
+def apply_op(page: Page, slot: int, op: PageOp, data: bytes,
+             lsn: Lsn = 0) -> None:
+    """Apply one operation to ``page`` (no LSN bookkeeping here).
+
+    ``lsn`` only names the record in a :class:`CorruptPageError`: an
+    ``XOR`` whose slot is empty or of another length was not logged
+    against this state (applied twice, or onto the wrong base), and
+    applying it would write garbage.
+    """
+    if op == PageOp.XOR:
+        old = page.read_record(slot)
+        size = len(data)
+        if old is None or len(old) != size:
+            raise CorruptPageError(
+                f"XOR record {lsn} does not fit slot {slot} on page "
+                f"{page.page_id}: {size}-byte operand, slot holds "
+                f"{'nothing' if old is None else f'{len(old)} bytes'}")
+        page.update_record(slot, (
+            int.from_bytes(old, "little") ^ int.from_bytes(data, "little")
+        ).to_bytes(size, "little"))
+    elif op == PageOp.INSERT:
         page.insert_record_at(slot, data)
     elif op == PageOp.DELETE:
         page.delete_record(slot)
@@ -56,7 +75,7 @@ def apply_redo(page: Page, record: LogRecord) -> None:
     Processing").
     """
     op, data = decode_op(record.redo)
-    apply_op(page, record.slot, op, data)
+    apply_op(page, record.slot, op, data, record.lsn)
     page.page_lsn = record.lsn
 
 
@@ -70,7 +89,7 @@ def apply_payload(page: Page, slot: int, payload: bytes, lsn: Lsn) -> None:
     page_LSN advance inside this module (lint rule R001).
     """
     op, data = decode_op(payload)
-    apply_op(page, slot, op, data)
+    apply_op(page, slot, op, data, lsn)
     page.page_lsn = lsn
 
 
@@ -85,11 +104,12 @@ def compensate(log, page: Page, record: LogRecord, txn_id: int,
     returns; pool bookkeeping and trace events stay with the caller.
     """
     page_lsn_prev = page.page_lsn
+    undo = inverse_op(record)
     clr = make_clr(txn_id=txn_id, system_id=0, page_id=record.page_id,
-                   slot=record.slot, redo=record.undo,
+                   slot=record.slot, redo=undo,
                    undo_next_lsn=record.prev_lsn, prev_lsn=prev_lsn)
     address = log.append(clr, page_lsn=page_lsn_prev)
-    apply_payload(page, record.slot, record.undo, clr.lsn)
+    apply_payload(page, record.slot, undo, clr.lsn)
     return clr, address, page_lsn_prev
 
 
@@ -101,14 +121,18 @@ def apply_undo(page: Page, record: LogRecord, clr_lsn: int) -> bytes:
     The page is stamped with the CLR's LSN (``clr_lsn``), which the
     caller obtained from the log manager when writing the CLR.
     """
-    op, data = decode_op(record.undo)
-    apply_op(page, record.slot, op, data)
-    page.page_lsn = clr_lsn
-    return encode_op(op, data)
+    undo = inverse_op(record)
+    apply_payload(page, record.slot, undo, clr_lsn)
+    return undo
 
 
 def inverse_op(record: LogRecord) -> bytes:
-    """The undo payload of ``record`` (present for undoable kinds)."""
-    if not record.undo:
-        raise ValueError(f"record {record.lsn} has no undo information")
-    return record.undo
+    """The undo payload of ``record`` (present for undoable kinds): its
+    ``undo``, or for an ``XOR`` overwrite its own redo."""
+    undo = record.undo
+    if undo:
+        return undo
+    redo = record.redo
+    if redo and redo[0] == PageOp.XOR:
+        return redo
+    raise ValueError(f"record {record.lsn} has no undo information")

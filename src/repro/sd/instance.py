@@ -55,6 +55,7 @@ from repro.wal.records import (
     PageOp,
     RecordKind,
     encode_op,
+    encode_overwrite,
     make_update,
 )
 
@@ -213,11 +214,10 @@ class DbmsInstance(LogOwner, TransactionFrontEnd):
                             f"page {page_id} slot {slot} is empty")
                     hint = page_lsn_now[page_id]
                     lsn = (hint if hint > running else running) + 1
+                    redo, undo = encode_overwrite(old, payload)
                     record = make_update(
                         txn_id=txn.txn_id, system_id=self.system_id,
-                        page_id=page_id, slot=slot,
-                        redo=encode_op(PageOp.SET, payload),
-                        undo=encode_op(PageOp.SET, old),
+                        page_id=page_id, slot=slot, redo=redo, undo=undo,
                         prev_lsn=prev,
                     )
                     page.update_record(slot, payload)

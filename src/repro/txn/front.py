@@ -64,6 +64,7 @@ from repro.wal.records import (
     PageOp,
     RecordKind,
     encode_op,
+    encode_overwrite,
     make_format,
     make_update,
 )
@@ -287,11 +288,10 @@ class TransactionFrontEnd:
             old = page.read_record(slot)
             if old is None:
                 raise ReproError(f"page {page_id} slot {slot} is empty")
+            redo, undo = encode_overwrite(old, payload)
             record = make_update(
                 txn_id=txn.txn_id, system_id=self.system_id,
-                page_id=page_id, slot=slot,
-                redo=encode_op(PageOp.SET, payload),
-                undo=encode_op(PageOp.SET, old),
+                page_id=page_id, slot=slot, redo=redo, undo=undo,
                 prev_lsn=txn.last_lsn,
             )
             page.update_record(slot, payload)

@@ -45,6 +45,8 @@ def describe_op(payload: bytes) -> str:
         return f"{op.name}({preview!r}{suffix})"
     if op is PageOp.FORMAT:
         return f"FORMAT(type={data[0]})"
+    if op is PageOp.XOR:
+        return f"XOR({len(data)}B)"
     return op.name
 
 

@@ -55,6 +55,18 @@ Update payloads are *physiological*: an operation byte
 (:class:`PageOp`) plus operand bytes, applied to a named slot of a named
 page.  Lomet-baseline records reuse this format, carrying the before-
 state identifier (BSI) in the ``extra`` field.
+
+An overwrite whose new payload has the old one's length is logged as
+one ``XOR`` operation whose operand is ``old ^ new``, *stored once*
+(in ``redo``, with an empty ``undo``), and *its own inverse*: XOR-ing
+it into the after image gives back the before image, so undo and the
+CLR that records it take the redo payload as the undo payload
+(:func:`encode_overwrite`).  That is sound because redo is screened
+per page (a record is redone iff its LSN exceeds the page_LSN, and the
+USN rule keeps page_LSNs monotonic per page), so an XOR is only ever
+applied to exactly the state it was logged against.  A length-changing
+overwrite keeps the two-image ``SET`` (new payload as redo, old as
+undo).
 """
 
 from __future__ import annotations
@@ -156,11 +168,29 @@ class PageOp(enum.IntEnum):
     NOOP = 6           # operand: ignored
     SMP_SET_RANGE = 7  # operand: SpaceMap.encode_range_update payload
                        # (mass delete logs one record per SMP page)
+    XOR = 8            # operand: old ^ new record payload (equal
+                       # lengths); its own inverse, stored once
 
 
 def encode_op(op: PageOp, data: bytes = b"") -> bytes:
     """Serialize an operation payload."""
     return bytes([int(op)]) + data
+
+
+_SET_BYTE = bytes([PageOp.SET])
+_XOR_BYTE = bytes([PageOp.XOR])
+
+
+def encode_overwrite(old: bytes, new: bytes) -> Tuple[bytes, bytes]:
+    """``(redo, undo)`` payloads of overwriting record ``old`` with
+    ``new``: one ``XOR`` of ``old ^ new`` and no undo when the lengths
+    match, else ``SET new`` / ``SET old``."""
+    size = len(new)
+    if len(old) == size:
+        return _XOR_BYTE + (
+            int.from_bytes(old, "little") ^ int.from_bytes(new, "little")
+        ).to_bytes(size, "little"), b""
+    return _SET_BYTE + new, _SET_BYTE + old
 
 
 #: Operation byte -> :class:`PageOp` (``None`` for no operation): one

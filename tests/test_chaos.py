@@ -17,6 +17,7 @@ import pytest
 
 from repro.common.clock import SkewedClock
 from repro.common.errors import (
+    CorruptPageError,
     DegradedModeError,
     FaultInjectedError,
     LockTimeoutError,
@@ -430,11 +431,11 @@ class TestDegradedModeCs:
         assert cs.server.degraded
         assert cs.stats.get(DEGRADED_ENTRIES) == 1
 
-        # The next update commit is rejected at the server's door.
+        # The client is read-only with its server: the next update is
+        # rejected before it reaches the client's log.
         txn2 = c1.begin()
-        c1.update(txn2, page_b, slot_b, b"also-doomed")
-        with pytest.raises(DegradedModeError):
-            c1.commit(txn2)
+        with pytest.raises(DegradedModeError, match="server is read-only"):
+            c1.update(txn2, page_b, slot_b, b"also-doomed")
         rejections = cs.stats.get(DEGRADED_REJECTIONS)
         assert rejections >= 1
 
@@ -474,6 +475,30 @@ class TestDegradedModeCs:
         cs.restart_server()
         verdict = c1.begin()
         assert c1.read(verdict, page_a, slot_a) == b"safe"
+
+    def test_update_while_degraded_appends_nothing(self):
+        """A client update after the server degraded is rejected at
+        the client, before it appends: the client log's end (its last
+        LSN and its buffered records) stays put and one rejection is
+        counted."""
+        injector = FaultInjector(FaultPlan(seed=0))
+        cs = CsSystem(n_data_pages=64, injector=injector)
+        c1 = cs.add_client(1)
+        page_a, slot_a = committed_row(c1, b"safe")
+        page_b, slot_b = committed_row(c1, b"other")
+        arm_next_hit(injector, fp.LOG_FORCE).fail()
+        txn = c1.begin()
+        c1.update(txn, page_a, slot_a, b"doomed")
+        with pytest.raises(DegradedModeError):
+            c1.commit(txn)
+        end = (c1.log.local_max_lsn, c1.log.pending_count())
+        rejections = cs.stats.get(DEGRADED_REJECTIONS)
+        txn2 = c1.begin()
+        with pytest.raises(DegradedModeError, match="server is read-only"):
+            c1.update(txn2, page_b, slot_b, b"rejected")
+        assert (c1.log.local_max_lsn, c1.log.pending_count()) == end
+        assert cs.stats.get(DEGRADED_REJECTIONS) == rejections + 1
+        assert c1.read(txn2, page_b, slot_b) == b"other"
 
     def test_rollback_while_degraded_appends_nothing(self):
         """Rolling back the transaction whose commit degraded the
@@ -792,15 +817,24 @@ def _restarted_standby():
 
 
 class TestSabotage:
-    @pytest.mark.parametrize("about_to_recover", [
-        lambda: _crashed_sd(transfer_scheme="fast"),
-        lambda: _crashed_sd(restart_mode="instant"),
-        _crashed_cs_client,
-        _restarted_standby,
+    @pytest.mark.parametrize("about_to_recover, corrupts", [
+        (lambda: _crashed_sd(transfer_scheme="fast"), False),
+        (lambda: _crashed_sd(restart_mode="instant"), True),
+        (_crashed_cs_client, False),
+        (_restarted_standby, True),
     ], ids=["fast-restart", "instant-restart", "cs-client", "standby-apply"])
-    def test_every_flavour_double_applies(self, about_to_recover):
+    def test_every_flavour_double_applies(self, about_to_recover, corrupts):
+        """A double apply either shows in the trace as a redo-screening
+        violation or, where it re-applies an equal-length overwrite
+        (one XOR image) to a slot of another length, fails in the
+        apply itself with :class:`CorruptPageError`."""
         tracer, recover = about_to_recover()
         with sabotage_redo_screening():
+            if corrupts:
+                with pytest.raises(CorruptPageError,
+                                   match="XOR record .* does not fit slot"):
+                    recover()
+                return
             recover()
         assert "redo-screening" in {
             v.invariant for v in check_trace(tracer.events())}

@@ -50,10 +50,10 @@ CS_CALL_CEILING = 250
 #: apply off the commit path, 245 once their raw appends return an
 #: offset instead of a LogAddress, on CPython 3.11.
 REPLICATED_CALL_CEILING = 370
-#: What the canonical transaction writes to one log: two updates (a
-#: 29-byte page header each) and a COMMIT and an END (19-byte control
-#: headers, no payload).
-TXN_LOG_BYTES = 2 * (29 + 2 * (1 + PAYLOAD_BYTES)) + 2 * 19
+#: What the canonical transaction writes to one log: two equal-length
+#: overwrites (a 29-byte page header and one XOR image each) and a
+#: COMMIT and an END (19-byte control headers, no payload).
+TXN_LOG_BYTES = 2 * (29 + 1 + PAYLOAD_BYTES) + 2 * 19
 
 
 # ----------------------------------------------------------------------
@@ -215,7 +215,7 @@ class TestReplicatedCanonicalTransaction:
         # needs; a ship and an ack per standby; three copies of the log.
         assert work[LOG_FORCES] == forces
         assert work[MESSAGES_SENT] == 4
-        assert work[LOG_BYTES_WRITTEN] == 3 * TXN_LOG_BYTES == 3 * 356
+        assert work[LOG_BYTES_WRITTEN] == 3 * TXN_LOG_BYTES == 3 * 226
         assert work[LOG_RECORDS_WRITTEN] == 4    # replica logs count bytes
 
     def test_laggard_forces_once_per_window(self):

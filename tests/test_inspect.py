@@ -67,6 +67,26 @@ class TestDump:
         assert "  33B UPD t1 " in narrow
         assert "  52B UPD+full t1099511627776 " in full
 
+    def test_equal_length_overwrite_prints_one_xor(self):
+        """An equal-length overwrite and the CLR that undoes it each
+        print one XOR operand, and the update prints no undo."""
+        sd = SDComplex(n_data_pages=128)
+        s1 = sd.add_instance(1)
+        txn = s1.begin()
+        page_id = s1.allocate_page(txn)
+        slot = s1.insert(txn, page_id, b"hello-world")
+        s1.commit(txn)
+        loser = s1.begin()
+        s1.update(loser, page_id, slot, b"HELLO-WORLD")
+        s1.rollback(loser)
+        lines = page_history(s1.log, page_id)
+        update = next(line for line in lines
+                      if f"UPD t{loser.txn_id} " in line)
+        clr = next(line for line in lines if "CLR" in line)
+        assert update.endswith("redo=XOR(11B)")
+        assert "redo=XOR(11B)" in clr
+        assert "  41B UPD" in update
+
     def test_describe_record_checkpoint_payload(self):
         sd, s1, *_ = instance_with_history()
         lines = dump_log(s1.log).splitlines()

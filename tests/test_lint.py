@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import ALL_RULES, lint_paths, lint_source
+from repro.lint import ALL_RULES, lint_source
 from repro.lint import cache as result_cache
 from repro.lint.cfg import WithEnter, WithExit, build_cfg, reachable_blocks
 from repro.lint.dataflow import LocksetAnalysis, ReachingDefinitions
@@ -1395,17 +1395,33 @@ class TestCache:
 # ----------------------------------------------------------------------
 # the tier-1 gate: the real tree stays clean, and stays *checkable*
 # ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def repo_lint_run():
+    """One uncached CLI run over the whole tree, as SARIF, shared by
+    the verdicts on its exit code and on its results."""
+    return subprocess.run(
+        [
+            sys.executable, "-m", "repro.lint", "--no-cache", "--sarif",
+            "src", "tests", "benchmarks", "examples",
+        ],
+        cwd=str(REPO),
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+    )
+
+
 class TestRealTree:
-    def test_whole_tree_is_clean(self):
-        findings = lint_paths(
-            [
-                str(REPO / "src"),
-                str(REPO / "tests"),
-                str(REPO / "benchmarks"),
-                str(REPO / "examples"),
-            ]
-        )
-        assert findings == [], "\n".join(f.render() for f in findings)
+    def test_whole_tree_is_clean(self, repo_lint_run):
+        results = json.loads(repo_lint_run.stdout)["runs"][0]["results"]
+        rendered = []
+        for result in results:
+            where = result["locations"][0]["physicalLocation"]
+            rendered.append(
+                f"{where['artifactLocation']['uri']}:"
+                f"{where['region']['startLine']}: {result['ruleId']} "
+                f"{result['message']['text']}")
+        assert results == [], "\n".join(rendered)
 
     def test_each_rule_still_fires_on_seeded_violation(self):
         """Guard against rules rotting into no-ops: every rule must
@@ -1472,18 +1488,9 @@ class TestRealTree:
             found = findings_for(source, rule=rule_id)
             assert ids_of(found) == [rule_id], (rule_id, found)
 
-    def test_cli_end_to_end_on_repo(self):
-        result = subprocess.run(
-            [
-                sys.executable, "-m", "repro.lint", "--no-cache",
-                "src", "tests", "benchmarks", "examples",
-            ],
-            cwd=str(REPO),
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-        )
-        assert result.returncode == 0, result.stdout + result.stderr
+    def test_cli_end_to_end_on_repo(self, repo_lint_run):
+        assert repo_lint_run.returncode == 0, (
+            repo_lint_run.stdout + repo_lint_run.stderr)
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ from repro.wal.records import (
     RecordKind,
     decode_op,
     encode_op,
+    encode_overwrite,
     make_clr,
     make_format,
     make_update,
@@ -361,6 +362,54 @@ class TestNarrowAndFullShapes:
             record_spans(clr)
         with pytest.raises(ValueError, match="header shape"):
             LogRecord(RecordKind.UPDATE | 0x80, page_id=1, slot=0).to_bytes()
+
+
+class TestOverwriteOps:
+    """An equal-length overwrite logs one self-inverse XOR image and no
+    undo; a length-changing one keeps the two-image SET."""
+
+    @pytest.mark.parametrize("size", [1, 32, 64, 300])
+    def test_equal_lengths_encode_one_xor_image(self, size):
+        old = bytes(i % 256 for i in range(size))
+        new = bytes(b ^ 0x5A for b in old)
+        redo, undo = encode_overwrite(old, new)
+        assert undo == b""
+        op, delta = decode_op(redo)
+        assert op is PageOp.XOR and len(delta) == size
+        assert bytes(a ^ b for a, b in zip(old, delta)) == new
+        records = [make_update(3, 0, 7, 2, redo, undo, prev_lsn=40)
+                   for _ in range(3)]
+        records[0].lsn, records[0].system_id = 50, 4
+        slow = records[0].to_bytes()
+        assert stamp_and_encode(records[1], 50, 4) == slow
+        assert stamp_and_encode_batch([records[2]], 49, 4) == ([slow], 50)
+        assert slow[0] == RecordKind.UPDATE
+        assert len(slow) == HEADER_BYTES[RecordKind.UPDATE] + 1 + size
+        assert LogRecord.from_bytes(slow) == (records[0], len(slow))
+        assert record_spans(slow) == [(50, 0, len(slow))]
+
+    @pytest.mark.parametrize("old, new", [
+        (b"abc", b"abcd"), (b"abcd", b"abc"), (b"v0", b"r000")])
+    def test_unequal_lengths_stay_two_image_set(self, old, new):
+        redo, undo = encode_overwrite(old, new)
+        assert redo == encode_op(PageOp.SET, new)
+        assert undo == encode_op(PageOp.SET, old)
+        data = make_update(3, 0, 7, 2, redo, undo).to_bytes()
+        assert len(data) == HEADER_BYTES[RecordKind.UPDATE] + 2 + len(
+            old + new)
+
+    def test_identical_payloads_log_a_zero_delta(self):
+        assert encode_overwrite(b"same", b"same") == (
+            encode_op(PageOp.XOR, bytes(4)), b"")
+
+    @given(st.integers(1, 64).flatmap(
+        lambda n: st.tuples(st.binary(min_size=n, max_size=n),
+                            st.binary(min_size=n, max_size=n))))
+    def test_property_xor_is_its_own_inverse(self, pair):
+        old, new = pair
+        _, delta = decode_op(encode_overwrite(old, new)[0])
+        assert bytes(a ^ b for a, b in zip(old, delta)) == new
+        assert bytes(a ^ b for a, b in zip(new, delta)) == old
 
 
 def _docstring_table():

@@ -2,10 +2,18 @@
 
 import pytest
 
-from repro.recovery.apply import apply_op, apply_redo, apply_undo
+from repro.common.errors import CorruptPageError
+from repro.recovery.apply import apply_op, apply_redo, apply_undo, inverse_op
 from repro.storage.page import Page, PageType
 from repro.storage.space_map import SpaceMap
-from repro.wal.records import PageOp, encode_op, make_clr, make_update
+from repro.wal.records import (
+    PageOp,
+    decode_op,
+    encode_op,
+    encode_overwrite,
+    make_clr,
+    make_update,
+)
 
 
 def data_page():
@@ -60,6 +68,33 @@ class TestApplyOp:
         apply_op(page, 0, PageOp.NOOP, b"ignored")
         assert page.to_bytes() == before
 
+    def test_xor_turns_old_into_new_and_back(self):
+        page = data_page()
+        slot = page.insert_record(b"old-value")
+        redo, undo = encode_overwrite(b"old-value", b"new-value")
+        assert undo == b""
+        op, delta = decode_op(redo)
+        apply_op(page, slot, op, delta)
+        assert page.read_record(slot) == b"new-value"
+        apply_op(page, slot, op, delta)
+        assert page.read_record(slot) == b"old-value"
+
+    @pytest.mark.parametrize("stored, held", [
+        (None, "nothing"), (b"longer-value", "12 bytes"),
+        (b"short", "5 bytes")], ids=["empty", "longer", "shorter"])
+    def test_xor_that_does_not_fit_raises_and_writes_nothing(self, stored,
+                                                              held):
+        page = data_page()
+        slot = page.insert_record(stored or b"doomed")
+        if stored is None:
+            page.delete_record(slot)
+        before = page.to_bytes()
+        with pytest.raises(CorruptPageError, match=(
+                f"XOR record 42 does not fit slot {slot} on page 9: "
+                f"9-byte operand, slot holds {held}")):
+            apply_op(page, slot, PageOp.XOR, b"x" * 9, lsn=42)
+        assert page.to_bytes() == before
+
 
 class TestRedoUndo:
     def test_apply_redo_stamps_lsn(self):
@@ -102,7 +137,26 @@ class TestRedoUndo:
         assert page.page_lsn == 6
 
     def test_undo_without_undo_info_raises(self):
-        from repro.recovery.apply import inverse_op
         record = make_clr(1, 1, 9, 0, redo=b"\x06", undo_next_lsn=0)
         with pytest.raises(ValueError):
             inverse_op(record)
+
+    def test_xor_update_is_its_own_undo_and_clr(self):
+        """An XOR overwrite's undo is its redo: undo restores the old
+        value, and the CLR that carries it redoes the same."""
+        page = data_page()
+        slot = page.insert_record(b"v0")
+        redo, undo = encode_overwrite(b"v0", b"v1")
+        update = make_update(1, 1, 9, slot, redo=redo, undo=undo)
+        update.lsn = 5
+        apply_redo(page, update)
+        assert page.read_record(slot) == b"v1"
+        assert inverse_op(update) == update.redo
+        clr_redo = apply_undo(page, update, clr_lsn=6)
+        assert (page.read_record(slot), page.page_lsn) == (b"v0", 6)
+        assert clr_redo == update.redo
+        apply_redo(page, update)
+        clr = make_clr(1, 1, 9, slot, redo=clr_redo, undo_next_lsn=0)
+        clr.lsn = 8
+        apply_redo(page, clr)
+        assert (page.read_record(slot), page.page_lsn) == (b"v0", 8)
