@@ -7,6 +7,7 @@ import difflib
 import json
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Callable, Iterable, List, Optional, Tuple
 
@@ -17,18 +18,25 @@ from repro.sd.instance import DbmsInstance
 EXPERIMENTS_MD = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
 
 
-def count_calls(fn: Callable[..., object], *args: object) -> Tuple[int, int]:
+def count_calls(fn: Callable[..., object], *args: object,
+                histogram: Optional[Counter] = None) -> Tuple[int, int]:
     """``(interpreted, builtin)`` calls made while ``fn(*args)`` runs
     (``fn``'s own frame and the profiler's removal excluded) — the
     deterministic cost measure the hot-lane gates use where a
     wall-clock ratio would also move with the lane it is compared
-    against."""
+    against.  ``histogram``, if given, tallies the interpreted calls
+    per ``file.py:function``, so a failing budget can name the frame
+    that grew (:func:`top_calls`)."""
     interpreted = builtin = 0
 
     def profiler(frame, event, arg):
         nonlocal interpreted, builtin
         if event == "call":
             interpreted += 1
+            if histogram is not None and interpreted > 1:
+                code = frame.f_code
+                name = code.co_filename.rsplit("/", 1)[-1]
+                histogram[f"{name}:{code.co_name}"] += 1
         elif event == "c_call":
             builtin += 1
 
@@ -39,6 +47,14 @@ def count_calls(fn: Callable[..., object], *args: object) -> Tuple[int, int]:
     finally:
         sys.setprofile(previous)
     return interpreted - 1, builtin - 1
+
+
+def top_calls(histogram: Counter, n: int = 15) -> str:
+    """The ``n`` most-called functions of a :func:`count_calls`
+    histogram, one ``count  file.py:function`` line each (ties by
+    name)."""
+    ranked = sorted(histogram.items(), key=lambda item: (-item[1], item[0]))
+    return "\n".join(f"{count:6d}  {name}" for name, count in ranked[:n])
 
 
 def assert_pinned(experiment_id: str, *tables: Table,

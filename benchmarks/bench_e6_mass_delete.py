@@ -36,8 +36,8 @@ def run_usn(n_pages):
     s1.mass_delete(txn, pages)
     s1.commit(txn)
     reads = sd.stats.get(DISK_PAGE_READS) - reads_before
-    # Subtract the commit/end control records.
-    records = sd.stats.get(LOG_RECORDS_WRITTEN) - records_before - 2
+    # Subtract the COMMIT, the transaction's last record.
+    records = sd.stats.get(LOG_RECORDS_WRITTEN) - records_before - 1
     return reads, records
 
 

@@ -37,8 +37,10 @@ from _common import assert_pinned, bench_main
 
 N_COMMITS = 24
 N_STANDBYS = 2
-#: About three commits' worth of records: a window a single commit
-#: fills would make every standby force every commit at every level.
+#: Four commits' worth of records (a single-insert commit ships an SMP
+#: update, a format, the insert and its COMMIT): a window a single
+#: commit fills would make every standby force every commit at every
+#: level.
 WINDOW_RECORDS = 16
 BATCH_RECORDS = 4
 

@@ -8,19 +8,26 @@ Policy corners (Section 1.4 of the paper):
   before their transactions commit; undo removes them if needed.
 * **WAL** — before a dirty page is written, the log is forced through
   the address just past the page's most recent update record (tracked
-  in the BCB, Section 3.3).
+  in the BCB, Section 3.3).  While the pool's log owner is degraded its
+  log device is down, so no such force can happen: a write that needs
+  one raises :class:`DegradedModeError`, and eviction passes over the
+  frames that would need one.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.common.config import DEFAULT_BUFFER_POOL_PAGES, NULL_LSN
-from repro.common.errors import BufferPoolFullError, WALViolationError
+from repro.common.errors import (
+    BufferPoolFullError,
+    DegradedModeError,
+    WALViolationError,
+)
 from repro.common.lsn import Lsn
 from repro.common.seams import Seams
-from repro.common.stats import BUFFER_BATCH_FLUSHES
+from repro.common.stats import BUFFER_BATCH_FLUSHES, DEGRADED_REJECTIONS
 from repro.buffer.bcb import BufferControlBlock
 from repro.faults import points as fp
 from repro.obs import events as ev
@@ -61,6 +68,10 @@ class BufferPool:
         #: (:mod:`repro.recovery.instant`).  ``None`` — the default —
         #: keeps the classic fix path byte-identical.
         self.recovery_intercept: Optional[Callable[[int], None]] = None
+        #: The :class:`~repro.recovery.owner.LogOwner` this pool
+        #: belongs to, which sets it; its ``degraded`` flag gates the
+        #: WAL enforcement point.
+        self.owner: Optional[Any] = None
 
     # ------------------------------------------------------------------
     # fixing
@@ -165,6 +176,9 @@ class BufferPool:
         bcb = self._require(page_id)
         if bcb.dirty and bcb.last_update_end:
             if not self.log.is_stable(bcb.last_update_end):
+                owner = self.owner
+                if owner is not None and owner.degraded:
+                    self._refuse_force(page_id)
                 if not self.enforce_wal:
                     raise WALViolationError(
                         f"page {page_id}: log not stable through "
@@ -210,7 +224,10 @@ class BufferPool:
 
         With ``enforce_wal`` disabled the whole batch is validated
         before any page touches disk, so a WAL violation surfaces with
-        every page image intact.  Returns the number of pages written.
+        every page image intact; so is it while the owner is degraded,
+        where a page that needs the force raises
+        :class:`DegradedModeError`.  Returns the number of pages
+        written.
         """
         ids = list(page_ids)
         frames = self._frames
@@ -220,6 +237,8 @@ class BufferPool:
             bcbs = [self._require(page_id) for page_id in ids]
         boundaries: List[int] = []
         flushed = self.log.flushed_offset
+        owner = self.owner
+        degraded = owner is not None and owner.degraded
         for page_id, bcb in zip(ids, bcbs):
             if bcb.dirty and bcb.last_update_end:
                 if bcb.last_update_end > flushed:
@@ -230,6 +249,8 @@ class BufferPool:
                             "forcing disabled"
                         )
                     boundaries.append(bcb.last_update_end)
+                    if degraded:
+                        self._refuse_force(page_id)
         if boundaries:
             self.log.force_through(boundaries)
         if ids and self.on_before_write is None \
@@ -251,6 +272,17 @@ class BufferPool:
         if ids:
             self.log.stats.incr(BUFFER_BATCH_FLUSHES)
         return len(ids)
+
+    def _refuse_force(self, page_id: int) -> None:
+        """Reject writing ``page_id``: its log records are not stable,
+        and the force that would make them so needs the log device the
+        degraded owner has lost (Section 2, problem 2: a page reaches
+        disk only after its log records do)."""
+        owner = self.owner
+        owner.stats.incr(DEGRADED_REJECTIONS)
+        raise DegradedModeError(
+            f"{owner._label()} is read-only (degraded): page {page_id} "
+            f"needs a log force to be written")
 
     def flush_all(self) -> int:
         """Write every dirty page (quiesce / clean shutdown).
@@ -283,6 +315,9 @@ class BufferPool:
     def _make_room(self) -> None:
         if len(self._frames) < self.capacity:
             return
+        owner = self.owner
+        degraded = owner is not None and owner.degraded
+        refused = None
         # reprolint: disable=R012 -- LRU order IS insertion order here;
         # the dict sequence is deterministic and sorting would change
         # the eviction policy.
@@ -290,6 +325,11 @@ class BufferPool:
             if bcb.fix_count == 0:
                 was_dirty = bcb.dirty
                 if was_dirty:
+                    if degraded and bcb.last_update_end and \
+                            not self.log.is_stable(bcb.last_update_end):
+                        # Writing it would force the lost log device.
+                        refused = page_id
+                        continue
                     self.write_page(page_id)
                 del self._frames[page_id]
                 if self.tracer.enabled:
@@ -300,6 +340,8 @@ class BufferPool:
                         dirty=was_dirty,
                     )
                 return
+        if refused is not None:
+            self._refuse_force(refused)
         raise BufferPoolFullError(
             f"all {self.capacity} frames fixed; cannot evict"
         )

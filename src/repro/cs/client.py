@@ -165,15 +165,13 @@ class CsClient(TransactionFrontEnd):
         return 0
 
     def _log_commit(self, txn: Transaction) -> None:
-        """COMMIT and END together: they ship to the server as one
-        batch, and the server's force covers both."""
+        """COMMIT, the transaction's last record: it ships with the
+        batch the server's force covers, and its append drops the
+        client's retained copies of the transaction's records."""
         commit = LogRecord(kind=RecordKind.COMMIT, txn_id=txn.txn_id,
                            prev_lsn=txn.last_lsn)
         self.log.append(commit)
         txn.note_logged(commit.lsn, 0, undoable=False)
-        end = LogRecord(kind=RecordKind.END, txn_id=txn.txn_id,
-                        prev_lsn=txn.last_lsn)
-        self.log.append(end)
 
     def _make_durable(self, txn: Optional[Transaction]) -> None:
         """Ship the buffered records and have the server force them.
@@ -189,13 +187,12 @@ class CsClient(TransactionFrontEnd):
             self.server.force_or_degrade()
             return
         self.server.commit_point(self, txn.txn_id)
-        self.log.forget_txn(txn.txn_id)
         self.txns.end(txn)
 
     def _end(self, txn: Transaction) -> None:
         """Release the locks and forget the transaction.  A rollback
         that logged something first writes END and ships its CLRs; a
-        commit's END already went with its COMMIT."""
+        commit's COMMIT was its last record."""
         if txn.state is TxnState.ABORTING and txn.is_update_transaction():
             end = LogRecord(kind=RecordKind.END, txn_id=txn.txn_id,
                             prev_lsn=txn.last_lsn)
@@ -212,7 +209,7 @@ class CsClient(TransactionFrontEnd):
         that logged is rejected here before it appends to the client
         log (a rollback would need CLRs, and a commit that degraded
         the server has already dropped its retained records with its
-        END)."""
+        COMMIT)."""
         return self.server.degraded
 
     def _check_writable(self) -> None:
@@ -285,9 +282,12 @@ class CsClient(TransactionFrontEnd):
             page_id: entry.rec_lsn
             for page_id, entry in self.cache.items() if entry.dirty
         }
+        # A lazy commit awaiting its sync is not in flight: its COMMIT
+        # ships ahead of the checkpoint record.
         txns = {
-            txn.txn_id: txn.last_lsn
-            for txn in self.txns.active() if txn.is_update_transaction()
+            txn.txn_id: txn.last_lsn for txn in self.txns.active()
+            if txn.state is not TxnState.COMMITTED
+            and txn.is_update_transaction()
         }
         self.server.client_checkpoint(self, dirty, txns)
 

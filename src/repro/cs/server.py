@@ -37,12 +37,9 @@ from repro.locking.lock_manager import LockManager, LockMode, LockStatus
 from repro.net.network import Network
 from repro.obs import events as ev
 from repro.recovery.aries import (
-    _ACTIVE,
-    _COMMITTED,
     _finish,
     _fold_records,
     _fold_txn,
-    _losers_of,
     _undo_pass,
 )
 from repro.recovery.commit_lsn import CommitLsnService
@@ -118,8 +115,9 @@ class CsServer(LogOwner, RestartRegistry):
         # opens the next run.
         self._batches: Dict[int, List[_Batch]] = {}
         self._run_starts: Dict[int, List[int]] = {}
-        # Global transaction table, maintained from appended records.
-        self._txn_table: Dict[int, Tuple[Lsn, int]] = {}
+        # Global transaction table (txn -> last LSN), folded from the
+        # shipped records: a COMMIT or a rollback's END forgets an entry.
+        self._txn_table: Dict[int, Lsn] = {}
         # Per-client latest checkpoint: (server log offset, data).
         self._client_checkpoints: Dict[int, Tuple[int, CheckpointData]] = {}
         format_volume(self.disk, self.space_map)
@@ -344,10 +342,7 @@ class CsServer(LogOwner, RestartRegistry):
                 page_id: (rec_lsn, self.map_rec_lsn(client.client_id, rec_lsn))
                 for page_id, rec_lsn in dirty_pages.items()
             },
-            transactions={
-                txn_id: (last_lsn, _ACTIVE)
-                for txn_id, last_lsn in transactions.items()
-            },
+            transactions=dict(transactions),
         )
         record = LogRecord(kind=RecordKind.END_CHECKPOINT,
                            system_id=client.client_id,
@@ -383,12 +378,12 @@ class CsServer(LogOwner, RestartRegistry):
                 self.tracer.emit(ev.RECOVERY_BEGIN, system=SERVER_ID,
                                  mode="cs-client", client=client_id)
             dpt: Dict[int, Tuple[Lsn, int]] = {}
-            txn_table: Dict[int, Tuple[Lsn, int]] = {}
+            losers: Dict[int, Lsn] = {}
             window = 0
             if client_id in self._client_checkpoints:
                 window, data = self._client_checkpoints[client_id]
                 dpt.update(data.dirty_pages)
-                txn_table.update(data.transactions)
+                losers.update(data.transactions)
                 window = min([window] + [addr for _, addr in dpt.values()])
             with self.tracer.span(ev.SPAN_ANALYSIS, system=SERVER_ID):
                 summary.records_scanned = _fold_records(
@@ -396,8 +391,7 @@ class CsServer(LogOwner, RestartRegistry):
                      for addr, record in self.log.scan(from_offset=window)
                      if record.system_id == client_id
                      or record.txn_id // _SYSTEM_STRIDE == client_id),
-                    dpt, txn_table)
-            losers = _losers_of(txn_table)
+                    dpt, losers)
             summary.loser_transactions = len(losers)
             with self.tracer.span(ev.SPAN_REDO, system=SERVER_ID):
                 self._client_redo(dpt, summary)
@@ -482,9 +476,8 @@ class CsServer(LogOwner, RestartRegistry):
         self._check_up()
         return self.write_checkpoint().offset
 
-    def _checkpoint_transactions(self) -> Dict[int, Tuple[Lsn, int]]:
-        return {txn_id: entry for txn_id, entry in self._txn_table.items()
-                if entry[1] != _COMMITTED}
+    def _checkpoint_transactions(self) -> Dict[int, Lsn]:
+        return dict(self._txn_table)
 
     def crash(self) -> None:
         """Server failure takes the complex down: every client's cached

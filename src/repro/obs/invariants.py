@@ -35,6 +35,15 @@ them:
   ``instant.recover_page``, any ``page.read`` / ``page.update`` /
   ``recovery.clr`` touching the page — by *any* system — is a stale
   access.  ``instant.done`` must find no page still pending.
+* **I9 log-consistency** — no ``log.append`` of a transaction may
+  follow its COMMIT: a committed transaction's COMMIT is its last
+  record (END is rollback-only).  A COMMIT a crash took back does not
+  count, because restart then rightly undoes its transaction: each
+  analysis pass (``span.begin`` of ``analysis`` on system S) forgets
+  the COMMITs S's log had not forced (``log.force`` ``up_to``) and
+  every COMMIT still in a CS client's buffer (appended with no offset,
+  not yet covered by a ``cs.ship``); a promotion (``span.begin`` of
+  ``promote``) starts a new history and forgets them all.
 
 The checker is deliberately event-sourced: it keeps page and lock state
 reconstructed *only from the trace*, so it can audit a saved JSONL file
@@ -117,6 +126,12 @@ def check_trace(events: Iterable[TraceEvent]) -> List[Violation]:
     # I8: page -> recovering systems whose redo chain for it is still
     # unapplied (a page can be pending in several instant managers).
     instant_pending: Dict[Any, Set[int]] = {}
+    # I9: committed txn -> (log's system, offset the COMMIT needs
+    # forced past; None while it sits in a CS client's buffer); the
+    # highest force per log; each client's COMMITs awaiting a ship.
+    committed: Dict[Any, Tuple[int, Optional[int]]] = {}
+    forced: Dict[int, int] = {}
+    unshipped: Dict[Any, List[Any]] = {}
 
     def flag(inv: str, event: TraceEvent, message: str) -> None:
         violations.append(
@@ -248,6 +263,41 @@ def check_trace(events: Iterable[TraceEvent]) -> List[Violation]:
                 f"system(s) {sorted(instant_pending[f.get('page')])})",
             )
 
+        if kind == ev.LOG_APPEND and f.get("txn"):
+            txn = f.get("txn")
+            if txn in committed:
+                flag(
+                    "log-consistency",
+                    event,
+                    f"txn {txn} appended a {f.get('kind')} record after "
+                    f"its COMMIT (a COMMIT is its transaction's last "
+                    f"record)",
+                )
+            elif f.get("kind") == "COMMIT":
+                offset = f.get("offset")
+                committed[txn] = (event.system, offset)
+                if offset is None:
+                    unshipped.setdefault(event.system, []).append(txn)
+        elif kind == ev.LOG_FORCE:
+            up_to = f.get("up_to") or 0
+            if up_to > forced.get(event.system, 0):
+                forced[event.system] = up_to
+        elif kind == ev.CS_SHIP:
+            end = (f.get("offset") or 0) + (f.get("nbytes") or 0)
+            for txn in unshipped.pop(f.get("client"), ()):
+                if txn in committed:
+                    committed[txn] = (event.system, end - 1)
+        elif kind == ev.SPAN_BEGIN and f.get("name") == ev.SPAN_PROMOTE:
+            committed.clear()
+            unshipped.clear()
+        elif kind == ev.SPAN_BEGIN and f.get("name") == ev.SPAN_ANALYSIS:
+            stable = forced.get(event.system, 0)
+            for txn, (system, offset) in list(committed.items()):
+                if offset is None or (system == event.system
+                                      and offset >= stable):
+                    del committed[txn]
+            unshipped.clear()
+
         if kind == ev.SPAN_BEGIN:
             span_id = f.get("span")
             if span_id in open_spans or span_id in closed_spans:
@@ -314,7 +364,8 @@ def render_violations(violations: List[Violation]) -> str:
     if not violations:
         return "invariants: OK (page-lsn-monotonic, redo-screening, " \
                "update-under-lock, lamport, " \
-               "span-pairing, span-nesting, instant-recovery)"
+               "span-pairing, span-nesting, instant-recovery, " \
+               "log-consistency)"
     lines = [f"invariants: {len(violations)} violation(s)"]
     lines.extend(f"  {v}" for v in violations)
     return "\n".join(lines)

@@ -40,9 +40,6 @@ from repro.recovery.apply import compensate
 from repro.recovery.redo import Chain, PendingChains, collect_local_redo, replay_to_disk
 from repro.wal.records import CheckpointData, LogRecord, RecordKind
 
-_COMMITTED = 1
-_ACTIVE = 0
-
 #: A redo plan: analysis DPT -> per-page chains.
 RedoPlan = Callable[[Dict[int, Tuple[Lsn, int]]], Dict[int, Chain]]
 
@@ -68,7 +65,7 @@ def restart_recovery(instance, fix_page=None, unfix_page=None,
     an SD instance, the CS server, or one replica log of a promoting
     standby).  On return, all committed updates are reflected in the
     buffer pool / disk, all loser transactions are undone with CLRs and
-    closed with END records.
+    closed with END records (a winner's COMMIT is its last record).
 
     Redo replays per-page chains straight against the shared disk
     (:mod:`repro.recovery.redo`), in ascending page id; the pool only
@@ -137,18 +134,20 @@ def analysis_pass(
 
     Returns ``(dpt, losers)`` where dpt maps page_id -> (RecLSN,
     RecAddr) and losers maps txn_id -> last_lsn.  Analysis starts at
-    the master record (the last complete checkpoint).
+    the master record (the last complete checkpoint).  The transaction
+    table the fold leaves *is* the loser set: a COMMIT forgets its
+    transaction, as a rollback's END does.
     """
     dpt: Dict[int, Tuple[Lsn, int]] = {}
-    txn_table: Dict[int, Tuple[Lsn, int]] = {}  # txn -> (last_lsn, state)
+    losers: Dict[int, Lsn] = {}
     start = log.master_record_offset or 0
     summary.records_analyzed += _fold_records(
-        log.scan(from_offset=start), dpt, txn_table)
-    return dpt, _losers_of(txn_table)
+        log.scan(from_offset=start), dpt, losers)
+    return dpt, losers
 
 
 def _fold_records(stream: Iterable, dpt: Dict[int, Tuple[Lsn, int]],
-                  txn_table: Dict[int, Tuple[Lsn, int]]) -> int:
+                  txn_table: Dict[int, Lsn]) -> int:
     """Fold ``(address, record)`` pairs, in log order, into a dirty
     page table and a transaction table; returns how many were read.
 
@@ -161,8 +160,8 @@ def _fold_records(stream: Iterable, dpt: Dict[int, Tuple[Lsn, int]],
             data = CheckpointData.from_bytes(record.extra)
             for page_id, entry in data.dirty_pages.items():
                 dpt.setdefault(page_id, entry)
-            for txn_id, entry in data.transactions.items():
-                txn_table.setdefault(txn_id, entry)
+            for txn_id, last_lsn in data.transactions.items():
+                txn_table.setdefault(txn_id, last_lsn)
             continue
         _fold_txn(txn_table, record)
         if record.is_page_oriented():
@@ -170,28 +169,18 @@ def _fold_records(stream: Iterable, dpt: Dict[int, Tuple[Lsn, int]],
     return count
 
 
-def _fold_txn(txn_table: Dict[int, Tuple[Lsn, int]],
-              record: LogRecord) -> None:
-    """One record's effect on a transaction table (txn -> (last LSN,
-    state)): END forgets the transaction, COMMIT marks it committed,
-    anything else advances its last LSN."""
+def _fold_txn(txn_table: Dict[int, Lsn], record: LogRecord) -> None:
+    """One record's effect on a transaction table (txn -> last LSN):
+    COMMIT and END forget the transaction, anything else advances its
+    last LSN.  What stays in the table has neither: it is a loser."""
     txn_id = record.txn_id
     if not txn_id:
         return
-    if record.kind == RecordKind.END:
+    kind = record.kind
+    if kind == RecordKind.COMMIT or kind == RecordKind.END:
         txn_table.pop(txn_id, None)
-    elif record.kind == RecordKind.COMMIT:
-        txn_table[txn_id] = (record.lsn, _COMMITTED)
     else:
-        txn_table[txn_id] = (record.lsn,
-                             txn_table.get(txn_id, (0, _ACTIVE))[1])
-
-
-def _losers_of(txn_table: Dict[int, Tuple[Lsn, int]]) -> Dict[int, Lsn]:
-    """The uncommitted transactions of a table, with their last LSNs."""
-    return {txn_id: last_lsn
-            for txn_id, (last_lsn, state) in txn_table.items()
-            if state != _COMMITTED}
+        txn_table[txn_id] = record.lsn
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ over any of them, and this module writes once what they share:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 from repro.buffer.buffer_pool import BufferPool
 from repro.common.config import DEFAULT_BUFFER_POOL_PAGES
@@ -55,6 +55,7 @@ class LogOwner:
         self.log = log if log is not None else LogManager(system_id, seams)
         self.pool = BufferPool(disk, self.log, capacity=capacity,
                                seams=seams)
+        self.pool.owner = self
         self.crashed = False
         # Read-only degraded mode: entered when the log device fails
         # (an injected ``log.force`` fault); what needs no log append
@@ -64,9 +65,10 @@ class LogOwner:
     # ------------------------------------------------------------------
     # checkpoint
     # ------------------------------------------------------------------
-    def _checkpoint_transactions(self) -> Dict[int, Tuple[Lsn, int]]:
-        """The transaction table a checkpoint records: txn -> (last
-        LSN, state).  A replica log's restart site has none."""
+    def _checkpoint_transactions(self) -> Dict[int, Lsn]:
+        """The transaction table a checkpoint records: txn -> last LSN
+        of each transaction still in flight.  A replica log's restart
+        site has none."""
         return {}
 
     def write_checkpoint(self) -> LogAddress:

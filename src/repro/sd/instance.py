@@ -43,7 +43,6 @@ from repro.faults.policy import RetryPolicy
 from repro.locking.lock_manager import LockMode, LockStatus, page_lock, record_lock
 from repro.obs import events as ev
 from repro.recovery.apply import stamp_page_lsn
-from repro.recovery.aries import _ACTIVE, _COMMITTED
 from repro.recovery.owner import LogOwner
 from repro.storage.page import Page
 from repro.storage.space_map import SpaceMap
@@ -476,7 +475,8 @@ class DbmsInstance(LogOwner, TransactionFrontEnd):
         return addr.offset
 
     def _log_commit(self, txn: Transaction) -> None:
-        """COMMIT now; END follows once the commit is durable."""
+        """COMMIT, the transaction's last record: analysis forgets a
+        transaction at its COMMIT, so no END follows."""
         commit = LogRecord(kind=RecordKind.COMMIT, txn_id=txn.txn_id,
                            prev_lsn=txn.last_lsn)
         self.log.append(commit)
@@ -516,9 +516,10 @@ class DbmsInstance(LogOwner, TransactionFrontEnd):
             self._finish_commit(txn)
 
     def _end(self, txn: Transaction) -> None:
-        """Write END (only a transaction that logged something has a
-        chain to close), release the locks, forget the transaction."""
-        if txn.is_update_transaction():
+        """Release the locks and forget the transaction.  A rollback
+        that logged something first writes END to close its CLR
+        chain; a commit's COMMIT was its last record."""
+        if txn.state is TxnState.ABORTING and txn.is_update_transaction():
             end = LogRecord(kind=RecordKind.END, txn_id=txn.txn_id,
                             prev_lsn=txn.last_lsn)
             self.log.append(end)
@@ -531,18 +532,17 @@ class DbmsInstance(LogOwner, TransactionFrontEnd):
         read_record_at = self.log.read_record_at
         return lambda entry: read_record_at(entry.offset)
 
-    def _checkpoint_transactions(self) -> Dict[int, Tuple[Lsn, int]]:
-        """A checkpoint records the live transactions that logged.
+    def _checkpoint_transactions(self) -> Dict[int, Lsn]:
+        """A checkpoint records the in-flight transactions that logged.
 
-        A lazy commit awaiting its sync is recorded committed: the
-        checkpoint's own force makes its COMMIT stable, and restart
-        analysis, which starts at the checkpoint, never reads that
-        record.
+        A lazy commit awaiting its sync is left out: its COMMIT
+        precedes the checkpoint, whose own force makes it stable, so
+        restart analysis (which starts at the checkpoint) must not
+        count it a loser.
         """
-        return {txn.txn_id: (txn.last_lsn,
-                             _COMMITTED if txn.state is TxnState.COMMITTED
-                             else _ACTIVE)
-                for txn in self.txns.active() if txn.is_update_transaction()}
+        return {txn.txn_id: txn.last_lsn for txn in self.txns.active()
+                if txn.state is not TxnState.COMMITTED
+                and txn.is_update_transaction()}
 
     # ------------------------------------------------------------------
     # log filler

@@ -54,7 +54,9 @@ class ClientLogManager:
         self.local_max_lsn = lsn
         self._pending.append(record)
         if record.txn_id:
-            if record.kind == RecordKind.END:
+            # A COMMIT is the transaction's last record: nothing left
+            # to roll back locally.
+            if record.kind == RecordKind.COMMIT:
                 self._txn_records.pop(record.txn_id, None)
             else:
                 self._txn_records.setdefault(record.txn_id, []).append(record)
@@ -112,7 +114,7 @@ class ClientLogManager:
         return list(self._txn_records.get(txn_id, []))
 
     def forget_txn(self, txn_id: int) -> None:
-        """Drop retained records once the transaction has ended."""
+        """Drop retained records once a rollback has ended."""
         self._txn_records.pop(txn_id, None)
 
     # ------------------------------------------------------------------

@@ -33,7 +33,10 @@ padding                        1
 header size     19       29    48
 ==============  =======  ====  ====  ===================================
 
-* **control** -- COMMIT, ABORT, END: no page, no payload.
+* **control** -- COMMIT, ABORT, END: no page, no payload.  A
+  committed transaction's last record is its COMMIT; END is
+  rollback-only, written by a rollback or by restart's undo of a loser
+  to close the CLR chain.
 * **page** -- UPDATE, SMP_UPDATE, FORMAT_PAGE: everything but
   ``undo_next_lsn`` and ``extra``.
 * **full** -- CLR, BEGIN/END_CHECKPOINT, DUMMY: every field.
@@ -94,9 +97,9 @@ class RecordKind(enum.IntEnum):
 
     UPDATE = 1            # redo+undo page change
     CLR = 2               # compensation record (redo-only)
-    COMMIT = 3            # transaction committed (forces the log)
+    COMMIT = 3            # transaction committed: its last record
     ABORT = 4             # rollback started
-    END = 5               # transaction fully finished (after commit/undo)
+    END = 5               # rollback finished (closes the CLR chain)
     BEGIN_CHECKPOINT = 6
     END_CHECKPOINT = 7    # carries serialized DPT + transaction table
     FORMAT_PAGE = 8       # page (re)allocation format record (redo-only)
@@ -528,7 +531,7 @@ def stamp_and_encode_batch(
 # ----------------------------------------------------------------------
 _CKPT_HDR = struct.Struct("<HH")
 _DPT_ENTRY = struct.Struct("<IQQ")     # page_id, rec_lsn, rec_addr_offset
-_TT_ENTRY = struct.Struct("<QQB")      # txn_id, last_lsn, state
+_TT_ENTRY = struct.Struct("<QQB")      # txn_id, last_lsn, reserved (0)
 
 
 @dataclass
@@ -540,13 +543,13 @@ class CheckpointData:
     offset of that record (the paper's RecAddr, Section 3.2.2, which
     bounds where the restart redo scan must begin).
 
-    ``transactions`` maps txn_id -> (last_lsn, state) for in-flight
-    transactions, where ``state`` is 0 = active, 1 = committed (its
-    COMMIT logged, its END not yet).
+    ``transactions`` maps txn_id -> last_lsn for the transactions still
+    in flight: a COMMIT forgets its transaction, so a committed one is
+    never listed.  Each entry keeps a reserved state byte, always 0.
     """
 
     dirty_pages: Dict[int, Tuple[Lsn, int]] = field(default_factory=dict)
-    transactions: Dict[int, Tuple[Lsn, int]] = field(default_factory=dict)
+    transactions: Dict[int, Lsn] = field(default_factory=dict)
 
     def to_bytes(self) -> bytes:
         parts: List[bytes] = [
@@ -556,8 +559,7 @@ class CheckpointData:
             rec_lsn, rec_addr = self.dirty_pages[page_id]
             parts.append(_DPT_ENTRY.pack(page_id, rec_lsn, rec_addr))
         for txn_id in sorted(self.transactions):
-            last_lsn, state = self.transactions[txn_id]
-            parts.append(_TT_ENTRY.pack(txn_id, last_lsn, state))
+            parts.append(_TT_ENTRY.pack(txn_id, self.transactions[txn_id], 0))
         return b"".join(parts)
 
     @classmethod
@@ -569,10 +571,10 @@ class CheckpointData:
             page_id, rec_lsn, rec_addr = _DPT_ENTRY.unpack_from(data, pos)
             dirty[page_id] = (rec_lsn, rec_addr)
             pos += _DPT_ENTRY.size
-        txns: Dict[int, Tuple[Lsn, int]] = {}
+        txns: Dict[int, Lsn] = {}
         for _ in range(n_tt):
-            txn_id, last_lsn, state = _TT_ENTRY.unpack_from(data, pos)
-            txns[txn_id] = (last_lsn, state)
+            txn_id, last_lsn, _ = _TT_ENTRY.unpack_from(data, pos)
+            txns[txn_id] = last_lsn
             pos += _TT_ENTRY.size
         return cls(dirty_pages=dirty, transactions=txns)
 

@@ -28,6 +28,7 @@ from repro.common.errors import (
 )
 from repro.common.stats import (
     DEGRADED_ENTRIES,
+    DISK_PAGE_WRITES,
     DEGRADED_REJECTIONS,
     FAULTS_INJECTED,
     NET_DELAYED,
@@ -413,6 +414,92 @@ class TestDegradedModeSd:
         verdict = s1.begin()
         assert s1.read(verdict, page_a, slot_a) == b"safe"
 
+    def test_flush_while_degraded_forces_and_writes_nothing(self):
+        """After the failed commit force, flushing the pool would force
+        the failed log device and write the doomed page.  The WAL
+        enforcement point refuses first: nothing is forced or written,
+        one rejection per refused write, and restart reads the
+        pre-commit value."""
+        injector = FaultInjector(FaultPlan(seed=0))
+        sd = SDComplex(n_data_pages=64, injector=injector)
+        s1 = sd.add_instance(1)
+        page_a, slot_a = committed_row(s1, b"safe")
+        arm_next_hit(injector, fp.LOG_FORCE).fail()
+        txn = s1.begin()
+        s1.update(txn, page_a, slot_a, b"doomed")
+        with pytest.raises(DegradedModeError):
+            s1.commit(txn)
+        log = s1.log
+        before = (log.end_offset, log.flushed_offset,
+                  sd.disk.page_lsn_on_disk(page_a),
+                  sd.stats.get(DISK_PAGE_WRITES))
+        rejections = sd.stats.get(DEGRADED_REJECTIONS)
+        with pytest.raises(DegradedModeError,
+                           match="system 1 is read-only"):
+            s1.pool.flush_all()
+        with pytest.raises(DegradedModeError,
+                           match="system 1 is read-only"):
+            s1.pool.write_page(page_a)
+        assert (log.end_offset, log.flushed_offset,
+                sd.disk.page_lsn_on_disk(page_a),
+                sd.stats.get(DISK_PAGE_WRITES)) == before
+        assert sd.stats.get(DEGRADED_REJECTIONS) == rejections + 2
+        assert s1.pool.is_dirty(page_a)
+        sd.crash_instance(1)
+        sd.restart_instance(1)
+        verdict = s1.begin()
+        assert s1.read(verdict, page_a, slot_a) == b"safe"
+
+    def test_eviction_while_degraded_passes_over_the_doomed_frame(self):
+        """A clean frame, or a dirty one whose records are stable,
+        still evicts while degraded; the doomed frame is passed over,
+        and when nothing else can go the fix raises."""
+        injector = FaultInjector(FaultPlan(seed=0))
+        sd = SDComplex(n_data_pages=64, injector=injector)
+        s1 = sd.add_instance(1, buffer_capacity=4)
+        page_a, slot_a = committed_row(s1, b"safe")
+        page_b, slot_b = committed_row(s1, b"stable")
+        arm_next_hit(injector, fp.LOG_FORCE).fail()
+        txn = s1.begin()
+        s1.update(txn, page_a, slot_a, b"doomed")
+        with pytest.raises(DegradedModeError):
+            s1.commit(txn)
+        pool = s1.pool
+        # The doomed frame is the least recently used one.
+        for bcb in list(pool.pages()):
+            if bcb.page.page_id != page_a:
+                pool.fix(bcb.page.page_id)
+                pool.unfix(bcb.page.page_id)
+        assert next(iter(pool.pages())).page.page_id == page_a
+        assert pool.is_dirty(page_b)           # stable, so evictable
+        log = s1.log
+        before = (log.flushed_offset, sd.disk.page_lsn_on_disk(page_a))
+        rejections = sd.stats.get(DEGRADED_REJECTIONS)
+        for page_id in range(70, 73):
+            pool.fix(page_id)                  # evicts, never page_a
+            pool.unfix(page_id)
+        assert pool.contains(page_a) and pool.is_dirty(page_a)
+        assert not pool.contains(page_b)
+        assert sd.disk.page_lsn_on_disk(page_b) is not None
+        # Pin everything else: the doomed frame is all that could go.
+        pinned = [bcb.page.page_id for bcb in pool.pages()
+                  if bcb.page.page_id != page_a]
+        for page_id in pinned:
+            pool.fix(page_id)
+        with pytest.raises(DegradedModeError,
+                           match="system 1 is read-only"):
+            pool.fix(80)
+        for page_id in pinned:
+            pool.unfix(page_id)
+        assert (log.flushed_offset,
+                sd.disk.page_lsn_on_disk(page_a)) == before
+        assert sd.stats.get(DEGRADED_REJECTIONS) == rejections + 1
+        sd.crash_instance(1)
+        sd.restart_instance(1)
+        verdict = s1.begin()
+        assert s1.read(verdict, page_a, slot_a) == b"safe"
+        assert s1.read(verdict, page_b, slot_b) == b"stable"
+
 
 class TestDegradedModeCs:
     def test_log_force_failure_degrades_server(self):
@@ -471,6 +558,41 @@ class TestDegradedModeCs:
             cs.server.take_checkpoint()
         assert (log.end_offset, log.flushed_offset,
                 log.master_record_offset) == before
+        cs.crash_server()
+        cs.restart_server()
+        verdict = c1.begin()
+        assert c1.read(verdict, page_a, slot_a) == b"safe"
+
+    def test_flush_while_degraded_forces_and_writes_nothing(self):
+        """The server's pool holds the doomed page (sent back before
+        the commit).  After the failed commit force, flushing it would
+        force the failed device; the WAL enforcement point refuses
+        first, and restart reads the pre-commit value."""
+        injector = FaultInjector(FaultPlan(seed=0))
+        cs = CsSystem(n_data_pages=64, injector=injector)
+        c1 = cs.add_client(1)
+        page_a, slot_a = committed_row(c1, b"safe")
+        arm_next_hit(injector, fp.LOG_FORCE).fail()
+        txn = c1.begin()
+        c1.update(txn, page_a, slot_a, b"doomed")
+        c1.send_page_back(page_a)
+        with pytest.raises(DegradedModeError):
+            c1.commit(txn)
+        server = cs.server
+        log = server.log
+        assert server.pool.is_dirty(page_a)
+        before = (log.end_offset, log.flushed_offset,
+                  server.disk.page_lsn_on_disk(page_a),
+                  cs.stats.get(DISK_PAGE_WRITES))
+        rejections = cs.stats.get(DEGRADED_REJECTIONS)
+        with pytest.raises(DegradedModeError, match="server is read-only"):
+            server.pool.flush_all()
+        with pytest.raises(DegradedModeError, match="server is read-only"):
+            server.pool.write_page(page_a)
+        assert (log.end_offset, log.flushed_offset,
+                server.disk.page_lsn_on_disk(page_a),
+                cs.stats.get(DISK_PAGE_WRITES)) == before
+        assert cs.stats.get(DEGRADED_REJECTIONS) == rejections + 2
         cs.crash_server()
         cs.restart_server()
         verdict = c1.begin()

@@ -63,12 +63,21 @@ class TestRetainedRecords:
         log.ship()
         assert log.records_of_txn(1_000_001) == [record]
 
-    def test_end_record_forgets_txn(self):
+    def test_commit_record_forgets_txn(self):
         log = ClientLogManager(1)
         log.append(rec(txn_id=1_000_001))
+        log.append(LogRecord(kind=RecordKind.COMMIT, txn_id=1_000_001))
+        assert log.records_of_txn(1_000_001) == []
+
+    def test_end_record_is_not_special(self):
+        """A rollback's END is retained like any record; the client
+        forgets the transaction once the rollback has ended."""
+        log = ClientLogManager(1)
+        update = rec(txn_id=1_000_001)
+        log.append(update)
         end = LogRecord(kind=RecordKind.END, txn_id=1_000_001)
         log.append(end)
-        assert log.records_of_txn(1_000_001) == []
+        assert log.records_of_txn(1_000_001) == [update, end]
 
     def test_forget_txn(self):
         log = ClientLogManager(1)

@@ -5,7 +5,6 @@ import pytest
 from repro import CsSystem
 from repro.common.errors import ReproError
 from repro.cs.server import SERVER_ID
-from repro.recovery.aries import _COMMITTED
 from repro.wal.records import CheckpointData, RecordKind
 
 
@@ -49,10 +48,14 @@ class TestTxnTable:
         page_id = c1.allocate_page(txn)
         c1.insert(txn, page_id, b"x")
         c1.send_page_back(page_id)           # ships without COMMIT
-        assert cs.server._txn_table[txn.txn_id][1] != _COMMITTED
+        assert cs.server._txn_table[txn.txn_id] == txn.last_lsn
         c1.commit(txn)
-        # END ships with the commit: the entry is retired entirely.
+        # The COMMIT, shipped alone, retires the entry: no END follows.
         assert txn.txn_id not in cs.server._txn_table
+        kinds = [r.kind for _, r in cs.server.log.scan()
+                 if r.txn_id == txn.txn_id]
+        assert kinds[-1] == RecordKind.COMMIT
+        assert RecordKind.END not in kinds
 
     def test_server_checkpoint_contains_inflight_only(self, cs):
         c1 = cs.clients[1]

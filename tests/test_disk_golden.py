@@ -10,6 +10,11 @@ at the last commit whose CS client recovery and staged restart still
 had their own analysis/undo code.  CS client recovery may read fewer
 log bytes than it did then, never more: its stats digest leaves
 ``log.bytes_scanned`` out, and the captured value is an upper bound.
+
+``content_sha256`` digests what the pages *say*: for each written page
+its id, type and live records, with no page_LSN and no checksum.  A
+change that only renumbers LSNs (dropping the END after COMMIT did)
+moves ``disk_sha256`` and leaves this digest byte-identical.
 """
 
 import hashlib
@@ -23,6 +28,7 @@ from repro.faults import scenarios
 from repro.faults.injector import NULL_INJECTOR
 from repro.obs.tracer import Tracer
 from repro.sd.complex import SDComplex
+from repro.storage.page import Page
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "disk_digests.json").read_text())
@@ -137,10 +143,22 @@ def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def content_digest(disk):
+    """SHA-256 of every written page's id, type and live records
+    (counts no I/O; page_LSN and checksum left out)."""
+    digest = hashlib.sha256()
+    for page_id in disk.written_page_ids():
+        page = Page.from_bytes(disk.raw_image(page_id))
+        digest.update(repr((page_id, int(page.page_type),
+                            list(page.records()))).encode())
+    return digest.hexdigest()
+
+
 def outcome(name):
     world, tracer, disk = SCENARIOS[name]()
     stats = world.stats.snapshot()
     got = {"disk_sha256": disk.digest(),
+           "content_sha256": content_digest(disk),
            "trace_sha256": sha256(tracer.dump_jsonl())}
     if name in SCAN_BOUNDED:
         got["log_bytes_scanned"] = stats.pop("log.bytes_scanned")

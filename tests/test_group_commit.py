@@ -318,7 +318,7 @@ class TestLazyCommitLeavesActive:
             ENTRY_POINTS[op](engine, txn, page_id, slot)
         assert engine.sync_commits() == 1
         assert kinds_of(log, txn.txn_id) == [
-            RecordKind.UPDATE, RecordKind.COMMIT, RecordKind.END]
+            RecordKind.UPDATE, RecordKind.COMMIT]
         reader = engine.begin()
         assert engine.read(reader, page_id, slot) == b"lazy"
         engine.commit(reader)

@@ -10,7 +10,10 @@ release independent of the lock table's size, and a reader that blocks
 """
 
 import copy
+import importlib.util
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -37,23 +40,25 @@ from repro.replication import ACK_ALL, ACK_QUORUM, ReplicationConfig
 
 PAYLOAD_BYTES = 64
 #: Interpreted calls per canonical transaction: 361 before the diet,
-#: ~185 after it on CPython 3.11.  The ceiling leaves room for the
-#: frame-accounting differences between 3.10 and 3.12.
+#: ~185 after it, 179 once a COMMIT ends the transaction (no END), on
+#: CPython 3.11.  The ceiling leaves room for the frame-accounting
+#: differences between 3.10 and 3.12.
 CALL_CEILING = 230
 #: The same transaction on a CS client: 217 before SD and CS shared one
 #: transaction front end, 207 after it, 206 once a raw append returns
-#: its offset instead of a LogAddress, on CPython 3.11; the same slack
-#: as CALL_CEILING.
+#: its offset instead of a LogAddress, 196 once a COMMIT ends the
+#: transaction, on CPython 3.11; the same slack as CALL_CEILING.
 CS_CALL_CEILING = 250
 #: The same transaction with ``ReplicationConfig()`` and two standbys:
 #: 491 before the ship-path diet, 340 after it, 247 once the standbys
 #: apply off the commit path, 245 once their raw appends return an
-#: offset instead of a LogAddress, on CPython 3.11.
+#: offset instead of a LogAddress, 237 once a COMMIT ends the
+#: transaction, on CPython 3.11.
 REPLICATED_CALL_CEILING = 370
 #: What the canonical transaction writes to one log: two equal-length
 #: overwrites (a 29-byte page header and one XOR image each) and a
-#: COMMIT and an END (19-byte control headers, no payload).
-TXN_LOG_BYTES = 2 * (29 + 1 + PAYLOAD_BYTES) + 2 * 19
+#: COMMIT (a 19-byte control header, no payload), its last record.
+TXN_LOG_BYTES = 2 * (29 + 1 + PAYLOAD_BYTES) + 19
 
 
 # ----------------------------------------------------------------------
@@ -101,23 +106,29 @@ def _read_only_txn(engine, rows, i):
     engine.commit(txn)
 
 
-def _count_calls(fn, *args):
-    """Python-level ``call`` events raised while ``fn(*args)`` runs
-    (``fn``'s own frame excluded)."""
-    calls = 0
+def _load_bench_common():
+    """``benchmarks/_common.py``, the one home of the call counter."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "_common.py"
+    spec = importlib.util.spec_from_file_location("_bench_common", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    def profiler(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
 
-    previous = sys.getprofile()
-    sys.setprofile(profiler)
-    try:
-        fn(*args)
-    finally:
-        sys.setprofile(previous)
-    return calls - 1
+_COMMON = _load_bench_common()
+
+
+def _calls_within(ceiling, what, fn, *args, per=1, less=0):
+    """Assert ``fn(*args)`` makes at most ``ceiling`` interpreted calls
+    (less ``less``, divided by ``per``); a failure prints the top of
+    the per-function call histogram, so it names the frame that
+    grew."""
+    histogram = Counter()
+    calls, _ = _COMMON.count_calls(fn, *args, histogram=histogram)
+    calls = (calls - less) / per
+    assert calls <= ceiling, (
+        f"{calls:g} interpreted calls per {what} (budget {ceiling}); "
+        f"most-called functions:\n{_COMMON.top_calls(histogram)}")
 
 
 class TestCanonicalTransaction:
@@ -125,10 +136,8 @@ class TestCanonicalTransaction:
         _, engine, rows = _warm_engine()
         for i in range(20):
             _canonical_txn(engine, rows, i)
-        calls = _count_calls(_canonical_txn, engine, rows, 20)
-        assert calls <= CALL_CEILING, (
-            f"{calls} interpreted calls per 4-op transaction "
-            f"(budget {CALL_CEILING})")
+        _calls_within(CALL_CEILING, "4-op transaction",
+                      _canonical_txn, engine, rows, 20)
 
     def test_logical_work_is_pinned(self):
         """Same locks, records, bytes and forces as before the diet."""
@@ -141,8 +150,8 @@ class TestCanonicalTransaction:
         assert work == {
             # page + record lock per op
             LOCK_REQUESTS: 8,
-            # 2 updates, COMMIT, END
-            LOG_RECORDS_WRITTEN: 4,
+            # 2 updates, COMMIT
+            LOG_RECORDS_WRITTEN: 3,
             LOG_BYTES_WRITTEN: TXN_LOG_BYTES,
             LOG_FORCES: 1,
         }
@@ -172,8 +181,8 @@ class TestCsCanonicalTransaction:
             message_kind_counter("lock_request"): 4,
             message_kind_counter("lock_reply"): 4,
             message_kind_counter("unlock"): 2,
-            # 2 updates, COMMIT and END: one ship, one server force
-            LOG_RECORDS_WRITTEN: 4,
+            # 2 updates and the COMMIT: one ship, one server force
+            LOG_RECORDS_WRITTEN: 3,
             LOG_BYTES_WRITTEN: TXN_LOG_BYTES,
             LOG_FORCES: 1,
             message_kind_counter("log_ship"): 1,
@@ -185,10 +194,8 @@ class TestCsCanonicalTransaction:
 
     def test_interpreted_calls_within_budget(self):
         _, client, rows = self._steady()
-        calls = _count_calls(_canonical_txn, client, rows, 20)
-        assert calls <= CS_CALL_CEILING, (
-            f"{calls} interpreted calls per CS 4-op transaction "
-            f"(budget {CS_CALL_CEILING})")
+        _calls_within(CS_CALL_CEILING, "CS 4-op transaction",
+                      _canonical_txn, client, rows, 20)
 
 
 class TestReplicatedCanonicalTransaction:
@@ -215,8 +222,8 @@ class TestReplicatedCanonicalTransaction:
         # needs; a ship and an ack per standby; three copies of the log.
         assert work[LOG_FORCES] == forces
         assert work[MESSAGES_SENT] == 4
-        assert work[LOG_BYTES_WRITTEN] == 3 * TXN_LOG_BYTES == 3 * 226
-        assert work[LOG_RECORDS_WRITTEN] == 4    # replica logs count bytes
+        assert work[LOG_BYTES_WRITTEN] == 3 * TXN_LOG_BYTES == 3 * 207
+        assert work[LOG_RECORDS_WRITTEN] == 3    # replica logs count bytes
 
     def test_laggard_forces_once_per_window(self):
         sd, engine, rows = self._steady()
@@ -225,11 +232,12 @@ class TestReplicatedCanonicalTransaction:
         before = sd.stats.get(LOG_FORCES)
         for i in range(20, 20 + commits):
             _canonical_txn(engine, rows, i)
-        # Two forces per commit, and four records ship with each (the
-        # previous END, two updates, the COMMIT): the laggard forces
-        # once per window_records of them.
+        # Two forces per commit, and three records ship with each (two
+        # updates, the COMMIT): the laggard forces on the first ship
+        # that brings its unforced records to window_records, so once
+        # every ceil(window / 3) = 22 commits.
         assert sd.stats.get(LOG_FORCES) - before == \
-            2 * commits + 4 * commits // window == 132
+            2 * commits + commits // -(-window // 3) == 130
 
     def test_warm_commits_touch_no_standby_disk(self):
         """The standbys apply into their page caches: a window of warm
@@ -258,17 +266,15 @@ class TestReplicatedCanonicalTransaction:
 
     def test_interpreted_calls_within_budget(self):
         _, engine, rows = self._steady()
-        calls = _count_calls(_canonical_txn, engine, rows, 20)
-        assert calls <= REPLICATED_CALL_CEILING, (
-            f"{calls} interpreted calls per replicated 4-op transaction "
-            f"(budget {REPLICATED_CALL_CEILING})")
+        _calls_within(REPLICATED_CALL_CEILING, "replicated 4-op transaction",
+                      _canonical_txn, engine, rows, 20)
 
     def test_warm_window_calls_within_budget(self):
         """64 warm commits, the standbys' window applies included: 296.1
         interpreted calls per commit before the standby applied through
         the pending-chain set, 288.25 with it and a table-driven
-        ``decode_op``, 286.25 once a raw append returns its offset, on
-        CPython 3.11."""
+        ``decode_op``, 286.25 once a raw append returns its offset,
+        281.75 once a COMMIT ends the transaction, on CPython 3.11."""
         _, engine, rows = self._steady()
         commits = 64
 
@@ -277,10 +283,9 @@ class TestReplicatedCanonicalTransaction:
                 _canonical_txn(engine, rows, i)
 
         # Less the window's own calls of _canonical_txn.
-        per_commit = (_count_calls(window) - commits) / commits
-        assert per_commit <= REPLICATED_CALL_CEILING, (
-            f"{per_commit:.1f} interpreted calls per replicated commit "
-            f"over {commits} (budget {REPLICATED_CALL_CEILING})")
+        _calls_within(REPLICATED_CALL_CEILING,
+                      f"replicated commit over {commits}", window,
+                      per=commits, less=commits)
 
 
 class TestReadOnlyCanonicalTransaction:

@@ -240,6 +240,78 @@ class TestInvariants:
         ]
         assert check_trace(events) == []
 
+    def test_append_after_commit_flagged(self):
+        """I9: a rollback of a transaction whose COMMIT failed to
+        force — a CLR and an END after that COMMIT, no crash."""
+        events = [
+            _ev(1, 1, ev.LOG_APPEND, lsn=5, kind="UPDATE", txn=7, page=64,
+                offset=0),
+            _ev(2, 1, ev.LOG_APPEND, lsn=6, kind="COMMIT", txn=7,
+                page=None, offset=30),
+            _ev(3, 1, ev.LOG_APPEND, lsn=7, kind="CLR", txn=7, page=64,
+                offset=49),
+            _ev(4, 1, ev.LOG_APPEND, lsn=8, kind="END", txn=7, page=None,
+                offset=98),
+        ]
+        found = [v for v in check_trace(events)
+                 if v.invariant == "log-consistency"]
+        assert [v.seq for v in found] == [3, 4]
+        assert "txn 7 appended a CLR record after its COMMIT" in \
+            found[0].message
+
+    def test_post_commit_end_flagged(self):
+        """The END an update transaction used to write after its
+        COMMIT breaks the rule too: a COMMIT is the last record."""
+        events = [
+            _ev(1, 1, ev.LOG_APPEND, lsn=6, kind="COMMIT", txn=7,
+                page=None, offset=30),
+            _ev(2, 1, ev.LOG_FORCE, up_to=49),
+            _ev(3, 1, ev.LOG_APPEND, lsn=7, kind="END", txn=7, page=None,
+                offset=49),
+        ]
+        assert first_violation(check_trace(events), "log-consistency")
+
+    def test_restart_undoing_a_lost_commit_is_clean(self):
+        """A COMMIT past the last force is gone after a crash: restart
+        rolling its transaction back appends legally.  A forced one is
+        not: restart must never append for it."""
+        def history(up_to):
+            return [
+                _ev(1, 1, ev.LOG_APPEND, lsn=6, kind="COMMIT", txn=7,
+                    page=None, offset=30),
+                _ev(2, 1, ev.LOG_FORCE, up_to=up_to),
+                _ev(3, 1, ev.SPAN_BEGIN, span=1, name=ev.SPAN_ANALYSIS,
+                    parent=None),
+                _ev(4, 1, ev.SPAN_END, span=1, name=ev.SPAN_ANALYSIS),
+                _ev(5, 1, ev.LOG_APPEND, lsn=7, kind="CLR", txn=7, page=64,
+                    offset=30),
+            ]
+        assert check_trace(history(up_to=30)) == []
+        assert first_violation(check_trace(history(up_to=49)),
+                               "log-consistency").seq == 5
+
+    def test_cs_client_commit_counts_once_shipped_and_forced(self):
+        """A CS client's COMMIT has no offset until its ship; client
+        recovery may undo an unshipped one, never a forced one."""
+        def history(forced):
+            events = [
+                _ev(1, 1, ev.LOG_APPEND, lsn=6, kind="COMMIT", txn=7,
+                    page=None, offset=None),
+                _ev(2, 0, ev.CS_SHIP, client=1, nbytes=19, offset=100),
+            ]
+            if forced:
+                events.append(_ev(3, 0, ev.LOG_FORCE, up_to=119))
+            return events + [
+                _ev(4, 0, ev.SPAN_BEGIN, span=1, name=ev.SPAN_ANALYSIS,
+                    parent=None),
+                _ev(5, 0, ev.SPAN_END, span=1, name=ev.SPAN_ANALYSIS),
+                _ev(6, 0, ev.LOG_APPEND, lsn=7, kind="END", txn=7,
+                    page=None, offset=119),
+            ]
+        assert check_trace(history(forced=False)) == []
+        assert first_violation(check_trace(history(forced=True)),
+                               "log-consistency").seq == 6
+
     def test_render_violations_all_clear(self):
         assert "OK" in render_violations([])
 

@@ -222,7 +222,7 @@ class TestHeaderShapes:
             lomet_update,
             LogRecord(RecordKind.BEGIN_CHECKPOINT),
             LogRecord(RecordKind.END_CHECKPOINT,
-                      redo=CheckpointData({5: (1, 0)}, {1: (1, 0)}).to_bytes()),
+                      redo=CheckpointData({5: (1, 0)}, {1: 1}).to_bytes()),
             make_clr(1, 1, 5, 0, redo=b"c" * 4, undo_next_lsn=0),
             LogRecord(RecordKind.ABORT, txn_id=1),
             make_format(3, 1, 9, 1),
@@ -450,7 +450,7 @@ class TestCheckpointData:
     def test_roundtrip(self):
         data = CheckpointData(
             dirty_pages={10: (100, 2048), 20: (200, 4096)},
-            transactions={1_000_001: (150, 0), 2_000_001: (250, 1)},
+            transactions={1_000_001: 150, 2_000_001: 250},
         )
         clone = CheckpointData.from_bytes(data.to_bytes())
         assert clone.dirty_pages == data.dirty_pages
@@ -467,9 +467,7 @@ class TestCheckpointData:
                             st.tuples(st.integers(0, 2**63),
                                       st.integers(0, 2**63)),
                             max_size=30),
-        tt=st.dictionaries(st.integers(0, 2**63),
-                           st.tuples(st.integers(0, 2**63),
-                                     st.integers(0, 1)),
+        tt=st.dictionaries(st.integers(0, 2**63), st.integers(0, 2**63),
                            max_size=30),
     )
     def test_property_roundtrip(self, dpt, tt):
