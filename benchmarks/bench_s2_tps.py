@@ -4,7 +4,8 @@ The per-op driver pays a full lock/fix/log round trip for every record
 it touches.  The bulk lane (:mod:`repro.workload.bulk`) batches a whole
 transaction into one ``read_many`` + one ``update_many`` — one page
 lock and one fix per distinct page, one ``append_many`` for the batch's
-log records — and group-commits with one force per group.  This bench
+log records, one record per page run — and group-commits with one force
+per group.  This bench
 races the two drivers over the *same* deterministic batch plan at
 growing batch sizes and gates on:
 
@@ -50,7 +51,10 @@ REPEATS = 3
 SEED = 1992
 #: Interpreted calls per operation the bulk driver may make, by batch
 #: size, everything included (begin, locks, fixes, logging, apply,
-#: group commit).  Measured 16.19 and 13.31 on CPython 3.11.
+#: group commit).  Measured 16.19 and 13.31 on CPython 3.11; 15.66 and
+#: 12.82 before, and 15.35 and 12.56 after, ``update_many`` logged one
+#: record per page run (CPython 3.11.7; this plan's random picks make
+#: short runs).
 BULK_CALLS_PER_OP = {64: 18, 256: 15}
 
 

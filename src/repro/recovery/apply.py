@@ -15,7 +15,15 @@ from repro.common.errors import CorruptPageError
 from repro.common.lsn import Lsn
 from repro.storage.page import Page, PageType
 from repro.storage.space_map import SpaceMap
-from repro.wal.records import LogRecord, PageOp, decode_op, make_clr
+from repro.wal.records import (
+    LogRecord,
+    PageOp,
+    decode_op,
+    iter_slots,
+    make_clr,
+)
+
+_XOR_BYTE = bytes([PageOp.XOR])
 
 
 def stamp_page_lsn(page: Page, lsn: Lsn) -> None:
@@ -36,7 +44,10 @@ def apply_op(page: Page, slot: int, op: PageOp, data: bytes,
     ``lsn`` only names the record in a :class:`CorruptPageError`: an
     ``XOR`` whose slot is empty or of another length was not logged
     against this state (applied twice, or onto the wrong base), and
-    applying it would write garbage.
+    applying it would write garbage.  A ``SLOTS`` operation applies its
+    entries in order, each through this function at its own slot
+    (``slot`` is ignored); an entry that is itself ``SLOTS`` is
+    rejected.
     """
     if op == PageOp.XOR:
         old = page.read_record(slot)
@@ -61,6 +72,12 @@ def apply_op(page: Page, slot: int, op: PageOp, data: bytes,
         SpaceMap.apply_entry_update(page, data)
     elif op == PageOp.SMP_SET_RANGE:
         SpaceMap.apply_range_update(page, data)
+    elif op == PageOp.SLOTS:
+        for entry_slot, payload in iter_slots(data):
+            entry_op, entry_data = decode_op(payload)
+            if entry_op == PageOp.SLOTS:
+                raise ValueError(f"SLOTS record {lsn} nests a SLOTS entry")
+            apply_op(page, entry_slot, entry_op, entry_data, lsn)
     elif op == PageOp.NOOP:
         pass
     else:  # pragma: no cover - enum is exhaustive
@@ -128,11 +145,14 @@ def apply_undo(page: Page, record: LogRecord, clr_lsn: int) -> bytes:
 
 def inverse_op(record: LogRecord) -> bytes:
     """The undo payload of ``record`` (present for undoable kinds): its
-    ``undo``, or for an ``XOR`` overwrite its own redo."""
+    ``undo``, or for an ``XOR`` overwrite, or a ``SLOTS`` record of
+    ``XOR`` entries only, its own redo."""
     undo = record.undo
     if undo:
         return undo
     redo = record.redo
-    if redo and redo[0] == PageOp.XOR:
+    if redo and (redo[0] == PageOp.XOR or redo[0] == PageOp.SLOTS and all(
+            payload[:1] == _XOR_BYTE
+            for _, payload in iter_slots(memoryview(redo)[1:]))):
         return redo
     raise ValueError(f"record {record.lsn} has no undo information")

@@ -18,6 +18,8 @@ the medium page-transfer scheme.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -55,6 +57,7 @@ from repro.wal.records import (
     RecordKind,
     encode_op,
     encode_overwrite,
+    encode_page_run,
     make_update,
 )
 
@@ -155,8 +158,9 @@ class DbmsInstance(LogOwner, TransactionFrontEnd):
         """Apply a batch of ``(page_id, slot, payload)`` updates in one
         vectorized call — the write half of the bulk-op lane.
 
-        Semantics per op match :meth:`update` (same undo/redo payloads,
-        same USN LSN chain, same ``PAGE_UPDATE`` events), batched:
+        Each op overwrites its slot as :meth:`update` would, in the
+        given order, leaving the same page contents; the batch is
+        logged per *page run* (consecutive ops on one page):
 
         * **locks** — one page X lock per distinct page, acquired up
           front via the escalation machinery (the page lock covers all
@@ -166,13 +170,15 @@ class DbmsInstance(LogOwner, TransactionFrontEnd):
           ``LockWouldBlock`` surfaces with nothing applied and the
           whole batch can simply be retried.
         * **fixes** — each distinct page is fixed once for the batch.
-        * **log** — one :meth:`LogManager.append_many
-          <repro.wal.log_manager.LogManager.append_many>` for the whole
-          batch.  LSNs are predicted with the USN rule
-          (``max(page_lsn, running) + 1``) while applying, so undo
-          chains (``prev_lsn``) and per-page LSN tracking are exact;
-          the prediction is verified against the stamped records and a
-          divergence is a hard error.
+        * **log** — one record per page run
+          (:func:`~repro.wal.records.encode_page_run`): a run of one op
+          is logged exactly as :meth:`update` logs it, a longer run as
+          one ``SLOTS`` record under one LSN, with one page_LSN stamp,
+          one dirty-page note, one undo entry and one ``PAGE_UPDATE``
+          event.  The whole batch goes through one
+          :meth:`LogManager.append_many
+          <repro.wal.log_manager.LogManager.append_many>`, which
+          assigns the LSNs by the USN rule and chains ``prev_lsn``.
 
         If an op fails mid-batch (empty slot, page full), the already
         applied prefix is logged before the error surfaces — no page
@@ -196,43 +202,24 @@ class DbmsInstance(LogOwner, TransactionFrontEnd):
                     self.injector.fire(fp.INSTANCE_UPDATE,
                                        system=self.system_id,
                                        page=page_id, txn=txn.txn_id)
-            page_lsn_now: Dict[int, Lsn] = {
-                page_id: pages[page_id].page_lsn for page_id in page_order
-            }
-            records: List[LogRecord] = []
-            hints: List[Lsn] = []
-            predicted: List[Lsn] = []
-            prev = txn.last_lsn
-            running = self.log.local_max_lsn
+            runs: List[Tuple[int, List[Tuple[int, bytes, bytes]]]] = []
             try:
-                for page_id, slot, payload in updates:
+                for page_id, ops in groupby(updates, itemgetter(0)):
                     page = pages[page_id]
-                    old = page.read_record(slot)
-                    if old is None:
-                        raise ReproError(
-                            f"page {page_id} slot {slot} is empty")
-                    hint = page_lsn_now[page_id]
-                    lsn = (hint if hint > running else running) + 1
-                    redo, undo = encode_overwrite(old, payload)
-                    record = make_update(
-                        txn_id=txn.txn_id, system_id=self.system_id,
-                        page_id=page_id, slot=slot, redo=redo, undo=undo,
-                        prev_lsn=prev,
-                    )
-                    page.update_record(slot, payload)
-                    # Only a fully applied op joins the batch; see the
-                    # partial-failure contract in the docstring.
-                    records.append(record)
-                    hints.append(hint)
-                    predicted.append(lsn)
-                    page_lsn_now[page_id] = lsn
-                    running = lsn
-                    prev = lsn
-            except Exception:
-                self._log_bulk_updates(txn, pages, records, hints,
-                                          predicted)
-                raise
-            self._log_bulk_updates(txn, pages, records, hints, predicted)
+                    changes: List[Tuple[int, bytes, bytes]] = []
+                    runs.append((page_id, changes))
+                    for _, slot, payload in ops:
+                        old = page.read_record(slot)
+                        if old is None:
+                            raise ReproError(
+                                f"page {page_id} slot {slot} is empty")
+                        redo, undo = encode_overwrite(old, payload)
+                        page.update_record(slot, payload)
+                        # Only a fully applied op joins its run; see
+                        # the partial-failure contract in the docstring.
+                        changes.append((slot, redo, undo))
+            finally:
+                self._log_bulk_updates(txn, pages, runs)
         finally:
             for page_id in pages:
                 self.pool.unfix(page_id)
@@ -241,24 +228,34 @@ class DbmsInstance(LogOwner, TransactionFrontEnd):
         self,
         txn: Transaction,
         pages: Dict[int, Page],
-        records: List[LogRecord],
-        hints: List[Lsn],
-        predicted: List[Lsn],
+        runs: List[Tuple[int, List[Tuple[int, bytes, bytes]]]],
     ) -> None:
-        """Log an applied batch (or applied prefix) and do the per-op
-        USN bookkeeping :meth:`_log_update` would have done."""
+        """Log an applied batch (or applied prefix), one record per
+        page run, and do the per-record USN bookkeeping
+        :meth:`_log_update` would have done."""
+        records: List[LogRecord] = []
+        hints: List[Lsn] = []
+        txn_id = txn.txn_id
+        system_id = self.system_id
+        applied = 0
+        for page_id, changes in runs:
+            if changes:
+                slot, redo, undo = encode_page_run(changes)
+                records.append(make_update(txn_id, system_id, page_id,
+                                           slot, redo, undo))
+                # The page_LSN before the batch: a later run on the
+                # same page is stamped above the running LSN anyway.
+                hints.append(pages[page_id].page_lsn)
+                applied += len(changes)
         if not records:
             return
-        addrs = self.log.append_many(records, page_lsns=hints)
+        addrs = self.log.append_many(records, page_lsns=hints,
+                                     prev_lsn=txn.last_lsn)
         end_offset = self.log.end_offset
         tracing = self.tracer.enabled
-        for record, addr, hint, lsn in zip(records, addrs, hints, predicted):
-            if record.lsn != lsn:
-                raise ReproError(
-                    "bulk update LSN prediction diverged from the log "
-                    f"(predicted {lsn}, stamped {record.lsn})"
-                )
+        for record, addr in zip(records, addrs):
             page = pages[record.page_id]
+            page_lsn_prev = page.page_lsn
             stamp_page_lsn(page, record.lsn)
             self.pool.note_update(record.page_id, record.lsn, addr.offset,
                                   end_offset)
@@ -266,12 +263,12 @@ class DbmsInstance(LogOwner, TransactionFrontEnd):
             if tracing:
                 self.tracer.emit(
                     ev.PAGE_UPDATE, system=self.system_id,
-                    page=record.page_id, slot=record.slot, txn=txn.txn_id,
-                    lsn=int(record.lsn), page_lsn_prev=int(hint),
+                    page=record.page_id, slot=record.slot, txn=txn_id,
+                    lsn=int(record.lsn), page_lsn_prev=int(page_lsn_prev),
                     kind=record.kind.name,
                 )
         self.stats.incr(BULK_UPDATE_BATCHES)
-        self.stats.incr(BULK_OPS_APPLIED, len(records))
+        self.stats.incr(BULK_OPS_APPLIED, applied)
 
     def read_many(self, txn: Transaction,
                   reads: Sequence[Tuple[int, int]],

@@ -18,6 +18,7 @@ from repro.wal.records import (
     PageOp,
     RecordKind,
     decode_op,
+    iter_slots,
 )
 
 _KIND_ABBREV = {
@@ -47,6 +48,10 @@ def describe_op(payload: bytes) -> str:
         return f"FORMAT(type={data[0]})"
     if op is PageOp.XOR:
         return f"XOR({len(data)}B)"
+    if op is PageOp.SLOTS:
+        entries = [f"s{slot} {describe_op(entry)}"
+                   for slot, entry in iter_slots(data)]
+        return f"SLOTS({len(entries)}: {', '.join(entries)})"
     return op.name
 
 

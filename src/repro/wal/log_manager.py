@@ -117,6 +117,7 @@ class LogManager:
         self,
         records: Sequence[LogRecord],
         page_lsns: Optional[Sequence[Lsn]] = None,
+        prev_lsn: Optional[Lsn] = None,
     ) -> List[LogAddress]:
         """Batch form of :meth:`append` — the WAL fast lane.
 
@@ -129,7 +130,10 @@ class LogManager:
         ``page_lsns`` optionally carries one page_LSN per record (the
         value the updater would have passed to :meth:`append`); omitted
         it defaults to NULL_LSN for every record, the common shape for
-        control/filler batches.
+        control/filler batches.  ``prev_lsn`` optionally chains the
+        batch as one transaction's records: the first record's
+        ``prev_lsn`` becomes it, each later one's the LSN stamped on the
+        record before, so the caller need not predict LSNs.
         """
         if page_lsns is not None and len(page_lsns) != len(records):
             raise ValueError(
@@ -140,7 +144,7 @@ class LogManager:
             return []
         system_id = self.system_id
         parts, lsn = stamp_and_encode_batch(
-            records, self.local_max_lsn, system_id, page_lsns
+            records, self.local_max_lsn, system_id, page_lsns, prev_lsn
         )
         offset = len(self._buffer)
         offsets: List[int] = []

@@ -70,6 +70,18 @@ USN rule keeps page_LSNs monotonic per page), so an XOR is only ever
 applied to exactly the state it was logged against.  A length-changing
 overwrite keeps the two-image ``SET`` (new payload as redo, old as
 undo).
+
+The bulk lane logs a run of consecutive overwrites of one page as one
+``SLOTS`` record (:func:`encode_page_run`): slot ``NO_SLOT``, one LSN,
+and a redo operand of ``(slot u16, length u16, op payload)`` entries
+applied in order.  The same per-page screen makes one LSN for many
+slot changes sound: the record is redone whole or not at all.  A
+record of ``XOR`` entries only is its own inverse and stored once, as
+a single ``XOR`` is: XOR commutes, so applying the same entries again,
+in any order, gives back the before image even for a slot that
+repeats.  A record with a length-changing ``SET`` entry carries an
+explicit undo, the ``SLOTS`` of each entry's inverse in reverse order.
+A ``SLOTS`` entry never nests another.
 """
 
 from __future__ import annotations
@@ -173,6 +185,9 @@ class PageOp(enum.IntEnum):
                        # (mass delete logs one record per SMP page)
     XOR = 8            # operand: old ^ new record payload (equal
                        # lengths); its own inverse, stored once
+    SLOTS = 9          # operand: (slot u16, length u16, op payload)
+                       # entries applied in order; the record's slot
+                       # is NO_SLOT (one record per bulk page run)
 
 
 def encode_op(op: PageOp, data: bytes = b"") -> bytes:
@@ -182,6 +197,9 @@ def encode_op(op: PageOp, data: bytes = b"") -> bytes:
 
 _SET_BYTE = bytes([PageOp.SET])
 _XOR_BYTE = bytes([PageOp.XOR])
+_SLOTS_BYTE = bytes([PageOp.SLOTS])
+#: A ``SLOTS`` entry's head: slot, then its op payload's length.
+_SLOT_ENTRY = struct.Struct("<HH")
 
 
 def encode_overwrite(old: bytes, new: bytes) -> Tuple[bytes, bytes]:
@@ -194,6 +212,49 @@ def encode_overwrite(old: bytes, new: bytes) -> Tuple[bytes, bytes]:
             int.from_bytes(old, "little") ^ int.from_bytes(new, "little")
         ).to_bytes(size, "little"), b""
     return _SET_BYTE + new, _SET_BYTE + old
+
+
+def encode_page_run(
+    changes: Sequence[Tuple[int, bytes, bytes]]
+) -> Tuple[int, bytes, bytes]:
+    """``(slot, redo, undo)`` of one record logging ``changes``, the
+    ``(slot, redo, undo)`` triples of consecutive changes to one page.
+
+    One change is logged as it stands.  Two or more become one
+    ``SLOTS`` record (slot ``NO_SLOT``) whose redo applies every
+    change's redo in order.  Its undo is empty when every change is an
+    ``XOR`` (empty undo): XOR commutes, so the redo is its own inverse
+    even for a slot that repeats.  Otherwise the undo is the ``SLOTS``
+    of each change's inverse (its undo, or an ``XOR`` redo) in reverse
+    order.
+    """
+    if len(changes) == 1:
+        return changes[0]
+    pack = _SLOT_ENTRY.pack
+    redo = _SLOTS_BYTE + b"".join([
+        pack(slot, len(op)) + op for slot, op, _ in changes])
+    if not any([undo for _, _, undo in changes]):
+        return NO_SLOT, redo, b""
+    return NO_SLOT, redo, _SLOTS_BYTE + b"".join([
+        pack(slot, len(undo or op)) + (undo or op)
+        for slot, op, undo in reversed(changes)])
+
+
+def iter_slots(operand: LogBuffer) -> Iterator[Tuple[int, bytes]]:
+    """The ``(slot, op payload)`` entries of a ``SLOTS`` operand, in
+    order; a truncated entry raises :class:`ValueError`."""
+    pos = 0
+    end = len(operand)
+    unpack = _SLOT_ENTRY.unpack_from
+    while pos < end:
+        if pos + _SLOT_ENTRY.size > end:
+            raise ValueError(f"truncated SLOTS entry at offset {pos}")
+        slot, size = unpack(operand, pos)
+        pos += _SLOT_ENTRY.size
+        if pos + size > end:
+            raise ValueError(f"truncated SLOTS entry at offset {pos}")
+        yield slot, bytes(operand[pos:pos + size])
+        pos += size
 
 
 #: Operation byte -> :class:`PageOp` (``None`` for no operation): one
@@ -462,6 +523,7 @@ def stamp_and_encode_batch(
     lsn: Lsn,
     system_id: int,
     page_lsns: Optional[Sequence[Lsn]] = None,
+    prev_lsn: Optional[Lsn] = None,
 ) -> Tuple[List[bytes], Lsn]:
     """Stamp and serialize a whole batch; returns ``(parts, last_lsn)``.
 
@@ -473,10 +535,14 @@ def stamp_and_encode_batch(
     ``page_lsns`` is omitted), fields are stamped through ``__dict__``
     (skipping the invalidation hook — the fresh encoding is installed
     in the same breath), and each record is encoded and cached exactly
-    as :func:`stamp_and_encode` would, misfits raising alike.
+    as :func:`stamp_and_encode` would, misfits raising alike.  Given
+    ``prev_lsn``, the batch is chained as one transaction's: the first
+    record's ``prev_lsn`` becomes it, each later one's the LSN stamped
+    on the record before.
     """
     parts: List[bytes] = []
     note_part = parts.append
+    chain = prev_lsn
     for record, page_lsn in zip(
             records, repeat(0) if page_lsns is None else page_lsns):
         if page_lsn > lsn:
@@ -485,6 +551,9 @@ def stamp_and_encode_batch(
         d = record.__dict__
         d["lsn"] = lsn
         d["system_id"] = system_id
+        if chain is not None:
+            d["prev_lsn"] = chain
+            chain = lsn
         kind = d["kind"]
         try:
             shape = _SHAPES[kind]

@@ -10,8 +10,8 @@ workload through the batched engine lanes instead:
   — one fix + one page S lock per distinct page for a whole batch;
 * :meth:`DbmsInstance.update_many
   <repro.sd.instance.DbmsInstance.update_many>` — one page X lock and
-  one fix per distinct page, one ``append_many`` for the batch's log
-  records;
+  one fix per distinct page, one log record per run of consecutive ops
+  on one page, one ``append_many`` for the batch's records;
 * group commit (``commit(lazy=True)`` + ``sync_commits``) — one log
   force covers ``group_commit_every`` transactions.
 

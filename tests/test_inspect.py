@@ -87,6 +87,27 @@ class TestDump:
         assert "redo=XOR(11B)" in clr
         assert "  41B UPD" in update
 
+    def test_page_run_prints_its_entries(self):
+        """A bulk page run's ``SLOTS`` record prints each entry with its
+        slot, and its CLR prints the same entries."""
+        sd = SDComplex(n_data_pages=128)
+        s1 = sd.add_instance(1)
+        txn = s1.begin()
+        page_id = s1.allocate_page(txn)
+        slots = [s1.insert(txn, page_id, b"%02d" % i * 16) for i in range(4)]
+        s1.commit(txn)
+        loser = s1.begin()
+        s1.update_many(loser, [(page_id, slot, b"x" * 32) for slot in slots])
+        s1.rollback(loser)
+        lines = page_history(s1.log, page_id)
+        update = next(line for line in lines
+                      if f"UPD t{loser.txn_id} " in line)
+        clr = next(line for line in lines if "CLR" in line)
+        entries = ", ".join(f"s{slot} XOR(32B)" for slot in slots)
+        assert update.endswith(f"p{page_id}.65535 redo=SLOTS(4: {entries})")
+        assert f"redo=SLOTS(4: {entries})" in clr
+        assert f" {29 + 1 + 4 * 37}B UPD" in update
+
     def test_describe_record_checkpoint_payload(self):
         sd, s1, *_ = instance_with_history()
         lines = dump_log(s1.log).splitlines()

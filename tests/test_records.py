@@ -17,6 +17,8 @@ from repro.wal.records import (
     decode_op,
     encode_op,
     encode_overwrite,
+    encode_page_run,
+    iter_slots,
     make_clr,
     make_format,
     make_update,
@@ -412,6 +414,34 @@ class TestOverwriteOps:
         assert bytes(a ^ b for a, b in zip(new, delta)) == old
 
 
+class TestPageRunOps:
+    def test_one_change_is_logged_as_it_stands(self):
+        redo, undo = encode_overwrite(b"abc", b"abcd")
+        assert encode_page_run([(4, redo, undo)]) == (4, redo, undo)
+
+    def test_xor_run_is_one_self_inverse_slots_image(self):
+        changes = [(slot, *encode_overwrite(b"%02d" % slot, b"xx"))
+                   for slot in (3, 1, 3)]
+        slot, redo, undo = encode_page_run(changes)
+        assert (slot, undo) == (NO_SLOT, b"")
+        assert redo[0] == PageOp.SLOTS
+        assert list(iter_slots(redo[1:])) == [
+            (3, changes[0][1]), (1, changes[1][1]), (3, changes[2][1])]
+        assert len(redo) == 1 + 3 * (4 + 1 + 2)
+
+    def test_length_change_gives_reversed_explicit_undo(self):
+        xor = (0, *encode_overwrite(b"ab", b"cd"))
+        grow = (1, *encode_overwrite(b"ab", b"abc"))
+        _, redo, undo = encode_page_run([xor, grow])
+        assert list(iter_slots(undo[1:])) == [(1, grow[2]), (0, xor[1])]
+        assert list(iter_slots(redo[1:])) == [(0, xor[1]), (1, grow[1])]
+
+    @pytest.mark.parametrize("operand", [b"\x01", b"\x01\x00\x05\x00abc"])
+    def test_truncated_entry_raises(self, operand):
+        with pytest.raises(ValueError, match="truncated"):
+            list(iter_slots(operand))
+
+
 def _docstring_table():
     """Field -> (control, page, full) byte widths, from the records
     module docstring's shape table."""
@@ -688,6 +718,13 @@ class TestStampAndEncodeBatch:
                                          page_lsns=[0, 100, 0])
         assert [r.lsn for r in records] == [6, 101, 102]
         assert last == 102
+
+    def test_prev_lsn_chains_the_batch(self):
+        records = [make_update(1, 0, 10, 0, b"r", b"u") for _ in range(3)]
+        stamp_and_encode_batch(records, 5, 1, page_lsns=[0, 100, 0],
+                               prev_lsn=4)
+        assert [(r.prev_lsn, r.lsn) for r in records] == \
+            [(4, 6), (6, 101), (101, 102)]
 
     def test_installed_cache_is_the_encoding(self):
         records = [make_update(1, 0, 10, 0, b"r", b"u")]

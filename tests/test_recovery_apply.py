@@ -7,10 +7,12 @@ from repro.recovery.apply import apply_op, apply_redo, apply_undo, inverse_op
 from repro.storage.page import Page, PageType
 from repro.storage.space_map import SpaceMap
 from repro.wal.records import (
+    NO_SLOT,
     PageOp,
     decode_op,
     encode_op,
     encode_overwrite,
+    encode_page_run,
     make_clr,
     make_update,
 )
@@ -160,3 +162,55 @@ class TestRedoUndo:
         clr.lsn = 8
         apply_redo(page, clr)
         assert (page.read_record(slot), page.page_lsn) == (b"v0", 8)
+
+
+class TestSlots:
+    """A ``SLOTS`` record applies its entries in order; its inverse is
+    its redo when every entry is an ``XOR``, else its explicit undo."""
+
+    def _page_run(self, olds, news):
+        slot, redo, undo = encode_page_run([
+            (slot, *encode_overwrite(old, new))
+            for slot, (old, new) in enumerate(zip(olds, news))])
+        record = make_update(1, 1, 9, slot, redo=redo, undo=undo)
+        record.lsn = 5
+        return record
+
+    @pytest.mark.parametrize("news", [
+        [b"v1", b"w1", b"x1"],                 # XOR only: self-inverse
+        [b"v1", b"longer-w1", b"x"],           # XOR and SETs
+    ])
+    def test_redo_undo_and_clr(self, news):
+        page = data_page()
+        olds = [b"v0", b"w0", b"x0"]
+        for old in olds:
+            page.insert_record(old)
+        record = self._page_run(olds, news)
+        assert record.slot == NO_SLOT
+        assert (record.undo == b"") == all(
+            len(o) == len(n) for o, n in zip(olds, news))
+        apply_redo(page, record)
+        assert [page.read_record(s) for s in range(3)] == news
+        clr_redo = apply_undo(page, record, clr_lsn=6)
+        assert [page.read_record(s) for s in range(3)] == olds
+        assert page.page_lsn == 6
+        apply_redo(page, record)
+        clr = make_clr(1, 1, 9, NO_SLOT, redo=clr_redo, undo_next_lsn=0)
+        clr.lsn = 8
+        apply_redo(page, clr)
+        assert [page.read_record(s) for s in range(3)] == olds
+
+    def test_nested_slots_entry_is_rejected(self):
+        page = data_page()
+        inner = encode_op(PageOp.SLOTS)
+        operand = (0).to_bytes(2, "little") + \
+            len(inner).to_bytes(2, "little") + inner
+        with pytest.raises(ValueError, match="nests"):
+            apply_op(page, NO_SLOT, PageOp.SLOTS, operand, lsn=42)
+
+    def test_slots_of_sets_without_undo_has_no_inverse(self):
+        redo = encode_page_run([(0, encode_op(PageOp.SET, b"a"), b"u"),
+                                (1, encode_op(PageOp.SET, b"b"), b"u")])[1]
+        record = make_update(1, 1, 9, NO_SLOT, redo=redo, undo=b"")
+        with pytest.raises(ValueError, match="no undo"):
+            inverse_op(record)

@@ -1,12 +1,15 @@
 """The vectorized bulk-op lane: ``update_many`` / ``read_many`` and the
 :mod:`repro.workload.bulk` driver.
 
-The lane's contract is "same semantics, fewer round trips": a bulk call
-must leave byte-identical log contents, identical trace events and the
-same recoverable state as the per-call loop it replaces — while taking
-one page lock, one fix and one log append per batch instead of one per
-op.  Partial failure must never leave an applied-but-unlogged mutation
-(rollback depends on it).
+The lane's contract is "same page contents, fewer records and round
+trips": a bulk call must leave the pages the per-call loop it replaces
+leaves (page_LSNs aside) and the same recoverable state, while taking
+one page lock and one fix per distinct page, one log append per batch,
+and one log record, LSN and ``PAGE_UPDATE`` event per *page run*
+(consecutive ops on one page): a run of one op is logged as ``update``
+logs it, a longer run as one ``SLOTS`` record.  Partial failure must
+never leave an applied-but-unlogged mutation (rollback depends on it).
+Recovery of ``SLOTS`` records is covered in ``test_bulk_records.py``.
 """
 
 import pytest
@@ -29,7 +32,15 @@ from repro.workload.bulk import (
     run_bulk,
     run_per_call,
 )
+from repro.wal.records import NO_SLOT, PageOp, iter_slots
 from repro.workload.generator import populate_pages
+
+from tests.test_disk_golden import content_digest
+
+#: A page record's header (the narrow page shape) and a ``SLOTS``
+#: entry's head (slot u16, length u16).
+PAGE_HEADER = 29
+ENTRY_HEAD = 4
 
 N_PAGES = 4
 RECORDS_PER_PAGE = 4
@@ -61,40 +72,97 @@ def plan_for(handles):
 
 
 class TestUpdateMany:
-    def test_log_bytes_identical_to_per_call_updates(self):
-        """The lane's core contract: one ``update_many`` appends the
-        exact bytes N ``update`` calls would (same LSNs via the USN
-        rule, same undo chains, same payloads)."""
-        _, per_call, handles_a = build_engine()
+    def test_page_contents_equal_per_call_updates(self):
+        """Every page the plan touches holds what N ``update`` calls
+        leave (same records, slot by slot; page_LSN left out)."""
+        per_sd, per_call, handles_a = build_engine()
         txn = per_call.begin()
         for page_id, slot, value in plan_for(handles_a):
             per_call.update(txn, page_id, slot, value)
         per_call.commit(txn)
 
-        _, bulk, handles_b = build_engine()
+        bulk_sd, bulk, handles_b = build_engine()
         txn = bulk.begin()
         bulk.update_many(txn, plan_for(handles_b))
         bulk.commit(txn)
 
-        assert bytes(bulk.log._buffer) == bytes(per_call.log._buffer)
+        per_call.pool.flush_all()
+        bulk.pool.flush_all()
+        assert content_digest(bulk_sd.disk) == content_digest(per_sd.disk)
+        assert payloads(bulk, handles_b) == payloads(per_call, handles_a)
 
-    def test_trace_events_identical_to_per_call_updates(self):
-        def trace(drive):
-            tracer = Tracer()
-            _, engine, handles = build_engine(tracer=tracer)
-            txn = engine.begin()
-            drive(engine, txn, plan_for(handles))
-            engine.commit(txn)
-            return [e for e in tracer.events() if e.kind == ev.PAGE_UPDATE]
+    def test_one_record_per_page_run_with_exact_bytes(self):
+        """The plan's three page runs log three records, chained by
+        ``prev_lsn``, each exactly the page header plus its entries."""
+        _, engine, handles = build_engine()
+        txn = engine.begin()
+        engine.update(txn, *handles[-1], b"an earlier record")
+        prev = txn.last_lsn
+        first = engine.log.end_offset
+        engine.update_many(txn, plan_for(handles))
+        records = [r for _, r in engine.log.scan(from_offset=first)]
+        page0, page1 = handles[0][0], handles[RECORDS_PER_PAGE][0]
+        assert [(r.page_id, r.slot) for r in records] == \
+            [(page0, NO_SLOT), (page1, 0), (page0, 0)]
+        entry = ENTRY_HEAD
+        assert [len(r.to_bytes()) for r in records] == [
+            # two length-changing SETs: SLOTS redo and SLOTS undo
+            PAGE_HEADER + (1 + 2 * (entry + 1 + 3))
+            + (1 + 2 * (entry + 1 + 32)),
+            # a run of one, logged as ``update`` logs it
+            PAGE_HEADER + (1 + 3) + (1 + 32),
+            PAGE_HEADER + (1 + 3),          # "aaa" -> "ddd": one XOR
+        ]
+        assert sum(len(r.to_bytes()) for r in records) == \
+            engine.log.end_offset - first
+        assert [r.prev_lsn for r in records] == \
+            [prev] + [r.lsn for r in records[:-1]]
+        assert txn.last_lsn == records[-1].lsn
+        assert len(txn.undo_entries) == 1 + len(records)
+        engine.commit(txn)
 
-        def per_call(engine, txn, plan):
-            for page_id, slot, value in plan:
-                engine.update(txn, page_id, slot, value)
+    def test_equal_length_run_is_one_self_inverse_record(self):
+        """A run of equal-length overwrites, one slot twice, logs one
+        ``SLOTS`` record of ``XOR`` entries and no undo image."""
+        _, engine, handles = build_engine()
+        (page_id, s0), (_, s1) = handles[0], handles[1]
+        plan = [(page_id, s0, b"x" * 32), (page_id, s1, b"y" * 32),
+                (page_id, s0, b"z" * 32)]
+        txn = engine.begin()
+        first = engine.log.end_offset
+        engine.update_many(txn, plan)
+        (record,) = [r for _, r in engine.log.scan(from_offset=first)]
+        assert record.undo == b""
+        assert [(slot, op[0]) for slot, op in iter_slots(record.redo[1:])] \
+            == [(s0, PageOp.XOR), (s1, PageOp.XOR), (s0, PageOp.XOR)]
+        assert len(record.to_bytes()) == \
+            PAGE_HEADER + 1 + 3 * (ENTRY_HEAD + 1 + 32)
+        engine.commit(txn)
 
-        bulk_events = trace(lambda e, t, p: e.update_many(t, p))
-        per_events = trace(per_call)
-        assert [e.fields for e in bulk_events] == \
-            [e.fields for e in per_events]
+    def test_one_page_update_event_per_record(self):
+        tracer = Tracer()
+        _, engine, handles = build_engine(tracer=tracer)
+        txn = engine.begin()
+        first = engine.log.end_offset
+        before = {}
+        for page_id, _ in handles:
+            before[page_id] = engine.fix_page(page_id).page_lsn
+            engine.unfix_page(page_id)
+        mark = len(tracer.events())
+        engine.update_many(txn, plan_for(handles))
+        records = [r for _, r in engine.log.scan(from_offset=first)]
+        events = [e.fields for e in tracer.events()[mark:]
+                  if e.kind == ev.PAGE_UPDATE]
+        page_lsn = dict(before)
+        expected = []
+        for record in records:
+            expected.append(dict(
+                page=record.page_id, slot=record.slot, txn=txn.txn_id,
+                lsn=record.lsn, page_lsn_prev=page_lsn[record.page_id],
+                kind="UPDATE"))
+            page_lsn[record.page_id] = record.lsn
+        assert [{k: f[k] for k in expected[0]} for f in events] == expected
+        engine.commit(txn)
 
     def test_one_page_lock_per_distinct_page(self):
         sd, engine, handles = build_engine()

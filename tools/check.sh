@@ -152,10 +152,12 @@ perflab_smoke() {
 # name* on the live objects (glm.acquire, pool.fix, ...).  An engine
 # refactor that stops calling through those names keeps every test
 # green and silently zeroes the per-layer metrics; one traced epoch of
-# sd-percall-fit must still see lock requests and buffer fixes, and one
-# of repl-quorum-2sb the three replication wraps (shipper.on_commit,
-# shipper.drain, standby.receive returning the records it absorbed),
-# and one of restart-instant the demand and sweep recoveries
+# sd-percall-fit must still see lock requests and buffer fixes, one of
+# sd-bulk-miss the bulk lane's read_many and update_many and its log
+# appends (log.append_many), one of repl-quorum-2sb the three
+# replication wraps (shipper.on_commit, shipper.drain, standby.receive
+# returning the records it absorbed), and one of restart-instant the
+# demand and sweep recoveries
 # (ensure_instant_recovered, instant_drain returning the pages it
 # recovered) and the pages pending at open.
 # A NAME=0 argument demands zero instead: the repl-quorum-2sb standbys
@@ -184,6 +186,10 @@ if not correct or wrong:
 perflab_trace_guard() {
     perflab_traced_check sd-percall-fit \
         locking.requests_per_op buffer.fix_per_op \
+    && perflab_traced_check sd-bulk-miss \
+        sd.instance.update_many_us_per_op \
+        sd.instance.read_many_us_per_op \
+        wal.log_manager.appends_per_txn \
     && perflab_traced_check repl-quorum-2sb \
         replication.shipper.batches_per_txn \
         replication.shipper.on_commit_us_p50 \
