@@ -23,8 +23,6 @@ from repro.wal.records import (
     make_clr,
 )
 
-_XOR_BYTE = bytes([PageOp.XOR])
-
 
 def stamp_page_lsn(page: Page, lsn: Lsn) -> None:
     """Advance ``page``'s page_LSN to ``lsn`` (WAL bookkeeping).
@@ -45,9 +43,9 @@ def apply_op(page: Page, slot: int, op: PageOp, data: bytes,
     ``XOR`` whose slot is empty or of another length was not logged
     against this state (applied twice, or onto the wrong base), and
     applying it would write garbage.  A ``SLOTS`` operation applies its
-    entries in order, each through this function at its own slot
-    (``slot`` is ignored); an entry that is itself ``SLOTS`` is
-    rejected.
+    ``XOR`` entries in order, each at its own slot (``slot`` is
+    ignored); an entry of any other operation is rejected, so every
+    ``SLOTS`` record stays its own inverse.
     """
     if op == PageOp.XOR:
         old = page.read_record(slot)
@@ -75,8 +73,9 @@ def apply_op(page: Page, slot: int, op: PageOp, data: bytes,
     elif op == PageOp.SLOTS:
         for entry_slot, payload in iter_slots(data):
             entry_op, entry_data = decode_op(payload)
-            if entry_op == PageOp.SLOTS:
-                raise ValueError(f"SLOTS record {lsn} nests a SLOTS entry")
+            if entry_op != PageOp.XOR:
+                raise ValueError(
+                    f"SLOTS record {lsn} holds a {entry_op.name} entry")
             apply_op(page, entry_slot, entry_op, entry_data, lsn)
     elif op == PageOp.NOOP:
         pass
@@ -145,14 +144,12 @@ def apply_undo(page: Page, record: LogRecord, clr_lsn: int) -> bytes:
 
 def inverse_op(record: LogRecord) -> bytes:
     """The undo payload of ``record`` (present for undoable kinds): its
-    ``undo``, or for an ``XOR`` overwrite, or a ``SLOTS`` record of
-    ``XOR`` entries only, its own redo."""
+    ``undo``, or for an ``XOR`` overwrite or a ``SLOTS`` record, its
+    own redo."""
     undo = record.undo
     if undo:
         return undo
     redo = record.redo
-    if redo and (redo[0] == PageOp.XOR or redo[0] == PageOp.SLOTS and all(
-            payload[:1] == _XOR_BYTE
-            for _, payload in iter_slots(memoryview(redo)[1:]))):
+    if redo and (redo[0] == PageOp.XOR or redo[0] == PageOp.SLOTS):
         return redo
     raise ValueError(f"record {record.lsn} has no undo information")

@@ -18,8 +18,6 @@ the medium page-transfer scheme.
 
 from __future__ import annotations
 
-from itertools import groupby
-from operator import itemgetter
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -53,6 +51,7 @@ from repro.txn.manager import TransactionManager
 from repro.txn.transaction import Transaction, TxnState, UndoEntry
 from repro.wal.records import (
     LogRecord,
+    NO_PAGE,
     PageOp,
     RecordKind,
     encode_op,
@@ -170,13 +169,16 @@ class DbmsInstance(LogOwner, TransactionFrontEnd):
           ``LockWouldBlock`` surfaces with nothing applied and the
           whole batch can simply be retried.
         * **fixes** — each distinct page is fixed once for the batch.
-        * **log** — one record per page run
+        * **log** — one record per page run, a run of consecutive
+          equal-length overwrites of one page
           (:func:`~repro.wal.records.encode_page_run`): a run of one op
           is logged exactly as :meth:`update` logs it, a longer run as
-          one ``SLOTS`` record under one LSN, with one page_LSN stamp,
-          one dirty-page note, one undo entry and one ``PAGE_UPDATE``
-          event.  The whole batch goes through one
-          :meth:`LogManager.append_many
+          one self-inverse ``SLOTS`` record under one LSN, with one
+          page_LSN stamp, one dirty-page note, one undo entry and one
+          ``PAGE_UPDATE`` event (a run too long for one record's u16
+          redo length goes on in the next).  A length-changing
+          overwrite is logged on its own, as :meth:`update` logs it.
+          The whole batch goes through one :meth:`LogManager.append_many
           <repro.wal.log_manager.LogManager.append_many>`, which
           assigns the LSNs by the USN rule and chains ``prev_lsn``.
 
@@ -202,22 +204,32 @@ class DbmsInstance(LogOwner, TransactionFrontEnd):
                     self.injector.fire(fp.INSTANCE_UPDATE,
                                        system=self.system_id,
                                        page=page_id, txn=txn.txn_id)
-            runs: List[Tuple[int, List[Tuple[int, bytes, bytes]]]] = []
+            # (page, changes, undo): the (slot, XOR redo) changes of a
+            # run of equal-length overwrites, or one length-changing
+            # overwrite's (slot, SET redo) and its SET undo.
+            runs: List[Tuple[int, List[Tuple[int, bytes]], bytes]] = []
+            xors: Optional[List[Tuple[int, bytes]]] = None  # open run
+            xors_page = NO_PAGE
             try:
-                for page_id, ops in groupby(updates, itemgetter(0)):
+                for page_id, slot, payload in updates:
                     page = pages[page_id]
-                    changes: List[Tuple[int, bytes, bytes]] = []
-                    runs.append((page_id, changes))
-                    for _, slot, payload in ops:
-                        old = page.read_record(slot)
-                        if old is None:
-                            raise ReproError(
-                                f"page {page_id} slot {slot} is empty")
-                        redo, undo = encode_overwrite(old, payload)
-                        page.update_record(slot, payload)
-                        # Only a fully applied op joins its run; see
-                        # the partial-failure contract in the docstring.
-                        changes.append((slot, redo, undo))
+                    old = page.read_record(slot)
+                    if old is None:
+                        raise ReproError(
+                            f"page {page_id} slot {slot} is empty")
+                    redo, undo = encode_overwrite(old, payload)
+                    page.update_record(slot, payload)
+                    # Only a fully applied op joins a run; see the
+                    # partial-failure contract in the docstring.
+                    if undo:
+                        runs.append((page_id, [(slot, redo)], undo))
+                        xors = None
+                    elif xors is not None and page_id == xors_page:
+                        xors.append((slot, redo))
+                    else:
+                        xors = [(slot, redo)]
+                        xors_page = page_id
+                        runs.append((page_id, xors, b""))
             finally:
                 self._log_bulk_updates(txn, pages, runs)
         finally:
@@ -228,7 +240,7 @@ class DbmsInstance(LogOwner, TransactionFrontEnd):
         self,
         txn: Transaction,
         pages: Dict[int, Page],
-        runs: List[Tuple[int, List[Tuple[int, bytes, bytes]]]],
+        runs: List[Tuple[int, List[Tuple[int, bytes]], bytes]],
     ) -> None:
         """Log an applied batch (or applied prefix), one record per
         page run, and do the per-record USN bookkeeping
@@ -238,15 +250,15 @@ class DbmsInstance(LogOwner, TransactionFrontEnd):
         txn_id = txn.txn_id
         system_id = self.system_id
         applied = 0
-        for page_id, changes in runs:
-            if changes:
-                slot, redo, undo = encode_page_run(changes)
+        for page_id, changes, undo in runs:
+            # The page_LSN before the batch: a later record on the
+            # same page is stamped above the running LSN anyway.
+            hint = pages[page_id].page_lsn
+            for slot, redo in encode_page_run(changes):
                 records.append(make_update(txn_id, system_id, page_id,
                                            slot, redo, undo))
-                # The page_LSN before the batch: a later run on the
-                # same page is stamped above the running LSN anyway.
-                hints.append(pages[page_id].page_lsn)
-                applied += len(changes)
+                hints.append(hint)
+            applied += len(changes)
         if not records:
             return
         addrs = self.log.append_many(records, page_lsns=hints,

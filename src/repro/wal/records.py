@@ -71,17 +71,18 @@ applied to exactly the state it was logged against.  A length-changing
 overwrite keeps the two-image ``SET`` (new payload as redo, old as
 undo).
 
-The bulk lane logs a run of consecutive overwrites of one page as one
-``SLOTS`` record (:func:`encode_page_run`): slot ``NO_SLOT``, one LSN,
-and a redo operand of ``(slot u16, length u16, op payload)`` entries
-applied in order.  The same per-page screen makes one LSN for many
-slot changes sound: the record is redone whole or not at all.  A
-record of ``XOR`` entries only is its own inverse and stored once, as
-a single ``XOR`` is: XOR commutes, so applying the same entries again,
-in any order, gives back the before image even for a slot that
-repeats.  A record with a length-changing ``SET`` entry carries an
-explicit undo, the ``SLOTS`` of each entry's inverse in reverse order.
-A ``SLOTS`` entry never nests another.
+The bulk lane logs a run of consecutive equal-length overwrites of one
+page as one ``SLOTS`` record (:func:`encode_page_run`): slot
+``NO_SLOT``, one LSN, and a redo operand of ``(slot u16, length u16,
+op payload)`` entries applied in order, every entry an ``XOR``.  The
+same per-page screen makes one LSN for many slot changes sound: the
+record is redone whole or not at all.  A ``SLOTS`` record is its own
+inverse and stored once, as a single ``XOR`` is: XOR commutes, so
+applying the same entries again, in any order, gives back the before
+image even for a slot that repeats.  A length-changing overwrite
+closes the run and is logged on its own, as above; a run whose redo
+would outgrow the u16 ``redo_len`` (:data:`MAX_OPERAND`) goes on in a
+second record on the same page.
 """
 
 from __future__ import annotations
@@ -102,6 +103,8 @@ LogBuffer = Union[bytes, bytearray, memoryview]
 
 NO_PAGE = 0xFFFFFFFF
 NO_SLOT = 0xFFFF
+#: The longest redo or undo payload a header's u16 length can name.
+MAX_OPERAND = 0xFFFF
 
 
 class RecordKind(enum.IntEnum):
@@ -185,9 +188,10 @@ class PageOp(enum.IntEnum):
                        # (mass delete logs one record per SMP page)
     XOR = 8            # operand: old ^ new record payload (equal
                        # lengths); its own inverse, stored once
-    SLOTS = 9          # operand: (slot u16, length u16, op payload)
+    SLOTS = 9          # operand: (slot u16, length u16, XOR payload)
                        # entries applied in order; the record's slot
-                       # is NO_SLOT (one record per bulk page run)
+                       # is NO_SLOT (one record per bulk page run);
+                       # its own inverse, stored once
 
 
 def encode_op(op: PageOp, data: bytes = b"") -> bytes:
@@ -215,29 +219,37 @@ def encode_overwrite(old: bytes, new: bytes) -> Tuple[bytes, bytes]:
 
 
 def encode_page_run(
-    changes: Sequence[Tuple[int, bytes, bytes]]
-) -> Tuple[int, bytes, bytes]:
-    """``(slot, redo, undo)`` of one record logging ``changes``, the
-    ``(slot, redo, undo)`` triples of consecutive changes to one page.
+    changes: Sequence[Tuple[int, bytes]]
+) -> List[Tuple[int, bytes]]:
+    """``(slot, redo)`` of each record logging ``changes``, the
+    ``(slot, XOR redo)`` pairs of consecutive equal-length overwrites
+    of one page.
 
-    One change is logged as it stands.  Two or more become one
-    ``SLOTS`` record (slot ``NO_SLOT``) whose redo applies every
-    change's redo in order.  Its undo is empty when every change is an
-    ``XOR`` (empty undo): XOR commutes, so the redo is its own inverse
-    even for a slot that repeats.  Otherwise the undo is the ``SLOTS``
-    of each change's inverse (its undo, or an ``XOR`` redo) in reverse
-    order.
+    The changes are packed in order into ``SLOTS`` records (slot
+    ``NO_SLOT``), as many to a record as its redo's u16 length
+    (:data:`MAX_OPERAND`) allows; a record left with one change logs
+    it as it stands.  No record needs an undo: XOR commutes, so each
+    redo is its own inverse even for a slot that repeats.
     """
     if len(changes) == 1:
-        return changes[0]
+        return [changes[0]]
     pack = _SLOT_ENTRY.pack
-    redo = _SLOTS_BYTE + b"".join([
-        pack(slot, len(op)) + op for slot, op, _ in changes])
-    if not any([undo for _, _, undo in changes]):
-        return NO_SLOT, redo, b""
-    return NO_SLOT, redo, _SLOTS_BYTE + b"".join([
-        pack(slot, len(undo or op)) + (undo or op)
-        for slot, op, undo in reversed(changes)])
+    entries = [pack(slot, len(op)) + op for slot, op in changes]
+    redo = _SLOTS_BYTE + b"".join(entries)
+    if len(redo) <= MAX_OPERAND:
+        return [(NO_SLOT, redo)]
+    # Too long for one record: cut before each entry that would not fit.
+    cuts = [0]
+    size = len(_SLOTS_BYTE)
+    for i, entry in enumerate(entries):
+        if size + len(entry) > MAX_OPERAND:
+            cuts.append(i)
+            size = len(_SLOTS_BYTE)
+        size += len(entry)
+    cuts.append(len(entries))
+    return [changes[start] if end - start == 1
+            else (NO_SLOT, _SLOTS_BYTE + b"".join(entries[start:end]))
+            for start, end in zip(cuts, cuts[1:])]
 
 
 def iter_slots(operand: LogBuffer) -> Iterator[Tuple[int, bytes]]:

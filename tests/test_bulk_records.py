@@ -9,8 +9,9 @@ The SD histories alternate between two instances, so a page's chain
 crosses systems (page transfers under the medium and fast schemes,
 merged logs under the fast one), and each crash leaves the disk behind
 the committed value, so restart redo replays ``SLOTS`` records on an
-older base.  The last two classes mix ``XOR`` with length-changing
-``SET`` entries and update one slot twice in one batch.
+older base.  The last classes mix equal-length overwrites with
+length-changing ones (each logged on its own), update one slot twice in
+one batch, and overrun one record's u16 redo length.
 """
 
 import pytest
@@ -19,7 +20,13 @@ from repro import SDComplex
 from repro.recovery.media import recover_page_from_media
 from repro.replication import ReplicationConfig
 from repro.storage.image_copy import ImageCopy
-from repro.wal.records import NO_SLOT, PageOp, RecordKind, iter_slots
+from repro.wal.records import (
+    MAX_OPERAND,
+    NO_SLOT,
+    PageOp,
+    RecordKind,
+    iter_slots,
+)
 
 SCHEMES = ["medium", "fast"]
 MODES = ["eager", "instant"]
@@ -224,18 +231,18 @@ def test_standby_applies_and_promotes():
 
 
 class TestMixedEntries:
-    """One batch on one page that overwrites one slot with a value of
-    its own length (``XOR``) and others with shorter and longer ones
-    (``SET``): the record carries an explicit ``SLOTS`` undo of the
-    old images, in reverse order."""
+    """One batch on one page that overwrites two slots with values of
+    their own length (one ``SLOTS`` record of ``XOR`` entries) and a
+    third with a longer one (its own ``SET`` record, as ``update``
+    logs it)."""
 
     def _plan(self, handles):
         (page_id, s0), (_, s1), (_, s2) = handles[:SLOTS_PER_PAGE]
-        return [(page_id, s0, b"slot0-M"), (page_id, s1, b"s1"),
+        return [(page_id, s0, b"slot0-M"), (page_id, s1, b"slot1-M"),
                 (page_id, s2, b"slot2-is-longer-now")]
 
     def _expected(self, handles):
-        return [b"slot0-M", b"s1", b"slot2-is-longer-now"] \
+        return [b"slot0-M", b"slot1-M", b"slot2-is-longer-now"] \
             + _expect(b"C", handles)[SLOTS_PER_PAGE:]
 
     def test_record_shape_and_rollback(self):
@@ -244,14 +251,12 @@ class TestMixedEntries:
         first = s2.log.end_offset
         txn = s2.begin()
         s2.update_many(txn, self._plan(handles))
-        (record,) = [r for _, r in s2.log.scan(from_offset=first)]
-        assert [op[0] for _, op in iter_slots(record.redo[1:])] == \
-            [PageOp.XOR, PageOp.SET, PageOp.SET]
-        undo = list(iter_slots(record.undo[1:]))
-        assert [slot for slot, _ in undo] == \
-            [slot for _, slot in reversed(handles[:SLOTS_PER_PAGE])]
-        assert [op[0] for _, op in undo] == \
-            [PageOp.SET, PageOp.SET, PageOp.XOR]
+        run, grow = [r for _, r in s2.log.scan(from_offset=first)]
+        assert (run.slot, run.undo) == (NO_SLOT, b"")
+        assert [op[0] for _, op in iter_slots(run.redo[1:])] == \
+            [PageOp.XOR, PageOp.XOR]
+        assert (grow.slot, grow.redo, grow.undo) == (
+            handles[2][1], b"\x03slot2-is-longer-now", b"\x03slot2-C")
         s2.rollback(txn)
         assert _read(s1, handles) == _expect(b"C", handles)
 
@@ -264,7 +269,7 @@ class TestMixedEntries:
         s2.log.force()
         sd.crash_instance(2)
         summary = sd.restart_instance(2)
-        assert (summary.loser_transactions, summary.clrs_written) == (1, 1)
+        assert (summary.loser_transactions, summary.clrs_written) == (1, 2)
         assert _read(s2, handles) == _expect(b"C", handles)
         txn = s2.begin()
         s2.update_many(txn, self._plan(handles))
@@ -276,8 +281,9 @@ class TestMixedEntries:
 
 class TestSlotTwice:
     """One batch updates a slot twice: equal-length values leave one
-    self-inverse ``XOR`` record; a length change in between needs the
-    reversed undo to get back to the first image."""
+    self-inverse ``XOR`` record; a length change in between splits the
+    batch into a ``SET``, an ``XOR`` and a ``SET`` record, undone in
+    reverse order."""
 
     @pytest.mark.parametrize("second", [b"slot0-Y", b"short"])
     @pytest.mark.parametrize("mode", MODES)
@@ -290,8 +296,10 @@ class TestSlotTwice:
         first = s2.log.end_offset
         txn = s2.begin()
         s2.update_many(txn, plan)
-        (record,) = [r for _, r in s2.log.scan(from_offset=first)]
-        assert (record.undo == b"") == (len(second) == len(b"slot0-Z"))
+        records = [r for _, r in s2.log.scan(from_offset=first)]
+        assert [r.slot for r in records] == (
+            [NO_SLOT] if len(second) == len(b"slot0-Z")
+            else [s0, s1_slot, s0])
         s2.rollback(txn)
         assert _read(s2, handles) == _expect(b"C", handles)
         txn = s2.begin()
@@ -305,3 +313,48 @@ class TestSlotTwice:
         expected = _expect(b"C", handles)
         expected[0], expected[1] = b"slot0-Z", b"slot1-Y"
         assert _read(s1, handles) == expected
+
+
+class TestRunPastOneRecord:
+    """A run whose ``XOR`` entries outgrow one record's u16 redo length
+    goes on in further records on the same page; each commits, rolls
+    back and is redone or undone at restart like any other."""
+
+    @pytest.mark.parametrize("size, n_ops", [(4000, 20), (32, 2000)])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_commit_rollback_and_restart(self, mode, size, n_ops):
+        sd, s1, s2 = _sd(mode=mode)
+        txn = s1.begin()
+        page_id = s1.allocate_page(txn)
+        slot = s1.insert(txn, page_id, b"A" * size)
+        s1.commit(txn)
+        s1.pool.flush_all()
+        handle = [(page_id, slot)]
+
+        def plan(tag):
+            return [(page_id, slot, bytes([i % 26 + 97]) * (size - 1) + tag)
+                    for i in range(n_ops)]
+
+        last = plan(b"B")[-1][2]
+        first = s2.log.end_offset
+        txn = s2.begin()
+        s2.update_many(txn, plan(b"X"))
+        records = [r for _, r in s2.log.scan(from_offset=first)]
+        assert len(records) >= 2
+        assert all(len(r.redo) <= MAX_OPERAND and r.undo == b""
+                   for r in records)
+        assert sum(len(list(iter_slots(r.redo[1:]))) for r in records) \
+            == n_ops
+        s2.rollback(txn)
+        assert _read(s1, handle) == [b"A" * size]
+        txn = s2.begin()
+        s2.update_many(txn, plan(b"B"))
+        s2.commit(txn)
+        loser = s2.begin()
+        s2.update_many(loser, plan(b"X"))
+        s2.log.force()
+        sd.crash_instance(2)
+        summary = sd.restart_instance(2)
+        assert summary.clrs_written == len(records)
+        assert _read(s1, handle) == [last]
+        assert _read(s2, handle) == [last]

@@ -10,6 +10,7 @@ from repro.wal import records as records_mod
 from repro.wal.records import (
     CheckpointData,
     LogRecord,
+    MAX_OPERAND,
     NO_PAGE,
     NO_SLOT,
     PageOp,
@@ -416,25 +417,33 @@ class TestOverwriteOps:
 
 class TestPageRunOps:
     def test_one_change_is_logged_as_it_stands(self):
-        redo, undo = encode_overwrite(b"abc", b"abcd")
-        assert encode_page_run([(4, redo, undo)]) == (4, redo, undo)
+        redo, _ = encode_overwrite(b"abc", b"xyz")
+        assert encode_page_run([(4, redo)]) == [(4, redo)]
 
     def test_xor_run_is_one_self_inverse_slots_image(self):
-        changes = [(slot, *encode_overwrite(b"%02d" % slot, b"xx"))
+        changes = [(slot, encode_overwrite(b"%02d" % slot, b"xx")[0])
                    for slot in (3, 1, 3)]
-        slot, redo, undo = encode_page_run(changes)
-        assert (slot, undo) == (NO_SLOT, b"")
+        ((slot, redo),) = encode_page_run(changes)
+        assert slot == NO_SLOT
         assert redo[0] == PageOp.SLOTS
-        assert list(iter_slots(redo[1:])) == [
-            (3, changes[0][1]), (1, changes[1][1]), (3, changes[2][1])]
+        assert list(iter_slots(redo[1:])) == changes
         assert len(redo) == 1 + 3 * (4 + 1 + 2)
 
-    def test_length_change_gives_reversed_explicit_undo(self):
-        xor = (0, *encode_overwrite(b"ab", b"cd"))
-        grow = (1, *encode_overwrite(b"ab", b"abc"))
-        _, redo, undo = encode_page_run([xor, grow])
-        assert list(iter_slots(undo[1:])) == [(1, grow[2]), (0, xor[1])]
-        assert list(iter_slots(redo[1:])) == [(0, xor[1]), (1, grow[1])]
+    def test_run_past_the_u16_length_goes_on_in_a_new_record(self):
+        """Entries are packed into each record while its redo fits
+        ``MAX_OPERAND``; a record left with one entry logs it as it
+        stands."""
+        op = encode_overwrite(bytes(4000), b"v" * 4000)[0]
+        entry = 4 + len(op)
+        per_record = (MAX_OPERAND - 1) // entry
+        changes = [(slot % 3, op) for slot in range(2 * per_record + 1)]
+        records = encode_page_run(changes)
+        assert [len(redo) for _, redo in records] == \
+            [1 + per_record * entry] * 2 + [len(op)]
+        assert all(len(redo) <= MAX_OPERAND for _, redo in records)
+        assert records[-1] == changes[-1]
+        assert [change for _, redo in records[:2]
+                for change in iter_slots(redo[1:])] == changes[:-1]
 
     @pytest.mark.parametrize("operand", [b"\x01", b"\x01\x00\x05\x00abc"])
     def test_truncated_entry_raises(self, operand):

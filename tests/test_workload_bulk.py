@@ -61,7 +61,10 @@ def payloads(engine, handles):
 
 
 UPDATE_PLAN = [  # two distinct pages, repeated hits on one of them
-    (0, 0, b"aaa"), (0, 1, b"bbb"), (1, 0, b"ccc"), (0, 0, b"ddd"),
+    (0, 0, b"a" * 32), (0, 1, b"b" * 32),   # one XOR run: SLOTS
+    (0, 2, b"short"),                       # length change: its own SET
+    (0, 3, b"c" * 32),                      # a run of one XOR
+    (1, 0, b"ccc"), (0, 0, b"d" * 32),
 ]
 
 
@@ -92,8 +95,10 @@ class TestUpdateMany:
         assert payloads(bulk, handles_b) == payloads(per_call, handles_a)
 
     def test_one_record_per_page_run_with_exact_bytes(self):
-        """The plan's three page runs log three records, chained by
-        ``prev_lsn``, each exactly the page header plus its entries."""
+        """The plan logs one record per run of equal-length
+        overwrites of one page and one per length-changing overwrite,
+        chained by ``prev_lsn``, each exactly the page header plus its
+        images."""
         _, engine, handles = build_engine()
         txn = engine.begin()
         engine.update(txn, *handles[-1], b"an earlier record")
@@ -102,16 +107,15 @@ class TestUpdateMany:
         engine.update_many(txn, plan_for(handles))
         records = [r for _, r in engine.log.scan(from_offset=first)]
         page0, page1 = handles[0][0], handles[RECORDS_PER_PAGE][0]
-        assert [(r.page_id, r.slot) for r in records] == \
-            [(page0, NO_SLOT), (page1, 0), (page0, 0)]
-        entry = ENTRY_HEAD
+        assert [(r.page_id, r.slot) for r in records] == [
+            (page0, NO_SLOT), (page0, 2), (page0, 3), (page1, 0), (page0, 0)]
+        xor = 1 + 32
         assert [len(r.to_bytes()) for r in records] == [
-            # two length-changing SETs: SLOTS redo and SLOTS undo
-            PAGE_HEADER + (1 + 2 * (entry + 1 + 3))
-            + (1 + 2 * (entry + 1 + 32)),
-            # a run of one, logged as ``update`` logs it
-            PAGE_HEADER + (1 + 3) + (1 + 32),
-            PAGE_HEADER + (1 + 3),          # "aaa" -> "ddd": one XOR
+            PAGE_HEADER + 1 + 2 * (ENTRY_HEAD + xor),   # SLOTS, no undo
+            PAGE_HEADER + (1 + 5) + (1 + 32),           # SET and old SET
+            PAGE_HEADER + xor,                          # runs of one,
+            PAGE_HEADER + (1 + 3) + (1 + 32),           # logged as
+            PAGE_HEADER + xor,                          # ``update`` logs
         ]
         assert sum(len(r.to_bytes()) for r in records) == \
             engine.log.end_offset - first
